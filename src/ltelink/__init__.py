@@ -11,18 +11,14 @@ from .channel import (
     PowerDelayProfile,
     add_awgn,
     apply_channel,
-    channel_frequency_response,
     generate_channel,
 )
 from .estimation import (
-    ChannelEstimate,
     CorrelationModel,
-    EstimatorUsed,
     HybridPolicy,
     beta_for_constellation,
     build_correlation_model,
     calibrate_threshold,
-    hybrid_estimate,
     interpolate_ls,
     lmmse_estimate_full,
     lmmse_estimate_simplified,
@@ -31,48 +27,36 @@ from .estimation import (
 from .grid import (
     CellLabel,
     Constellation,
+    GridLayout,
     PilotPattern,
-    ResourceGrid,
     SystemConfig,
     build_pilot_pattern,
-    extract_pilots,
-    map_to_grid,
 )
 from .harness import (
     Estimator,
     SweepConfig,
     SweepRecord,
-    compute_ber,
-    compute_mse,
     emit_csv,
     run_sweep,
     run_trial,
 )
-from .linkproc import qpsk_demap, qpsk_map, zf_detect
-from .ofdm import (
-    DftSpec,
-    TimeDomainSignal,
-    dft_coefficient,
-    ofdm_demodulate,
-    ofdm_modulate,
-)
+from .kernels import zf_detect_grid
+from .linkproc import qpsk_demap, qpsk_map
+from .ofdm import TimeDomainSignal, demodulate_frame, modulate_frame
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CellLabel",
-    "ChannelEstimate",
     "ChannelRealization",
     "Constellation",
     "CorrelationModel",
-    "DftSpec",
     "Estimator",
-    "EstimatorUsed",
+    "GridLayout",
     "HybridPolicy",
     "NoiseSpec",
     "PilotPattern",
     "PowerDelayProfile",
-    "ResourceGrid",
     "SweepConfig",
     "SweepRecord",
     "SystemConfig",
@@ -83,24 +67,17 @@ __all__ = [
     "build_correlation_model",
     "build_pilot_pattern",
     "calibrate_threshold",
-    "channel_frequency_response",
-    "compute_ber",
-    "compute_mse",
-    "dft_coefficient",
+    "demodulate_frame",
     "emit_csv",
-    "extract_pilots",
     "generate_channel",
-    "hybrid_estimate",
     "interpolate_ls",
     "lmmse_estimate_full",
     "lmmse_estimate_simplified",
     "ls_estimate",
-    "map_to_grid",
-    "ofdm_demodulate",
-    "ofdm_modulate",
+    "modulate_frame",
     "qpsk_demap",
     "qpsk_map",
     "run_sweep",
     "run_trial",
-    "zf_detect",
+    "zf_detect_grid",
 ]

@@ -20,7 +20,6 @@ __all__ = [
     "ChannelRealization",
     "NoiseSpec",
     "generate_channel",
-    "channel_frequency_response",
     "apply_channel",
     "add_awgn",
 ]
@@ -104,7 +103,12 @@ class ChannelRealization:
         return out
 
     def frequency_responses(self, n_fft: int, bins: np.ndarray | None = None) -> np.ndarray:
-        """Exact per-pair frequency responses, optionally restricted to bins."""
+        """Exact per-pair responses H_k = sum_l g_l exp(-2j*pi*k*tau_l/n_fft).
+
+        No 1/sqrt(N) factor: with the unitary modem this makes the
+        per-subcarrier model Y = H * X + W hold exactly for CP-covered
+        channels.  Optionally restricted to bins.
+        """
         h = np.fft.fft(self.impulse_responses(), n_fft, axis=-1)
         return h if bins is None else h[:, :, bins]
 
@@ -120,31 +124,6 @@ def generate_channel(
     scale = np.sqrt(pdp.tap_powers / 2.0)
     taps = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     return ChannelRealization(taps=taps, pdp=pdp)
-
-
-def channel_frequency_response(
-    g: np.ndarray, n_fft: int, tap_delays: np.ndarray | None = None
-) -> np.ndarray:
-    """H_k = sum_l g_l * exp(-2j*pi*k*tau_l/n_fft) for k = 0..n_fft-1.
-
-    No 1/sqrt(N) factor: with the unitary modem this makes the per-subcarrier
-    model Y = H * X + W hold exactly for CP-sufficient channels.
-    """
-    g = np.asarray(g, dtype=np.complex128)
-    if g.ndim != 1:
-        raise ValueError("tap vector must be 1-D")
-    if tap_delays is None:
-        if len(g) > n_fft:
-            raise ValueError("more taps than FFT bins")
-        return np.fft.fft(g, n_fft)
-    tap_delays = np.asarray(tap_delays, dtype=np.int64)
-    if tap_delays.shape != g.shape:
-        raise ValueError("tap_delays must parallel the tap vector")
-    if tap_delays[-1] >= n_fft:
-        raise ValueError("tap delay beyond the FFT span")
-    dense = np.zeros(n_fft, dtype=np.complex128)
-    dense[tap_delays] = g
-    return np.fft.fft(dense)
 
 
 def apply_channel(tx: TimeDomainSignal, ch: ChannelRealization) -> TimeDomainSignal:

@@ -13,7 +13,6 @@ calibrated threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -21,8 +20,6 @@ from .channel import PowerDelayProfile
 from .grid import Constellation, SystemConfig, used_subcarrier_bins
 
 __all__ = [
-    "EstimatorUsed",
-    "ChannelEstimate",
     "CorrelationModel",
     "HybridPolicy",
     "ls_estimate",
@@ -32,34 +29,10 @@ __all__ = [
     "lmmse_estimate_simplified",
     "beta_for_constellation",
     "interpolate_ls",
-    "hybrid_estimate",
     "calibrate_threshold",
 ]
 
 _JITTER = 1e-12  # diagonal loading used when the exact form is run with zero noise
-
-
-class EstimatorUsed(Enum):
-    LS = "ls"
-    LMMSE = "lmmse"
-    HYBRID_CHOSE_LS = "hybrid_chose_ls"
-    HYBRID_CHOSE_LMMSE = "hybrid_chose_lmmse"
-
-
-@dataclass(frozen=True)
-class ChannelEstimate:
-    """Estimated frequency response over all used subcarriers of one (tx, rx) pair."""
-
-    h_hat: np.ndarray
-    estimator_used: EstimatorUsed
-    jitter_applied: bool = False
-
-    def __post_init__(self) -> None:
-        h = np.asarray(self.h_hat, dtype=np.complex128)
-        if h.ndim != 1:
-            raise ValueError("h_hat must be a 1-D vector over the used subcarriers")
-        object.__setattr__(self, "h_hat", h)
-        h.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -99,10 +72,15 @@ class CorrelationModel:
 
 
 def ls_estimate(y_p: np.ndarray, x_p: np.ndarray) -> np.ndarray:
-    """Least-squares pilot estimates: elementwise y_p / x_p."""
+    """Least-squares pilot estimates: elementwise y_p / x_p.
+
+    x_p is the (n_pilots,) transmitted pilot vector; y_p is one (n_pilots,)
+    observation or a stack of them, e.g. (n_rx, n_pilots), one per receive
+    antenna.
+    """
     y_p = np.asarray(y_p, dtype=np.complex128)
     x_p = np.asarray(x_p, dtype=np.complex128)
-    if y_p.shape != x_p.shape:
+    if x_p.ndim != 1 or y_p.shape[-1:] != x_p.shape:
         raise ValueError(f"length mismatch: y_p {y_p.shape} vs x_p {x_p.shape}")
     if np.any(x_p == 0):
         raise ValueError("pilot value is zero; cannot invert")
@@ -139,10 +117,8 @@ def build_correlation_model(
     )
 
 
-def lmmse_filter(
-    corr: CorrelationModel, regularizer: np.ndarray | float
-) -> tuple[np.ndarray, bool]:
-    """W = R_hh_p (R_hp_hp + D)^-1 with D diagonal; returns (W, jitter_applied).
+def lmmse_filter(corr: CorrelationModel, regularizer: np.ndarray | float) -> np.ndarray:
+    """W = R_hh_p (R_hp_hp + D)^-1 with D diagonal.
 
     regularizer is either a scalar (lambda * I) or a per-pilot diagonal vector.
     A zero regularizer gets a fixed 1e-12 diagonal loading so a rank-deficient
@@ -152,17 +128,15 @@ def lmmse_filter(
     diag = np.broadcast_to(np.asarray(regularizer, dtype=np.float64), (n,))
     if np.any(diag < 0):
         raise ValueError("regularizer must be non-negative")
-    jitter = bool(np.any(diag == 0.0))
-    if jitter:
+    if np.any(diag == 0.0):
         diag = diag + _JITTER
     a = corr.r_hp_hp + np.diag(diag)
-    w = np.linalg.solve(a.T, corr.r_hh_p.T).T
-    return w, jitter
+    return np.linalg.solve(a.T, corr.r_hh_p.T).T
 
 
 def lmmse_estimate_full(
     h_ls: np.ndarray, corr: CorrelationModel, x_p: np.ndarray, sigma_w2: float
-) -> ChannelEstimate:
+) -> np.ndarray:
     """Exact-noise LMMSE: R_hh_p (R_hp_hp + sigma^2 diag(|x_p|^2)^-1)^-1 h_ls."""
     h_ls = np.asarray(h_ls, dtype=np.complex128)
     x_p = np.asarray(x_p, dtype=np.complex128)
@@ -172,13 +146,12 @@ def lmmse_estimate_full(
         raise ValueError("noise variance must be non-negative")
     if np.any(x_p == 0):
         raise ValueError("pilot value is zero; (X X^H)^-1 undefined")
-    w, jitter = lmmse_filter(corr, sigma_w2 / np.abs(x_p) ** 2)
-    return ChannelEstimate(w @ h_ls, EstimatorUsed.LMMSE, jitter_applied=jitter)
+    return lmmse_filter(corr, sigma_w2 / np.abs(x_p) ** 2) @ h_ls
 
 
 def lmmse_estimate_simplified(
     h_ls: np.ndarray, corr: CorrelationModel, snr_linear: float, beta: float
-) -> ChannelEstimate:
+) -> np.ndarray:
     """Simplified LMMSE: R_hh_p (R_hp_hp + (beta/SNR) I)^-1 h_ls."""
     h_ls = np.asarray(h_ls, dtype=np.complex128)
     if h_ls.shape != (corr.n_pilots,):
@@ -187,8 +160,7 @@ def lmmse_estimate_simplified(
         raise ValueError(f"snr_linear must be positive, got {snr_linear}")
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    w, jitter = lmmse_filter(corr, beta / snr_linear)
-    return ChannelEstimate(w @ h_ls, EstimatorUsed.LMMSE, jitter_applied=jitter)
+    return lmmse_filter(corr, beta / snr_linear) @ h_ls
 
 
 def beta_for_constellation(constellation: Constellation) -> float:
@@ -200,9 +172,7 @@ def beta_for_constellation(constellation: Constellation) -> float:
     raise ValueError(f"unsupported constellation: {constellation!r}")
 
 
-def interpolate_ls(
-    h_p: np.ndarray, pilot_positions: np.ndarray, n_used: int
-) -> ChannelEstimate:
+def interpolate_ls(h_p: np.ndarray, pilot_positions: np.ndarray, n_used: int) -> np.ndarray:
     """Extend pilot LS estimates to all used subcarriers.
 
     Linear interpolation of real and imaginary parts between adjacent pilots;
@@ -217,13 +187,12 @@ def interpolate_ls(
     order = np.argsort(positions)
     pos, vals = positions[order], h_p[order]
     k = np.arange(n_used)
-    h_full = np.interp(k, pos, vals.real) + 1j * np.interp(k, pos, vals.imag)
-    return ChannelEstimate(h_full, EstimatorUsed.LS)
+    return np.interp(k, pos, vals.real) + 1j * np.interp(k, pos, vals.imag)
 
 
 @dataclass(frozen=True)
 class HybridPolicy:
-    """Branch rule of the hybrid estimator.
+    """Branch rule of the hybrid estimator: the one place it picks LS or LMMSE.
 
     CP covering the hinted channel length always selects LMMSE; otherwise the
     received SNR decides: below snr_threshold_db LMMSE, at or above it LS.
@@ -243,26 +212,6 @@ class HybridPolicy:
         if self.channel_len_hint <= self.cp_len:
             return False
         return snr_db >= self.snr_threshold_db
-
-
-def hybrid_estimate(
-    y_p: np.ndarray,
-    x_p: np.ndarray,
-    pilot_positions: np.ndarray,
-    corr: CorrelationModel,
-    policy: HybridPolicy,
-    snr_db: float,
-    beta: float = 1.0,
-) -> ChannelEstimate:
-    """Run the hybrid decision and the chosen estimator on one pilot observation."""
-    h_ls = ls_estimate(y_p, x_p)
-    if policy.chooses_ls(snr_db):
-        est = interpolate_ls(h_ls, pilot_positions, corr.n_used)
-        return ChannelEstimate(est.h_hat, EstimatorUsed.HYBRID_CHOSE_LS)
-    est = lmmse_estimate_simplified(h_ls, corr, 10.0 ** (snr_db / 10.0), beta)
-    return ChannelEstimate(
-        est.h_hat, EstimatorUsed.HYBRID_CHOSE_LMMSE, jitter_applied=est.jitter_applied
-    )
 
 
 def _crossover_from_curves(

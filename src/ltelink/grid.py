@@ -2,7 +2,7 @@
 
 Builds the per-slot grid of (subcarrier, OFDM symbol, antenna port) cells,
 places cell-specific reference signals on the two pilot-bearing symbols of a
-short-CP slot, and maps/extracts data and pilot symbols.  All objects are
+short-CP slot, and fills a slot with data and pilot symbols.  All objects are
 immutable after construction and safe to share across concurrent trials.
 """
 
@@ -19,16 +19,12 @@ __all__ = [
     "SystemConfig",
     "CellLabel",
     "PilotPattern",
-    "ResourceGrid",
     "GridLayout",
     "LTE_PROFILES",
     "PILOT_SYMBOLS",
     "PILOT_SPACING",
     "used_subcarrier_bins",
     "build_pilot_pattern",
-    "map_to_grid",
-    "extract_data",
-    "extract_pilots",
     "pilot_values_for_port",
     "random_pilot_sequence",
 ]
@@ -106,6 +102,11 @@ class SystemConfig:
             raise ValueError("n_symbols_per_slot must be 6 (long CP) or 7 (short CP)")
         if self.n_tx not in (1, 2) or self.n_rx not in (1, 2):
             raise ValueError("n_tx and n_rx must be 1 or 2")
+        if self.n_tx > self.n_rx:
+            raise ValueError(
+                f"n_tx={self.n_tx} exceeds n_rx={self.n_rx}; zero-forcing needs "
+                "at least as many receive as transmit antennas"
+            )
         if not isinstance(self.constellation, Constellation):
             raise ValueError(f"unsupported constellation: {self.constellation!r}")
 
@@ -127,10 +128,6 @@ class SystemConfig:
     @property
     def symbol_len(self) -> int:
         return self.n_fft + self.cp_len
-
-    @property
-    def sample_rate_mhz(self) -> float:
-        return LTE_PROFILES[self.bandwidth_mhz][2]
 
 
 def used_subcarrier_bins(config: SystemConfig) -> np.ndarray:
@@ -201,9 +198,6 @@ class PilotPattern:
     def n_entries(self) -> int:
         return len(self.entries)
 
-    def ports(self) -> np.ndarray:
-        return np.unique(self.entries[:, 2])
-
     def entry_indices(self, port: int) -> np.ndarray:
         """Row indices of this port's entries (also its pilot-sequence slots)."""
         idx = np.nonzero(self.entries[:, 2] == port)[0]
@@ -228,8 +222,6 @@ def build_pilot_pattern(config: SystemConfig) -> PilotPattern:
     """
     if config.n_symbols_per_slot != 7:
         raise ValueError("pilot pattern requires the short-CP slot format (7 symbols)")
-    if config.n_tx > 2:
-        raise ValueError("at most 2 antenna ports are supported")
     rows = []
     for port in range(config.n_tx):
         for sym in PILOT_SYMBOLS:
@@ -245,45 +237,6 @@ def build_pilot_pattern(config: SystemConfig) -> PilotPattern:
         n_symbols=config.n_symbols_per_slot,
         n_ports=config.n_tx,
     )
-
-
-@dataclass(frozen=True)
-class ResourceGrid:
-    """Per-antenna complex symbol lattice with Data/Pilot/Null cell labels."""
-
-    values: np.ndarray  # (n_ports, n_used, n_symbols) complex128
-    labels: np.ndarray  # same shape, CellLabel as int8
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.complex128)
-        labels = np.asarray(self.labels, dtype=np.int8)
-        if values.ndim != 3 or values.shape != labels.shape:
-            raise ValueError("values and labels must share an (ports, subcarriers, symbols) shape")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "labels", labels)
-        values.setflags(write=False)
-        labels.setflags(write=False)
-
-    @property
-    def n_ports(self) -> int:
-        return self.values.shape[0]
-
-    def validate(self) -> None:
-        """Check the cell invariants (pilot modulus, null zeros, port complementarity)."""
-        pilot = self.labels == CellLabel.PILOT
-        null = self.labels == CellLabel.NULL
-        if pilot.any() and not np.allclose(np.abs(self.values[pilot]), 1.0, atol=1e-9):
-            raise ValueError("pilot cells must hold unit-modulus values")
-        if null.any() and np.any(self.values[null] != 0):
-            raise ValueError("null cells must hold exactly 0")
-        if self.n_ports > 1:
-            for p in range(self.n_ports):
-                others_null = np.all(np.delete(self.labels, p, axis=0) == CellLabel.NULL, axis=0)
-                bad = pilot[p] & ~others_null
-                if bad.any():
-                    raise ValueError("a pilot resource element is not nulled on the other ports")
-            if np.any(pilot.sum(axis=0) > 1):
-                raise ValueError("two ports carry a pilot on the same resource element")
 
 
 @dataclass(frozen=True)
@@ -350,61 +303,10 @@ class GridLayout:
         return values
 
 
-def map_to_grid(
-    config: SystemConfig,
-    pattern: PilotPattern,
-    data_symbols: Sequence[np.ndarray],
-    pilot_seq: np.ndarray,
-) -> ResourceGrid:
-    """Fill one slot: data in deterministic order, pilots from pilot_seq, nulls zero.
-
-    data_symbols holds one array per antenna; within an antenna the Data cells
-    are filled subcarrier-fastest, then symbol.  pilot_seq is consumed in the
-    pattern's entry order and must be unit modulus.
-    """
-    if len(data_symbols) != config.n_tx:
-        raise ValueError(
-            f"expected data for {config.n_tx} antennas, got {len(data_symbols)} lists"
-        )
-    pilot_seq = np.asarray(pilot_seq, dtype=np.complex128)
-    used = pilot_seq[: pattern.n_entries]
-    if used.size == pattern.n_entries and not np.allclose(np.abs(used), 1.0, atol=1e-9):
-        raise ValueError("pilot values must be unit modulus")
-    layout = GridLayout.build(config, pattern)
-    values = layout.fill(data_symbols, pilot_seq, pattern)
-    return ResourceGrid(values=values, labels=layout.labels)
-
-
-def extract_data(grid: ResourceGrid, port: int) -> np.ndarray:
-    """Data symbols of one port in the map_to_grid fill order."""
-    mask = (grid.labels[port] == CellLabel.DATA).T
-    return grid.values[port].T[mask]
-
-
-def extract_pilots(
-    grid_rx_freq: np.ndarray, pattern: PilotPattern, port: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pilot observations of one port from a received frequency-domain grid.
-
-    grid_rx_freq is the (n_used, n_symbols) grid of ONE receive antenna.
-    Returns (y_p, pilot_positions) ordered by ascending subcarrier within
-    ascending symbol; positions are subcarrier indices parallel to y_p.
-    """
-    grid_rx_freq = np.asarray(grid_rx_freq)
-    if grid_rx_freq.shape != (pattern.n_used, pattern.n_symbols):
-        raise ValueError(
-            f"grid shape {grid_rx_freq.shape} does not match the pattern "
-            f"({pattern.n_used}, {pattern.n_symbols})"
-        )
-    sc = pattern.subcarriers(port)
-    sym = pattern.symbols(port)
-    return grid_rx_freq[sc, sym], sc.copy()
-
-
 def pilot_values_for_port(
     pattern: PilotPattern, pilot_seq: np.ndarray, port: int
 ) -> np.ndarray:
-    """Transmitted pilot values of one port, aligned with extract_pilots order."""
+    """Transmitted pilot values of one port, in the port's pattern-entry order."""
     pilot_seq = np.asarray(pilot_seq, dtype=np.complex128)
     if len(pilot_seq) < pattern.n_entries:
         raise ValueError(

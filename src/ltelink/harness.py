@@ -41,6 +41,7 @@ from .estimation import (
     HybridPolicy,
     beta_for_constellation,
     interpolate_ls,
+    ls_estimate,
 )
 from .grid import (
     GridLayout,
@@ -60,8 +61,6 @@ __all__ = [
     "run_trial",
     "run_sweep",
     "paired_mse_curves",
-    "compute_mse",
-    "compute_ber",
     "emit_csv",
     "format_summary",
     "CSV_HEADER",
@@ -137,6 +136,16 @@ class SweepConfig:
             raise ValueError("duplicate estimator requested")
         if self.threshold_override_db is not None and math.isnan(self.threshold_override_db):
             raise ValueError("threshold_override_db must not be NaN")
+        if (
+            Estimator.HYBRID in ests
+            and self.threshold_override_db is None
+            and lengths[-1] > self.system.cp_len + 1
+            and not any(math.isfinite(v) for v in snrs)
+        ):
+            raise ValueError(
+                "cannot calibrate a hybrid threshold without finite SNRs: add a "
+                "finite SNR or set a threshold"
+            )
 
 
 @dataclass(frozen=True)
@@ -186,40 +195,6 @@ class TrialResult:
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed & _SEED_MASK, *key]))
-
-
-def compute_mse(
-    h_hat: np.ndarray, h_true: np.ndarray, positions: np.ndarray | None = None
-) -> float:
-    """Normalized MSE: mean |h_hat - h_true|^2 over mean |h_true|^2, same positions."""
-    h_hat = np.asarray(h_hat)
-    h_true = np.asarray(h_true)
-    if h_hat.shape != h_true.shape:
-        raise ValueError(f"shape mismatch: {h_hat.shape} vs {h_true.shape}")
-    if positions is not None:
-        positions = np.asarray(positions, dtype=np.int64)
-        if positions.size == 0:
-            raise ValueError("empty position selection")
-        h_hat = h_hat[positions]
-        h_true = h_true[positions]
-    if h_hat.size == 0:
-        raise ValueError("empty position selection")
-    ref = float(np.mean(np.abs(h_true) ** 2))
-    if ref == 0.0:
-        raise ValueError("reference channel energy is zero")
-    return float(np.mean(np.abs(h_hat - h_true) ** 2)) / ref
-
-
-def compute_ber(tx_bits: np.ndarray, rx_bits: np.ndarray) -> float:
-    """Hamming distance over length."""
-    tx_bits = np.asarray(tx_bits)
-    rx_bits = np.asarray(rx_bits)
-    if tx_bits.shape != rx_bits.shape or tx_bits.size == 0:
-        raise ValueError(
-            f"bit vectors must be equal-length and non-empty: "
-            f"{tx_bits.shape} vs {rx_bits.shape}"
-        )
-    return float(np.count_nonzero(tx_bits != rx_bits)) / tx_bits.size
 
 
 @dataclass(frozen=True)
@@ -291,11 +266,14 @@ def _run_chain(
     rx_samples = add_awgn(rx_sig.samples, noise, rng)
     rx_grid = ofdm.demodulate_frame(rx_samples, cfg)
     h_true = ch.frequency_responses(cfg.n_fft, ctx.used_bins)
-    h_ls = []
-    for p in range(cfg.n_tx):
-        y_p = rx_grid[:, ctx.port_positions[p], ctx.port_pilot_symbols[p]]
-        h_ls.append(y_p / ctx.port_pilot_values[p][None, :])
-    return _ChainState(bits=bits, rx_grid=rx_grid, h_true=h_true, h_ls=tuple(h_ls))
+    h_ls = tuple(
+        ls_estimate(
+            rx_grid[:, ctx.port_positions[p], ctx.port_pilot_symbols[p]],
+            ctx.port_pilot_values[p],
+        )
+        for p in range(cfg.n_tx)
+    )
+    return _ChainState(bits=bits, rx_grid=rx_grid, h_true=h_true, h_ls=h_ls)
 
 
 def _estimate_all_pairs(
@@ -319,7 +297,7 @@ def _estimate_all_pairs(
         for r in range(cfg.n_rx):
             h_p = state.h_ls[p][r]
             if use_ls:
-                h_hat[p, r] = interpolate_ls(h_p, positions, cfg.n_used).h_hat
+                h_hat[p, r] = interpolate_ls(h_p, positions, cfg.n_used)
             else:
                 h_hat[p, r] = lmmse_w[p] @ h_p
     return h_hat, branch
@@ -342,16 +320,21 @@ def _detect_and_count(
 
 
 def _score_estimate(
-    state: _ChainState, ctx: _LinkContext, h_hat: np.ndarray
+    h_hat: np.ndarray, h_true: np.ndarray, port_positions: Sequence[np.ndarray]
 ) -> tuple[float, float, float, float]:
-    err2 = np.abs(h_hat - state.h_true) ** 2
-    ref2 = np.abs(state.h_true) ** 2
+    """Energy sums of one slot's estimate: (|err|^2, |h|^2) over all used
+    subcarriers, then over each transmit port's pilot subcarriers.
+
+    h_hat and h_true are (n_tx, n_rx, n_used); the normalized MSE of a cell
+    is the ratio of the error sum to the energy sum over all its trials.
+    """
+    err2 = np.abs(h_hat - h_true) ** 2
+    ref2 = np.abs(h_true) ** 2
     num_all = float(err2.sum())
     den_all = float(ref2.sum())
     num_pil = 0.0
     den_pil = 0.0
-    for p in range(ctx.config.n_tx):
-        positions = ctx.port_positions[p]
+    for p, positions in enumerate(port_positions):
         num_pil += float(err2[p, :, positions].sum())
         den_pil += float(ref2[p, :, positions].sum())
     return num_all, den_all, num_pil, den_pil
@@ -365,7 +348,9 @@ def _trial_from_state(
     chooses_ls: bool | None,
 ) -> TrialResult:
     h_hat, branch = _estimate_all_pairs(state, ctx, estimator, lmmse_w, chooses_ls)
-    num_all, den_all, num_pil, den_pil = _score_estimate(state, ctx, h_hat)
+    num_all, den_all, num_pil, den_pil = _score_estimate(
+        h_hat, state.h_true, ctx.port_positions
+    )
     errors, nbits, erasures = _detect_and_count(state, ctx, h_hat)
     return TrialResult(
         mse_num_all=num_all,
@@ -400,20 +385,40 @@ def _filters_from_models(
 ) -> list[np.ndarray]:
     snr_linear = 10.0 ** (snr_db / 10.0)
     reg = 0.0 if math.isinf(snr_linear) else beta / snr_linear
-    return [estimation.lmmse_filter(corr, reg)[0] for corr in models]
-
-
-def _lmmse_filters(
-    ctx: _LinkContext, pdp: PowerDelayProfile, snr_db: float
-) -> list[np.ndarray]:
-    """Per-port LMMSE filter matrices for one cell."""
-    return _filters_from_models(_correlation_models(ctx, pdp), snr_db, ctx.beta)
+    return [estimation.lmmse_filter(corr, reg) for corr in models]
 
 
 def _needs_lmmse(estimator: Estimator, chooses_ls: bool | None) -> bool:
     if estimator is Estimator.LMMSE:
         return True
     return estimator is Estimator.HYBRID and not chooses_ls
+
+
+def _cell_plan(
+    ctx: _LinkContext,
+    estimators: Sequence[Estimator],
+    channel_len: int,
+    threshold_db: float,
+    snr_db: float,
+    models: Sequence[CorrelationModel],
+) -> tuple[bool | None, list[np.ndarray] | None]:
+    """Hybrid branch and per-port LMMSE filters of one (length, SNR) cell.
+
+    The branch is None unless the hybrid estimator runs, the filters are None
+    unless an estimator of the cell uses LMMSE.
+    """
+    chooses_ls: bool | None = None
+    if Estimator.HYBRID in estimators:
+        policy = HybridPolicy(
+            cp_len=ctx.config.cp_len,
+            channel_len_hint=channel_len,
+            snr_threshold_db=threshold_db,
+        )
+        chooses_ls = policy.chooses_ls(snr_db)
+    lmmse_w = None
+    if any(_needs_lmmse(e, chooses_ls) for e in estimators):
+        lmmse_w = _filters_from_models(models, snr_db, ctx.beta)
+    return chooses_ls, lmmse_w
 
 
 def run_trial(
@@ -433,28 +438,20 @@ def run_trial(
     """
     ctx = _make_context(config.system, config.seed)
     pdp = PowerDelayProfile.uniform(channel_len)
-    chooses_ls: bool | None = None
-    if estimator is Estimator.HYBRID:
-        threshold = snr_threshold_db
-        if threshold is None:
-            threshold = config.threshold_override_db
-        if threshold is None:
-            if channel_len > config.system.cp_len:
-                raise ValueError(
-                    "hybrid on a CP-exceeding channel needs a threshold: pass "
-                    "snr_threshold_db or set threshold_override_db "
-                    "(run_sweep calibrates one automatically)"
-                )
-            threshold = np.inf
-        policy = HybridPolicy(
-            cp_len=config.system.cp_len,
-            channel_len_hint=channel_len,
-            snr_threshold_db=threshold,
-        )
-        chooses_ls = policy.chooses_ls(snr_db)
-    lmmse_w = None
-    if _needs_lmmse(estimator, chooses_ls):
-        lmmse_w = _lmmse_filters(ctx, pdp, snr_db)
+    threshold = snr_threshold_db
+    if threshold is None:
+        threshold = config.threshold_override_db
+    if threshold is None:
+        if estimator is Estimator.HYBRID and channel_len > config.system.cp_len:
+            raise ValueError(
+                "hybrid on a CP-exceeding channel needs a threshold: pass "
+                "snr_threshold_db or set threshold_override_db "
+                "(run_sweep calibrates one automatically)"
+            )
+        threshold = np.inf
+    lmmse_capable = estimator in (Estimator.LMMSE, Estimator.HYBRID)
+    models = _correlation_models(ctx, pdp) if lmmse_capable else ()
+    chooses_ls, lmmse_w = _cell_plan(ctx, (estimator,), channel_len, threshold, snr_db, models)
     state = _run_chain(ctx, pdp, NoiseSpec(snr_db), rng)
     return _trial_from_state(state, ctx, estimator, lmmse_w, chooses_ls)
 
@@ -485,7 +482,7 @@ def paired_mse_curves(
             for est in (Estimator.LS, Estimator.LMMSE):
                 w = lmmse_w if est is Estimator.LMMSE else None
                 h_hat, _ = _estimate_all_pairs(state, ctx, est, w, None)
-                num, den, _, _ = _score_estimate(state, ctx, h_hat)
+                num, den, _, _ = _score_estimate(h_hat, state.h_true, ctx.port_positions)
                 acc[est][0] += num
                 acc[est][1] += den
         ls_curve[i] = acc[Estimator.LS][0] / acc[Estimator.LS][1]
@@ -493,7 +490,7 @@ def paired_mse_curves(
     return ls_curve, lmmse_curve
 
 
-def _resolve_thresholds(config: SweepConfig, ctx: _LinkContext) -> dict[int, float]:
+def _resolve_thresholds(config: SweepConfig) -> dict[int, float]:
     """Hybrid switching threshold per channel length.
 
     CP-covered lengths never consult the threshold (+inf placeholder); the
@@ -511,8 +508,6 @@ def _resolve_thresholds(config: SweepConfig, ctx: _LinkContext) -> dict[int, flo
         elif length <= config.system.cp_len + 1:
             thresholds[length] = np.inf
         else:
-            if finite_snrs.size == 0:
-                raise ValueError("cannot calibrate a hybrid threshold without finite SNRs")
             thresholds[length] = estimation.calibrate_threshold(
                 config.system,
                 PowerDelayProfile.uniform(length),
@@ -536,23 +531,15 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     lengths = config.channel_lengths
     thresholds: dict[int, float] = {}
     if Estimator.HYBRID in estimators:
-        thresholds = _resolve_thresholds(config, ctx)
+        thresholds = _resolve_thresholds(config)
     records: list[SweepRecord] = []
     for li, length in enumerate(lengths):
         pdp = PowerDelayProfile.uniform(length)
         models = _correlation_models(ctx, pdp)
         for si, snr_db in enumerate(config.snr_grid_db):
-            chooses_ls: bool | None = None
-            if Estimator.HYBRID in estimators:
-                policy = HybridPolicy(
-                    cp_len=config.system.cp_len,
-                    channel_len_hint=length,
-                    snr_threshold_db=thresholds[length],
-                )
-                chooses_ls = policy.chooses_ls(snr_db)
-            lmmse_w = None
-            if any(_needs_lmmse(e, chooses_ls) for e in estimators):
-                lmmse_w = _filters_from_models(models, snr_db, ctx.beta)
+            chooses_ls, lmmse_w = _cell_plan(
+                ctx, estimators, length, thresholds.get(length, np.inf), snr_db, models
+            )
             noise = NoiseSpec(snr_db)
             acc = {
                 e: {"na": 0.0, "da": 0.0, "np": 0.0, "dp": 0.0, "err": 0, "bits": 0, "ls": 0}

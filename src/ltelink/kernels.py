@@ -1,46 +1,15 @@
-"""Hot numeric kernels: MIMO linear convolution and per-RE zero-forcing.
-
-Each kernel has a numba @njit implementation and a pure-numpy fallback.  The
-path is selected once at import: numba is used when importable unless the
-LTELINK_NUMBA environment variable is set to 0/false/off.  Both paths produce
-identical results; benchmarks/bench_kernels.py compares their speed.
-"""
+"""Hot numeric kernels: MIMO linear convolution and per-RE zero-forcing."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = [
-    "numba_enabled",
-    "mimo_convolve",
-    "mimo_convolve_numpy",
-    "mimo_convolve_numba",
-    "zf_detect_grid",
-    "zf_detect_grid_numpy",
-    "zf_detect_grid_numba",
-]
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    _HAVE_NUMBA = False
-
-_FLAG = os.environ.get("LTELINK_NUMBA", "1").strip().lower()
-NUMBA_ENABLED = _HAVE_NUMBA and _FLAG not in ("0", "false", "off", "no")
+__all__ = ["COND_LIMIT_DEFAULT", "mimo_convolve", "zf_detect_grid"]
 
 COND_LIMIT_DEFAULT = 1e12
 
 
-def numba_enabled() -> bool:
-    """True when the jit path is active for this process."""
-    return NUMBA_ENABLED
-
-
-def mimo_convolve_numpy(tx: np.ndarray, impulse: np.ndarray) -> np.ndarray:
+def mimo_convolve(tx: np.ndarray, impulse: np.ndarray) -> np.ndarray:
     """Sum of per-pair linear convolutions, truncated to the input length.
 
     tx: (n_tx, n) streams; impulse: (n_tx, n_rx, taps) responses.
@@ -54,108 +23,23 @@ def mimo_convolve_numpy(tx: np.ndarray, impulse: np.ndarray) -> np.ndarray:
     return out
 
 
-if _HAVE_NUMBA:
+def zf_detect_grid(
+    y: np.ndarray, h: np.ndarray, cond_limit: float = COND_LIMIT_DEFAULT
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batched zero-forcing over resource elements.
 
-    @njit(cache=True, fastmath=True)
-    def _mimo_convolve_jit(tx, impulse):  # pragma: no cover - compiled
-        n_tx, n = tx.shape
-        n_rx = impulse.shape[1]
-        taps = impulse.shape[2]
-        out = np.zeros((n_rx, n), dtype=np.complex128)
-        for r in range(n_rx):
-            for t in range(n_tx):
-                x = tx[t]
-                for l in range(taps):
-                    hv = impulse[t, r, l]
-                    if hv != 0.0:
-                        row = out[r]
-                        for i in range(l, n):
-                            row[i] += hv * x[i - l]
-        return out
-
-    @njit(cache=True)
-    def _zf_grid_jit(y, h, cond_limit):  # pragma: no cover - compiled
-        n_re, n_rx = y.shape
-        n_tx = h.shape[2]
-        out = np.zeros((n_re, n_tx), dtype=np.complex128)
-        erased = np.zeros(n_re, dtype=np.bool_)
-        for i in range(n_re):
-            if n_rx == 2 and n_tx == 2:
-                a = h[i, 0, 0]
-                b = h[i, 0, 1]
-                c = h[i, 1, 0]
-                d = h[i, 1, 1]
-                det = a * d - b * c
-                absdet = abs(det)
-                fro2 = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
-                disc = fro2 * fro2 - 4.0 * absdet * absdet
-                if disc < 0.0:
-                    disc = 0.0
-                smax2 = 0.5 * (fro2 + np.sqrt(disc))
-                if absdet == 0.0 or smax2 > cond_limit * absdet:
-                    erased[i] = True
-                else:
-                    y0 = y[i, 0]
-                    y1 = y[i, 1]
-                    out[i, 0] = (d * y0 - b * y1) / det
-                    out[i, 1] = (a * y1 - c * y0) / det
-            elif n_tx == 1:
-                norm2 = 0.0
-                acc = 0.0 + 0.0j
-                for r in range(n_rx):
-                    norm2 += abs(h[i, r, 0]) ** 2
-                    acc += np.conj(h[i, r, 0]) * y[i, r]
-                if norm2 == 0.0:
-                    erased[i] = True
-                else:
-                    out[i, 0] = acc / norm2
-            else:
-                # shapes are restricted to n_tx <= n_rx <= 2 by the dispatcher
-                erased[i] = True
-        return out, erased
-
-else:  # pragma: no cover - exercised only without numba installed
-    _mimo_convolve_jit = None
-    _zf_grid_jit = None
-
-
-def mimo_convolve_numba(tx: np.ndarray, impulse: np.ndarray) -> np.ndarray:
-    if _mimo_convolve_jit is None:
-        raise RuntimeError("numba is not available")
-    return _mimo_convolve_jit(
-        np.ascontiguousarray(tx, dtype=np.complex128),
-        np.ascontiguousarray(impulse, dtype=np.complex128),
-    )
-
-
-def mimo_convolve(tx: np.ndarray, impulse: np.ndarray) -> np.ndarray:
-    if NUMBA_ENABLED:
-        return mimo_convolve_numba(tx, impulse)
-    return mimo_convolve_numpy(tx, impulse)
-
-
-def _check_zf_shapes(y: np.ndarray, h: np.ndarray) -> tuple[int, int]:
+    y: (n_re, n_rx) received vectors; h: (n_re, n_rx, n_tx) channel matrices
+    with n_tx <= n_rx <= 2.  Returns (symbols (n_re, n_tx), erased (n_re,));
+    an element whose matrix condition number exceeds cond_limit is zeroed and
+    flagged, never raised.  A single transmit stream is combined by maximum
+    ratio, which is the least-squares solution of the tall system.
+    """
     n_rx, n_tx = h.shape[1], h.shape[2]
     if y.shape != (h.shape[0], n_rx):
         raise ValueError(f"y shape {y.shape} does not match h shape {h.shape}")
     if n_tx > n_rx or n_rx > 2 or n_tx < 1:
         raise ValueError(f"unsupported antenna shape (n_rx={n_rx}, n_tx={n_tx})")
-    return n_rx, n_tx
-
-
-def zf_detect_grid_numpy(
-    y: np.ndarray, h: np.ndarray, cond_limit: float = COND_LIMIT_DEFAULT
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched zero-forcing over resource elements.
-
-    y: (n_re, n_rx) received vectors; h: (n_re, n_rx, n_tx) channel matrices.
-    Returns (symbols (n_re, n_tx), erased (n_re,)); an element whose matrix
-    condition number exceeds cond_limit is zeroed and flagged, never raised.
-    """
-    n_rx, n_tx = _check_zf_shapes(y, h)
-    n_re = y.shape[0]
-    out = np.zeros((n_re, n_tx), dtype=np.complex128)
-    erased = np.zeros(n_re, dtype=bool)
+    out = np.zeros((y.shape[0], n_tx), dtype=np.complex128)
     if n_tx == 1:
         norm2 = np.sum(np.abs(h[:, :, 0]) ** 2, axis=1)
         erased = norm2 == 0.0
@@ -173,24 +57,3 @@ def zf_detect_grid_numpy(
     out[ok, 0] = (d[ok] * y[ok, 0] - b[ok] * y[ok, 1]) / det[ok]
     out[ok, 1] = (a[ok] * y[ok, 1] - c[ok] * y[ok, 0]) / det[ok]
     return out, erased
-
-
-def zf_detect_grid_numba(
-    y: np.ndarray, h: np.ndarray, cond_limit: float = COND_LIMIT_DEFAULT
-) -> tuple[np.ndarray, np.ndarray]:
-    if _zf_grid_jit is None:
-        raise RuntimeError("numba is not available")
-    _check_zf_shapes(y, h)
-    return _zf_grid_jit(
-        np.ascontiguousarray(y, dtype=np.complex128),
-        np.ascontiguousarray(h, dtype=np.complex128),
-        float(cond_limit),
-    )
-
-
-def zf_detect_grid(
-    y: np.ndarray, h: np.ndarray, cond_limit: float = COND_LIMIT_DEFAULT
-) -> tuple[np.ndarray, np.ndarray]:
-    if NUMBA_ENABLED:
-        return zf_detect_grid_numba(y, h, cond_limit)
-    return zf_detect_grid_numpy(y, h, cond_limit)

@@ -1,51 +1,24 @@
-"""Constellation mapping/demapping and per-subcarrier zero-forcing detection."""
+"""Gray-coded QPSK and 16-QAM constellation mapping and hard-decision demapping."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import Constellation
-from .kernels import COND_LIMIT_DEFAULT
 
 __all__ = [
-    "BitBlock",
     "qpsk_map",
     "qpsk_demap",
     "qam16_map",
     "qam16_demap",
     "map_bits",
     "demap_symbols",
-    "zf_detect",
 ]
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT10 = 1.0 / np.sqrt(10.0)
 # Gray-coded per-axis 16-QAM levels indexed by the two axis bits (b_hi, b_lo).
 _QAM16_LEVELS = np.array([3.0, 1.0, -3.0, -1.0]) * _INV_SQRT10
-
-
-@dataclass(frozen=True)
-class BitBlock:
-    """Payload bit vector whose length fits a whole number of MIMO symbols."""
-
-    bits: np.ndarray
-    bits_per_symbol: int
-    n_tx: int
-
-    def __post_init__(self) -> None:
-        bits = np.asarray(self.bits, dtype=np.int8)
-        if bits.ndim != 1 or not np.all((bits == 0) | (bits == 1)):
-            raise ValueError("bits must be a 1-D 0/1 vector")
-        step = self.bits_per_symbol * self.n_tx
-        if step < 1 or bits.size % step != 0:
-            raise ValueError(
-                f"bit count {bits.size} is not a multiple of "
-                f"bits_per_symbol*n_tx = {step}"
-            )
-        object.__setattr__(self, "bits", bits)
-        bits.setflags(write=False)
 
 
 def qpsk_map(bits: np.ndarray) -> np.ndarray:
@@ -107,25 +80,3 @@ def demap_symbols(symbols: np.ndarray, constellation: Constellation) -> np.ndarr
         return qpsk_demap(symbols)
     return qam16_demap(symbols)
 
-
-def zf_detect(
-    y: np.ndarray, h: np.ndarray, cond_limit: float = COND_LIMIT_DEFAULT
-) -> tuple[np.ndarray, bool]:
-    """Zero-forcing solve of one resource element: (H^H H)^-1 H^H y.
-
-    Returns (symbol vector of length n_tx, erased).  A channel matrix whose
-    condition number exceeds cond_limit yields a zero vector flagged as an
-    erasure instead of raising.
-    """
-    y = np.asarray(y, dtype=np.complex128)
-    h = np.atleast_2d(np.asarray(h, dtype=np.complex128))
-    n_rx, n_tx = h.shape
-    if y.shape != (n_rx,):
-        raise ValueError(f"y must have length n_rx={n_rx}, got {y.shape}")
-    if n_rx < n_tx:
-        raise ValueError(f"need n_rx >= n_tx, got ({n_rx}, {n_tx})")
-    sv = np.linalg.svd(h, compute_uv=False)
-    if sv[-1] == 0.0 or sv[0] > cond_limit * sv[-1]:
-        return np.zeros(n_tx, dtype=np.complex128), True
-    hh = h.conj().T
-    return np.linalg.solve(hh @ h, hh @ y), False

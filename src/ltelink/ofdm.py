@@ -2,8 +2,8 @@
 
 Unitary DFT convention (1/sqrt(N) both ways), so signal power is preserved
 across the transform and a cyclic prefix equal to the last cp_len time samples
-is prepended to every symbol.  The FFT implementation is required to agree
-with the explicit coefficient matrix to 1e-10 up to n = 2048.
+is prepended to every symbol.  The tests check the FFT against the explicit
+coefficient matrix exp(-2j*pi*l*k/N)/sqrt(N).
 """
 
 from __future__ import annotations
@@ -14,43 +14,7 @@ import numpy as np
 
 from .grid import SystemConfig, used_subcarrier_bins
 
-__all__ = [
-    "DftSpec",
-    "TimeDomainSignal",
-    "dft_coefficient",
-    "dft_matrix",
-    "ofdm_modulate",
-    "ofdm_demodulate",
-    "modulate_frame",
-    "demodulate_frame",
-]
-
-
-def dft_coefficient(n: int, l: int, k: int) -> complex:
-    """Entry (l, k) of the unitary n-point DFT matrix: exp(-2j*pi*l*k/n)/sqrt(n)."""
-    if not 0 <= l < n or not 0 <= k < n:
-        raise ValueError(f"indices out of range for n={n}: (l={l}, k={k})")
-    return np.exp(-2j * np.pi * l * k / n) / np.sqrt(n)
-
-
-def dft_matrix(n: int) -> np.ndarray:
-    """Full unitary DFT matrix; O(n^2) memory, intended for small-n checks."""
-    idx = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
-
-
-@dataclass(frozen=True)
-class DftSpec:
-    """Transform size tag; matrix() materializes the unitary DFT."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("transform size must be positive")
-
-    def matrix(self) -> np.ndarray:
-        return dft_matrix(self.n)
+__all__ = ["TimeDomainSignal", "modulate_frame", "demodulate_frame"]
 
 
 @dataclass(frozen=True)
@@ -115,20 +79,3 @@ def demodulate_frame(signal: TimeDomainSignal | np.ndarray, config: SystemConfig
     spectrum = np.fft.fft(sym, axis=-1) / np.sqrt(config.n_fft)
     return spectrum[:, :, used_subcarrier_bins(config)].transpose(0, 2, 1)
 
-
-def ofdm_modulate(grid_column: np.ndarray, config: SystemConfig) -> np.ndarray:
-    """Modulate one grid column (length n_used) into one CP-prefixed OFDM symbol."""
-    grid_column = np.asarray(grid_column, dtype=np.complex128)
-    if grid_column.shape != (config.n_used,):
-        raise ValueError(f"expected {config.n_used} subcarriers, got {grid_column.shape}")
-    return modulate_frame(grid_column[None, :, None], config).samples[0]
-
-
-def ofdm_demodulate(rx_symbol: np.ndarray, config: SystemConfig) -> np.ndarray:
-    """Demodulate one received OFDM symbol (length n_fft + cp_len) to used bins."""
-    rx_symbol = np.asarray(rx_symbol, dtype=np.complex128)
-    if rx_symbol.shape != (config.symbol_len,):
-        raise ValueError(
-            f"expected one symbol of {config.symbol_len} samples, got {rx_symbol.shape}"
-        )
-    return demodulate_frame(rx_symbol[None, :], config)[0, :, 0]

@@ -19,9 +19,9 @@ from ltelink.estimation import (
 )
 from ltelink.grid import (
     Constellation,
+    GridLayout,
     SystemConfig,
     build_pilot_pattern,
-    map_to_grid,
     random_pilot_sequence,
     used_subcarrier_bins,
 )
@@ -81,12 +81,12 @@ def test_ac1_cp_covered_frame_diagonalizes():
     n_data = cfg.n_used * cfg.n_symbols_per_slot - len(pattern.entries)
     corners = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2)
     data = [corners[rng.integers(0, 4, n_data)] for _ in range(cfg.n_tx)]
-    grid = map_to_grid(cfg, pattern, data, pilots)
+    values = GridLayout.build(cfg, pattern).fill(data, pilots, pattern)
     ch = generate_channel(PowerDelayProfile.uniform(10), cfg.n_tx, cfg.n_rx, rng)
-    rx = apply_channel(modulate_frame(grid.values, cfg), ch)
+    rx = apply_channel(modulate_frame(values, cfg), ch)
     got = demodulate_frame(rx, cfg)
     h = ch.frequency_responses(cfg.n_fft, used_subcarrier_bins(cfg))
-    predicted = np.einsum("trk,tks->rks", h, grid.values)
+    predicted = np.einsum("trk,tks->rks", h, values)
     rel = np.abs(got - predicted) / np.abs(predicted)
     worst = float(rel.max())
     _report("AC-1", worst < 1e-10, f"max per-subcarrier residual {worst:.3e} < 1e-10")
@@ -217,7 +217,7 @@ def test_ac6_full_and_simplified_lmmse_coincide():
         snr = float(10 ** rng.uniform(-1, 3))
         full = lmmse_estimate_full(h_ls, corr, x_p, 1.0 / snr)
         simp = lmmse_estimate_simplified(h_ls, corr, snr, 1.0)
-        worst = max(worst, float(np.max(np.abs(full.h_hat - simp.h_hat))))
+        worst = max(worst, float(np.max(np.abs(full - simp))))
     _report("AC-6", worst < 1e-12, f"max deviation {worst:.2e} over 100 instances")
 
 

@@ -10,7 +10,6 @@ from ltelink.channel import (
     PowerDelayProfile,
     add_awgn,
     apply_channel,
-    channel_frequency_response,
     generate_channel,
 )
 from ltelink.grid import SystemConfig, used_subcarrier_bins
@@ -85,6 +84,14 @@ class TestGenerateChannel:
         assert np.max(np.abs(off_diag)) < 3 / np.sqrt(len(taps))
 
 
+def channel_frequency_response(g, n_fft, tap_delays=None):
+    """Response of one (tx, rx) pair with taps g at tap_delays (default 0, 1, ...)."""
+    g = np.asarray(g, dtype=complex)
+    delays = np.arange(len(g)) if tap_delays is None else np.asarray(tap_delays)
+    pdp = PowerDelayProfile(delays, np.full(len(g), 1.0 / len(g)))
+    return ChannelRealization(g[None, None, :], pdp).frequency_responses(n_fft)[0, 0]
+
+
 class TestFrequencyResponse:
     def test_flat_for_single_tap(self):
         h = channel_frequency_response(np.array([1.0 + 0j]), 64)
@@ -111,6 +118,14 @@ class TestFrequencyResponse:
         for k in (0, 3, 33):
             direct = g[0] + g[1] * np.exp(-2j * np.pi * k * 5 / 64)
             assert h[k] == pytest.approx(direct, abs=1e-12)
+
+    def test_bins_select_from_the_full_response(self):
+        rng = np.random.default_rng(13)
+        ch = generate_channel(PowerDelayProfile.uniform(7), 2, 2, rng)
+        bins = used_subcarrier_bins(SystemConfig())
+        full = ch.frequency_responses(512)
+        assert full.shape == (2, 2, 512)
+        assert np.array_equal(ch.frequency_responses(512, bins), full[:, :, bins])
 
 
 class TestApplyChannel:

@@ -174,3 +174,24 @@ class TestMain:
     def test_bad_config_path_errors_cleanly(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["simulate", "--config", str(tmp_path / "missing.cfg")])
+
+    def test_more_transmit_than_receive_antennas_is_a_usage_error(self, tmp_path, capsys):
+        cfgfile = tmp_path / "2x1.cfg"
+        cfgfile.write_text("n_tx = 2\nn_rx = 1\n")
+        out = tmp_path / "never.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfgfile), "--frames", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "n_tx=2 exceeds n_rx=1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_hybrid_without_finite_snr_is_a_usage_error(self, tmp_path, capsys):
+        cfgfile = tmp_path / "inf.cfg"
+        cfgfile.write_text("snr_grid_db = inf\n")
+        out = tmp_path / "never.csv"
+        argv = ["simulate", "--config", str(cfgfile), "--channel-lengths", "40", "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "without finite SNRs" in capsys.readouterr().err
+        assert not out.exists()

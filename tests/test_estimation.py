@@ -6,13 +6,11 @@ from numpy.testing import assert_allclose
 
 from ltelink.channel import PowerDelayProfile
 from ltelink.estimation import (
-    EstimatorUsed,
     HybridPolicy,
     _crossover_from_curves,
     beta_for_constellation,
     build_correlation_model,
     calibrate_threshold,
-    hybrid_estimate,
     interpolate_ls,
     lmmse_estimate_full,
     lmmse_estimate_simplified,
@@ -24,6 +22,7 @@ from ltelink.grid import (
     build_pilot_pattern,
     used_subcarrier_bins,
 )
+from ltelink.harness import Estimator, SweepConfig, run_trial
 
 
 def steering(cfg: SystemConfig, pdp: PowerDelayProfile, positions=None) -> np.ndarray:
@@ -52,6 +51,18 @@ class TestLsEstimate:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             ls_estimate(np.ones(3), np.ones(2))
+        with pytest.raises(ValueError, match="mismatch"):
+            ls_estimate(np.ones((2, 3)), np.ones(2))
+
+    def test_stacked_observations_share_one_pilot_vector(self):
+        # one (n_rx, n_pilots) observation per port, one (n_pilots,) pilot vector
+        rng = np.random.default_rng(14)
+        y = rng.standard_normal((2, 16)) + 1j * rng.standard_normal((2, 16))
+        x = np.exp(1j * rng.uniform(0, 2 * np.pi, 16))
+        got = ls_estimate(y, x)
+        assert got.shape == (2, 16)
+        for r in range(2):
+            assert np.array_equal(got[r], ls_estimate(y[r], x))
 
     def test_analytic_mse_at_10db(self):
         # MSE of LS under AWGN with unit-modulus pilots is exactly 1/SNR
@@ -149,8 +160,7 @@ class TestLmmseFull:
         rng = np.random.default_rng(5)
         h_ls = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         est = lmmse_estimate_full(h_ls, corr, np.ones(2, dtype=complex), 0.0)
-        assert est.jitter_applied
-        assert_allclose(est.h_hat, h_ls, atol=1e-6)
+        assert_allclose(est, h_ls, atol=1e-6)
 
     def test_infinite_noise_shrinks_to_zero(self):
         cfg = SystemConfig(n_used=12, n_tx=1, n_rx=1)
@@ -159,8 +169,7 @@ class TestLmmseFull:
         )
         h_ls = np.ones(6, dtype=complex)
         est = lmmse_estimate_full(h_ls, corr, np.ones(6, dtype=complex), 1e12)
-        assert np.linalg.norm(est.h_hat) < 1e-9
-        assert not est.jitter_applied
+        assert np.linalg.norm(est) < 1e-9
 
     def test_two_pilot_case_against_cofactor_inverse(self):
         # hand-built 2x2 inversion: inv([[a,b],[c,d]]) = [[d,-b],[-c,a]]/(ad-bc)
@@ -177,8 +186,7 @@ class TestLmmseFull:
         inv = np.array([[d, -b], [-c, a]]) / (a * d - b * c)
         expected = corr.r_hh_p @ inv @ h_ls
         got = lmmse_estimate_full(h_ls, corr, x_p, sigma2)
-        assert_allclose(got.h_hat, expected, atol=1e-12)
-        assert got.estimator_used is EstimatorUsed.LMMSE
+        assert_allclose(got, expected, atol=1e-12)
 
     def test_rejects_negative_noise(self):
         cfg = SystemConfig(n_used=3, n_tx=1, n_rx=1)
@@ -194,7 +202,7 @@ class TestLmmseSimplified:
         rng = np.random.default_rng(7)
         h_ls = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         est = lmmse_estimate_simplified(h_ls, corr, 1e12, 1.0)
-        assert_allclose(est.h_hat, h_ls, atol=1e-6)
+        assert_allclose(est, h_ls, atol=1e-6)
 
     def test_coincides_with_full_form_for_unit_pilots(self):
         # beta=1 and sigma^2 = beta/SNR make the two filters identical
@@ -211,7 +219,7 @@ class TestLmmseSimplified:
             snr = float(10 ** rng.uniform(-1, 3))
             full = lmmse_estimate_full(h_ls, corr, x_p, 1.0 / snr)
             simp = lmmse_estimate_simplified(h_ls, corr, snr, 1.0)
-            assert np.max(np.abs(full.h_hat - simp.h_hat)) < 1e-12
+            assert np.max(np.abs(full - simp)) < 1e-12
 
     def test_beats_ls_interpolation_under_matched_model(self):
         # CP-sufficient observations: y_p = h_p * x_p + w
@@ -238,8 +246,8 @@ class TestLmmseSimplified:
                     rng.standard_normal(n_p) + 1j * rng.standard_normal(n_p)
                 )
                 h_ls = ls_estimate((v_p @ g) * x_p + w, x_p)
-                h_ls_full = interpolate_ls(h_ls, positions, cfg.n_used).h_hat
-                h_lm = lmmse_estimate_simplified(h_ls, corr, snr, 1.0).h_hat
+                h_ls_full = interpolate_ls(h_ls, positions, cfg.n_used)
+                h_lm = lmmse_estimate_simplified(h_ls, corr, snr, 1.0)
                 err_ls += np.sum(np.abs(h_ls_full - h_all) ** 2)
                 err_lm += np.sum(np.abs(h_lm - h_all) ** 2)
                 ref += np.sum(np.abs(h_all) ** 2)
@@ -260,7 +268,7 @@ class TestLmmseSimplified:
             snrs = np.sort(10 ** rng.uniform(-1, 4, 4))
             norms = [
                 np.linalg.norm(
-                    lmmse_estimate_simplified(h_ls, corr, s, 1.0).h_hat[positions]
+                    lmmse_estimate_simplified(h_ls, corr, s, 1.0)[positions]
                 )
                 for s in snrs
             ]
@@ -291,27 +299,26 @@ class TestInterpolateLs:
     def test_constant_pilots_give_constant_vector(self):
         c = 0.3 - 1.2j
         est = interpolate_ls(np.full(3, c), np.array([0, 4, 8]), 12)
-        assert_allclose(est.h_hat, c, atol=1e-15)
-        assert est.estimator_used is EstimatorUsed.LS
+        assert_allclose(est, c, atol=1e-15)
 
     def test_midpoint(self):
         est = interpolate_ls(np.array([0.0 + 0j, 2 + 2j]), np.array([0, 2]), 3)
-        assert est.h_hat[1] == pytest.approx(1 + 1j)
+        assert est[1] == pytest.approx(1 + 1j)
 
     def test_constant_extrapolation_beyond_edges(self):
         est = interpolate_ls(np.array([1 + 1j, 3 - 1j]), np.array([2, 4]), 8)
-        assert_allclose(est.h_hat[:2], 1 + 1j, atol=1e-15)
-        assert_allclose(est.h_hat[5:], 3 - 1j, atol=1e-15)
+        assert_allclose(est[:2], 1 + 1j, atol=1e-15)
+        assert_allclose(est[5:], 3 - 1j, atol=1e-15)
 
     def test_unsorted_positions_accepted(self):
         est = interpolate_ls(np.array([2 + 0j, 0 + 0j]), np.array([2, 0]), 3)
-        assert est.h_hat[1] == pytest.approx(1 + 0j)
+        assert est[1] == pytest.approx(1 + 0j)
 
     def test_flat_channel_zero_error(self):
         rng = np.random.default_rng(11)
         h = complex(rng.standard_normal(), rng.standard_normal())
         est = interpolate_ls(np.full(5, h), np.arange(0, 25, 5), 25)
-        assert_allclose(est.h_hat, h, atol=1e-15)
+        assert_allclose(est, h, atol=1e-15)
 
     def test_rejects_single_pilot(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -319,63 +326,53 @@ class TestInterpolateLs:
 
 
 class TestHybrid:
-    def _inputs(self, cfg, pdp_model_taps):
-        pattern = build_pilot_pattern(cfg)
-        positions = pattern.subcarriers(0)
-        corr = build_correlation_model(
-            PowerDelayProfile.uniform(pdp_model_taps), positions, cfg
-        )
+    """HybridPolicy decides the branch; the sweep runs the chosen estimator."""
+
+    CFG = SweepConfig(channel_lengths=(6,), snr_grid_db=(10.0,), n_frames=1, seed=7)
+
+    def _trial(self, estimator, length, snr_db, threshold=None):
         rng = np.random.default_rng(12)
-        n_p = len(positions)
-        y_p = rng.standard_normal(n_p) + 1j * rng.standard_normal(n_p)
-        x_p = np.exp(1j * rng.uniform(0, 2 * np.pi, n_p))
-        return y_p, x_p, positions, corr
+        return run_trial(self.CFG, length, snr_db, estimator, rng, snr_threshold_db=threshold)
 
     def test_cp_covered_channel_always_lmmse(self):
-        cfg = SystemConfig(n_used=36, n_tx=1, n_rx=1)
-        y_p, x_p, positions, corr = self._inputs(cfg, 6)
         policy = HybridPolicy(cp_len=16, channel_len_hint=6, snr_threshold_db=10.0)
         for snr_db in (-10.0, 10.0, 50.0):
-            est = hybrid_estimate(y_p, x_p, positions, corr, policy, snr_db)
-            assert est.estimator_used is EstimatorUsed.HYBRID_CHOSE_LMMSE
+            assert not policy.chooses_ls(snr_db)
+        hybrid = self._trial(Estimator.HYBRID, 6, 30.0, threshold=10.0)
+        lmmse = self._trial(Estimator.LMMSE, 6, 30.0)
+        assert hybrid.chose_ls is False
+        assert (hybrid.mse_num_all, hybrid.bit_errors) == (lmmse.mse_num_all, lmmse.bit_errors)
 
     def test_long_channel_high_snr_switches_to_ls(self):
-        cfg = SystemConfig(n_used=36, n_tx=1, n_rx=1)
-        y_p, x_p, positions, corr = self._inputs(cfg, 16)
         policy = HybridPolicy(cp_len=16, channel_len_hint=40, snr_threshold_db=12.0)
-        est = hybrid_estimate(y_p, x_p, positions, corr, policy, 30.0)
-        assert est.estimator_used is EstimatorUsed.HYBRID_CHOSE_LS
-        assert_allclose(
-            est.h_hat,
-            interpolate_ls(ls_estimate(y_p, x_p), positions, cfg.n_used).h_hat,
-            atol=0,
+        assert policy.chooses_ls(30.0)
+        # the hybrid estimate is the LS estimate, bit for bit
+        hybrid = self._trial(Estimator.HYBRID, 40, 30.0, threshold=12.0)
+        ls = self._trial(Estimator.LS, 40, 30.0)
+        assert hybrid.chose_ls is True
+        assert (hybrid.mse_num_all, hybrid.mse_num_pilot, hybrid.bit_errors) == (
+            ls.mse_num_all,
+            ls.mse_num_pilot,
+            ls.bit_errors,
         )
 
     def test_long_channel_low_snr_keeps_lmmse(self):
-        cfg = SystemConfig(n_used=36, n_tx=1, n_rx=1)
-        y_p, x_p, positions, corr = self._inputs(cfg, 16)
         policy = HybridPolicy(cp_len=16, channel_len_hint=40, snr_threshold_db=12.0)
-        est = hybrid_estimate(y_p, x_p, positions, corr, policy, 0.0)
-        assert est.estimator_used is EstimatorUsed.HYBRID_CHOSE_LMMSE
+        assert not policy.chooses_ls(0.0)
+        hybrid = self._trial(Estimator.HYBRID, 40, 0.0, threshold=12.0)
+        lmmse = self._trial(Estimator.LMMSE, 40, 0.0)
+        assert hybrid.chose_ls is False
+        assert (hybrid.mse_num_all, hybrid.bit_errors) == (lmmse.mse_num_all, lmmse.bit_errors)
 
     def test_decision_table_over_random_inputs(self):
         rng = np.random.default_rng(13)
-        cfg = SystemConfig(n_used=36, n_tx=1, n_rx=1)
-        y_p, x_p, positions, corr = self._inputs(cfg, 8)
         for _ in range(200):
             cp = int(rng.integers(1, 33))
             length = int(rng.integers(1, 64))
             threshold = float(rng.uniform(-5, 35))
             snr_db = float(rng.uniform(-10, 40))
-            policy = HybridPolicy(cp, length, threshold)
-            est = hybrid_estimate(y_p, x_p, positions, corr, policy, snr_db)
-            if length <= cp:
-                expected = EstimatorUsed.HYBRID_CHOSE_LMMSE
-            elif snr_db < threshold:
-                expected = EstimatorUsed.HYBRID_CHOSE_LMMSE
-            else:
-                expected = EstimatorUsed.HYBRID_CHOSE_LS
-            assert est.estimator_used is expected
+            expected = length > cp and snr_db >= threshold
+            assert HybridPolicy(cp, length, threshold).chooses_ls(snr_db) is expected
 
     def test_threshold_boundary_is_ls(self):
         policy = HybridPolicy(cp_len=16, channel_len_hint=40, snr_threshold_db=15.0)

@@ -1,20 +1,19 @@
-"""Tests for the resource grid: pilot pattern, mapping, extraction."""
+"""Tests for the resource grid: pilot pattern, slot fill, pilot extraction."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from oracles import validate_grid
 
 from ltelink.channel import ChannelRealization, PowerDelayProfile, apply_channel
 from ltelink.grid import (
     CellLabel,
     Constellation,
+    GridLayout,
     LTE_PROFILES,
     PilotPattern,
     SystemConfig,
     build_pilot_pattern,
-    extract_data,
-    extract_pilots,
-    map_to_grid,
     pilot_values_for_port,
     random_pilot_sequence,
     used_subcarrier_bins,
@@ -24,6 +23,18 @@ from ltelink.ofdm import demodulate_frame, modulate_frame
 
 def small_config(n_used=12, n_tx=1, **kw):
     return SystemConfig(n_used=n_used, n_tx=n_tx, **kw)
+
+
+def fill_slot(cfg, pattern, data, pilots):
+    """(values, labels) of one slot filled the way the trial chain fills it."""
+    layout = GridLayout.build(cfg, pattern)
+    return layout.fill(data, pilots, pattern), layout
+
+
+def extract_pilots(rx_grid, pattern, port):
+    """Pilot observations of one port, indexed the way the trial chain does."""
+    sc = pattern.subcarriers(port)
+    return rx_grid[sc, pattern.symbols(port)], sc
 
 
 class TestSystemConfig:
@@ -53,6 +64,11 @@ class TestSystemConfig:
     def test_rejects_bad_antenna_counts(self):
         with pytest.raises(ValueError, match="n_tx"):
             SystemConfig(n_tx=3)
+
+    def test_rejects_more_transmit_than_receive_antennas(self):
+        with pytest.raises(ValueError, match="n_tx=2 exceeds n_rx=1"):
+            SystemConfig(n_tx=2, n_rx=1)
+        assert SystemConfig(n_tx=1, n_rx=2).n_rx == 2
 
     def test_used_bins_centered_with_dc_null(self):
         bins = used_subcarrier_bins(SystemConfig())
@@ -124,6 +140,8 @@ class TestBuildPilotPattern:
 
 
 class TestMapToGrid:
+    """GridLayout.fill, the one slot mapper of the trial chain."""
+
     def _mapped(self, n_used=12, n_tx=1, seed=0):
         cfg = small_config(n_used=n_used, n_tx=n_tx)
         pat = build_pilot_pattern(cfg)
@@ -134,44 +152,52 @@ class TestMapToGrid:
             rng.standard_normal(n_data) + 1j * rng.standard_normal(n_data)
             for _ in range(n_tx)
         ]
-        return cfg, pat, data, pilots, map_to_grid(cfg, pat, data, pilots)
+        values, layout = fill_slot(cfg, pat, data, pilots)
+        return cfg, pat, data, pilots, (values, layout)
 
     def test_grid_invariants_hold(self):
         for n_tx in (1, 2):
-            _, _, _, _, grid = self._mapped(n_tx=n_tx)
-            grid.validate()
+            _, _, _, _, (values, layout) = self._mapped(n_tx=n_tx)
+            validate_grid(values, layout.labels)
+        # the invariant check itself rejects a broken slot
+        values = values.copy()
+        values[layout.labels == CellLabel.NULL] = 1.0
+        with pytest.raises(ValueError, match="null cells"):
+            validate_grid(values, layout.labels)
 
     def test_round_trip_data(self):
         for n_tx in (1, 2):
-            _, _, data, _, grid = self._mapped(n_tx=n_tx, seed=3)
+            _, _, data, _, (values, layout) = self._mapped(n_tx=n_tx, seed=3)
             for p in range(n_tx):
-                assert_allclose(extract_data(grid, p), data[p], atol=0)
+                # Data cells read back in fill order: subcarrier-fastest, then symbol
+                mask = (layout.labels[p] == CellLabel.DATA).T
+                assert_allclose(values[p].T[mask], data[p], atol=0)
+                got = values[p, layout.data_subcarriers, layout.data_symbols]
+                assert_allclose(got, data[p], atol=0)
 
     def test_non_pilot_symbol_columns_are_all_data(self):
-        _, _, _, _, grid = self._mapped()
+        _, _, _, _, (_, layout) = self._mapped()
         for sym in (1, 2, 3, 5, 6):
-            assert np.all(grid.labels[0, :, sym] == CellLabel.DATA)
+            assert np.all(layout.labels[0, :, sym] == CellLabel.DATA)
 
     def test_null_cells_zero_and_pilots_unit(self):
-        _, _, _, _, grid = self._mapped(n_tx=2)
-        assert np.all(grid.values[grid.labels == CellLabel.NULL] == 0)
-        assert_allclose(
-            np.abs(grid.values[grid.labels == CellLabel.PILOT]), 1.0, atol=1e-12
-        )
+        _, _, _, _, (values, layout) = self._mapped(n_tx=2)
+        assert np.all(values[layout.labels == CellLabel.NULL] == 0)
+        assert_allclose(np.abs(values[layout.labels == CellLabel.PILOT]), 1.0, atol=1e-12)
 
     def test_data_deficit_error_names_the_gap(self):
         cfg = small_config()
         pat = build_pilot_pattern(cfg)
         pilots = random_pilot_sequence(pat.n_entries, np.random.default_rng(0))
         with pytest.raises(ValueError, match=r"expected 80 data symbols, got 3 \(77 missing\)"):
-            map_to_grid(cfg, pat, [np.zeros(3, dtype=complex)], pilots)
+            fill_slot(cfg, pat, [np.zeros(3, dtype=complex)], pilots)
 
     def test_short_pilot_sequence_rejected(self):
         cfg = small_config()
         pat = build_pilot_pattern(cfg)
         data = [np.zeros(80, dtype=complex)]
         with pytest.raises(ValueError, match="pilot sequence too short"):
-            map_to_grid(cfg, pat, data, np.ones(2, dtype=complex))
+            fill_slot(cfg, pat, data, np.ones(2, dtype=complex))
 
     def test_zero_data_grid(self):
         # a grid whose every non-pilot cell is absent: n_used=6 gives one pilot
@@ -180,7 +206,7 @@ class TestMapToGrid:
         pat = build_pilot_pattern(cfg)
         pilots = random_pilot_sequence(pat.n_entries, np.random.default_rng(1))
         with pytest.raises(ValueError, match="data symbols"):
-            map_to_grid(cfg, pat, [np.zeros(0, dtype=complex)], pilots)
+            fill_slot(cfg, pat, [np.zeros(0, dtype=complex)], pilots)
 
 
 class TestExtractPilots:
@@ -210,15 +236,15 @@ class TestExtractPilots:
 
     def test_silent_port_leaks_zero_through_identity_channel(self):
         # port 0 transmits nothing; port 1 active.  After a one-tap identity
-        # channel, port-0 pilot REs hold exactly the port-1 nulls = 0.
-        cfg = SystemConfig(n_used=24, n_tx=2, n_rx=1)
+        # channel to one receive antenna, port-0 pilot REs hold exactly the
+        # port-1 nulls = 0.
+        cfg = SystemConfig(n_used=24, n_tx=2)
         pat = build_pilot_pattern(cfg)
         rng = np.random.default_rng(5)
         pilots = random_pilot_sequence(pat.n_entries, rng)
         n_data = int((np.zeros((cfg.n_used, 7)) == 0).sum()) - len(pat.entries)
         data = [np.zeros(n_data, dtype=complex), np.ones(n_data, dtype=complex)]
-        grid = map_to_grid(cfg, pat, data, pilots)
-        values = np.array(grid.values)
+        values, _ = fill_slot(cfg, pat, data, pilots)
         values[0] = 0  # silence port 0 entirely (drop its pilots too)
         sig = modulate_frame(values, cfg)
         pdp = PowerDelayProfile.uniform(1)
@@ -237,9 +263,9 @@ class TestPilotValues:
         pilots = random_pilot_sequence(pat.n_entries, rng)
         n_data = cfg.n_used * 7 - len(pat.entries)
         data = [np.zeros(n_data, dtype=complex)] * 2
-        grid = map_to_grid(cfg, pat, data, pilots)
+        values, _ = fill_slot(cfg, pat, data, pilots)
         for port in (0, 1):
-            y_p, _ = extract_pilots(grid.values[port], pat, port)
+            y_p, _ = extract_pilots(values[port], pat, port)
             assert_allclose(y_p, pilot_values_for_port(pat, pilots, port), atol=0)
 
     def test_sequence_is_unit_modulus_and_deterministic(self):

@@ -1,18 +1,22 @@
 """Tests for the sweep harness: scoring, trials, records, CSV."""
 
+import dataclasses
 import io
 
 import numpy as np
 import pytest
 
+from ltelink.channel import NoiseSpec, PowerDelayProfile
 from ltelink.grid import Constellation, SystemConfig
 from ltelink.harness import (
     CSV_HEADER,
     Estimator,
     SweepConfig,
     SweepRecord,
-    compute_ber,
-    compute_mse,
+    _detect_and_count,
+    _make_context,
+    _run_chain,
+    _score_estimate,
     emit_csv,
     format_summary,
     run_sweep,
@@ -33,7 +37,24 @@ SMALL = SweepConfig(
 )
 
 
+def compute_mse(h_hat, h_true, positions=None):
+    """Normalized MSE of one (n_used,) response as the sweep scores it.
+
+    The vector is scored as a single (tx, rx) pair whose pilot positions are
+    positions; the ratio of the returned energy sums is the cell's MSE.
+    """
+    h_hat = np.asarray(h_hat, dtype=complex)[None, None, :]
+    h_true = np.asarray(h_true, dtype=complex)[None, None, :]
+    port_positions = [np.arange(h_true.shape[-1]) if positions is None else positions]
+    num_all, den_all, num_pil, den_pil = _score_estimate(h_hat, h_true, port_positions)
+    if positions is None:
+        assert (num_pil, den_pil) == (num_all, den_all)
+    return num_pil / den_pil
+
+
 class TestComputeMse:
+    """The energy-weighted MSE sums of harness._score_estimate."""
+
     def test_exact_estimate_is_zero(self):
         h = np.array([1 + 1j, 2.0, -3j])
         assert compute_mse(h, h) == 0.0
@@ -57,28 +78,42 @@ class TestComputeMse:
         assert compute_mse(h_hat, h, np.array([1])) == pytest.approx(1.0)
         assert compute_mse(h_hat, h, np.array([0, 2])) == 0.0
 
-    def test_empty_selection_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            compute_mse(np.ones(3), np.ones(3), np.array([], dtype=int))
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            compute_mse(np.ones(3), np.ones(4))
+    def test_pairs_and_ports_are_energy_weighted(self):
+        # all-subcarrier sums cover every pair; pilot sums only each port's
+        # own pilot subcarriers, on every receive antenna of that port
+        rng = _rng(2)
+        h_true = rng.standard_normal((2, 2, 6)) + 1j * rng.standard_normal((2, 2, 6))
+        h_hat = h_true + 0.1 * (rng.standard_normal((2, 2, 6)) + 0j)
+        positions = [np.array([0, 3]), np.array([1, 4])]
+        num_all, den_all, num_pil, den_pil = _score_estimate(h_hat, h_true, positions)
+        err2, ref2 = np.abs(h_hat - h_true) ** 2, np.abs(h_true) ** 2
+        assert num_all == pytest.approx(err2.sum())
+        assert den_all == pytest.approx(ref2.sum())
+        assert num_pil == pytest.approx(err2[0][:, [0, 3]].sum() + err2[1][:, [1, 4]].sum())
+        assert den_pil == pytest.approx(ref2[0][:, [0, 3]].sum() + ref2[1][:, [1, 4]].sum())
 
 
 class TestComputeBer:
+    """Bit errors as the sweep counts them: detected payload bits against sent."""
+
+    @staticmethod
+    def _count(flip):
+        ctx = _make_context(SystemConfig(), 0)
+        state = _run_chain(ctx, PowerDelayProfile.uniform(6), NoiseSpec(np.inf), _rng(9))
+        sent = dataclasses.replace(state, bits=np.where(flip(state.bits), 1 - state.bits, state.bits))
+        errors, nbits, erasures = _detect_and_count(sent, ctx, state.h_true)
+        assert erasures == 0 and nbits == state.bits.size
+        return errors, nbits
+
     def test_identical(self):
-        assert compute_ber(np.array([0, 1, 1]), np.array([0, 1, 1])) == 0.0
+        assert self._count(lambda b: np.zeros(b.shape, dtype=bool)) == (0, 7600)
 
     def test_all_flipped(self):
-        assert compute_ber(np.array([0, 1]), np.array([1, 0])) == 1.0
+        assert self._count(lambda b: np.ones(b.shape, dtype=bool)) == (7600, 7600)
 
     def test_half_flipped(self):
-        assert compute_ber(np.array([0, 0, 1, 1]), np.array([0, 1, 1, 0])) == 0.5
-
-    def test_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="equal-length"):
-            compute_ber(np.array([0]), np.array([0, 1]))
+        errors, nbits = self._count(lambda b: np.arange(b.size).reshape(b.shape) % 2 == 1)
+        assert errors == nbits // 2
 
 
 class TestRunTrial:
@@ -206,6 +241,14 @@ class TestRunSweep:
             SweepConfig(channel_lengths=())
         with pytest.raises(ValueError, match="Estimator"):
             SweepConfig(estimators=("ls",))
+
+    def test_hybrid_calibration_needs_a_finite_snr(self):
+        with pytest.raises(ValueError, match="without finite SNRs"):
+            SweepConfig(channel_lengths=(40,), snr_grid_db=(np.inf,))
+        # nothing to calibrate: a set threshold, no hybrid, or a covering CP
+        SweepConfig(channel_lengths=(40,), snr_grid_db=(np.inf,), threshold_override_db=12.0)
+        SweepConfig(channel_lengths=(40,), snr_grid_db=(np.inf,), estimators=(Estimator.LS,))
+        SweepConfig(channel_lengths=(6, 17), snr_grid_db=(np.inf,))
 
 
 class TestRecordsAndCsv:

@@ -4,20 +4,23 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ltelink.channel import channel_frequency_response
+from oracles import dft_coefficient, dft_matrix
+
+from ltelink.channel import ChannelRealization, PowerDelayProfile
 from ltelink.grid import SystemConfig, used_subcarrier_bins
-from ltelink.ofdm import (
-    DftSpec,
-    dft_coefficient,
-    dft_matrix,
-    demodulate_frame,
-    modulate_frame,
-    ofdm_demodulate,
-    ofdm_modulate,
-    TimeDomainSignal,
-)
+from ltelink.ofdm import TimeDomainSignal, demodulate_frame, modulate_frame
 
 CFG = SystemConfig()  # 5 MHz, 512-FFT, 300 used, CP 16
+
+
+def ofdm_modulate(column, config=CFG):
+    """One grid column through the frame modulator: one CP-prefixed symbol."""
+    return modulate_frame(np.asarray(column)[None, :, None], config).samples[0]
+
+
+def ofdm_demodulate(symbol, config=CFG):
+    """One received symbol through the frame demodulator: its used bins."""
+    return demodulate_frame(np.asarray(symbol)[None, :], config)[0, :, 0]
 
 
 class TestDftCoefficient:
@@ -41,7 +44,7 @@ class TestDftCoefficient:
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
     def test_matrix_is_unitary(self, n):
-        f = DftSpec(n).matrix()
+        f = dft_matrix(n)
         assert_allclose(f @ f.conj().T, np.eye(n), atol=1e-12)
 
     def test_matrix_matches_coefficients(self):
@@ -79,7 +82,7 @@ class TestModulate:
         assert np.sum(np.abs(body) ** 2) == pytest.approx(np.sum(np.abs(col) ** 2))
 
     def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError, match="subcarriers"):
+        with pytest.raises(ValueError, match=f"grid must be \\(antennas, {CFG.n_used}, symbols\\)"):
             ofdm_modulate(np.zeros(CFG.n_used + 1, dtype=complex), CFG)
 
 
@@ -99,7 +102,7 @@ class TestDemodulate:
         assert_allclose(ofdm_demodulate(rx, CFG), col, atol=1e-12)
 
     def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError, match="symbol"):
+        with pytest.raises(ValueError, match="not a multiple of symbol length"):
             ofdm_demodulate(np.zeros(CFG.symbol_len - 1, dtype=complex), CFG)
 
     def test_cp_covered_channel_diagonalizes(self):
@@ -132,10 +135,16 @@ class TestFrameHelpers:
         assert_allclose(back, values, atol=1e-12)
 
     def test_single_column_consistent_with_frame(self):
+        # each symbol of a frame is modulated on its own: a one-column frame
+        # equals that column's slice of the whole frame, bit for bit
         rng = np.random.default_rng(6)
-        col = rng.standard_normal(CFG.n_used) + 1j * rng.standard_normal(CFG.n_used)
-        via_frame = modulate_frame(col[None, :, None], CFG).samples[0]
-        assert_allclose(ofdm_modulate(col, CFG), via_frame, atol=0)
+        values = rng.standard_normal((2, CFG.n_used, 7)) + 1j * rng.standard_normal(
+            (2, CFG.n_used, 7)
+        )
+        frame = modulate_frame(values, CFG).samples.reshape(2, 7, CFG.symbol_len)
+        for s in range(7):
+            alone = modulate_frame(values[:, :, s : s + 1], CFG).samples
+            assert np.array_equal(alone, frame[:, s])
 
     def test_signal_validates_length(self):
         with pytest.raises(ValueError, match="multiple"):
@@ -156,7 +165,8 @@ class TestCircularConvolutionDichotomy:
         sig = modulate_frame(values, CFG)
         rx = np.convolve(sig.samples[0], taps)[: sig.samples.shape[1]]
         got = demodulate_frame(rx[None, :], CFG)[0]
-        h = channel_frequency_response(taps, CFG.n_fft)[used_subcarrier_bins(CFG)]
+        ch = ChannelRealization(taps[None, None, :], PowerDelayProfile.uniform(n_taps))
+        h = ch.frequency_responses(CFG.n_fft, used_subcarrier_bins(CFG))[0, 0]
         pred = h[:, None] * values[0]
         return float(np.linalg.norm(got - pred) / np.linalg.norm(pred))
 
