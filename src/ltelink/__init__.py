@@ -38,7 +38,6 @@ from .harness import (
     SweepRecord,
     emit_csv,
     run_sweep,
-    run_trial,
 )
 from .kernels import zf_detect_grid
 from .linkproc import qpsk_demap, qpsk_map
@@ -78,6 +77,5 @@ __all__ = [
     "qpsk_demap",
     "qpsk_map",
     "run_sweep",
-    "run_trial",
     "zf_detect_grid",
 ]

@@ -9,9 +9,11 @@ frequency response and BER against the payload.
 
 Reproducibility contract: every random draw comes from a stream derived from
 (seed, purpose tag, cell indices, trial index), so results are independent of
-scheduling and identical across runs.  All estimators of a cell share the same
-trial streams (common random numbers), which makes estimator comparisons
-paired and the hybrid's per-trial output bit-identical to its chosen branch.
+scheduling and identical across runs at a fixed BLAS thread count, e.g.
+OPENBLAS_NUM_THREADS=1 (the LMMSE solves can round differently with another
+count).  All estimators of a cell share the same trial streams (common random
+numbers), which makes estimator comparisons paired.  The hybrid estimator
+computes nothing of its own: its row is the row of the branch it chooses.
 
 MSE aggregation across trials is energy weighted: |error|^2 and |h|^2 sums are
 accumulated separately and divided once, so the pilot-column MSE of the LS
@@ -57,8 +59,6 @@ __all__ = [
     "Estimator",
     "SweepConfig",
     "SweepRecord",
-    "TrialResult",
-    "run_trial",
     "run_sweep",
     "paired_mse_curves",
     "emit_csv",
@@ -126,8 +126,8 @@ class SweepConfig:
             raise ValueError("snr grid must be non-empty")
         if any(a > b for a, b in zip(snrs, snrs[1:])):
             raise ValueError("snr grid must be sorted ascending")
-        if any(math.isnan(v) for v in snrs):
-            raise ValueError("snr grid must not contain NaN")
+        if any(math.isnan(v) or v == -math.inf for v in snrs):
+            raise ValueError("snr grid must not contain NaN or -inf")
         if self.n_frames < 1:
             raise ValueError("n_frames must be at least 1")
         if not ests or any(not isinstance(e, Estimator) for e in ests):
@@ -169,28 +169,6 @@ class SweepRecord:
             raise ValueError("mse must be non-negative")
         if self.branch_fraction_ls is not None and not 0.0 <= self.branch_fraction_ls <= 1.0:
             raise ValueError(f"branch_fraction_ls out of [0, 1]: {self.branch_fraction_ls}")
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    """Per-trial accumulators of one estimator's slot."""
-
-    mse_num_all: float
-    mse_den_all: float
-    mse_num_pilot: float
-    mse_den_pilot: float
-    bit_errors: int
-    bit_count: int
-    chose_ls: bool | None
-    n_erasures: int
-
-    @property
-    def mse_all(self) -> float:
-        return self.mse_num_all / self.mse_den_all
-
-    @property
-    def mse_pilot(self) -> float:
-        return self.mse_num_pilot / self.mse_den_pilot
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -276,31 +254,26 @@ def _run_chain(
     return _ChainState(bits=bits, rx_grid=rx_grid, h_true=h_true, h_ls=h_ls)
 
 
-def _estimate_all_pairs(
+def _estimate(
     state: _ChainState,
     ctx: _LinkContext,
-    estimator: Estimator,
+    method: Estimator,
     lmmse_w: Sequence[np.ndarray] | None,
-    chooses_ls: bool | None,
-) -> tuple[np.ndarray, bool | None]:
-    """Channel estimates for every (tx, rx) pair; returns (h_hat, chose_ls)."""
+) -> np.ndarray:
+    """(n_tx, n_rx, n_used) estimate of every pair by LS, LMMSE or perfect CSI."""
+    if method is Estimator.PERFECT:
+        return state.h_true
     cfg = ctx.config
-    if estimator is Estimator.PERFECT:
-        return state.h_true, None
     h_hat = np.empty_like(state.h_true)
-    branch: bool | None = None
-    if estimator is Estimator.HYBRID:
-        branch = bool(chooses_ls)
-    use_ls = estimator is Estimator.LS or (estimator is Estimator.HYBRID and branch)
     for p in range(cfg.n_tx):
         positions = ctx.port_positions[p]
         for r in range(cfg.n_rx):
             h_p = state.h_ls[p][r]
-            if use_ls:
+            if method is Estimator.LS:
                 h_hat[p, r] = interpolate_ls(h_p, positions, cfg.n_used)
             else:
                 h_hat[p, r] = lmmse_w[p] @ h_p
-    return h_hat, branch
+    return h_hat
 
 
 def _detect_and_count(
@@ -340,28 +313,28 @@ def _score_estimate(
     return num_all, den_all, num_pil, den_pil
 
 
-def _trial_from_state(
-    state: _ChainState,
-    ctx: _LinkContext,
-    estimator: Estimator,
-    lmmse_w: Sequence[np.ndarray] | None,
-    chooses_ls: bool | None,
-) -> TrialResult:
-    h_hat, branch = _estimate_all_pairs(state, ctx, estimator, lmmse_w, chooses_ls)
-    num_all, den_all, num_pil, den_pil = _score_estimate(
-        h_hat, state.h_true, ctx.port_positions
-    )
-    errors, nbits, erasures = _detect_and_count(state, ctx, h_hat)
-    return TrialResult(
-        mse_num_all=num_all,
-        mse_den_all=den_all,
-        mse_num_pilot=num_pil,
-        mse_den_pilot=den_pil,
-        bit_errors=errors,
-        bit_count=nbits,
-        chose_ls=branch,
-        n_erasures=erasures,
-    )
+@dataclass
+class _Sums:
+    """One estimate's sums over the trials of a cell, added in trial order."""
+
+    num_all: float = 0.0
+    den_all: float = 0.0
+    num_pil: float = 0.0
+    den_pil: float = 0.0
+    errors: int = 0
+    bits: int = 0
+
+    def add_trial(self, state: _ChainState, ctx: _LinkContext, h_hat: np.ndarray) -> None:
+        num_all, den_all, num_pil, den_pil = _score_estimate(
+            h_hat, state.h_true, ctx.port_positions
+        )
+        errors, bits, _ = _detect_and_count(state, ctx, h_hat)
+        self.num_all += num_all
+        self.den_all += den_all
+        self.num_pil += num_pil
+        self.den_pil += den_pil
+        self.errors += errors
+        self.bits += bits
 
 
 def _correlation_models(
@@ -388,74 +361,6 @@ def _filters_from_models(
     return [estimation.lmmse_filter(corr, reg) for corr in models]
 
 
-def _needs_lmmse(estimator: Estimator, chooses_ls: bool | None) -> bool:
-    if estimator is Estimator.LMMSE:
-        return True
-    return estimator is Estimator.HYBRID and not chooses_ls
-
-
-def _cell_plan(
-    ctx: _LinkContext,
-    estimators: Sequence[Estimator],
-    channel_len: int,
-    threshold_db: float,
-    snr_db: float,
-    models: Sequence[CorrelationModel],
-) -> tuple[bool | None, list[np.ndarray] | None]:
-    """Hybrid branch and per-port LMMSE filters of one (length, SNR) cell.
-
-    The branch is None unless the hybrid estimator runs, the filters are None
-    unless an estimator of the cell uses LMMSE.
-    """
-    chooses_ls: bool | None = None
-    if Estimator.HYBRID in estimators:
-        policy = HybridPolicy(
-            cp_len=ctx.config.cp_len,
-            channel_len_hint=channel_len,
-            snr_threshold_db=threshold_db,
-        )
-        chooses_ls = policy.chooses_ls(snr_db)
-    lmmse_w = None
-    if any(_needs_lmmse(e, chooses_ls) for e in estimators):
-        lmmse_w = _filters_from_models(models, snr_db, ctx.beta)
-    return chooses_ls, lmmse_w
-
-
-def run_trial(
-    config: SweepConfig,
-    channel_len: int,
-    snr_db: float,
-    estimator: Estimator,
-    rng: np.random.Generator,
-    snr_threshold_db: float | None = None,
-) -> TrialResult:
-    """Run one slot-level trial of one estimator.
-
-    All randomness (channel, payload, noise) is drawn from rng; the pilot
-    sequence is fixed by config.seed.  A hybrid trial on a CP-exceeding
-    channel needs a switching threshold: pass snr_threshold_db, or set
-    config.threshold_override_db (run_sweep calibrates one automatically).
-    """
-    ctx = _make_context(config.system, config.seed)
-    pdp = PowerDelayProfile.uniform(channel_len)
-    threshold = snr_threshold_db
-    if threshold is None:
-        threshold = config.threshold_override_db
-    if threshold is None:
-        if estimator is Estimator.HYBRID and channel_len > config.system.cp_len:
-            raise ValueError(
-                "hybrid on a CP-exceeding channel needs a threshold: pass "
-                "snr_threshold_db or set threshold_override_db "
-                "(run_sweep calibrates one automatically)"
-            )
-        threshold = np.inf
-    lmmse_capable = estimator in (Estimator.LMMSE, Estimator.HYBRID)
-    models = _correlation_models(ctx, pdp) if lmmse_capable else ()
-    chooses_ls, lmmse_w = _cell_plan(ctx, (estimator,), channel_len, threshold, snr_db, models)
-    state = _run_chain(ctx, pdp, NoiseSpec(snr_db), rng)
-    return _trial_from_state(state, ctx, estimator, lmmse_w, chooses_ls)
-
-
 def paired_mse_curves(
     system: SystemConfig,
     pdp: PowerDelayProfile,
@@ -479,12 +384,11 @@ def paired_mse_curves(
         acc = {Estimator.LS: [0.0, 0.0], Estimator.LMMSE: [0.0, 0.0]}
         for j in range(n_trials):
             state = _run_chain(ctx, pdp, noise, streams[i * n_trials + j])
-            for est in (Estimator.LS, Estimator.LMMSE):
-                w = lmmse_w if est is Estimator.LMMSE else None
-                h_hat, _ = _estimate_all_pairs(state, ctx, est, w, None)
+            for est, sums in acc.items():
+                h_hat = _estimate(state, ctx, est, lmmse_w)
                 num, den, _, _ = _score_estimate(h_hat, state.h_true, ctx.port_positions)
-                acc[est][0] += num
-                acc[est][1] += den
+                sums[0] += num
+                sums[1] += den
         ls_curve[i] = acc[Estimator.LS][0] / acc[Estimator.LS][1]
         lmmse_curve[i] = acc[Estimator.LMMSE][0] / acc[Estimator.LMMSE][1]
     return ls_curve, lmmse_curve
@@ -524,60 +428,58 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     Records are ordered by (channel length, SNR, estimator); channel lengths
     are processed in ascending order regardless of the configured order.  Each
     trial stream derives from (seed, purpose, length index, snr index, trial),
-    shared by every estimator of the cell.
+    shared by every estimator of the cell.  A trial computes each distinct
+    estimate once: the hybrid row copies the sums of the LS or LMMSE estimate
+    its policy chooses for the cell, computed even when not requested itself.
     """
     ctx = _make_context(config.system, config.seed)
-    estimators = tuple(e for e in ESTIMATOR_ORDER if e in config.estimators)
-    lengths = config.channel_lengths
-    thresholds: dict[int, float] = {}
-    if Estimator.HYBRID in estimators:
-        thresholds = _resolve_thresholds(config)
+    requested = tuple(e for e in ESTIMATOR_ORDER if e in config.estimators)
+    methods = tuple(e for e in requested if e is not Estimator.HYBRID)
+    hybrid = Estimator.HYBRID in requested
+    thresholds = _resolve_thresholds(config) if hybrid else {}
     records: list[SweepRecord] = []
-    for li, length in enumerate(lengths):
+    for li, length in enumerate(config.channel_lengths):
         pdp = PowerDelayProfile.uniform(length)
-        models = _correlation_models(ctx, pdp)
+        models: list[CorrelationModel] | None = None
         for si, snr_db in enumerate(config.snr_grid_db):
-            chooses_ls, lmmse_w = _cell_plan(
-                ctx, estimators, length, thresholds.get(length, np.inf), snr_db, models
-            )
+            cell_methods = methods
+            if hybrid:
+                policy = HybridPolicy(config.system.cp_len, length, thresholds[length])
+                chooses_ls = policy.chooses_ls(snr_db)
+                branch = Estimator.LS if chooses_ls else Estimator.LMMSE
+                if branch not in methods:
+                    cell_methods = (*methods, branch)
+            lmmse_w = None
+            if Estimator.LMMSE in cell_methods:
+                if models is None:
+                    models = _correlation_models(ctx, pdp)
+                lmmse_w = _filters_from_models(models, snr_db, ctx.beta)
             noise = NoiseSpec(snr_db)
-            acc = {
-                e: {"na": 0.0, "da": 0.0, "np": 0.0, "dp": 0.0, "err": 0, "bits": 0, "ls": 0}
-                for e in estimators
-            }
+            sums = {m: _Sums() for m in cell_methods}
             for trial in range(config.n_frames):
                 rng = _stream(config.seed, _TAG_TRIAL, li, si, trial)
                 try:
                     state = _run_chain(ctx, pdp, noise, rng)
-                    for est in estimators:
-                        res = _trial_from_state(state, ctx, est, lmmse_w, chooses_ls)
-                        a = acc[est]
-                        a["na"] += res.mse_num_all
-                        a["da"] += res.mse_den_all
-                        a["np"] += res.mse_num_pilot
-                        a["dp"] += res.mse_den_pilot
-                        a["err"] += res.bit_errors
-                        a["bits"] += res.bit_count
-                        if res.chose_ls:
-                            a["ls"] += 1
+                    for method, acc in sums.items():
+                        acc.add_trial(state, ctx, _estimate(state, ctx, method, lmmse_w))
                 except Exception as exc:
                     raise RuntimeError(
                         f"trial failed (channel_len={length}, snr_db={snr_db}, "
                         f"trial={trial})"
                     ) from exc
-            for est in estimators:
-                a = acc[est]
+            for est in requested:
+                acc = sums[branch if est is Estimator.HYBRID else est]
                 records.append(
                     SweepRecord(
                         snr_db=snr_db,
                         channel_len=length,
                         estimator=est,
-                        mse_all_subcarriers=a["na"] / a["da"],
-                        mse_pilot_subcarriers=a["np"] / a["dp"],
-                        ber=a["err"] / a["bits"],
+                        mse_all_subcarriers=acc.num_all / acc.den_all,
+                        mse_pilot_subcarriers=acc.num_pil / acc.den_pil,
+                        ber=acc.errors / acc.bits,
                         n_trials=config.n_frames,
                         branch_fraction_ls=(
-                            a["ls"] / config.n_frames if est is Estimator.HYBRID else None
+                            float(chooses_ls) if est is Estimator.HYBRID else None
                         ),
                         seed=config.seed,
                     )

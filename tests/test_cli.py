@@ -195,3 +195,13 @@ class TestMain:
         assert exc.value.code == 2
         assert "without finite SNRs" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_minus_inf_snr_is_a_usage_error(self, tmp_path, capsys):
+        cfgfile = tmp_path / "minus_inf.cfg"
+        cfgfile.write_text("snr_grid_db = -inf,0\nchannel_lengths = 6\n")
+        out = tmp_path / "never.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfgfile), "--frames", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "-inf" in capsys.readouterr().err
+        assert not out.exists()

@@ -1,5 +1,7 @@
 """Tests for the LS, LMMSE and hybrid channel estimators."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -22,7 +24,7 @@ from ltelink.grid import (
     build_pilot_pattern,
     used_subcarrier_bins,
 )
-from ltelink.harness import Estimator, SweepConfig, run_trial
+from ltelink.harness import Estimator, SweepConfig, run_sweep
 
 
 def steering(cfg: SystemConfig, pdp: PowerDelayProfile, positions=None) -> np.ndarray:
@@ -328,41 +330,45 @@ class TestInterpolateLs:
 class TestHybrid:
     """HybridPolicy decides the branch; the sweep runs the chosen estimator."""
 
-    CFG = SweepConfig(channel_lengths=(6,), snr_grid_db=(10.0,), n_frames=1, seed=7)
+    CFG = SweepConfig(
+        channel_lengths=(6, 40),
+        snr_grid_db=(0.0, 30.0),
+        n_frames=1,
+        seed=7,
+        estimators=(Estimator.LS, Estimator.LMMSE, Estimator.HYBRID),
+        threshold_override_db=12.0,
+    )
 
-    def _trial(self, estimator, length, snr_db, threshold=None):
-        rng = np.random.default_rng(12)
-        return run_trial(self.CFG, length, snr_db, estimator, rng, snr_threshold_db=threshold)
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return {(r.channel_len, r.snr_db, r.estimator): r for r in run_sweep(self.CFG)}
 
-    def test_cp_covered_channel_always_lmmse(self):
+    @staticmethod
+    def _assert_hybrid_row_is(rows, length, snr_db, branch):
+        # field for field the branch's row, apart from the name and the branch share
+        hybrid = rows[length, snr_db, Estimator.HYBRID]
+        assert hybrid.branch_fraction_ls == float(branch is Estimator.LS)
+        expected = rows[length, snr_db, branch]
+        assert dataclasses.replace(
+            hybrid, estimator=branch, branch_fraction_ls=None
+        ) == expected
+
+    def test_cp_covered_channel_always_lmmse(self, rows):
         policy = HybridPolicy(cp_len=16, channel_len_hint=6, snr_threshold_db=10.0)
         for snr_db in (-10.0, 10.0, 50.0):
             assert not policy.chooses_ls(snr_db)
-        hybrid = self._trial(Estimator.HYBRID, 6, 30.0, threshold=10.0)
-        lmmse = self._trial(Estimator.LMMSE, 6, 30.0)
-        assert hybrid.chose_ls is False
-        assert (hybrid.mse_num_all, hybrid.bit_errors) == (lmmse.mse_num_all, lmmse.bit_errors)
+        for snr_db in (0.0, 30.0):
+            self._assert_hybrid_row_is(rows, 6, snr_db, Estimator.LMMSE)
 
-    def test_long_channel_high_snr_switches_to_ls(self):
+    def test_long_channel_high_snr_switches_to_ls(self, rows):
         policy = HybridPolicy(cp_len=16, channel_len_hint=40, snr_threshold_db=12.0)
         assert policy.chooses_ls(30.0)
-        # the hybrid estimate is the LS estimate, bit for bit
-        hybrid = self._trial(Estimator.HYBRID, 40, 30.0, threshold=12.0)
-        ls = self._trial(Estimator.LS, 40, 30.0)
-        assert hybrid.chose_ls is True
-        assert (hybrid.mse_num_all, hybrid.mse_num_pilot, hybrid.bit_errors) == (
-            ls.mse_num_all,
-            ls.mse_num_pilot,
-            ls.bit_errors,
-        )
+        self._assert_hybrid_row_is(rows, 40, 30.0, Estimator.LS)
 
-    def test_long_channel_low_snr_keeps_lmmse(self):
+    def test_long_channel_low_snr_keeps_lmmse(self, rows):
         policy = HybridPolicy(cp_len=16, channel_len_hint=40, snr_threshold_db=12.0)
         assert not policy.chooses_ls(0.0)
-        hybrid = self._trial(Estimator.HYBRID, 40, 0.0, threshold=12.0)
-        lmmse = self._trial(Estimator.LMMSE, 40, 0.0)
-        assert hybrid.chose_ls is False
-        assert (hybrid.mse_num_all, hybrid.bit_errors) == (lmmse.mse_num_all, lmmse.bit_errors)
+        self._assert_hybrid_row_is(rows, 40, 0.0, Estimator.LMMSE)
 
     def test_decision_table_over_random_inputs(self):
         rng = np.random.default_rng(13)

@@ -6,7 +6,9 @@ import io
 import numpy as np
 import pytest
 
+from ltelink import estimation
 from ltelink.channel import NoiseSpec, PowerDelayProfile
+from ltelink.estimation import interpolate_ls
 from ltelink.grid import Constellation, SystemConfig
 from ltelink.harness import (
     CSV_HEADER,
@@ -17,10 +19,10 @@ from ltelink.harness import (
     _make_context,
     _run_chain,
     _score_estimate,
+    _stream,
     emit_csv,
     format_summary,
     run_sweep,
-    run_trial,
 )
 
 
@@ -116,40 +118,6 @@ class TestComputeBer:
         assert errors == nbits // 2
 
 
-class TestRunTrial:
-    def test_deterministic_under_same_rng_seed(self):
-        a = run_trial(SMALL, 6, 10.0, Estimator.LS, _rng(3))
-        b = run_trial(SMALL, 6, 10.0, Estimator.LS, _rng(3))
-        assert a == b
-
-    def test_perfect_csi_noiseless_is_exact(self):
-        res = run_trial(SMALL, 10, np.inf, Estimator.PERFECT, _rng(4))
-        assert res.bit_errors == 0
-        assert res.mse_num_all == 0.0
-        assert res.mse_all == 0.0
-
-    def test_bit_count_matches_grid_payload(self):
-        res = run_trial(SMALL, 6, 10.0, Estimator.LS, _rng(5))
-        # 2 antennas x 2 bits x (5 all-data symbols * 300 + 2 pilot symbols * 200)
-        assert res.bit_count == 2 * 2 * (5 * 300 + 2 * 200)
-
-    def test_branch_recorded_only_for_hybrid(self):
-        res = run_trial(SMALL, 6, 10.0, Estimator.LS, _rng(6))
-        assert res.chose_ls is None
-        res = run_trial(SMALL, 6, 10.0, Estimator.HYBRID, _rng(6))
-        assert res.chose_ls is False  # CP-covered channel stays on LMMSE
-
-    def test_hybrid_needs_threshold_beyond_cp(self):
-        with pytest.raises(ValueError, match="threshold"):
-            run_trial(SMALL, 40, 10.0, Estimator.HYBRID, _rng(7))
-        res = run_trial(SMALL, 40, 30.0, Estimator.HYBRID, _rng(7), snr_threshold_db=12.0)
-        assert res.chose_ls is True
-
-    def test_ls_mse_reasonable_at_high_snr(self):
-        res = run_trial(SMALL, 6, 30.0, Estimator.LS, _rng(8))
-        assert 0 < res.mse_pilot < 0.01
-
-
 class TestRunSweep:
     def test_single_cell_single_frame(self):
         cfg = SweepConfig(
@@ -174,7 +142,9 @@ class TestRunSweep:
         records = run_sweep(cfg)
         assert len(records) == 2 * 3 * 2
 
-    def test_matches_run_trial_accumulation(self):
+    def test_matches_chain_accumulation(self):
+        # the cell rebuilt trial by trial from the chain, an independent LS
+        # interpolation and the sweep's scoring and detection
         cfg = SweepConfig(
             channel_lengths=(8,),
             snr_grid_db=(5.0, 15.0),
@@ -183,21 +153,100 @@ class TestRunSweep:
             estimators=(Estimator.LS,),
         )
         records = run_sweep(cfg)
+        ctx = _make_context(cfg.system, cfg.seed)
+        pdp = PowerDelayProfile.uniform(8)
         for si, snr in enumerate(cfg.snr_grid_db):
             num = den = 0.0
             errs = bits = 0
             for trial in range(cfg.n_frames):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([cfg.seed, 0, 0, si, trial])
+                state = _run_chain(ctx, pdp, NoiseSpec(snr), _stream(cfg.seed, 0, 0, si, trial))
+                h_hat = np.array(
+                    [
+                        [interpolate_ls(h_r, ctx.port_positions[p], cfg.system.n_used) for h_r in h_p]
+                        for p, h_p in enumerate(state.h_ls)
+                    ]
                 )
-                res = run_trial(cfg, 8, snr, Estimator.LS, rng)
-                num += res.mse_num_all
-                den += res.mse_den_all
-                errs += res.bit_errors
-                bits += res.bit_count
+                n_all, d_all, _, _ = _score_estimate(h_hat, state.h_true, ctx.port_positions)
+                e, b, _ = _detect_and_count(state, ctx, h_hat)
+                num += n_all
+                den += d_all
+                errs += e
+                bits += b
             rec = [r for r in records if r.snr_db == snr][0]
             assert rec.mse_all_subcarriers == pytest.approx(num / den, rel=1e-12)
             assert rec.ber == pytest.approx(errs / bits, rel=1e-12)
+
+    def test_perfect_csi_noiseless_is_exact(self):
+        cfg = dataclasses.replace(
+            SMALL, channel_lengths=(10,), snr_grid_db=(np.inf,), estimators=(Estimator.PERFECT,)
+        )
+        rec = run_sweep(cfg)[0]
+        assert (rec.mse_all_subcarriers, rec.mse_pilot_subcarriers, rec.ber) == (0.0, 0.0, 0.0)
+
+    def test_ls_mse_reasonable_at_high_snr(self):
+        cfg = dataclasses.replace(SMALL, snr_grid_db=(30.0,), estimators=(Estimator.LS,))
+        rec = run_sweep(cfg)[0]
+        assert 0 < rec.mse_pilot_subcarriers < 0.01
+
+    def test_branch_recorded_only_for_hybrid(self):
+        cfg = dataclasses.replace(
+            SMALL,
+            channel_lengths=(6, 40),
+            snr_grid_db=(30.0,),
+            n_frames=1,
+            estimators=(Estimator.LS, Estimator.HYBRID, Estimator.PERFECT),
+            threshold_override_db=12.0,
+        )
+        branch = {(r.channel_len, r.estimator): r.branch_fraction_ls for r in run_sweep(cfg)}
+        assert branch == {
+            (6, Estimator.LS): None,
+            (6, Estimator.HYBRID): 0.0,  # CP-covered channel stays on LMMSE
+            (6, Estimator.PERFECT): None,
+            (40, Estimator.LS): None,
+            (40, Estimator.HYBRID): 1.0,
+            (40, Estimator.PERFECT): None,
+        }
+
+    def test_hybrid_alone_equals_its_branch_rows(self):
+        # the hybrid's branch is computed even when it is not requested itself
+        base = SweepConfig(
+            channel_lengths=(40,),
+            snr_grid_db=(0.0, 30.0),
+            n_frames=2,
+            seed=4,
+            threshold_override_db=12.0,
+        )
+        hybrid = run_sweep(dataclasses.replace(base, estimators=(Estimator.HYBRID,)))
+        branches = run_sweep(dataclasses.replace(base, estimators=(Estimator.LS, Estimator.LMMSE)))
+        rows = {(r.snr_db, r.estimator): r for r in branches}
+        chosen = {0.0: Estimator.LMMSE, 30.0: Estimator.LS}
+        assert [r.snr_db for r in hybrid] == [0.0, 30.0]
+        for r in hybrid:
+            expected = rows[r.snr_db, chosen[r.snr_db]]
+            assert r.branch_fraction_ls == float(chosen[r.snr_db] is Estimator.LS)
+            assert dataclasses.replace(r, estimator=expected.estimator, branch_fraction_ls=None) == expected
+
+    def test_unused_correlation_models_are_not_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("correlation model built for a sweep without LMMSE")
+
+        monkeypatch.setattr(estimation, "build_correlation_model", refuse)
+        no_lmmse = SweepConfig(
+            channel_lengths=(6, 40),
+            snr_grid_db=(0.0, 30.0),
+            n_frames=1,
+            seed=3,
+            estimators=(Estimator.LS, Estimator.PERFECT),
+        )
+        assert len(run_sweep(no_lmmse)) == 8
+        # a threshold at the lowest SNR sends every cell of L=40 to LS
+        always_ls = dataclasses.replace(
+            no_lmmse,
+            channel_lengths=(40,),
+            estimators=(Estimator.HYBRID,),
+            threshold_override_db=0.0,
+        )
+        assert [r.branch_fraction_ls for r in run_sweep(always_ls)] == [1.0, 1.0]
 
     def test_estimators_share_trial_randomness(self):
         # hybrid on a CP-covered channel must reproduce LMMSE exactly
@@ -241,6 +290,8 @@ class TestRunSweep:
             SweepConfig(channel_lengths=())
         with pytest.raises(ValueError, match="Estimator"):
             SweepConfig(estimators=("ls",))
+        with pytest.raises(ValueError, match="-inf"):
+            SweepConfig(snr_grid_db=(-np.inf, 0.0))
 
     def test_hybrid_calibration_needs_a_finite_snr(self):
         with pytest.raises(ValueError, match="without finite SNRs"):
