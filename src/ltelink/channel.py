@@ -141,31 +141,31 @@ def apply_channel(tx: TimeDomainSignal, ch: ChannelRealization) -> TimeDomainSig
     return TimeDomainSignal(rx, tx.symbol_len)
 
 
+# Average symbol power of every constellation here: unit-power QPSK and 16-QAM.
+_SIGNAL_POWER = 1.0
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Receiver AWGN level: per-sample variance = signal_power_ref / SNR.
+    """Receiver AWGN level: per-sample variance = signal power / SNR.
 
     snr_db=+inf is the documented no-noise sentinel; NaN and -inf are invalid.
-    signal_power_ref is the average constellation symbol power (1.0 for the
-    unit-power constellations used here), so the per-subcarrier SNR after the
-    unitary DFT equals the configured value.
+    Every constellation has unit average symbol power, so the per-subcarrier
+    SNR after the unitary DFT equals the configured value.
     """
 
     snr_db: float
-    signal_power_ref: float = 1.0
 
     def __post_init__(self) -> None:
         if np.isnan(self.snr_db) or self.snr_db == -np.inf:
             raise ValueError(f"invalid snr_db: {self.snr_db}")
-        if not np.isfinite(self.signal_power_ref) or self.signal_power_ref <= 0:
-            raise ValueError("signal_power_ref must be positive and finite")
 
     @property
     def noise_variance(self) -> float:
         """Complex per-sample variance sigma_w^2 (0 for the no-noise sentinel)."""
         if np.isinf(self.snr_db):
             return 0.0
-        return self.signal_power_ref / 10.0 ** (self.snr_db / 10.0)
+        return _SIGNAL_POWER / 10.0 ** (self.snr_db / 10.0)
 
 
 def add_awgn(signal: np.ndarray, noise: NoiseSpec, rng: np.random.Generator) -> np.ndarray:

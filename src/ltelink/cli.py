@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -22,43 +24,6 @@ from .harness import (
 )
 
 __all__ = ["main", "build_parser", "parse_config_file", "sweep_config_from_sources"]
-
-_SYSTEM_KEYS = {
-    "bandwidth_mhz",
-    "n_fft",
-    "n_used",
-    "cp_len",
-    "n_symbols_per_slot",
-    "n_tx",
-    "n_rx",
-    "constellation",
-}
-_SWEEP_KEYS = {
-    "channel_lengths",
-    "snr_grid_db",
-    "n_frames",
-    "seed",
-    "estimators",
-    "threshold_db",
-}
-
-
-def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Parse `key = value` lines; '#' starts a comment, blank lines ignored."""
-    text = Path(path).read_text()
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip().lower()
-        if key not in _SYSTEM_KEYS | _SWEEP_KEYS:
-            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = value.strip()
-    return values
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -85,53 +50,64 @@ def _parse_estimators(text: str) -> tuple[Estimator, ...]:
     return tuple(Estimator.parse(name) for name in text.split(",") if name.strip())
 
 
+# Config-file key -> parser of its value.  Keys that name a SystemConfig field
+# configure the link; the others configure the sweep.
+_CONFIG_KEYS: dict[str, Callable[[str], Any]] = {
+    "bandwidth_mhz": float,
+    "n_used": int,
+    "cp_len": int,
+    "n_tx": int,
+    "n_rx": int,
+    "constellation": lambda text: Constellation(text.lower()),
+    "channel_lengths": _parse_int_list,
+    "snr_grid_db": lambda text: tuple(sorted(_parse_float_list(text))),
+    "n_frames": int,
+    "seed": int,
+    "estimators": _parse_estimators,
+    "threshold_db": float,
+}
+_SYSTEM_FIELDS = frozenset(f.name for f in fields(SystemConfig))
+
+
+def parse_config_file(path: str | Path) -> dict[str, str]:
+    """Parse `key = value` lines; '#' starts a comment, blank lines ignored."""
+    text = Path(path).read_text()
+    values: dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, _, value = line.partition("=")
+        key = key.strip().lower()
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = value.strip()
+    return values
+
+
 def sweep_config_from_sources(
     file_values: dict[str, str], args: argparse.Namespace
 ) -> SweepConfig:
     """Merge config-file values and CLI flags (flags win) into a SweepConfig."""
-    sys_kwargs = {}
-    if "bandwidth_mhz" in file_values:
-        sys_kwargs["bandwidth_mhz"] = float(file_values["bandwidth_mhz"])
-    for key in ("n_fft", "n_used", "cp_len", "n_symbols_per_slot", "n_tx", "n_rx"):
-        if key in file_values:
-            sys_kwargs[key] = int(file_values[key])
-    if "constellation" in file_values:
-        sys_kwargs["constellation"] = Constellation(file_values["constellation"].lower())
-    if "bandwidth_mhz" in sys_kwargs and "n_fft" not in sys_kwargs:
-        system = SystemConfig.from_profile(sys_kwargs.pop("bandwidth_mhz"), **sys_kwargs)
-    else:
-        system = SystemConfig(**sys_kwargs)
-
-    sweep_kwargs: dict = {"system": system}
-    if "channel_lengths" in file_values:
-        sweep_kwargs["channel_lengths"] = _parse_int_list(file_values["channel_lengths"])
-    if "snr_grid_db" in file_values:
-        snrs = tuple(sorted(_parse_float_list(file_values["snr_grid_db"])))
-        sweep_kwargs["snr_grid_db"] = snrs
-    if "n_frames" in file_values:
-        sweep_kwargs["n_frames"] = int(file_values["n_frames"])
-    if "seed" in file_values:
-        sweep_kwargs["seed"] = int(file_values["seed"])
-    if "estimators" in file_values:
-        sweep_kwargs["estimators"] = _parse_estimators(file_values["estimators"])
-    if "threshold_db" in file_values:
-        sweep_kwargs["threshold_override_db"] = float(file_values["threshold_db"])
-
-    if args.snr is not None:
-        sweep_kwargs["snr_grid_db"] = args.snr
-    if args.channel_lengths is not None:
-        sweep_kwargs["channel_lengths"] = args.channel_lengths
-    if args.frames is not None:
-        sweep_kwargs["n_frames"] = args.frames
-    if args.seed is not None:
-        sweep_kwargs["seed"] = args.seed
-    if args.estimators is not None:
-        sweep_kwargs["estimators"] = args.estimators
-    if args.threshold_db is not None:
-        sweep_kwargs["threshold_override_db"] = args.threshold_db
+    values = {key: _CONFIG_KEYS[key](text) for key, text in file_values.items()}
+    flags = {
+        "snr_grid_db": args.snr,
+        "channel_lengths": args.channel_lengths,
+        "n_frames": args.frames,
+        "seed": args.seed,
+        "estimators": args.estimators,
+        "threshold_db": args.threshold_db,
+    }
+    values.update((key, value) for key, value in flags.items() if value is not None)
     if args.calibrate_threshold:
-        sweep_kwargs["threshold_override_db"] = None
-    return SweepConfig(**sweep_kwargs)
+        values.pop("threshold_db", None)
+    system = SystemConfig(**{k: v for k, v in values.items() if k in _SYSTEM_FIELDS})
+    sweep = {k: v for k, v in values.items() if k not in _SYSTEM_FIELDS}
+    if "threshold_db" in sweep:
+        sweep["threshold_override_db"] = sweep.pop("threshold_db")
+    return SweepConfig(system=system, **sweep)
 
 
 def build_parser() -> argparse.ArgumentParser:

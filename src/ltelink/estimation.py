@@ -194,8 +194,9 @@ def interpolate_ls(h_p: np.ndarray, pilot_positions: np.ndarray, n_used: int) ->
 class HybridPolicy:
     """Branch rule of the hybrid estimator: the one place it picks LS or LMMSE.
 
-    CP covering the hinted channel length always selects LMMSE; otherwise the
-    received SNR decides: below snr_threshold_db LMMSE, at or above it LS.
+    A channel the CP covers (channel_len_hint <= cp_len + 1: every tap delay
+    fits in the prefix, so there is no ISI) always selects LMMSE; otherwise
+    the received SNR decides: below snr_threshold_db LMMSE, at or above it LS.
     """
 
     cp_len: int
@@ -209,7 +210,7 @@ class HybridPolicy:
             raise ValueError("snr_threshold_db must not be NaN")
 
     def chooses_ls(self, snr_db: float) -> bool:
-        if self.channel_len_hint <= self.cp_len:
+        if self.channel_len_hint <= self.cp_len + 1:
             return False
         return snr_db >= self.snr_threshold_db
 

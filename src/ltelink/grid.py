@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -29,14 +29,14 @@ __all__ = [
     "random_pilot_sequence",
 ]
 
-# bandwidth (MHz) -> (FFT size, occupied subcarriers incl. DC, sampling MHz)
-LTE_PROFILES: dict[float, tuple[int, int, float]] = {
-    1.25: (128, 76, 1.92),
-    2.5: (256, 151, 3.84),
-    5.0: (512, 301, 7.68),
-    10.0: (1024, 601, 15.36),
-    15.0: (1536, 901, 23.04),
-    20.0: (2048, 1201, 30.72),
+# bandwidth (MHz) -> (FFT size, occupied subcarriers incl. DC)
+LTE_PROFILES: dict[float, tuple[int, int]] = {
+    1.25: (128, 76),
+    2.5: (256, 151),
+    5.0: (512, 301),
+    10.0: (1024, 601),
+    15.0: (1536, 901),
+    20.0: (2048, 1201),
 }
 
 # Reference signals live in the first and fifth symbol of a short-CP slot.
@@ -67,17 +67,18 @@ class CellLabel(IntEnum):
 class SystemConfig:
     """Static link parameters of one downlink configuration.
 
-    The (bandwidth_mhz, n_fft) pair must match one of the standard transmission
-    profiles; the used subcarriers sit centered around a nulled DC bin with
-    equal guard bands.  Only the short-CP slot format (7 symbols) is supported
-    by the pilot machinery; a 6-symbol slot validates but cannot carry pilots.
+    The bandwidth names one of the standard transmission profiles, which fixes
+    the FFT size; n_used defaults to the profile's occupied subcarriers minus
+    the nulled DC bin, and the used subcarriers sit centered around DC with
+    equal guard bands.  The slot is the 7-symbol short-CP (normal CP) slot,
+    with reference signals in symbols 0 and 4.
     """
 
+    n_symbols_per_slot: ClassVar[int] = 7
+
     bandwidth_mhz: float = 5.0
-    n_fft: int = 512
-    n_used: int = 300
+    n_used: int | None = None
     cp_len: int = 16
-    n_symbols_per_slot: int = 7
     n_tx: int = 2
     n_rx: int = 2
     constellation: Constellation = Constellation.QPSK
@@ -88,18 +89,12 @@ class SystemConfig:
                 f"unknown bandwidth {self.bandwidth_mhz} MHz; "
                 f"choose from {sorted(LTE_PROFILES)}"
             )
-        profile_fft = LTE_PROFILES[self.bandwidth_mhz][0]
-        if self.n_fft != profile_fft:
-            raise ValueError(
-                f"n_fft={self.n_fft} does not match the {self.bandwidth_mhz} MHz "
-                f"profile (expected {profile_fft})"
-            )
+        if self.n_used is None:
+            object.__setattr__(self, "n_used", LTE_PROFILES[self.bandwidth_mhz][1] - 1)
         if not 0 < self.n_used < self.n_fft:
             raise ValueError(f"n_used must be in (0, n_fft); got {self.n_used}")
         if not 0 <= self.cp_len < self.n_fft:
             raise ValueError(f"cp_len must be in [0, n_fft); got {self.cp_len}")
-        if self.n_symbols_per_slot not in (6, 7):
-            raise ValueError("n_symbols_per_slot must be 6 (long CP) or 7 (short CP)")
         if self.n_tx not in (1, 2) or self.n_rx not in (1, 2):
             raise ValueError("n_tx and n_rx must be 1 or 2")
         if self.n_tx > self.n_rx:
@@ -112,18 +107,12 @@ class SystemConfig:
 
     @classmethod
     def from_profile(cls, bandwidth_mhz: float, **overrides) -> "SystemConfig":
-        """Build a config from a named bandwidth profile.
+        """Build a config from a named bandwidth profile; same as the constructor."""
+        return cls(bandwidth_mhz=bandwidth_mhz, **overrides)
 
-        n_fft is taken from the profile table and n_used defaults to the
-        occupied-subcarrier count minus the nulled DC bin.
-        """
-        if bandwidth_mhz not in LTE_PROFILES:
-            raise ValueError(
-                f"unknown bandwidth {bandwidth_mhz} MHz; choose from {sorted(LTE_PROFILES)}"
-            )
-        n_fft, occupied, _ = LTE_PROFILES[bandwidth_mhz]
-        overrides.setdefault("n_used", occupied - 1)
-        return cls(bandwidth_mhz=bandwidth_mhz, n_fft=n_fft, **overrides)
+    @property
+    def n_fft(self) -> int:
+        return LTE_PROFILES[self.bandwidth_mhz][0]
 
     @property
     def symbol_len(self) -> int:
@@ -220,8 +209,6 @@ def build_pilot_pattern(config: SystemConfig) -> PilotPattern:
     and port 1's combs are offset by 3 subcarriers from port 0's, so the two
     ports never share a resource element.
     """
-    if config.n_symbols_per_slot != 7:
-        raise ValueError("pilot pattern requires the short-CP slot format (7 symbols)")
     rows = []
     for port in range(config.n_tx):
         for sym in PILOT_SYMBOLS:

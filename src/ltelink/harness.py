@@ -189,14 +189,6 @@ class _LinkContext:
     port_pilot_symbols: tuple[np.ndarray, ...]
     beta: float
 
-    @property
-    def n_payload_bits(self) -> int:
-        return (
-            self.layout.n_data_per_port
-            * self.config.constellation.bits_per_symbol
-            * self.config.n_tx
-        )
-
 
 def _make_context(config: SystemConfig, seed: int) -> _LinkContext:
     pattern = build_pilot_pattern(config)
@@ -397,20 +389,18 @@ def paired_mse_curves(
 def _resolve_thresholds(config: SweepConfig) -> dict[int, float]:
     """Hybrid switching threshold per channel length.
 
-    CP-covered lengths never consult the threshold (+inf placeholder); the
-    single no-ISI length just past the CP (span == cp_len + 1) stays on LMMSE.
-    Genuinely CP-exceeding lengths use the override when set, otherwise the
-    calibrated LS/LMMSE crossover for this configuration and profile.
+    Lengths the CP covers (span <= cp_len + 1, no ISI) never consult the
+    threshold (+inf placeholder).  Genuinely CP-exceeding lengths use the
+    override when set, otherwise the calibrated LS/LMMSE crossover for this
+    configuration and profile.
     """
     thresholds: dict[int, float] = {}
     finite_snrs = np.array([s for s in config.snr_grid_db if math.isfinite(s)])
     for li, length in enumerate(config.channel_lengths):
-        if length <= config.system.cp_len:
+        if length <= config.system.cp_len + 1:
             thresholds[length] = np.inf
         elif config.threshold_override_db is not None:
             thresholds[length] = config.threshold_override_db
-        elif length <= config.system.cp_len + 1:
-            thresholds[length] = np.inf
         else:
             thresholds[length] = estimation.calibrate_threshold(
                 config.system,
@@ -499,6 +489,11 @@ def _fmt_float(v: float) -> str:
     return f"{v:.12g}"
 
 
+def _row_order(r: SweepRecord) -> tuple[int, float, int]:
+    """CSV row order: channel length, then SNR, then estimator."""
+    return (r.channel_len, r.snr_db, ESTIMATOR_ORDER.index(r.estimator))
+
+
 def _record_line(r: SweepRecord) -> str:
     branch = "" if r.branch_fraction_ls is None else _fmt_float(r.branch_fraction_ls)
     return ",".join(
@@ -522,10 +517,7 @@ def emit_csv(records: Iterable[SweepRecord], destination: str | Path | IO[str]) 
     Rows are sorted by (channel length, SNR, estimator) no matter the input
     order, so a re-run with the same config and seed is byte-identical.
     """
-    ordered = sorted(
-        records,
-        key=lambda r: (r.channel_len, r.snr_db, ESTIMATOR_ORDER.index(r.estimator)),
-    )
+    ordered = sorted(records, key=_row_order)
     text = "\n".join([CSV_HEADER, *map(_record_line, ordered)]) + "\n"
     if hasattr(destination, "write"):
         destination.write(text)
@@ -539,10 +531,7 @@ def emit_csv(records: Iterable[SweepRecord], destination: str | Path | IO[str]) 
 
 def format_summary(records: Sequence[SweepRecord]) -> str:
     """Human-readable per-cell means, one line per record in CSV order."""
-    ordered = sorted(
-        records,
-        key=lambda r: (r.channel_len, r.snr_db, ESTIMATOR_ORDER.index(r.estimator)),
-    )
+    ordered = sorted(records, key=_row_order)
     lines = []
     for r in ordered:
         branch = (

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["COND_LIMIT_DEFAULT", "mimo_convolve", "zf_detect_grid"]
+__all__ = ["COND_LIMIT", "mimo_convolve", "zf_detect_grid"]
 
-COND_LIMIT_DEFAULT = 1e12
+# A 2x2 channel matrix whose condition number exceeds this is erased by ZF.
+COND_LIMIT = 1e12
 
 
 def mimo_convolve(tx: np.ndarray, impulse: np.ndarray) -> np.ndarray:
@@ -23,14 +24,12 @@ def mimo_convolve(tx: np.ndarray, impulse: np.ndarray) -> np.ndarray:
     return out
 
 
-def zf_detect_grid(
-    y: np.ndarray, h: np.ndarray, cond_limit: float = COND_LIMIT_DEFAULT
-) -> tuple[np.ndarray, np.ndarray]:
+def zf_detect_grid(y: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched zero-forcing over resource elements.
 
     y: (n_re, n_rx) received vectors; h: (n_re, n_rx, n_tx) channel matrices
     with n_tx <= n_rx <= 2.  Returns (symbols (n_re, n_tx), erased (n_re,));
-    an element whose matrix condition number exceeds cond_limit is zeroed and
+    an element whose matrix condition number exceeds COND_LIMIT is zeroed and
     flagged, never raised.  A single transmit stream is combined by maximum
     ratio, which is the least-squares solution of the tall system.
     """
@@ -52,7 +51,7 @@ def zf_detect_grid(
     absdet = np.abs(det)
     fro2 = np.abs(a) ** 2 + np.abs(b) ** 2 + np.abs(c) ** 2 + np.abs(d) ** 2
     smax2 = 0.5 * (fro2 + np.sqrt(np.maximum(fro2 * fro2 - 4.0 * absdet * absdet, 0.0)))
-    erased = (absdet == 0.0) | (smax2 > cond_limit * absdet)
+    erased = (absdet == 0.0) | (smax2 > COND_LIMIT * absdet)
     ok = ~erased
     out[ok, 0] = (d[ok] * y[ok, 0] - b[ok] * y[ok, 1]) / det[ok]
     out[ok, 1] = (a[ok] * y[ok, 1] - c[ok] * y[ok, 0]) / det[ok]

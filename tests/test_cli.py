@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from ltelink.cli import build_parser, main, parse_config_file, sweep_config_from_sources
-from ltelink.grid import Constellation
+from ltelink.grid import Constellation, SystemConfig
 from ltelink.harness import CSV_HEADER, Estimator
 
 
@@ -51,6 +51,13 @@ class TestConfigFile:
         path.write_text("frames = 3\n")
         with pytest.raises(ValueError, match="unknown config key"):
             parse_config_file(path)
+
+    def test_bandwidth_alone_selects_its_profile(self, tmp_path):
+        path = tmp_path / "wide.cfg"
+        path.write_text("bandwidth_mhz = 10\n")
+        cfg = sweep_config_from_sources(parse_config_file(path), _args([]))
+        assert cfg.system == SystemConfig.from_profile(10.0)
+        assert (cfg.system.n_fft, cfg.system.n_used) == (1024, 600)
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -194,6 +201,18 @@ class TestMain:
             main(argv)
         assert exc.value.code == 2
         assert "without finite SNRs" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["n_fft = 1024", "n_symbols_per_slot = 6"])
+    def test_derived_settings_are_unknown_keys(self, tmp_path, capsys, line):
+        # the FFT size follows from the bandwidth and the slot has 7 symbols
+        cfgfile = tmp_path / "derived.cfg"
+        cfgfile.write_text(f"bandwidth_mhz = 10\n{line}\n")
+        out = tmp_path / "never.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfgfile), "--frames", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unknown config key" in capsys.readouterr().err
         assert not out.exists()
 
     def test_minus_inf_snr_is_a_usage_error(self, tmp_path, capsys):

@@ -377,7 +377,8 @@ class TestHybrid:
             length = int(rng.integers(1, 64))
             threshold = float(rng.uniform(-5, 35))
             snr_db = float(rng.uniform(-10, 40))
-            expected = length > cp and snr_db >= threshold
+            # a length of cp + 1 has its last tap at delay cp: still no ISI
+            expected = length > cp + 1 and snr_db >= threshold
             assert HybridPolicy(cp, length, threshold).chooses_ls(snr_db) is expected
 
     def test_threshold_boundary_is_ls(self):

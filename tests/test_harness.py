@@ -226,6 +226,26 @@ class TestRunSweep:
             assert r.branch_fraction_ls == float(chosen[r.snr_db] is Estimator.LS)
             assert dataclasses.replace(r, estimator=expected.estimator, branch_fraction_ls=None) == expected
 
+    @pytest.mark.parametrize("threshold_db", [None, 12.0])
+    def test_no_isi_length_just_past_cp_stays_on_lmmse(self, threshold_db):
+        # L = cp_len + 1: the last tap delay equals cp_len, so the CP still
+        # absorbs the channel and the hybrid never leaves LMMSE
+        cfg = SweepConfig(
+            channel_lengths=(17,),
+            snr_grid_db=(30.0, np.inf),
+            n_frames=1,
+            seed=5,
+            estimators=(Estimator.LMMSE, Estimator.HYBRID),
+            threshold_override_db=threshold_db,
+        )
+        rows = {(r.snr_db, r.estimator): r for r in run_sweep(cfg)}
+        for snr_db in (30.0, np.inf):
+            hybrid = rows[snr_db, Estimator.HYBRID]
+            assert hybrid.branch_fraction_ls == 0.0
+            assert dataclasses.replace(
+                hybrid, estimator=Estimator.LMMSE, branch_fraction_ls=None
+            ) == rows[snr_db, Estimator.LMMSE]
+
     def test_unused_correlation_models_are_not_built(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("correlation model built for a sweep without LMMSE")

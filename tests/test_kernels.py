@@ -68,7 +68,7 @@ class TestZfGrid:
             h[-1] = 0.0
             out, erased = kernels.zf_detect_grid(y, h)
             for i in range(len(y)):
-                ref, ref_erased = zf_detect(y[i], h[i], kernels.COND_LIMIT_DEFAULT)
+                ref, ref_erased = zf_detect(y[i], h[i], kernels.COND_LIMIT)
                 assert erased[i] == ref_erased, (n_rx, n_tx, i)
                 assert_allclose(out[i], ref, rtol=1e-6, atol=1e-12)
             assert erased[-1]
