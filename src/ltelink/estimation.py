@@ -42,29 +42,22 @@ class CorrelationModel:
     r_hh_p cross-correlates every used subcarrier with the pilot subcarriers
     (it performs the interpolation); r_hp_hp is the Hermitian PSD pilot
     autocorrelation, the restriction of the same model to pilot rows/columns.
+    The sweep keeps one per (config, truncated profile): every antenna port
+    pilots the same comb, so one model and one filter serve them all.
     """
 
     r_hh_p: np.ndarray  # (n_used, n_pilot)
     r_hp_hp: np.ndarray  # (n_pilot, n_pilot)
-    pilot_positions: np.ndarray
 
     def __post_init__(self) -> None:
         r_hh_p = np.asarray(self.r_hh_p, dtype=np.complex128)
         r_hp_hp = np.asarray(self.r_hp_hp, dtype=np.complex128)
-        positions = np.asarray(self.pilot_positions, dtype=np.int64)
         if r_hh_p.shape[1] != r_hp_hp.shape[0] or r_hp_hp.shape[0] != r_hp_hp.shape[1]:
             raise ValueError("inconsistent correlation matrix shapes")
-        if positions.shape != (r_hp_hp.shape[0],):
-            raise ValueError("pilot_positions must parallel the pilot dimension")
         object.__setattr__(self, "r_hh_p", r_hh_p)
         object.__setattr__(self, "r_hp_hp", r_hp_hp)
-        object.__setattr__(self, "pilot_positions", positions)
-        for a in (r_hh_p, r_hp_hp, positions):
+        for a in (r_hh_p, r_hp_hp):
             a.setflags(write=False)
-
-    @property
-    def n_used(self) -> int:
-        return self.r_hh_p.shape[0]
 
     @property
     def n_pilots(self) -> int:
@@ -74,13 +67,13 @@ class CorrelationModel:
 def ls_estimate(y_p: np.ndarray, x_p: np.ndarray) -> np.ndarray:
     """Least-squares pilot estimates: elementwise y_p / x_p.
 
-    x_p is the (n_pilots,) transmitted pilot vector; y_p is one (n_pilots,)
-    observation or a stack of them, e.g. (n_rx, n_pilots), one per receive
-    antenna.
+    Pilots run along the last axis of both arrays, and x_p broadcasts against
+    y_p: an (n_pilots,) pilot vector serves an (n_rx, n_pilots) stack of
+    observations, and (n_tx, 1, n_pilots) pilots serve (n_tx, n_rx, n_pilots).
     """
     y_p = np.asarray(y_p, dtype=np.complex128)
     x_p = np.asarray(x_p, dtype=np.complex128)
-    if x_p.ndim != 1 or y_p.shape[-1:] != x_p.shape:
+    if x_p.ndim == 0 or y_p.shape[-1:] != x_p.shape[-1:]:
         raise ValueError(f"length mismatch: y_p {y_p.shape} vs x_p {x_p.shape}")
     if np.any(x_p == 0):
         raise ValueError("pilot value is zero; cannot invert")
@@ -113,7 +106,6 @@ def build_correlation_model(
     return CorrelationModel(
         r_hh_p=corr(bins, pilot_bins),
         r_hp_hp=corr(pilot_bins, pilot_bins),
-        pilot_positions=positions,
     )
 
 

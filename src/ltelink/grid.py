@@ -25,7 +25,6 @@ __all__ = [
     "PILOT_SPACING",
     "used_subcarrier_bins",
     "build_pilot_pattern",
-    "pilot_values_for_port",
     "random_pilot_sequence",
 ]
 
@@ -91,8 +90,11 @@ class SystemConfig:
             )
         if self.n_used is None:
             object.__setattr__(self, "n_used", LTE_PROFILES[self.bandwidth_mhz][1] - 1)
-        if not 0 < self.n_used < self.n_fft:
-            raise ValueError(f"n_used must be in (0, n_fft); got {self.n_used}")
+        if not 4 <= self.n_used < self.n_fft:
+            raise ValueError(
+                f"n_used must be in [4, n_fft) so every antenna port has two pilot "
+                f"subcarriers; got {self.n_used}"
+            )
         if not 0 <= self.cp_len < self.n_fft:
             raise ValueError(f"cp_len must be in [0, n_fft); got {self.cp_len}")
         if self.n_tx not in (1, 2) or self.n_rx not in (1, 2):
@@ -140,8 +142,10 @@ class PilotPattern:
     """Reference-signal placement for all antenna ports of one slot.
 
     entries holds (subcarrier, symbol, port) rows sorted by (port, symbol,
-    subcarrier); that ordering defines both the pilot-sequence assignment and
-    the observation-vector ordering used by the estimators.
+    subcarrier); that entry order fixes the pilot-sequence assignment.  Every
+    port pilots the same subcarriers (its two symbols' combs interleave), and
+    that shared comb, in ascending subcarrier order, fixes the estimators'
+    observation order: see comb().
     """
 
     entries: np.ndarray
@@ -194,11 +198,23 @@ class PilotPattern:
             raise ValueError(f"port {port} has no pilots in this pattern")
         return idx
 
-    def subcarriers(self, port: int) -> np.ndarray:
-        return self.entries[self.entry_indices(port), 0]
+    def comb(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pilot subcarriers every port shares, and each port's entries on them.
 
-    def symbols(self, port: int) -> np.ndarray:
-        return self.entries[self.entry_indices(port), 1]
+        Returns (subcarriers, entry_index): the ascending pilot subcarriers
+        and an (n_ports, n_pilots) array whose row p holds the indices of
+        port p's entries in subcarrier order.  Raises ValueError when the
+        ports pilot different subcarriers.
+        """
+        sc = self.entries[:, 0]
+        rows = []
+        for p in range(self.n_ports):
+            idx = self.entry_indices(p)
+            rows.append(idx[np.argsort(sc[idx], kind="stable")])
+        if any(not np.array_equal(sc[row], sc[rows[0]]) for row in rows):
+            raise ValueError("the antenna ports pilot different subcarriers")
+        entry_index = np.stack(rows)
+        return sc[entry_index[0]], entry_index
 
 
 def build_pilot_pattern(config: SystemConfig) -> PilotPattern:
@@ -288,18 +304,6 @@ class GridLayout:
         sc, sym, port = pattern.entries.T
         values[port, sc, sym] = np.asarray(pilot_seq)[: pattern.n_entries]
         return values
-
-
-def pilot_values_for_port(
-    pattern: PilotPattern, pilot_seq: np.ndarray, port: int
-) -> np.ndarray:
-    """Transmitted pilot values of one port, in the port's pattern-entry order."""
-    pilot_seq = np.asarray(pilot_seq, dtype=np.complex128)
-    if len(pilot_seq) < pattern.n_entries:
-        raise ValueError(
-            f"pilot sequence too short: need {pattern.n_entries}, got {len(pilot_seq)}"
-        )
-    return pilot_seq[pattern.entry_indices(port)]
 
 
 def random_pilot_sequence(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -3,9 +3,16 @@
 One trial is one slot: draw a block-fading channel, fill the grid with random
 payload bits and the run's pilot sequence, modulate all symbols, push the
 concatenated stream through the linear-convolution channel plus AWGN,
-demodulate, estimate every (tx, rx) response from the stacked pilot symbols,
-zero-force the data resource elements, and score MSE against the exact
-frequency response and BER against the payload.
+demodulate, estimate every (tx, rx) response from the pilots on the comb all
+ports share (every third subcarrier), zero-force the data resource elements,
+and score MSE against the exact frequency response and BER against the
+payload.
+
+The LMMSE correlation model depends only on the configuration, which fixes the
+pilot comb, and on the channel profile truncated to the cyclic prefix.  It is
+built once per (config, truncated profile) and memoized, so the antenna ports,
+the channel lengths that truncate alike and the threshold calibration share
+it; each cell solves one filter that serves every (tx, rx) pair.
 
 Reproducibility contract: every random draw comes from a stream derived from
 (seed, purpose tag, cell indices, trial index), so results are independent of
@@ -22,6 +29,7 @@ estimator converges to 1/SNR exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -50,7 +58,6 @@ from .grid import (
     PilotPattern,
     SystemConfig,
     build_pilot_pattern,
-    pilot_values_for_port,
     random_pilot_sequence,
     used_subcarrier_bins,
 )
@@ -184,9 +191,9 @@ class _LinkContext:
     layout: GridLayout
     used_bins: np.ndarray
     pilot_seq: np.ndarray
-    port_positions: tuple[np.ndarray, ...]
-    port_pilot_values: tuple[np.ndarray, ...]
-    port_pilot_symbols: tuple[np.ndarray, ...]
+    pilot_subcarriers: np.ndarray  # (n_pilots,) the comb every port shares
+    pilot_symbols: np.ndarray  # (n_tx, n_pilots) each port's symbol on the comb
+    pilot_values: np.ndarray  # (n_tx, n_pilots) each port's pilots on the comb
     beta: float
 
 
@@ -194,20 +201,16 @@ def _make_context(config: SystemConfig, seed: int) -> _LinkContext:
     pattern = build_pilot_pattern(config)
     layout = GridLayout.build(config, pattern)
     pilot_seq = random_pilot_sequence(pattern.n_entries, _stream(seed, _TAG_PILOTS))
-    positions, values, symbols = [], [], []
-    for p in range(config.n_tx):
-        positions.append(pattern.subcarriers(p))
-        values.append(pilot_values_for_port(pattern, pilot_seq, p))
-        symbols.append(pattern.symbols(p))
+    subcarriers, entry_index = pattern.comb()
     return _LinkContext(
         config=config,
         pattern=pattern,
         layout=layout,
         used_bins=used_subcarrier_bins(config),
         pilot_seq=pilot_seq,
-        port_positions=tuple(positions),
-        port_pilot_values=tuple(values),
-        port_pilot_symbols=tuple(symbols),
+        pilot_subcarriers=subcarriers,
+        pilot_symbols=pattern.entries[entry_index, 1],
+        pilot_values=pilot_seq[entry_index],
         beta=beta_for_constellation(config.constellation),
     )
 
@@ -219,7 +222,7 @@ class _ChainState:
     bits: np.ndarray  # (n_tx, n_payload_bits_per_port)
     rx_grid: np.ndarray  # (n_rx, n_used, n_symbols)
     h_true: np.ndarray  # (n_tx, n_rx, n_used)
-    h_ls: tuple[np.ndarray, ...]  # per port: (n_rx, n_pilots)
+    h_ls: np.ndarray  # (n_tx, n_rx, n_pilots), on the pilot comb
 
 
 def _run_chain(
@@ -236,13 +239,9 @@ def _run_chain(
     rx_samples = add_awgn(rx_sig.samples, noise, rng)
     rx_grid = ofdm.demodulate_frame(rx_samples, cfg)
     h_true = ch.frequency_responses(cfg.n_fft, ctx.used_bins)
-    h_ls = tuple(
-        ls_estimate(
-            rx_grid[:, ctx.port_positions[p], ctx.port_pilot_symbols[p]],
-            ctx.port_pilot_values[p],
-        )
-        for p in range(cfg.n_tx)
-    )
+    # (n_rx, n_tx, n_pilots) -> (n_tx, n_rx, n_pilots)
+    y_p = rx_grid[:, ctx.pilot_subcarriers, ctx.pilot_symbols].swapaxes(0, 1)
+    h_ls = ls_estimate(y_p, ctx.pilot_values[:, None])
     return _ChainState(bits=bits, rx_grid=rx_grid, h_true=h_true, h_ls=h_ls)
 
 
@@ -250,22 +249,16 @@ def _estimate(
     state: _ChainState,
     ctx: _LinkContext,
     method: Estimator,
-    lmmse_w: Sequence[np.ndarray] | None,
+    lmmse_w: np.ndarray | None,
 ) -> np.ndarray:
     """(n_tx, n_rx, n_used) estimate of every pair by LS, LMMSE or perfect CSI."""
     if method is Estimator.PERFECT:
         return state.h_true
-    cfg = ctx.config
-    h_hat = np.empty_like(state.h_true)
-    for p in range(cfg.n_tx):
-        positions = ctx.port_positions[p]
-        for r in range(cfg.n_rx):
-            h_p = state.h_ls[p][r]
-            if method is Estimator.LS:
-                h_hat[p, r] = interpolate_ls(h_p, positions, cfg.n_used)
-            else:
-                h_hat[p, r] = lmmse_w[p] @ h_p
-    return h_hat
+    if method is Estimator.LMMSE:
+        return state.h_ls @ lmmse_w.T
+    return np.apply_along_axis(
+        interpolate_ls, -1, state.h_ls, ctx.pilot_subcarriers, ctx.config.n_used
+    )
 
 
 def _detect_and_count(
@@ -285,24 +278,22 @@ def _detect_and_count(
 
 
 def _score_estimate(
-    h_hat: np.ndarray, h_true: np.ndarray, port_positions: Sequence[np.ndarray]
+    h_hat: np.ndarray, h_true: np.ndarray, pilot_subcarriers: np.ndarray
 ) -> tuple[float, float, float, float]:
     """Energy sums of one slot's estimate: (|err|^2, |h|^2) over all used
-    subcarriers, then over each transmit port's pilot subcarriers.
+    subcarriers, then over the pilot subcarriers.
 
     h_hat and h_true are (n_tx, n_rx, n_used); the normalized MSE of a cell
     is the ratio of the error sum to the energy sum over all its trials.
     """
     err2 = np.abs(h_hat - h_true) ** 2
     ref2 = np.abs(h_true) ** 2
-    num_all = float(err2.sum())
-    den_all = float(ref2.sum())
-    num_pil = 0.0
-    den_pil = 0.0
-    for p, positions in enumerate(port_positions):
-        num_pil += float(err2[p, :, positions].sum())
-        den_pil += float(ref2[p, :, positions].sum())
-    return num_all, den_all, num_pil, den_pil
+    return (
+        float(err2.sum()),
+        float(ref2.sum()),
+        float(err2[..., pilot_subcarriers].sum()),
+        float(ref2[..., pilot_subcarriers].sum()),
+    )
 
 
 @dataclass
@@ -318,7 +309,7 @@ class _Sums:
 
     def add_trial(self, state: _ChainState, ctx: _LinkContext, h_hat: np.ndarray) -> None:
         num_all, den_all, num_pil, den_pil = _score_estimate(
-            h_hat, state.h_true, ctx.port_positions
+            h_hat, state.h_true, ctx.pilot_subcarriers
         )
         errors, bits, _ = _detect_and_count(state, ctx, h_hat)
         self.num_all += num_all
@@ -329,28 +320,36 @@ class _Sums:
         self.bits += bits
 
 
-def _correlation_models(
-    ctx: _LinkContext, pdp: PowerDelayProfile
-) -> list[CorrelationModel]:
-    """Per-port receiver correlation models for one channel profile.
+def _correlation_model(config: SystemConfig, pdp: PowerDelayProfile) -> CorrelationModel:
+    """The receiver's correlation model of one channel profile, on the pilot comb.
 
     The receiver's correlation prior covers at most the cyclic prefix: the
     demodulator is designed for delay spreads the CP absorbs, and a longer
     channel is precisely the unforeseen case the hybrid estimator exists for.
+    One model serves every port, and it is memoized by (config, truncated
+    profile), so lengths that truncate alike and the calibration share it.
     """
-    model_pdp = pdp.truncated(min(pdp.n_taps, ctx.config.cp_len))
-    return [
-        estimation.build_correlation_model(model_pdp, ctx.port_positions[p], ctx.config)
-        for p in range(ctx.config.n_tx)
-    ]
+    model_pdp = pdp.truncated(min(pdp.n_taps, config.cp_len))
+    return _memoized_model(
+        config, tuple(model_pdp.tap_delays.tolist()), tuple(model_pdp.tap_powers.tolist())
+    )
 
 
-def _filters_from_models(
-    models: Sequence[CorrelationModel], snr_db: float, beta: float
-) -> list[np.ndarray]:
+@functools.lru_cache(maxsize=8)
+def _memoized_model(
+    config: SystemConfig, tap_delays: tuple[int, ...], tap_powers: tuple[float, ...]
+) -> CorrelationModel:
+    """The model of one (config, truncated profile); the comb follows from the
+    config.  Models are read-only, so callers share them; the bound caps memory."""
+    pdp = PowerDelayProfile(np.array(tap_delays), np.array(tap_powers))
+    pilot_subcarriers, _ = build_pilot_pattern(config).comb()
+    return estimation.build_correlation_model(pdp, pilot_subcarriers, config)
+
+
+def _filter_from_model(model: CorrelationModel, snr_db: float, beta: float) -> np.ndarray:
     snr_linear = 10.0 ** (snr_db / 10.0)
     reg = 0.0 if math.isinf(snr_linear) else beta / snr_linear
-    return [estimation.lmmse_filter(corr, reg) for corr in models]
+    return estimation.lmmse_filter(model, reg)
 
 
 def paired_mse_curves(
@@ -367,18 +366,18 @@ def paired_mse_curves(
     ctx = _make_context(system, 0)
     snrs_db = np.asarray(snrs_db, dtype=np.float64)
     streams = rng.spawn(len(snrs_db) * n_trials)
-    models = _correlation_models(ctx, pdp)
+    model = _correlation_model(system, pdp)
     ls_curve = np.empty(len(snrs_db))
     lmmse_curve = np.empty(len(snrs_db))
     for i, snr_db in enumerate(snrs_db):
-        lmmse_w = _filters_from_models(models, snr_db, ctx.beta)
+        lmmse_w = _filter_from_model(model, snr_db, ctx.beta)
         noise = NoiseSpec(snr_db)
         acc = {Estimator.LS: [0.0, 0.0], Estimator.LMMSE: [0.0, 0.0]}
         for j in range(n_trials):
             state = _run_chain(ctx, pdp, noise, streams[i * n_trials + j])
             for est, sums in acc.items():
                 h_hat = _estimate(state, ctx, est, lmmse_w)
-                num, den, _, _ = _score_estimate(h_hat, state.h_true, ctx.port_positions)
+                num, den, _, _ = _score_estimate(h_hat, state.h_true, ctx.pilot_subcarriers)
                 sums[0] += num
                 sums[1] += den
         ls_curve[i] = acc[Estimator.LS][0] / acc[Estimator.LS][1]
@@ -430,7 +429,6 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     records: list[SweepRecord] = []
     for li, length in enumerate(config.channel_lengths):
         pdp = PowerDelayProfile.uniform(length)
-        models: list[CorrelationModel] | None = None
         for si, snr_db in enumerate(config.snr_grid_db):
             cell_methods = methods
             if hybrid:
@@ -441,9 +439,8 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
                     cell_methods = (*methods, branch)
             lmmse_w = None
             if Estimator.LMMSE in cell_methods:
-                if models is None:
-                    models = _correlation_models(ctx, pdp)
-                lmmse_w = _filters_from_models(models, snr_db, ctx.beta)
+                model = _correlation_model(config.system, pdp)
+                lmmse_w = _filter_from_model(model, snr_db, ctx.beta)
             noise = NoiseSpec(snr_db)
             sums = {m: _Sums() for m in cell_methods}
             for trial in range(config.n_frames):

@@ -224,3 +224,14 @@ class TestMain:
         assert exc.value.code == 2
         assert "-inf" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_fewer_than_two_pilots_per_port_is_a_usage_error(self, tmp_path, capsys):
+        # n_used = 3 leaves one subcarrier on the every-third pilot comb
+        cfgfile = tmp_path / "narrow.cfg"
+        cfgfile.write_text("n_used = 3\n")
+        out = tmp_path / "never.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfgfile), "--frames", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "two pilot subcarriers" in capsys.readouterr().err
+        assert not out.exists()

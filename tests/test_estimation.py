@@ -66,6 +66,20 @@ class TestLsEstimate:
         for r in range(2):
             assert np.array_equal(got[r], ls_estimate(y[r], x))
 
+    def test_per_port_pilots_broadcast_over_receive_antennas(self):
+        # (n_tx, n_rx, n_pilots) observations, (n_tx, 1, n_pilots) pilots
+        rng = np.random.default_rng(15)
+        y = rng.standard_normal((2, 2, 8)) + 1j * rng.standard_normal((2, 2, 8))
+        x = np.exp(1j * rng.uniform(0, 2 * np.pi, (2, 1, 8)))
+        got = ls_estimate(y, x)
+        assert got.shape == (2, 2, 8)
+        for p in range(2):
+            assert np.array_equal(got[p], ls_estimate(y[p], x[p, 0]))
+        with pytest.raises(ValueError, match="mismatch"):
+            ls_estimate(y, x[..., :4])
+        with pytest.raises(ValueError, match="zero"):
+            ls_estimate(y, np.zeros((2, 1, 8)))
+
     def test_analytic_mse_at_10db(self):
         # MSE of LS under AWGN with unit-modulus pilots is exactly 1/SNR
         rng = np.random.default_rng(1)
@@ -156,13 +170,15 @@ class TestCorrelationModel:
 class TestLmmseFull:
     def test_zero_noise_pilots_everywhere_full_rank_is_identity(self):
         # with sigma=0 only the fixed 1e-12 loading separates the output from
-        # h_ls; the model conditioning bounds the deviation well below 1e-6
-        cfg = SystemConfig(n_used=2, n_tx=1, n_rx=1)
-        corr = build_correlation_model(PowerDelayProfile.uniform(2), np.array([0, 1]), cfg)
+        # h_ls; the model conditioning bounds the deviation well below 1e-6.
+        # Pilots on the two bins next to DC, full rank for a 2-tap profile.
+        cfg = SystemConfig(n_used=4, n_tx=1, n_rx=1)
+        positions = np.array([1, 2])
+        corr = build_correlation_model(PowerDelayProfile.uniform(2), positions, cfg)
         rng = np.random.default_rng(5)
         h_ls = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         est = lmmse_estimate_full(h_ls, corr, np.ones(2, dtype=complex), 0.0)
-        assert_allclose(est, h_ls, atol=1e-6)
+        assert_allclose(est[positions], h_ls, atol=1e-6)
 
     def test_infinite_noise_shrinks_to_zero(self):
         cfg = SystemConfig(n_used=12, n_tx=1, n_rx=1)
@@ -175,9 +191,9 @@ class TestLmmseFull:
 
     def test_two_pilot_case_against_cofactor_inverse(self):
         # hand-built 2x2 inversion: inv([[a,b],[c,d]]) = [[d,-b],[-c,a]]/(ad-bc)
-        cfg = SystemConfig(n_used=3, n_tx=1, n_rx=1)
+        cfg = SystemConfig(n_used=4, n_tx=1, n_rx=1)
         pdp = PowerDelayProfile.uniform(2)
-        positions = np.array([0, 2])
+        positions = np.array([1, 3])
         corr = build_correlation_model(pdp, positions, cfg)
         rng = np.random.default_rng(6)
         h_ls = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -191,20 +207,21 @@ class TestLmmseFull:
         assert_allclose(got, expected, atol=1e-12)
 
     def test_rejects_negative_noise(self):
-        cfg = SystemConfig(n_used=3, n_tx=1, n_rx=1)
-        corr = build_correlation_model(PowerDelayProfile.uniform(2), np.array([0, 2]), cfg)
+        cfg = SystemConfig(n_used=4, n_tx=1, n_rx=1)
+        corr = build_correlation_model(PowerDelayProfile.uniform(2), np.array([1, 3]), cfg)
         with pytest.raises(ValueError, match="non-negative"):
             lmmse_estimate_full(np.ones(2), corr, np.ones(2), -1.0)
 
 
 class TestLmmseSimplified:
     def test_high_snr_full_rank_recovers_h_ls(self):
-        cfg = SystemConfig(n_used=2, n_tx=1, n_rx=1)
-        corr = build_correlation_model(PowerDelayProfile.uniform(2), np.array([0, 1]), cfg)
+        cfg = SystemConfig(n_used=4, n_tx=1, n_rx=1)
+        positions = np.array([1, 2])
+        corr = build_correlation_model(PowerDelayProfile.uniform(2), positions, cfg)
         rng = np.random.default_rng(7)
         h_ls = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         est = lmmse_estimate_simplified(h_ls, corr, 1e12, 1.0)
-        assert_allclose(est, h_ls, atol=1e-6)
+        assert_allclose(est[positions], h_ls, atol=1e-6)
 
     def test_coincides_with_full_form_for_unit_pilots(self):
         # beta=1 and sigma^2 = beta/SNR make the two filters identical
@@ -227,8 +244,7 @@ class TestLmmseSimplified:
         # CP-sufficient observations: y_p = h_p * x_p + w
         rng = np.random.default_rng(9)
         cfg = SystemConfig()
-        pattern = build_pilot_pattern(cfg)
-        positions = pattern.subcarriers(0)
+        positions, _ = build_pilot_pattern(cfg).comb()
         pdp = PowerDelayProfile.uniform(10)
         corr = build_correlation_model(pdp, positions, cfg)
         v_all = steering(cfg, pdp)
@@ -277,8 +293,8 @@ class TestLmmseSimplified:
             assert all(a <= b * (1 + 1e-10) for a, b in zip(norms, norms[1:]))
 
     def test_rejects_bad_snr_and_beta(self):
-        cfg = SystemConfig(n_used=3, n_tx=1, n_rx=1)
-        corr = build_correlation_model(PowerDelayProfile.uniform(2), np.array([0, 2]), cfg)
+        cfg = SystemConfig(n_used=4, n_tx=1, n_rx=1)
+        corr = build_correlation_model(PowerDelayProfile.uniform(2), np.array([1, 3]), cfg)
         with pytest.raises(ValueError, match="snr"):
             lmmse_estimate_simplified(np.ones(2), corr, 0.0, 1.0)
         with pytest.raises(ValueError, match="beta"):

@@ -14,7 +14,6 @@ from ltelink.grid import (
     PilotPattern,
     SystemConfig,
     build_pilot_pattern,
-    pilot_values_for_port,
     random_pilot_sequence,
     used_subcarrier_bins,
 )
@@ -32,9 +31,10 @@ def fill_slot(cfg, pattern, data, pilots):
 
 
 def extract_pilots(rx_grid, pattern, port):
-    """Pilot observations of one port, indexed the way the trial chain does."""
-    sc = pattern.subcarriers(port)
-    return rx_grid[sc, pattern.symbols(port)], sc
+    """Pilot observations of one port on the pilot comb, indexed the way the
+    trial chain does."""
+    sc, entry_index = pattern.comb()
+    return rx_grid[sc, pattern.entries[entry_index[port], 1]], sc
 
 
 class TestSystemConfig:
@@ -60,6 +60,13 @@ class TestSystemConfig:
     def test_rejects_bad_used_count(self):
         with pytest.raises(ValueError, match="n_used"):
             SystemConfig(n_used=512)
+
+    @pytest.mark.parametrize("n_used", [0, 3])
+    def test_rejects_fewer_than_two_pilots_per_port(self, n_used):
+        # the comb is every third subcarrier: n_used=3 leaves one pilot
+        with pytest.raises(ValueError, match="two pilot subcarriers"):
+            SystemConfig(n_used=n_used)
+        assert len(build_pilot_pattern(SystemConfig(n_used=4)).comb()[0]) == 2
 
     def test_rejects_bad_antenna_counts(self):
         with pytest.raises(ValueError, match="n_tx"):
@@ -123,6 +130,35 @@ class TestBuildPilotPattern:
         pat = build_pilot_pattern(small_config())
         with pytest.raises(ValueError):
             pat.entries[0, 0] = 99
+
+    @pytest.mark.parametrize("n_tx", [1, 2])
+    @pytest.mark.parametrize(
+        "system",
+        [{"bandwidth_mhz": bw} for bw in sorted(LTE_PROFILES)] + [{"n_used": 301}],
+        ids=[f"{bw}MHz" for bw in sorted(LTE_PROFILES)] + ["n_used301"],
+    )
+    def test_comb_is_every_third_subcarrier(self, system, n_tx):
+        cfg = SystemConfig(n_tx=n_tx, **system)
+        pat = build_pilot_pattern(cfg)
+        subcarriers, entry_index = pat.comb()
+        assert np.array_equal(subcarriers, np.arange(0, cfg.n_used, 3))
+        assert entry_index.shape == (n_tx, len(subcarriers))
+        for port, row in enumerate(entry_index):
+            assert np.array_equal(pat.entries[row, 0], subcarriers)
+            assert np.all(pat.entries[row, 2] == port)
+        # every entry appears once, so the pilot sequence is used as filled
+        assert sorted(entry_index.ravel()) == list(range(pat.n_entries))
+
+    def test_comb_rejects_ports_on_different_subcarriers(self):
+        pat = PilotPattern(
+            entries=np.array([[0, 0, 0], [6, 0, 0], [3, 0, 1], [9, 0, 1]]),
+            pilot_spacing=6,
+            n_used=12,
+            n_symbols=7,
+            n_ports=2,
+        )
+        with pytest.raises(ValueError, match="different subcarriers"):
+            pat.comb()
 
     def test_pattern_validates_progression(self):
         with pytest.raises(ValueError, match="arithmetic progression"):
@@ -214,21 +250,23 @@ class TestExtractPilots:
         assert np.all(y_p == 1)
         assert len(y_p) == len(pos) == len(pat.entry_indices(0))
 
-    def test_ordering_symbol_then_subcarrier(self):
-        cfg = small_config(n_used=12, n_tx=1)
+    def test_ordering_follows_the_comb(self):
+        cfg = small_config(n_used=12, n_tx=2)
         pat = build_pilot_pattern(cfg)
         rx = np.arange(cfg.n_used * 7, dtype=complex).reshape(cfg.n_used, 7)
-        y_p, pos = extract_pilots(rx, pat, 0)
-        # symbol 0 pilots first ({0,6}), then symbol 4 ({3,9})
-        assert list(pos) == [0, 6, 3, 9]
-        assert_allclose(y_p, [rx[0, 0], rx[6, 0], rx[3, 4], rx[9, 4]])
+        # ascending subcarriers; each port reads its own symbol on each:
+        # port 0 pilots {0,6} in symbol 0 and {3,9} in symbol 4, port 1 swaps
+        y_0, pos = extract_pilots(rx, pat, 0)
+        y_1, _ = extract_pilots(rx, pat, 1)
+        assert list(pos) == [0, 3, 6, 9]
+        assert_allclose(y_0, [rx[0, 0], rx[3, 4], rx[6, 0], rx[9, 4]])
+        assert_allclose(y_1, [rx[0, 4], rx[3, 0], rx[6, 4], rx[9, 0]])
 
     def test_unknown_port_rejected(self):
-        cfg = small_config()
-        pat = build_pilot_pattern(cfg)
-        rx = np.zeros((cfg.n_used, 7), dtype=complex)
+        pat = build_pilot_pattern(small_config())
+        assert pat.comb()[1].shape[0] == 1
         with pytest.raises(ValueError, match="port 1"):
-            extract_pilots(rx, pat, 1)
+            pat.entry_indices(1)
 
     def test_silent_port_leaks_zero_through_identity_channel(self):
         # port 0 transmits nothing; port 1 active.  After a one-tap identity
@@ -260,9 +298,10 @@ class TestPilotValues:
         n_data = cfg.n_used * 7 - len(pat.entries)
         data = [np.zeros(n_data, dtype=complex)] * 2
         values, _ = fill_slot(cfg, pat, data, pilots)
+        _, entry_index = pat.comb()
         for port in (0, 1):
             y_p, _ = extract_pilots(values[port], pat, port)
-            assert_allclose(y_p, pilot_values_for_port(pat, pilots, port), atol=0)
+            assert_allclose(y_p, pilots[entry_index[port]], atol=0)
 
     def test_sequence_is_unit_modulus_and_deterministic(self):
         a = random_pilot_sequence(64, np.random.default_rng(11))

@@ -6,7 +6,7 @@ import io
 import numpy as np
 import pytest
 
-from ltelink import estimation
+from ltelink import estimation, harness
 from ltelink.channel import NoiseSpec, PowerDelayProfile
 from ltelink.estimation import interpolate_ls
 from ltelink.grid import Constellation, SystemConfig
@@ -42,13 +42,13 @@ SMALL = SweepConfig(
 def compute_mse(h_hat, h_true, positions=None):
     """Normalized MSE of one (n_used,) response as the sweep scores it.
 
-    The vector is scored as a single (tx, rx) pair whose pilot positions are
+    The vector is scored as a single (tx, rx) pair whose pilot comb is
     positions; the ratio of the returned energy sums is the cell's MSE.
     """
     h_hat = np.asarray(h_hat, dtype=complex)[None, None, :]
     h_true = np.asarray(h_true, dtype=complex)[None, None, :]
-    port_positions = [np.arange(h_true.shape[-1]) if positions is None else positions]
-    num_all, den_all, num_pil, den_pil = _score_estimate(h_hat, h_true, port_positions)
+    comb = np.arange(h_true.shape[-1]) if positions is None else positions
+    num_all, den_all, num_pil, den_pil = _score_estimate(h_hat, h_true, comb)
     if positions is None:
         assert (num_pil, den_pil) == (num_all, den_all)
     return num_pil / den_pil
@@ -81,18 +81,18 @@ class TestComputeMse:
         assert compute_mse(h_hat, h, np.array([0, 2])) == 0.0
 
     def test_pairs_and_ports_are_energy_weighted(self):
-        # all-subcarrier sums cover every pair; pilot sums only each port's
-        # own pilot subcarriers, on every receive antenna of that port
+        # all-subcarrier sums cover every pair; pilot sums only the comb's
+        # subcarriers, which every port shares, on every (tx, rx) pair
         rng = _rng(2)
         h_true = rng.standard_normal((2, 2, 6)) + 1j * rng.standard_normal((2, 2, 6))
         h_hat = h_true + 0.1 * (rng.standard_normal((2, 2, 6)) + 0j)
-        positions = [np.array([0, 3]), np.array([1, 4])]
-        num_all, den_all, num_pil, den_pil = _score_estimate(h_hat, h_true, positions)
+        num_all, den_all, num_pil, den_pil = _score_estimate(h_hat, h_true, np.array([0, 3]))
         err2, ref2 = np.abs(h_hat - h_true) ** 2, np.abs(h_true) ** 2
         assert num_all == pytest.approx(err2.sum())
         assert den_all == pytest.approx(ref2.sum())
-        assert num_pil == pytest.approx(err2[0][:, [0, 3]].sum() + err2[1][:, [1, 4]].sum())
-        assert den_pil == pytest.approx(ref2[0][:, [0, 3]].sum() + ref2[1][:, [1, 4]].sum())
+        pairs = [(t, r) for t in range(2) for r in range(2)]
+        assert num_pil == pytest.approx(sum(err2[t, r, [0, 3]].sum() for t, r in pairs))
+        assert den_pil == pytest.approx(sum(ref2[t, r, [0, 3]].sum() for t, r in pairs))
 
 
 class TestComputeBer:
@@ -162,11 +162,11 @@ class TestRunSweep:
                 state = _run_chain(ctx, pdp, NoiseSpec(snr), _stream(cfg.seed, 0, 0, si, trial))
                 h_hat = np.array(
                     [
-                        [interpolate_ls(h_r, ctx.port_positions[p], cfg.system.n_used) for h_r in h_p]
-                        for p, h_p in enumerate(state.h_ls)
+                        [interpolate_ls(h_r, ctx.pilot_subcarriers, cfg.system.n_used) for h_r in h_p]
+                        for h_p in state.h_ls
                     ]
                 )
-                n_all, d_all, _, _ = _score_estimate(h_hat, state.h_true, ctx.port_positions)
+                n_all, d_all, _, _ = _score_estimate(h_hat, state.h_true, ctx.pilot_subcarriers)
                 e, b, _ = _detect_and_count(state, ctx, h_hat)
                 num += n_all
                 den += d_all
@@ -250,6 +250,7 @@ class TestRunSweep:
         def refuse(*args, **kwargs):
             raise AssertionError("correlation model built for a sweep without LMMSE")
 
+        harness._memoized_model.cache_clear()  # a cached model would hide a build
         monkeypatch.setattr(estimation, "build_correlation_model", refuse)
         no_lmmse = SweepConfig(
             channel_lengths=(6, 40),
@@ -267,6 +268,28 @@ class TestRunSweep:
             threshold_override_db=0.0,
         )
         assert [r.branch_fraction_ls for r in run_sweep(always_ls)] == [1.0, 1.0]
+
+    def test_one_correlation_model_per_truncated_profile(self, monkeypatch):
+        # at cp 16, L=20 and L=40 both truncate to 16 taps: the ports, both
+        # lengths and the threshold calibration share one model
+        built = []
+
+        def counting(pdp, pilot_positions, config):
+            built.append((pdp.n_taps, tuple(pilot_positions)))
+            return build(pdp, pilot_positions, config)
+
+        build = estimation.build_correlation_model
+        harness._memoized_model.cache_clear()
+        monkeypatch.setattr(estimation, "build_correlation_model", counting)
+        cfg = SweepConfig(
+            channel_lengths=(20, 40),
+            snr_grid_db=(0.0, 30.0),
+            n_frames=1,
+            seed=3,
+            estimators=(Estimator.LS, Estimator.LMMSE, Estimator.HYBRID),
+        )
+        assert len(run_sweep(cfg)) == 12
+        assert built == [(16, tuple(range(0, 300, 3)))]
 
     def test_estimators_share_trial_randomness(self):
         # hybrid on a CP-covered channel must reproduce LMMSE exactly
