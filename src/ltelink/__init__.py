@@ -19,9 +19,6 @@ from .estimation import (
     beta_for_constellation,
     build_correlation_model,
     calibrate_threshold,
-    interpolate_ls,
-    lmmse_estimate_full,
-    lmmse_estimate_simplified,
     ls_estimate,
 )
 from .grid import (
@@ -69,9 +66,6 @@ __all__ = [
     "demodulate_frame",
     "emit_csv",
     "generate_channel",
-    "interpolate_ls",
-    "lmmse_estimate_full",
-    "lmmse_estimate_simplified",
     "ls_estimate",
     "modulate_frame",
     "qpsk_demap",

@@ -1,18 +1,21 @@
 """Pilot-based channel estimators: LS, LMMSE, and the length-aware hybrid.
 
 The LS estimate is the per-pilot division of received by transmitted pilots,
-extended to data subcarriers by linear interpolation.  The LMMSE estimator
-filters the LS pilot estimates through the channel frequency-correlation
-matrices derived from a power-delay profile, in both the exact-noise form and
-the simplified beta/SNR form (identical for unit-modulus pilots and beta=1).
-The hybrid estimator picks LMMSE whenever the cyclic prefix covers the channel
-and otherwise switches between LMMSE (low SNR) and LS (high SNR) at a
-calibrated threshold.
+extended to data subcarriers by linear interpolation, which is one fixed
+(n_used x n_pilots) matrix.  The LMMSE estimator filters the LS pilot
+estimates through the channel frequency-correlation matrices of a
+power-delay profile in the simplified beta/SNR form (the exact-noise form
+coincides with it for unit-modulus pilots and beta=1).  The correlations
+depend only on the bin offset, so a model gathers them from one lag table,
+and it eigendecomposes its pilot autocorrelation once, which makes the filter
+of every SNR one matrix product.  The hybrid estimator picks LMMSE whenever
+the cyclic prefix covers the channel and otherwise switches between LMMSE
+(low SNR) and LS (high SNR) at a calibrated threshold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,16 +26,12 @@ __all__ = [
     "CorrelationModel",
     "HybridPolicy",
     "ls_estimate",
+    "ls_interpolation_matrix",
     "build_correlation_model",
     "lmmse_filter",
-    "lmmse_estimate_full",
-    "lmmse_estimate_simplified",
     "beta_for_constellation",
-    "interpolate_ls",
     "calibrate_threshold",
 ]
-
-_JITTER = 1e-12  # diagonal loading used when the exact form is run with zero noise
 
 
 @dataclass(frozen=True)
@@ -44,20 +43,34 @@ class CorrelationModel:
     autocorrelation, the restriction of the same model to pilot rows/columns.
     The sweep keeps one per (config, truncated profile): every antenna port
     pilots the same comb, so one model and one filter serve them all.
+
+    Construction eigendecomposes r_hp_hp = U diag(eigenvalues) U^H once and
+    keeps r_hh_p U and U^H, so lmmse_filter needs no solve at any SNR.
+    Eigenvalues that rounding leaves below zero are clipped to zero.
     """
 
     r_hh_p: np.ndarray  # (n_used, n_pilot)
     r_hp_hp: np.ndarray  # (n_pilot, n_pilot)
+    eigenvalues: np.ndarray = field(init=False, repr=False)  # (n_pilot,) ascending
+    r_hh_p_u: np.ndarray = field(init=False, repr=False)  # (n_used, n_pilot) r_hh_p U
+    u_h: np.ndarray = field(init=False, repr=False)  # (n_pilot, n_pilot) U^H
 
     def __post_init__(self) -> None:
         r_hh_p = np.asarray(self.r_hh_p, dtype=np.complex128)
         r_hp_hp = np.asarray(self.r_hp_hp, dtype=np.complex128)
         if r_hh_p.shape[1] != r_hp_hp.shape[0] or r_hp_hp.shape[0] != r_hp_hp.shape[1]:
             raise ValueError("inconsistent correlation matrix shapes")
-        object.__setattr__(self, "r_hh_p", r_hh_p)
-        object.__setattr__(self, "r_hp_hp", r_hp_hp)
-        for a in (r_hh_p, r_hp_hp):
+        s, u = np.linalg.eigh(r_hp_hp)
+        fields = {
+            "r_hh_p": r_hh_p,
+            "r_hp_hp": r_hp_hp,
+            "eigenvalues": np.maximum(s, 0.0),
+            "r_hh_p_u": r_hh_p @ u,
+            "u_h": u.conj().T,
+        }
+        for name, a in fields.items():
             a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def n_pilots(self) -> int:
@@ -80,13 +93,34 @@ def ls_estimate(y_p: np.ndarray, x_p: np.ndarray) -> np.ndarray:
     return y_p / x_p
 
 
+def ls_interpolation_matrix(pilot_positions: np.ndarray, n_used: int) -> np.ndarray:
+    """(n_used, n_pilots) matrix that extends pilot LS estimates to all used
+    subcarriers: h_ls @ L.T.
+
+    Linear interpolation between adjacent pilots and constant extrapolation
+    beyond the first/last pilot.  Interpolation is linear in the pilot values,
+    so column j is the interpolation of the j-th unit vector.
+    """
+    positions = np.asarray(pilot_positions, dtype=np.int64)
+    if positions.ndim != 1 or positions.size < 2:
+        raise ValueError("need at least 2 pilots to interpolate")
+    order = np.argsort(positions)
+    k = np.arange(n_used)
+    # column j interpolates pilot j's unit vector, listed in ascending position order
+    return np.column_stack(
+        [np.interp(k, positions[order], (order == j).astype(np.float64)) for j in range(order.size)]
+    )
+
+
 def build_correlation_model(
     pdp: PowerDelayProfile, pilot_positions: np.ndarray, config: SystemConfig
 ) -> CorrelationModel:
     """Closed-form correlation r(k, k') = sum_l p_l * exp(-2j*pi*(k-k')*tau_l/N).
 
     Positions are used-subcarrier indices; the phase term uses their absolute
-    FFT bins, so the guard-band gap around DC is accounted for exactly.
+    FFT bins, so the guard-band gap around DC is accounted for exactly.  The
+    correlation depends only on the bin offset k - k', so both matrices are
+    gathered from one table over the 2N-1 offsets -(N-1)..N-1.
     """
     positions = np.asarray(pilot_positions, dtype=np.int64)
     if positions.ndim != 1 or positions.size == 0:
@@ -95,64 +129,35 @@ def build_correlation_model(
         raise ValueError("pilot position outside [0, n_used)")
     bins = used_subcarrier_bins(config)
     pilot_bins = bins[positions]
-
-    def corr(bins_a: np.ndarray, bins_b: np.ndarray) -> np.ndarray:
-        delta = bins_a[:, None] - bins_b[None, :]
-        phases = np.exp(
-            -2j * np.pi * delta[..., None] * pdp.tap_delays / config.n_fft
-        )
-        return phases @ pdp.tap_powers.astype(np.complex128)
-
+    n = config.n_fft
+    lags = np.arange(-(n - 1), n)
+    phases = np.exp(-2j * np.pi * lags[:, None] * pdp.tap_delays / n)
+    table = phases @ pdp.tap_powers.astype(np.complex128)  # offset d at index d + n - 1
     return CorrelationModel(
-        r_hh_p=corr(bins, pilot_bins),
-        r_hp_hp=corr(pilot_bins, pilot_bins),
+        r_hh_p=table[bins[:, None] - pilot_bins[None, :] + n - 1],
+        r_hp_hp=table[pilot_bins[:, None] - pilot_bins[None, :] + n - 1],
     )
 
 
-def lmmse_filter(corr: CorrelationModel, regularizer: np.ndarray | float) -> np.ndarray:
-    """W = R_hh_p (R_hp_hp + D)^-1 with D diagonal.
+def lmmse_filter(corr: CorrelationModel, regularizer: float) -> np.ndarray:
+    """W = R_hh_p (R_hp_hp + lambda I)^-1 = (R_hh_p U) diag(1/(s + lambda)) U^H.
 
-    regularizer is either a scalar (lambda * I) or a per-pilot diagonal vector.
-    A zero regularizer gets a fixed 1e-12 diagonal loading so a rank-deficient
-    pilot autocorrelation stays invertible.
+    One matrix product on the model's eigendecomposition.  lambda = 0 (an
+    infinite SNR) makes the inverse a pseudo-inverse: eigenvalues at or below
+    n_pilots * eps * max(s), the cutoff numpy's pinv and matrix_rank use, are
+    rounding noise of a zero eigenvalue and get weight 0 instead of 1/s.
     """
-    n = corr.n_pilots
-    diag = np.broadcast_to(np.asarray(regularizer, dtype=np.float64), (n,))
-    if np.any(diag < 0):
+    lam = float(regularizer)
+    if not lam >= 0.0:
         raise ValueError("regularizer must be non-negative")
-    if np.any(diag == 0.0):
-        diag = diag + _JITTER
-    a = corr.r_hp_hp + np.diag(diag)
-    return np.linalg.solve(a.T, corr.r_hh_p.T).T
-
-
-def lmmse_estimate_full(
-    h_ls: np.ndarray, corr: CorrelationModel, x_p: np.ndarray, sigma_w2: float
-) -> np.ndarray:
-    """Exact-noise LMMSE: R_hh_p (R_hp_hp + sigma^2 diag(|x_p|^2)^-1)^-1 h_ls."""
-    h_ls = np.asarray(h_ls, dtype=np.complex128)
-    x_p = np.asarray(x_p, dtype=np.complex128)
-    if h_ls.shape != (corr.n_pilots,) or x_p.shape != (corr.n_pilots,):
-        raise ValueError("h_ls and x_p must match the model's pilot dimension")
-    if sigma_w2 < 0:
-        raise ValueError("noise variance must be non-negative")
-    if np.any(x_p == 0):
-        raise ValueError("pilot value is zero; (X X^H)^-1 undefined")
-    return lmmse_filter(corr, sigma_w2 / np.abs(x_p) ** 2) @ h_ls
-
-
-def lmmse_estimate_simplified(
-    h_ls: np.ndarray, corr: CorrelationModel, snr_linear: float, beta: float
-) -> np.ndarray:
-    """Simplified LMMSE: R_hh_p (R_hp_hp + (beta/SNR) I)^-1 h_ls."""
-    h_ls = np.asarray(h_ls, dtype=np.complex128)
-    if h_ls.shape != (corr.n_pilots,):
-        raise ValueError("h_ls must match the model's pilot dimension")
-    if not snr_linear > 0:
-        raise ValueError(f"snr_linear must be positive, got {snr_linear}")
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    return lmmse_filter(corr, beta / snr_linear) @ h_ls
+    s = corr.eigenvalues
+    if lam > 0.0:
+        inv = 1.0 / (s + lam)
+    else:
+        keep = s > corr.n_pilots * np.finfo(np.float64).eps * s.max()
+        inv = np.zeros_like(s)
+        inv[keep] = 1.0 / s[keep]
+    return (corr.r_hh_p_u * inv) @ corr.u_h
 
 
 def beta_for_constellation(constellation: Constellation) -> float:
@@ -162,24 +167,6 @@ def beta_for_constellation(constellation: Constellation) -> float:
     if constellation is Constellation.QAM16:
         return 17.0 / 9.0
     raise ValueError(f"unsupported constellation: {constellation!r}")
-
-
-def interpolate_ls(h_p: np.ndarray, pilot_positions: np.ndarray, n_used: int) -> np.ndarray:
-    """Extend pilot LS estimates to all used subcarriers.
-
-    Linear interpolation of real and imaginary parts between adjacent pilots;
-    constant extrapolation beyond the first/last pilot.
-    """
-    h_p = np.asarray(h_p, dtype=np.complex128)
-    positions = np.asarray(pilot_positions, dtype=np.int64)
-    if h_p.shape != positions.shape:
-        raise ValueError("h_p and pilot_positions must have equal length")
-    if len(positions) < 2:
-        raise ValueError("need at least 2 pilots to interpolate")
-    order = np.argsort(positions)
-    pos, vals = positions[order], h_p[order]
-    k = np.arange(n_used)
-    return np.interp(k, pos, vals.real) + 1j * np.interp(k, pos, vals.imag)
 
 
 @dataclass(frozen=True)

@@ -12,15 +12,18 @@ The LMMSE correlation model depends only on the configuration, which fixes the
 pilot comb, and on the channel profile truncated to the cyclic prefix.  It is
 built once per (config, truncated profile) and memoized, so the antenna ports,
 the channel lengths that truncate alike and the threshold calibration share
-it; each cell solves one filter that serves every (tx, rx) pair.
+it, and with it its eigendecomposition.  Each cell's filter is then one matrix
+product, and it serves every (tx, rx) pair.  LS interpolation is a fixed
+matrix too, so both estimators are h_ls @ W.T.
 
 Reproducibility contract: every random draw comes from a stream derived from
 (seed, purpose tag, cell indices, trial index), so results are independent of
 scheduling and identical across runs at a fixed BLAS thread count, e.g.
-OPENBLAS_NUM_THREADS=1 (the LMMSE solves can round differently with another
-count).  All estimators of a cell share the same trial streams (common random
-numbers), which makes estimator comparisons paired.  The hybrid estimator
-computes nothing of its own: its row is the row of the branch it chooses.
+OPENBLAS_NUM_THREADS=1 (the eigendecomposition and the matrix products can
+round differently with another count).  All estimators of a cell share the
+same trial streams (common random numbers), which makes estimator comparisons
+paired.  The hybrid estimator computes nothing of its own: its row is the row
+of the branch it chooses.
 
 MSE aggregation across trials is energy weighted: |error|^2 and |h|^2 sums are
 accumulated separately and divided once, so the pilot-column MSE of the LS
@@ -50,8 +53,8 @@ from .estimation import (
     CorrelationModel,
     HybridPolicy,
     beta_for_constellation,
-    interpolate_ls,
     ls_estimate,
+    ls_interpolation_matrix,
 )
 from .grid import (
     GridLayout,
@@ -194,6 +197,7 @@ class _LinkContext:
     pilot_subcarriers: np.ndarray  # (n_pilots,) the comb every port shares
     pilot_symbols: np.ndarray  # (n_tx, n_pilots) each port's symbol on the comb
     pilot_values: np.ndarray  # (n_tx, n_pilots) each port's pilots on the comb
+    ls_interp: np.ndarray  # (n_used, n_pilots) LS interpolation, complex like h_ls
     beta: float
 
 
@@ -211,6 +215,7 @@ def _make_context(config: SystemConfig, seed: int) -> _LinkContext:
         pilot_subcarriers=subcarriers,
         pilot_symbols=pattern.entries[entry_index, 1],
         pilot_values=pilot_seq[entry_index],
+        ls_interp=ls_interpolation_matrix(subcarriers, config.n_used).astype(np.complex128),
         beta=beta_for_constellation(config.constellation),
     )
 
@@ -254,11 +259,10 @@ def _estimate(
     """(n_tx, n_rx, n_used) estimate of every pair by LS, LMMSE or perfect CSI."""
     if method is Estimator.PERFECT:
         return state.h_true
-    if method is Estimator.LMMSE:
-        return state.h_ls @ lmmse_w.T
-    return np.apply_along_axis(
-        interpolate_ls, -1, state.h_ls, ctx.pilot_subcarriers, ctx.config.n_used
-    )
+    w = lmmse_w if method is Estimator.LMMSE else ctx.ls_interp
+    # one 2-D product over all pairs: BLAS does it faster than a stacked matmul
+    n_tx, n_rx, n_pilots = state.h_ls.shape
+    return (state.h_ls.reshape(-1, n_pilots) @ w.T).reshape(n_tx, n_rx, -1)
 
 
 def _detect_and_count(

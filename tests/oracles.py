@@ -6,7 +6,7 @@ the package calls them.
 
 import numpy as np
 
-from ltelink.grid import CellLabel
+from ltelink.grid import CellLabel, used_subcarrier_bins
 
 
 def dft_coefficient(n: int, l: int, k: int) -> complex:
@@ -49,3 +49,78 @@ def zf_detect(y: np.ndarray, h: np.ndarray, cond_limit: float) -> tuple[np.ndarr
     if sv[-1] == 0.0 or sv[0] > cond_limit * sv[-1]:
         return np.zeros(h.shape[1], dtype=np.complex128), True
     return np.linalg.lstsq(h, y, rcond=None)[0], False
+
+
+def interpolate_ls(h_p: np.ndarray, pilot_positions: np.ndarray, n_used: int) -> np.ndarray:
+    """Extend pilot LS estimates to all used subcarriers.
+
+    Linear interpolation of real and imaginary parts between adjacent pilots;
+    constant extrapolation beyond the first/last pilot.
+    """
+    h_p = np.asarray(h_p, dtype=np.complex128)
+    positions = np.asarray(pilot_positions, dtype=np.int64)
+    if h_p.shape != positions.shape:
+        raise ValueError("h_p and pilot_positions must have equal length")
+    if len(positions) < 2:
+        raise ValueError("need at least 2 pilots to interpolate")
+    order = np.argsort(positions)
+    pos, vals = positions[order], h_p[order]
+    k = np.arange(n_used)
+    return np.interp(k, pos, vals.real) + 1j * np.interp(k, pos, vals.imag)
+
+
+def correlation_matrices(pdp, pilot_positions: np.ndarray, config) -> tuple[np.ndarray, np.ndarray]:
+    """(r_hh_p, r_hp_hp) straight from r(k, k') = sum_l p_l exp(-2j pi (k-k') tau_l / N),
+    one (rows x pilots x taps) phase tensor per block of 64 rows."""
+    bins = used_subcarrier_bins(config)
+    pilot_bins = bins[np.asarray(pilot_positions, dtype=np.int64)]
+    powers = pdp.tap_powers.astype(np.complex128)
+
+    def corr(bins_a: np.ndarray, bins_b: np.ndarray) -> np.ndarray:
+        blocks = []
+        for start in range(0, len(bins_a), 64):
+            delta = bins_a[start : start + 64, None] - bins_b[None, :]
+            phases = np.exp(-2j * np.pi * delta[..., None] * pdp.tap_delays / config.n_fft)
+            blocks.append(phases @ powers)
+        return np.concatenate(blocks)
+
+    return corr(bins, pilot_bins), corr(pilot_bins, pilot_bins)
+
+
+def lmmse_filter_solve(corr, regularizer: float) -> np.ndarray:
+    """W = R_hh_p (R_hp_hp + lambda I)^-1 by a linear solve, for lambda > 0."""
+    a = corr.r_hp_hp + regularizer * np.eye(corr.n_pilots)
+    return np.linalg.solve(a.T, corr.r_hh_p.T).T
+
+
+def lmmse_estimate_full(h_ls: np.ndarray, corr, x_p: np.ndarray, sigma_w2: float) -> np.ndarray:
+    """Exact-noise LMMSE: R_hh_p (R_hp_hp + sigma^2 diag(|x_p|^2)^-1)^-1 h_ls.
+
+    Zero noise takes the pseudo-inverse of R_hp_hp instead of the inverse."""
+    h_ls = np.asarray(h_ls, dtype=np.complex128)
+    x_p = np.asarray(x_p, dtype=np.complex128)
+    if h_ls.shape != (corr.n_pilots,) or x_p.shape != (corr.n_pilots,):
+        raise ValueError("h_ls and x_p must match the model's pilot dimension")
+    if sigma_w2 < 0:
+        raise ValueError("noise variance must be non-negative")
+    if np.any(x_p == 0):
+        raise ValueError("pilot value is zero; (X X^H)^-1 undefined")
+    if sigma_w2 == 0:
+        return corr.r_hh_p @ np.linalg.pinv(corr.r_hp_hp, hermitian=True) @ h_ls
+    a = corr.r_hp_hp + sigma_w2 * np.diag(1.0 / np.abs(x_p) ** 2)
+    return corr.r_hh_p @ np.linalg.solve(a, h_ls)
+
+
+def lmmse_estimate_simplified(
+    h_ls: np.ndarray, corr, snr_linear: float, beta: float
+) -> np.ndarray:
+    """Simplified LMMSE: R_hh_p (R_hp_hp + (beta/SNR) I)^-1 h_ls."""
+    h_ls = np.asarray(h_ls, dtype=np.complex128)
+    if h_ls.shape != (corr.n_pilots,):
+        raise ValueError("h_ls must match the model's pilot dimension")
+    if not snr_linear > 0:
+        raise ValueError(f"snr_linear must be positive, got {snr_linear}")
+    if not beta > 0:
+        raise ValueError(f"beta must be positive, got {beta}")
+    a = corr.r_hp_hp + (beta / snr_linear) * np.eye(corr.n_pilots)
+    return corr.r_hh_p @ np.linalg.solve(a, h_ls)

@@ -8,14 +8,14 @@ payloads and noise, so the orderings checked here are paired comparisons.
 
 import numpy as np
 import pytest
+from oracles import lmmse_estimate_full, lmmse_estimate_simplified
 
 from ltelink.channel import PowerDelayProfile, apply_channel, generate_channel
 from ltelink.estimation import (
     beta_for_constellation,
     build_correlation_model,
     calibrate_threshold,
-    lmmse_estimate_full,
-    lmmse_estimate_simplified,
+    lmmse_filter,
 )
 from ltelink.grid import (
     Constellation,
@@ -202,11 +202,12 @@ def test_ac5_hybrid_dominates_both_sweeps(sweep_short, sweep_long):
 
 
 def test_ac6_full_and_simplified_lmmse_coincide():
-    """Unit-modulus pilots, beta=1, sigma^2=1/SNR: forms agree within 1e-12."""
+    """Unit-modulus pilots, beta=1, sigma^2=1/SNR: forms agree within 1e-12,
+    and the sweep's eigendecomposed filter matches them within 1e-10 relative."""
     rng = np.random.default_rng(SEED)
     cfg = SystemConfig(n_used=48, n_tx=1, n_rx=1)
     corners = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2)
-    worst = 0.0
+    worst = worst_filter = 0.0
     for _ in range(100):
         taps = int(rng.integers(1, 17))
         n_p = int(rng.integers(2, 20))
@@ -217,8 +218,17 @@ def test_ac6_full_and_simplified_lmmse_coincide():
         snr = float(10 ** rng.uniform(-1, 3))
         full = lmmse_estimate_full(h_ls, corr, x_p, 1.0 / snr)
         simp = lmmse_estimate_simplified(h_ls, corr, snr, 1.0)
+        filt = lmmse_filter(corr, 1.0 / snr) @ h_ls
         worst = max(worst, float(np.max(np.abs(full - simp))))
-    _report("AC-6", worst < 1e-12, f"max deviation {worst:.2e} over 100 instances")
+        worst_filter = max(
+            worst_filter, float(np.max(np.abs(filt - simp)) / np.max(np.abs(simp)))
+        )
+    _report(
+        "AC-6",
+        worst < 1e-12 and worst_filter < 1e-10,
+        f"max deviation {worst:.2e} between the forms, filter within "
+        f"{worst_filter:.2e} relative, over 100 instances",
+    )
 
 
 def test_ac7_beta_constants():

@@ -5,6 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from oracles import (
+    correlation_matrices,
+    interpolate_ls,
+    lmmse_estimate_full,
+    lmmse_estimate_simplified,
+    lmmse_filter_solve,
+)
 
 from ltelink.channel import PowerDelayProfile
 from ltelink.estimation import (
@@ -13,10 +20,9 @@ from ltelink.estimation import (
     beta_for_constellation,
     build_correlation_model,
     calibrate_threshold,
-    interpolate_ls,
-    lmmse_estimate_full,
-    lmmse_estimate_simplified,
+    lmmse_filter,
     ls_estimate,
+    ls_interpolation_matrix,
 )
 from ltelink.grid import (
     Constellation,
@@ -166,12 +172,90 @@ class TestCorrelationModel:
         with pytest.raises(ValueError, match="position"):
             build_correlation_model(PowerDelayProfile.uniform(2), np.array([16]), cfg)
 
+    @pytest.mark.parametrize("bandwidth_mhz, cp_len", [(5.0, 16), (10.0, 72)])
+    def test_lag_table_equals_phase_tensor(self, bandwidth_mhz, cp_len):
+        # the lag-table gather computes every entry by the same arithmetic as
+        # the per-entry phase sum, so the two agree bit for bit
+        cfg = SystemConfig(bandwidth_mhz=bandwidth_mhz, cp_len=cp_len)
+        positions, _ = build_pilot_pattern(cfg).comb()
+        pdp = PowerDelayProfile.uniform(cp_len)
+        corr = build_correlation_model(pdp, positions, cfg)
+        r_hh_p, r_hp_hp = correlation_matrices(pdp, positions, cfg)
+        assert np.array_equal(corr.r_hh_p, r_hh_p)
+        assert np.array_equal(corr.r_hp_hp, r_hp_hp)
+
+    def test_eigendecomposition_reconstructs_the_model(self):
+        cfg = SystemConfig()
+        positions, _ = build_pilot_pattern(cfg).comb()
+        corr = build_correlation_model(PowerDelayProfile.uniform(16), positions, cfg)
+        u = corr.u_h.conj().T
+        assert np.all(corr.eigenvalues >= 0)
+        assert_allclose(u @ corr.u_h, np.eye(corr.n_pilots), atol=1e-12)
+        assert_allclose((u * corr.eigenvalues) @ corr.u_h, corr.r_hp_hp, atol=1e-12)
+        assert_allclose(corr.r_hh_p_u @ corr.u_h, corr.r_hh_p, atol=1e-12)
+        for a in (corr.eigenvalues, corr.r_hh_p_u, corr.u_h):
+            assert not a.flags.writeable
+
+
+class TestLmmseFilter:
+    @pytest.mark.parametrize("bandwidth_mhz, cp_len", [(5.0, 16), (10.0, 72)])
+    def test_matches_linear_solve_at_benchmark_snrs(self, bandwidth_mhz, cp_len):
+        cfg = SystemConfig(bandwidth_mhz=bandwidth_mhz, cp_len=cp_len)
+        positions, _ = build_pilot_pattern(cfg).comb()
+        corr = build_correlation_model(PowerDelayProfile.uniform(cp_len), positions, cfg)
+        for snr_db in (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0):
+            lam = 10.0 ** (-snr_db / 10.0)
+            expected = lmmse_filter_solve(corr, lam)
+            got = lmmse_filter(corr, lam)
+            rel = np.max(np.abs(got - expected)) / np.max(np.abs(expected))
+            assert rel < 1e-10, f"{snr_db} dB: relative deviation {rel:.2e}"
+
+    def test_zero_regularizer_is_the_pseudo_inverse(self):
+        # 16 taps on 100 pilots: R_hp_hp has rank 16, so it has no inverse
+        cfg = SystemConfig()
+        positions, _ = build_pilot_pattern(cfg).comb()
+        corr = build_correlation_model(PowerDelayProfile.uniform(16), positions, cfg)
+        w = lmmse_filter(corr, 0.0)
+        # numpy's matrix_rank cutoff finds the 16 nonzero eigenvalues
+        assert np.linalg.matrix_rank(corr.r_hp_hp, hermitian=True) == 16
+        # the pseudo-inverse reproduces R_hh_p on the range of R_hp_hp ...
+        assert_allclose(w @ corr.r_hp_hp, corr.r_hh_p, rtol=0, atol=1e-12)
+        # ... and maps its null space (the 84 smallest eigenvalues) to zero
+        null = corr.u_h[:84].conj().T
+        assert np.max(np.abs(w @ null)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "bandwidth_mhz, cp_len, bound", [(5.0, 16, 1e-15), (10.0, 72, 1e-13)]
+    )
+    def test_cp_covered_channel_is_exact_at_infinite_snr(self, bandwidth_mhz, cp_len, bound):
+        # noiseless pilots of a channel the model describes: the pseudo-inverse
+        # filter interpolates them to the whole band up to rounding
+        cfg = SweepConfig(
+            system=SystemConfig(bandwidth_mhz=bandwidth_mhz, cp_len=cp_len),
+            channel_lengths=(cp_len,),
+            snr_grid_db=(np.inf,),
+            n_frames=2,
+            seed=5,
+            estimators=(Estimator.LMMSE,),
+        )
+        (rec,) = run_sweep(cfg)
+        assert rec.mse_all_subcarriers <= bound
+        assert rec.mse_pilot_subcarriers <= bound
+
+    def test_rejects_negative_or_nan_regularizer(self):
+        cfg = SystemConfig(n_used=4, n_tx=1, n_rx=1)
+        corr = build_correlation_model(PowerDelayProfile.uniform(2), np.array([1, 3]), cfg)
+        for bad in (-1.0, np.nan):
+            with pytest.raises(ValueError, match="non-negative"):
+                lmmse_filter(corr, bad)
+
 
 class TestLmmseFull:
     def test_zero_noise_pilots_everywhere_full_rank_is_identity(self):
-        # with sigma=0 only the fixed 1e-12 loading separates the output from
-        # h_ls; the model conditioning bounds the deviation well below 1e-6.
-        # Pilots on the two bins next to DC, full rank for a 2-tap profile.
+        # with sigma=0 the filter is R_hh_p times the pseudo-inverse of
+        # R_hp_hp, which for a full-rank model is the inverse, so the pilot
+        # outputs reproduce h_ls up to rounding.  Pilots on the two bins next
+        # to DC, full rank for a 2-tap profile.
         cfg = SystemConfig(n_used=4, n_tx=1, n_rx=1)
         positions = np.array([1, 2])
         corr = build_correlation_model(PowerDelayProfile.uniform(2), positions, cfg)
@@ -341,6 +425,24 @@ class TestInterpolateLs:
     def test_rejects_single_pilot(self):
         with pytest.raises(ValueError, match="at least 2"):
             interpolate_ls(np.ones(1), np.array([0]), 4)
+        with pytest.raises(ValueError, match="at least 2"):
+            ls_interpolation_matrix(np.array([0]), 4)
+
+    @pytest.mark.parametrize("bandwidth_mhz", [5.0, 10.0])
+    def test_matrix_matches_interpolation(self, bandwidth_mhz):
+        cfg = SystemConfig(bandwidth_mhz=bandwidth_mhz)
+        positions, _ = build_pilot_pattern(cfg).comb()
+        interp = ls_interpolation_matrix(positions, cfg.n_used)
+        rng = np.random.default_rng(16)
+        h_p = rng.standard_normal((4, positions.size)) + 1j * rng.standard_normal((4, positions.size))
+        expected = np.array([interpolate_ls(h, positions, cfg.n_used) for h in h_p])
+        assert_allclose(h_p @ interp.T, expected, rtol=0, atol=1e-12)
+
+    def test_matrix_accepts_unsorted_positions(self):
+        positions = np.array([7, 0, 3])
+        h_p = np.array([1 + 2j, -1j, 0.5])
+        got = h_p @ ls_interpolation_matrix(positions, 9).T
+        assert_allclose(got, interpolate_ls(h_p, positions, 9), atol=1e-15)
 
 
 class TestHybrid:

@@ -5,10 +5,10 @@ import io
 
 import numpy as np
 import pytest
+from oracles import interpolate_ls
 
 from ltelink import estimation, harness
 from ltelink.channel import NoiseSpec, PowerDelayProfile
-from ltelink.estimation import interpolate_ls
 from ltelink.grid import Constellation, SystemConfig
 from ltelink.harness import (
     CSV_HEADER,
@@ -290,6 +290,28 @@ class TestRunSweep:
         )
         assert len(run_sweep(cfg)) == 12
         assert built == [(16, tuple(range(0, 300, 3)))]
+
+    def test_one_eigendecomposition_serves_every_snr(self, monkeypatch):
+        # the model carries its eigendecomposition, so the calibration of both
+        # lengths and every cell of the sweep reuse one factorisation
+        calls = []
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        eigh = np.linalg.eigh
+        harness._memoized_model.cache_clear()
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        cfg = SweepConfig(
+            channel_lengths=(20, 40),
+            snr_grid_db=(0.0, 30.0),
+            n_frames=1,
+            seed=3,
+            estimators=(Estimator.LS, Estimator.LMMSE, Estimator.HYBRID),
+        )
+        assert len(run_sweep(cfg)) == 12
+        assert calls == [(100, 100)]
 
     def test_estimators_share_trial_randomness(self):
         # hybrid on a CP-covered channel must reproduce LMMSE exactly
