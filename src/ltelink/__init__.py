@@ -10,7 +10,6 @@ from .channel import (
     NoiseSpec,
     PowerDelayProfile,
     add_awgn,
-    apply_channel,
     generate_channel,
 )
 from .estimation import (
@@ -38,7 +37,7 @@ from .harness import (
 )
 from .kernels import zf_detect_grid
 from .linkproc import qpsk_demap, qpsk_map
-from .ofdm import TimeDomainSignal, demodulate_frame, modulate_frame
+from .ofdm import demodulate_frame, modulate_frame
 
 __version__ = "0.1.0"
 
@@ -56,9 +55,7 @@ __all__ = [
     "SweepConfig",
     "SweepRecord",
     "SystemConfig",
-    "TimeDomainSignal",
     "add_awgn",
-    "apply_channel",
     "beta_for_constellation",
     "build_correlation_model",
     "build_pilot_pattern",

@@ -1,26 +1,30 @@
 """Rayleigh tap-delay-line MIMO channels and receiver noise.
 
-The channel is applied to the whole multi-symbol stream by true linear
-convolution, so a delay spread exceeding the cyclic prefix leaks energy
-between consecutive OFDM symbols (genuine ISI/ICI) instead of being silently
-circularized.  One realization is drawn per slot (block fading).
+One realization is drawn per slot (block fading).  In each DFT window the
+linear convolution of the stream is the circular convolution of the window's
+symbol, which demodulates to H * X exactly, plus an overrun: what the taps
+delayed past the cyclic prefix read from the previous symbol instead of the
+cyclic extension.  So the received grid is H * X + DFT(overrun + noise), with
+genuine ISI/ICI whenever the delay spread exceeds the CP.  The overrun fills
+the first span - 1 - cp_len samples of a window and, as the span never
+exceeds the FFT size, reaches back one symbol only.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-from .ofdm import TimeDomainSignal
+from .grid import SystemConfig
 
 __all__ = [
     "PowerDelayProfile",
     "ChannelRealization",
     "NoiseSpec",
     "generate_channel",
-    "apply_channel",
+    "overrun",
     "add_awgn",
 ]
 
@@ -96,9 +100,11 @@ class ChannelRealization:
     def n_rx(self) -> int:
         return self.taps.shape[1]
 
-    def impulse_responses(self) -> np.ndarray:
-        """Dense (n_tx, n_rx, span) responses with taps at their delays."""
-        out = np.zeros((self.n_tx, self.n_rx, self.pdp.span), dtype=np.complex128)
+    def impulse_responses(self, length: int | None = None) -> np.ndarray:
+        """Dense (n_tx, n_rx, length) responses with taps at their delays;
+        length is at least the span and defaults to it."""
+        length = self.pdp.span if length is None else length
+        out = np.zeros((self.n_tx, self.n_rx, length), dtype=np.complex128)
         out[:, :, self.pdp.tap_delays] = self.taps
         return out
 
@@ -109,6 +115,8 @@ class ChannelRealization:
         per-subcarrier model Y = H * X + W hold exactly for CP-covered
         channels.  Optionally restricted to bins.
         """
+        if self.pdp.span > n_fft:
+            raise ValueError(f"channel span {self.pdp.span} exceeds the FFT size {n_fft}")
         h = np.fft.fft(self.impulse_responses(), n_fft, axis=-1)
         return h if bins is None else h[:, :, bins]
 
@@ -126,19 +134,42 @@ def generate_channel(
     return ChannelRealization(taps=taps, pdp=pdp)
 
 
-def apply_channel(tx: TimeDomainSignal, ch: ChannelRealization) -> TimeDomainSignal:
-    """Linear-convolve every tx stream with every (tx, rx) response and sum.
+@functools.lru_cache(maxsize=16)
+def _coupling_plan(span: int, cp_len: int) -> np.ndarray:
+    """(n_over, n_over) delay of the tap that couples offset j of the samples
+    before a window into window sample i, at [j, i]; span (an appended zero
+    tap) where no tap does."""
+    n_over = span - 1 - cp_len
+    j, i = np.ogrid[:n_over, :n_over]
+    plan = np.where(j >= i, i + span - 1 - j, span)
+    plan.setflags(write=False)
+    return plan
 
-    The output is truncated to the input length; consecutive OFDM symbols
-    therefore contaminate each other exactly when the channel memory exceeds
-    the cyclic prefix.
+
+def overrun(tx: np.ndarray, ch: ChannelRealization, config: SystemConfig) -> np.ndarray:
+    """Linear minus circular channel output in every DFT window, (n_rx, n_samples).
+
+    tx is the modulated (n_tx, n_samples) stream of whole symbols.  Window
+    sample i gets, from each tap delayed past i + cp_len, the previous
+    symbol's sample (zero before the first) minus the cyclic one it replaces.
     """
-    if tx.n_antennas != ch.n_tx:
-        raise ValueError(f"signal has {tx.n_antennas} streams, channel expects {ch.n_tx}")
-    if tx.samples.shape[1] < ch.pdp.span:
-        raise ValueError("stream shorter than the channel impulse response")
-    rx = kernels.mimo_convolve(tx.samples, ch.impulse_responses())
-    return TimeDomainSignal(rx, tx.symbol_len)
+    n_tx, n_samples = tx.shape
+    span, cp, sym_len = ch.pdp.span, config.cp_len, config.symbol_len
+    if n_tx != ch.n_tx:
+        raise ValueError(f"signal has {n_tx} streams, channel expects {ch.n_tx}")
+    if span > config.n_fft:
+        raise ValueError(f"channel span {span} exceeds the FFT size {config.n_fft}")
+    out = np.zeros((ch.n_rx, n_samples // sym_len, sym_len), dtype=np.complex128)
+    n_over = span - 1 - cp
+    if n_over > 0:
+        frames = tx.reshape(n_tx, -1, sym_len)
+        # offset j of the last n_over samples before each window: what the
+        # linear convolution reads minus the cyclic sample it replaces
+        diff = -frames[:, :, sym_len - span + 1 : sym_len - cp]
+        diff[:, 1:] += frames[:, :-1, sym_len - n_over :]
+        coupling = ch.impulse_responses(span + 1)[:, :, _coupling_plan(span, cp)]  # (t, r, j, i)
+        out[:, :, cp : cp + n_over] = np.matmul(diff[:, None], coupling).sum(axis=0)
+    return out.reshape(ch.n_rx, n_samples)
 
 
 # Average symbol power of every constellation here: unit-power QPSK and 16-QAM.

@@ -1,12 +1,14 @@
 """Monte Carlo sweep driver: TX -> channel -> RX -> estimate -> detect -> score.
 
 One trial is one slot: draw a block-fading channel, fill the grid with random
-payload bits and the run's pilot sequence, modulate all symbols, push the
-concatenated stream through the linear-convolution channel plus AWGN,
-demodulate, estimate every (tx, rx) response from the pilots on the comb all
-ports share (every third subcarrier), zero-force the data resource elements,
-and score MSE against the exact frequency response and BER against the
-payload.
+payload bits and the run's pilot sequence, and modulate all symbols.  The
+received grid is H * X plus the demodulated sum of AWGN and the channel's
+overrun past the cyclic prefix (see ltelink.channel), which equals the
+demodulated linear convolution of the stream; H is the exact frequency
+response that also scores the estimates.  Every (tx, rx) response is then
+estimated from the pilots on the comb all ports share (every third
+subcarrier), each subcarrier's channel matrix is inverted once to zero-force
+its symbols, and MSE is scored against H and BER against the payload.
 
 The LMMSE correlation model depends only on the configuration, which fixes the
 pilot comb, and on the channel profile truncated to the cyclic prefix.  It is
@@ -46,8 +48,8 @@ from .channel import (
     NoiseSpec,
     PowerDelayProfile,
     add_awgn,
-    apply_channel,
     generate_channel,
+    overrun,
 )
 from .estimation import (
     CorrelationModel,
@@ -132,6 +134,9 @@ class SweepConfig:
         object.__setattr__(self, "estimators", ests)
         if not lengths or any(v < 1 for v in lengths):
             raise ValueError("channel_lengths must be a non-empty list of positive ints")
+        n_fft = self.system.n_fft
+        if lengths[-1] > n_fft:  # later taps would alias in the frequency response
+            raise ValueError(f"channel length {lengths[-1]} exceeds the FFT size {n_fft}")
         if not snrs:
             raise ValueError("snr grid must be non-empty")
         if any(a > b for a, b in zip(snrs, snrs[1:])):
@@ -239,11 +244,11 @@ def _run_chain(
     bits = rng.integers(0, 2, size=(cfg.n_tx, ctx.layout.n_data_per_port * bits_per_sym))
     data = [linkproc.map_bits(bits[p], cfg.constellation) for p in range(cfg.n_tx)]
     values = ctx.layout.fill(data, ctx.pilot_seq, ctx.pattern)
-    tx_sig = ofdm.modulate_frame(values, cfg)
-    rx_sig = apply_channel(tx_sig, ch)
-    rx_samples = add_awgn(rx_sig.samples, noise, rng)
-    rx_grid = ofdm.demodulate_frame(rx_samples, cfg)
+    tx = ofdm.modulate_frame(values, cfg)
     h_true = ch.frequency_responses(cfg.n_fft, ctx.used_bins)
+    impairment = add_awgn(overrun(tx, ch, cfg), noise, rng)
+    # plus H * X: (n_tx, n_rx, n_used, 1) * (n_tx, 1, n_used, n_symbols) summed over tx
+    rx_grid = ofdm.demodulate_frame(impairment, cfg) + (h_true[..., None] * values[:, None]).sum(0)
     # (n_rx, n_tx, n_pilots) -> (n_tx, n_rx, n_pilots)
     y_p = rx_grid[:, ctx.pilot_subcarriers, ctx.pilot_symbols].swapaxes(0, 1)
     h_ls = ls_estimate(y_p, ctx.pilot_values[:, None])
@@ -268,17 +273,17 @@ def _estimate(
 def _detect_and_count(
     state: _ChainState, ctx: _LinkContext, h_hat: np.ndarray
 ) -> tuple[int, int, int]:
-    """ZF-detect all data resource elements; returns (bit_errors, bit_count, erasures)."""
+    """ZF-detect the slot per subcarrier and count bit errors on the data
+    resource elements; returns (bit_errors, bit_count, erased data REs)."""
     cfg = ctx.config
     sc, sym = ctx.layout.data_subcarriers, ctx.layout.data_symbols
-    y = state.rx_grid[:, sc, sym].T  # (n_re, n_rx)
-    h = h_hat[:, :, sc].transpose(2, 1, 0)  # (n_re, n_rx, n_tx)
-    detected, erased = kernels.zf_detect_grid(y, h)
+    # (n_used, n_rx, n_symbols) and (n_used, n_rx, n_tx) views
+    detected, erased = kernels.zf_detect_grid(state.rx_grid.swapaxes(0, 1), h_hat.T)
     errors = 0
     for p in range(cfg.n_tx):
-        rx_bits = linkproc.demap_symbols(detected[:, p], cfg.constellation)
+        rx_bits = linkproc.demap_symbols(detected[sc, p, sym], cfg.constellation)
         errors += int(np.count_nonzero(rx_bits != state.bits[p]))
-    return errors, int(state.bits.size), int(np.count_nonzero(erased))
+    return errors, int(state.bits.size), int(np.count_nonzero(erased[sc]))
 
 
 def _score_estimate(

@@ -8,48 +8,20 @@ coefficient matrix exp(-2j*pi*l*k/N)/sqrt(N).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grid import SystemConfig, used_subcarrier_bins
 
-__all__ = ["TimeDomainSignal", "modulate_frame", "demodulate_frame"]
+__all__ = ["modulate_frame", "demodulate_frame"]
 
 
-@dataclass(frozen=True)
-class TimeDomainSignal:
-    """Per-antenna baseband sample streams, an integer number of OFDM symbols."""
-
-    samples: np.ndarray  # (n_antennas, n_samples) complex128
-    symbol_len: int  # n_fft + cp_len
-
-    def __post_init__(self) -> None:
-        samples = np.atleast_2d(np.asarray(self.samples, dtype=np.complex128))
-        if self.symbol_len < 1:
-            raise ValueError("symbol_len must be positive")
-        if samples.shape[1] % self.symbol_len != 0:
-            raise ValueError(
-                f"stream length {samples.shape[1]} is not a multiple of "
-                f"symbol_len {self.symbol_len}"
-            )
-        object.__setattr__(self, "samples", samples)
-
-    @property
-    def n_antennas(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def n_symbols(self) -> int:
-        return self.samples.shape[1] // self.symbol_len
-
-
-def modulate_frame(values: np.ndarray, config: SystemConfig) -> TimeDomainSignal:
+def modulate_frame(values: np.ndarray, config: SystemConfig) -> np.ndarray:
     """IDFT + cyclic prefix for a whole (n_antennas, n_used, n_symbols) grid.
 
     Used subcarriers are scattered into their FFT bins (all other bins zero),
     the unitary inverse DFT is applied per symbol, and the last cp_len output
-    samples are prepended as the cyclic prefix.
+    samples are prepended as the cyclic prefix.  Returns the
+    (n_antennas, n_symbols * symbol_len) sample streams.
     """
     values = np.asarray(values, dtype=np.complex128)
     if values.ndim != 3 or values.shape[1] != config.n_used:
@@ -63,12 +35,13 @@ def modulate_frame(values: np.ndarray, config: SystemConfig) -> TimeDomainSignal
     time = np.fft.ifft(spectrum, axis=-1) * np.sqrt(config.n_fft)
     if config.cp_len:
         time = np.concatenate([time[:, :, -config.cp_len :], time], axis=-1)
-    return TimeDomainSignal(time.reshape(n_ant, -1), config.symbol_len)
+    return time.reshape(n_ant, -1)
 
 
-def demodulate_frame(signal: TimeDomainSignal | np.ndarray, config: SystemConfig) -> np.ndarray:
-    """CP removal + DFT + used-bin extraction; returns (antennas, n_used, n_symbols)."""
-    samples = signal.samples if isinstance(signal, TimeDomainSignal) else np.atleast_2d(signal)
+def demodulate_frame(samples: np.ndarray, config: SystemConfig) -> np.ndarray:
+    """CP removal + DFT + used-bin extraction of (antennas, n_samples) streams;
+    returns (antennas, n_used, n_symbols)."""
+    samples = np.atleast_2d(samples)
     n_ant, n_samples = samples.shape
     if n_samples % config.symbol_len != 0:
         raise ValueError(

@@ -6,6 +6,8 @@ the package calls them.
 
 import numpy as np
 
+from ltelink import linkproc, ofdm
+from ltelink.channel import add_awgn, generate_channel
 from ltelink.grid import CellLabel, used_subcarrier_bins
 
 
@@ -39,6 +41,44 @@ def validate_grid(values: np.ndarray, labels: np.ndarray) -> None:
                 raise ValueError("a pilot resource element is not nulled on the other ports")
         if np.any(pilot.sum(axis=0) > 1):
             raise ValueError("two ports carry a pilot on the same resource element")
+
+
+def mimo_convolve(tx: np.ndarray, impulse: np.ndarray) -> np.ndarray:
+    """Sum of per-pair linear convolutions, truncated to the input length.
+
+    tx: (n_tx, n) streams; impulse: (n_tx, n_rx, taps) responses.
+    """
+    n_tx, n = tx.shape
+    out = np.zeros((impulse.shape[1], n), dtype=np.complex128)
+    for r in range(impulse.shape[1]):
+        for t in range(n_tx):
+            out[r] += np.convolve(tx[t], impulse[t, r])[:n]
+    return out
+
+
+def apply_channel(tx: np.ndarray, ch) -> np.ndarray:
+    """The channel applied to a whole (n_tx, n_samples) stream in the time
+    domain: every tx stream linear-convolved with every (tx, rx) response."""
+    if tx.shape[0] != ch.n_tx:
+        raise ValueError(f"signal has {tx.shape[0]} streams, channel expects {ch.n_tx}")
+    if tx.shape[1] < ch.pdp.span:
+        raise ValueError("stream shorter than the channel impulse response")
+    return mimo_convolve(tx, ch.impulse_responses())
+
+
+def time_domain_chain(ctx, pdp, noise, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One slot of the sweep's trial chain with the channel applied by linear
+    convolution: (bits, rx_grid, h_true), drawing taps, bits and noise from rng
+    in the sweep's order.  ctx is a harness link context."""
+    cfg = ctx.config
+    ch = generate_channel(pdp, cfg.n_tx, cfg.n_rx, rng)
+    bits_per_sym = cfg.constellation.bits_per_symbol
+    bits = rng.integers(0, 2, size=(cfg.n_tx, ctx.layout.n_data_per_port * bits_per_sym))
+    data = [linkproc.map_bits(bits[p], cfg.constellation) for p in range(cfg.n_tx)]
+    values = ctx.layout.fill(data, ctx.pilot_seq, ctx.pattern)
+    rx = add_awgn(apply_channel(ofdm.modulate_frame(values, cfg), ch), noise, rng)
+    rx_grid = ofdm.demodulate_frame(rx, cfg)
+    return bits, rx_grid, ch.frequency_responses(cfg.n_fft, ctx.used_bins)
 
 
 def zf_detect(y: np.ndarray, h: np.ndarray, cond_limit: float) -> tuple[np.ndarray, bool]:

@@ -8,9 +8,9 @@ payloads and noise, so the orderings checked here are paired comparisons.
 
 import numpy as np
 import pytest
-from oracles import lmmse_estimate_full, lmmse_estimate_simplified
+from oracles import apply_channel, lmmse_estimate_full, lmmse_estimate_simplified
 
-from ltelink.channel import PowerDelayProfile, apply_channel, generate_channel
+from ltelink.channel import PowerDelayProfile, generate_channel
 from ltelink.estimation import (
     beta_for_constellation,
     build_correlation_model,

@@ -1,19 +1,27 @@
-"""Tests for the Rayleigh tap-delay channel and AWGN."""
+"""Tests for the Rayleigh tap-delay channel, its overrun past the cyclic
+prefix and AWGN.
+
+The time-domain channel (linear convolution of the whole stream) lives in
+tests/oracles.py; the sweep's frequency-domain receive path is checked
+against it.
+"""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from oracles import apply_channel, time_domain_chain
 
 from ltelink.channel import (
     ChannelRealization,
     NoiseSpec,
     PowerDelayProfile,
     add_awgn,
-    apply_channel,
     generate_channel,
+    overrun,
 )
 from ltelink.grid import SystemConfig, used_subcarrier_bins
-from ltelink.ofdm import TimeDomainSignal, demodulate_frame, modulate_frame
+from ltelink.harness import _make_context, _run_chain
+from ltelink.ofdm import demodulate_frame, modulate_frame
 
 
 class TestPowerDelayProfile:
@@ -127,23 +135,29 @@ class TestFrequencyResponse:
         assert full.shape == (2, 2, 512)
         assert np.array_equal(ch.frequency_responses(512, bins), full[:, :, bins])
 
+    def test_rejects_span_beyond_the_fft_size(self):
+        # a 64-point response of a 65-sample channel would alias tap 64 onto tap 0
+        ch = generate_channel(PowerDelayProfile.uniform(65), 1, 1, np.random.default_rng(14))
+        assert ch.frequency_responses(65).shape == (1, 1, 65)
+        with pytest.raises(ValueError, match="exceeds the FFT size 64"):
+            ch.frequency_responses(64)
+
 
 class TestApplyChannel:
+    """The time-domain oracle channel the receive path is checked against."""
+
     CFG = SystemConfig(n_tx=2, n_rx=2)
 
     def _random_signal(self, rng, n_ant=2, n_sym=3):
         n = n_sym * self.CFG.symbol_len
-        return TimeDomainSignal(
-            rng.standard_normal((n_ant, n)) + 1j * rng.standard_normal((n_ant, n)),
-            self.CFG.symbol_len,
-        )
+        return rng.standard_normal((n_ant, n)) + 1j * rng.standard_normal((n_ant, n))
 
     def test_identity_channel(self):
         rng = np.random.default_rng(5)
         sig = self._random_signal(rng, n_ant=1)
         ch = ChannelRealization(np.ones((1, 1, 1), dtype=complex), PowerDelayProfile.uniform(1))
         out = apply_channel(sig, ch)
-        assert_allclose(out.samples, sig.samples, atol=0)
+        assert_allclose(out, sig, atol=0)
 
     def test_linear_in_the_input(self):
         rng = np.random.default_rng(6)
@@ -152,9 +166,8 @@ class TestApplyChannel:
         x = self._random_signal(rng)
         y = self._random_signal(rng)
         a, b = 0.7 - 0.2j, -1.1 + 0.4j
-        mixed = TimeDomainSignal(a * x.samples + b * y.samples, x.symbol_len)
-        lhs = apply_channel(mixed, ch).samples
-        rhs = a * apply_channel(x, ch).samples + b * apply_channel(y, ch).samples
+        lhs = apply_channel(a * x + b * y, ch)
+        rhs = a * apply_channel(x, ch) + b * apply_channel(y, ch)
         assert_allclose(lhs, rhs, atol=1e-12 * np.abs(rhs).max())
 
     def test_matches_numpy_convolve(self):
@@ -162,12 +175,10 @@ class TestApplyChannel:
         pdp = PowerDelayProfile.uniform(9)
         ch = generate_channel(pdp, 2, 2, rng)
         sig = self._random_signal(rng)
-        out = apply_channel(sig, ch).samples
-        n = sig.samples.shape[1]
+        out = apply_channel(sig, ch)
+        n = sig.shape[1]
         for r in range(2):
-            ref = sum(
-                np.convolve(sig.samples[t], ch.taps[t, r])[:n] for t in range(2)
-            )
+            ref = sum(np.convolve(sig[t], ch.taps[t, r])[:n] for t in range(2))
             assert_allclose(out[r], ref, atol=1e-10)
 
     def test_cross_module_diagonalization(self):
@@ -200,12 +211,102 @@ class TestApplyChannel:
         assert residual > 1e-3
 
     def test_rejects_stream_shorter_than_channel(self):
-        sig = TimeDomainSignal(np.ones((1, 4), dtype=complex), 2)
+        sig = np.ones((1, 4), dtype=complex)
         ch = ChannelRealization(
             np.ones((1, 1, 6), dtype=complex) / np.sqrt(6), PowerDelayProfile.uniform(6)
         )
         with pytest.raises(ValueError, match="shorter"):
             apply_channel(sig, ch)
+
+
+def _receive_cases():
+    # L in {1, cp, cp + 1, cp + 2, 40, n_fft}: no overrun, the longest the CP
+    # covers, the first and second lengths past it, the sweep's longest and
+    # the longest a configuration accepts
+    for bw, cp in ((5.0, 16), (10.0, 72), (1.25, 0)):
+        n_fft = SystemConfig(bandwidth_mhz=bw, cp_len=cp).n_fft
+        for length in sorted({1, max(cp, 1), cp + 1, cp + 2, 40, n_fft}):
+            yield pytest.param(bw, cp, length, id=f"{bw}MHz-cp{cp}-L{length}")
+
+
+class TestOverrun:
+    CFG = SystemConfig()  # 5 MHz, 512-point FFT, cp 16
+
+    def _stream(self, rng, cfg=CFG):
+        values = rng.standard_normal((2, cfg.n_used, 7)) + 1j * rng.standard_normal(
+            (2, cfg.n_used, 7)
+        )
+        return modulate_frame(values, cfg)
+
+    def test_zero_when_the_cp_covers_the_channel(self):
+        rng = np.random.default_rng(15)
+        tx = self._stream(rng)
+        for length in (1, 6, self.CFG.cp_len + 1):
+            ch = generate_channel(PowerDelayProfile.uniform(length), 2, 2, rng)
+            out = overrun(tx, ch, self.CFG)
+            assert out.shape == (2, tx.shape[1]) and not out.any()
+
+    def test_linear_output_is_circular_plus_overrun_in_every_window(self):
+        # the time-domain identity behind the receive path: window m of the
+        # linearly convolved stream is the circular convolution of symbol m's
+        # body plus the overrun, which lives in the first span - 1 - cp samples
+        cfg = self.CFG
+        rng = np.random.default_rng(16)
+        tx = self._stream(rng)
+        ch = generate_channel(PowerDelayProfile.uniform(40), 2, 2, rng)
+        linear = apply_channel(tx, ch).reshape(2, 7, cfg.symbol_len)[:, :, cfg.cp_len :]
+        body = np.fft.fft(tx.reshape(2, 7, cfg.symbol_len)[:, :, cfg.cp_len :], axis=-1)
+        h = ch.frequency_responses(cfg.n_fft)
+        circular = np.fft.ifft(np.einsum("trk,tmk->rmk", h, body), axis=-1)
+        over = overrun(tx, ch, cfg).reshape(2, 7, cfg.symbol_len)
+        n_over = 40 - 1 - cfg.cp_len
+        assert not over[:, :, : cfg.cp_len].any()
+        assert not over[:, :, cfg.cp_len + n_over :].any()
+        assert np.abs(over[:, :, cfg.cp_len :]).max() > 1e-3
+        assert_allclose(circular + over[:, :, cfg.cp_len :], linear, atol=1e-12)
+
+    def test_first_symbol_has_zero_history(self):
+        # with only the first symbol transmitted, the overrun of window 0 is
+        # the cyclic samples the delay-30 tap reads, negated
+        cfg = self.CFG
+        tx = self._stream(np.random.default_rng(17))
+        tx[:, cfg.symbol_len :] = 0
+        ch = ChannelRealization(
+            np.ones((2, 1, 2)) / np.sqrt(2), PowerDelayProfile(np.array([0, 30]), np.full(2, 0.5))
+        )
+        over = overrun(tx, ch, cfg)[0, : cfg.symbol_len]
+        n_over = 30 - cfg.cp_len
+        body = tx[:, cfg.cp_len : cfg.symbol_len]
+        expected = -(body[0, -30 : -30 + n_over] + body[1, -30 : -30 + n_over]) / np.sqrt(2)
+        assert_allclose(over[cfg.cp_len : cfg.cp_len + n_over], expected, atol=1e-15)
+        assert not over[cfg.cp_len + n_over :].any()
+
+    def test_rejects_mismatched_streams_and_spans_beyond_the_fft(self):
+        rng = np.random.default_rng(18)
+        tx = self._stream(rng)
+        with pytest.raises(ValueError, match="channel expects 1"):
+            overrun(tx, generate_channel(PowerDelayProfile.uniform(20), 1, 2, rng), self.CFG)
+        too_long = generate_channel(PowerDelayProfile.uniform(513), 2, 2, rng)
+        with pytest.raises(ValueError, match="exceeds the FFT size 512"):
+            overrun(tx, too_long, self.CFG)
+
+
+class TestReceivePath:
+    """The sweep's frequency-domain chain against the time-domain oracle."""
+
+    @pytest.mark.parametrize("snr_db", [np.inf, 10.0], ids=["snr-inf", "snr-10"])
+    @pytest.mark.parametrize("bw, cp, length", _receive_cases())
+    def test_matches_time_domain_chain(self, bw, cp, length, snr_db):
+        ctx = _make_context(SystemConfig(bandwidth_mhz=bw, cp_len=cp), 19)
+        pdp, noise = PowerDelayProfile.uniform(length), NoiseSpec(snr_db)
+        rng, oracle_rng = np.random.default_rng(20), np.random.default_rng(20)
+        state = _run_chain(ctx, pdp, noise, rng)
+        bits, rx_grid, h_true = time_domain_chain(ctx, pdp, noise, oracle_rng)
+        rel = np.abs(state.rx_grid - rx_grid).max() / np.abs(rx_grid).max()
+        assert rel < 1e-12
+        assert np.array_equal(state.bits, bits) and np.array_equal(state.h_true, h_true)
+        # the same draws in the same order: taps, bits, then noise
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestAwgn:

@@ -235,3 +235,13 @@ class TestMain:
         assert exc.value.code == 2
         assert "two pilot subcarriers" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_channel_longer_than_the_fft_is_a_usage_error(self, tmp_path, capsys):
+        # 5 MHz has a 512-point FFT; taps at delay >= 512 would alias
+        out = tmp_path / "never.csv"
+        argv = ["simulate", "--channel-lengths", "6,520", "--frames", "1", "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "exceeds the FFT size 512" in capsys.readouterr().err
+        assert not out.exists()

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from oracles import validate_grid
+from oracles import apply_channel, validate_grid
 
-from ltelink.channel import ChannelRealization, PowerDelayProfile, apply_channel
+from ltelink.channel import ChannelRealization, PowerDelayProfile
 from ltelink.grid import (
     CellLabel,
     Constellation,

@@ -358,6 +358,17 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="-inf"):
             SweepConfig(snr_grid_db=(-np.inf, 0.0))
 
+    def test_channel_lengths_up_to_the_fft_size(self):
+        # the response is sampled at n_fft bins, so a longer channel would
+        # alias its late taps onto the early ones
+        assert SweepConfig(channel_lengths=(6, 512)).channel_lengths == (6, 512)
+        with pytest.raises(ValueError, match="exceeds the FFT size 512"):
+            SweepConfig(channel_lengths=(6, 513))
+        wide = SystemConfig(bandwidth_mhz=10.0, cp_len=72)
+        assert SweepConfig(system=wide, channel_lengths=(1024,)).channel_lengths == (1024,)
+        with pytest.raises(ValueError, match="exceeds the FFT size 1024"):
+            SweepConfig(system=wide, channel_lengths=(1025,))
+
     def test_hybrid_calibration_needs_a_finite_snr(self):
         with pytest.raises(ValueError, match="without finite SNRs"):
             SweepConfig(channel_lengths=(40,), snr_grid_db=(np.inf,))

@@ -1,10 +1,11 @@
-"""The convolution and zero-forcing kernels, checked against per-element oracles."""
+"""The zero-forcing kernel and the oracle convolution, checked against
+per-element definitions."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import zf_detect
+from oracles import mimo_convolve, zf_detect
 
 from ltelink import kernels
 
@@ -18,48 +19,85 @@ def _conv_case(seed, n_tx=2, n_rx=2, taps=11, n=256):
     return tx, impulse
 
 
-def _zf_case(seed, n_re=500, n_rx=2, n_tx=2):
+def _shift_sum(tx, impulse):
+    """out[r, n] = sum over t and l of impulse[t, r, l] * tx[t, n - l], by shifts."""
+    n_tx, n = tx.shape
+    out = np.zeros((impulse.shape[1], n), dtype=complex)
+    for t in range(n_tx):
+        for r in range(impulse.shape[1]):
+            for lag in range(min(impulse.shape[2], n)):
+                out[r, lag:] += impulse[t, r, lag] * tx[t, : n - lag]
+    return out
+
+
+def _zf_case(seed, n_sc=500, n_rx=2, n_tx=2, n_sym=7):
     rng = np.random.default_rng(seed)
-    y = rng.standard_normal((n_re, n_rx)) + 1j * rng.standard_normal((n_re, n_rx))
-    h = rng.standard_normal((n_re, n_rx, n_tx)) + 1j * rng.standard_normal(
-        (n_re, n_rx, n_tx)
-    )
+    y = rng.standard_normal((n_sc, n_rx, n_sym)) + 1j * rng.standard_normal((n_sc, n_rx, n_sym))
+    h = rng.standard_normal((n_sc, n_rx, n_tx)) + 1j * rng.standard_normal((n_sc, n_rx, n_tx))
     return y, h
 
 
 class TestMimoConvolve:
+    """tests/oracles.py's time-domain channel against the defining sum."""
+
     def test_numpy_matches_reference(self):
         tx, impulse = _conv_case(0)
-        out = kernels.mimo_convolve(tx, impulse)
-        for r in range(2):
-            ref = sum(np.convolve(tx[t], impulse[t, r])[: tx.shape[1]] for t in range(2))
-            assert_allclose(out[r], ref, atol=1e-12)
+        assert_allclose(mimo_convolve(tx, impulse), _shift_sum(tx, impulse), atol=1e-12)
 
     def test_dispatcher_runs(self):
         for n_tx, n_rx, taps in [(1, 1, 1), (1, 2, 5), (2, 1, 17), (2, 2, 40)]:
             tx, impulse = _conv_case(2, n_tx=n_tx, n_rx=n_rx, taps=taps)
-            out = kernels.mimo_convolve(tx, impulse)
+            out = mimo_convolve(tx, impulse)
             assert out.shape == (n_rx, tx.shape[1])
-            for r in range(n_rx):
-                ref = sum(np.convolve(tx[t], impulse[t, r])[: tx.shape[1]] for t in range(n_tx))
-                assert_allclose(out[r], ref, atol=1e-12)
+            assert_allclose(out, _shift_sum(tx, impulse), atol=1e-12)
 
 
 class TestZfGrid:
     def test_numpy_matches_per_element_solve(self):
         y, h = _zf_case(3)
         out, erased = kernels.zf_detect_grid(y, h)
+        assert out.shape == (500, 2, 7) and erased.shape == (500,)
         assert not erased.any()
         for i in range(0, len(y), 37):
-            ref = np.linalg.solve(h[i], y[i])
-            assert_allclose(out[i], ref, atol=1e-10)
+            for s in (0, 3, 6):
+                ref = np.linalg.solve(h[i], y[i, :, s])
+                assert_allclose(out[i, :, s], ref, atol=1e-10)
+
+    def test_bit_identical_to_the_per_element_formula(self):
+        # the per-resource-element closed form on flattened (subcarrier,
+        # symbol) pairs, as a detector without the symbol axis computes it
+        y, h = _zf_case(21, n_sc=200)
+        u, s, vh = np.linalg.svd(h[7])
+        h[7] = u @ np.diag([s[0], s[0] * 1e-14]) @ vh  # one ill-conditioned subcarrier
+        out, erased = kernels.zf_detect_grid(y, h)
+        assert erased[7] and erased.sum() == 1 and not out[7].any()
+        sc = np.repeat(np.arange(200), 7)
+        sym = np.tile(np.arange(7), 200)
+        keep = ~erased[sc]
+        sc, sym = sc[keep], sym[keep]
+        a, b, c, d = h[sc, 0, 0], h[sc, 0, 1], h[sc, 1, 0], h[sc, 1, 1]
+        y0, y1 = y[sc, 0, sym], y[sc, 1, sym]
+        det = a * d - b * c
+        assert np.array_equal(out[sc, 0, sym], (d * y0 - b * y1) / det)
+        assert np.array_equal(out[sc, 1, sym], (a * y1 - c * y0) / det)
+
+    def test_maximum_ratio_branch_bit_identical_to_the_per_element_formula(self):
+        y, h = _zf_case(22, n_sc=50, n_rx=2, n_tx=1)
+        h[9] = 0.0
+        out, erased = kernels.zf_detect_grid(y, h)
+        assert erased[9] and erased.sum() == 1 and not out[9].any()
+        for i in np.flatnonzero(~erased):
+            norm2 = np.sum(np.abs(h[i, :, 0]) ** 2)
+            for s in range(7):
+                ref = np.sum(np.conj(h[i, :, 0]) * y[i, :, s]) / norm2
+                assert out[i, 0, s] == ref
 
     def test_matches_svd_oracle_across_shapes_and_conditioning(self):
         # the closed-form condition test agrees with the SVD one away from the
         # limit: condition 1e8 is kept, 1e16 erased; a solve at condition 1e8
         # loses up to 8 of 16 digits, hence the 1e-6 tolerance
         for n_rx, n_tx in [(1, 1), (2, 1), (2, 2)]:
-            y, h = _zf_case(11, n_re=60, n_rx=n_rx, n_tx=n_tx)
+            y, h = _zf_case(11, n_sc=60, n_rx=n_rx, n_tx=n_tx, n_sym=3)
             if n_tx == 2:
                 u, s, vh = np.linalg.svd(h[:40])
                 s[:20, 1] = s[:20, 0] * 1e-8
@@ -68,25 +106,27 @@ class TestZfGrid:
             h[-1] = 0.0
             out, erased = kernels.zf_detect_grid(y, h)
             for i in range(len(y)):
-                ref, ref_erased = zf_detect(y[i], h[i], kernels.COND_LIMIT)
-                assert erased[i] == ref_erased, (n_rx, n_tx, i)
-                assert_allclose(out[i], ref, rtol=1e-6, atol=1e-12)
+                for sym in range(3):
+                    ref, ref_erased = zf_detect(y[i, :, sym], h[i], kernels.COND_LIMIT)
+                    assert erased[i] == ref_erased, (n_rx, n_tx, i)
+                    assert_allclose(out[i, :, sym], ref, rtol=1e-6, atol=1e-12)
             assert erased[-1]
             if n_tx == 2:
                 assert not erased[:20].any() and erased[20:40].all()
 
     def test_singular_elements_erased_not_raised(self):
-        y, h = _zf_case(5, n_re=4)
+        y, h = _zf_case(5, n_sc=4)
         h[1] = 1.0  # rank-1 matrix
         out, erased = kernels.zf_detect_grid(y, h)
         assert erased[1] and not erased[0]
         assert np.all(out[1] == 0)
+        assert np.all(np.isfinite(out))
 
     def test_column_vector_channel(self):
         rng = np.random.default_rng(7)
         h = rng.standard_normal((10, 2, 1)) + 1j * rng.standard_normal((10, 2, 1))
-        x = rng.standard_normal((10, 1)) + 1j * rng.standard_normal((10, 1))
-        y = np.einsum("irt,it->ir", h, x)
+        x = rng.standard_normal((10, 1, 7)) + 1j * rng.standard_normal((10, 1, 7))
+        y = h @ x
         out, erased = kernels.zf_detect_grid(y, h)
         assert not erased.any()
         assert_allclose(out, x, atol=1e-12)
@@ -95,10 +135,12 @@ class TestZfGrid:
         y, h = _zf_case(8)
         with pytest.raises(ValueError, match="does not match"):
             kernels.zf_detect_grid(y[:, :1], h)
+        with pytest.raises(ValueError, match="does not match"):
+            kernels.zf_detect_grid(y[:, :, 0], h)
 
     def test_rejects_unsupported_antennas(self):
         rng = np.random.default_rng(9)
-        y = rng.standard_normal((4, 3)).astype(complex)
+        y = rng.standard_normal((4, 3, 7)).astype(complex)
         h = rng.standard_normal((4, 3, 3)).astype(complex)
         with pytest.raises(ValueError, match="unsupported antenna"):
             kernels.zf_detect_grid(y, h)

@@ -8,14 +8,14 @@ from oracles import dft_coefficient, dft_matrix
 
 from ltelink.channel import ChannelRealization, PowerDelayProfile
 from ltelink.grid import SystemConfig, used_subcarrier_bins
-from ltelink.ofdm import TimeDomainSignal, demodulate_frame, modulate_frame
+from ltelink.ofdm import demodulate_frame, modulate_frame
 
 CFG = SystemConfig()  # 5 MHz, 512-FFT, 300 used, CP 16
 
 
 def ofdm_modulate(column, config=CFG):
     """One grid column through the frame modulator: one CP-prefixed symbol."""
-    return modulate_frame(np.asarray(column)[None, :, None], config).samples[0]
+    return modulate_frame(np.asarray(column)[None, :, None], config)[0]
 
 
 def ofdm_demodulate(symbol, config=CFG):
@@ -129,8 +129,7 @@ class TestFrameHelpers:
             (2, CFG.n_used, 7)
         )
         sig = modulate_frame(values, CFG)
-        assert sig.samples.shape == (2, 7 * CFG.symbol_len)
-        assert sig.n_symbols == 7
+        assert sig.shape == (2, 7 * CFG.symbol_len)
         back = demodulate_frame(sig, CFG)
         assert_allclose(back, values, atol=1e-12)
 
@@ -141,14 +140,15 @@ class TestFrameHelpers:
         values = rng.standard_normal((2, CFG.n_used, 7)) + 1j * rng.standard_normal(
             (2, CFG.n_used, 7)
         )
-        frame = modulate_frame(values, CFG).samples.reshape(2, 7, CFG.symbol_len)
+        frame = modulate_frame(values, CFG).reshape(2, 7, CFG.symbol_len)
         for s in range(7):
-            alone = modulate_frame(values[:, :, s : s + 1], CFG).samples
+            alone = modulate_frame(values[:, :, s : s + 1], CFG)
             assert np.array_equal(alone, frame[:, s])
 
     def test_signal_validates_length(self):
+        # a multi-antenna stream must hold whole symbols too
         with pytest.raises(ValueError, match="multiple"):
-            TimeDomainSignal(np.zeros((1, CFG.symbol_len + 1), dtype=complex), CFG.symbol_len)
+            demodulate_frame(np.zeros((2, 2 * CFG.symbol_len + 1), dtype=complex), CFG)
 
 
 class TestCircularConvolutionDichotomy:
@@ -163,7 +163,7 @@ class TestCircularConvolutionDichotomy:
             2 * n_taps
         )
         sig = modulate_frame(values, CFG)
-        rx = np.convolve(sig.samples[0], taps)[: sig.samples.shape[1]]
+        rx = np.convolve(sig[0], taps)[: sig.shape[1]]
         got = demodulate_frame(rx[None, :], CFG)[0]
         ch = ChannelRealization(taps[None, None, :], PowerDelayProfile.uniform(n_taps))
         h = ch.frequency_responses(CFG.n_fft, used_subcarrier_bins(CFG))[0, 0]
