@@ -171,8 +171,14 @@ def main(argv: list[str] | None = None) -> int:
         config = sweep_config_from_sources(file_values, args)
     except (ValueError, OSError) as exc:
         parser.error(str(exc))
+    if not args.out.parent.is_dir():  # fail before the sweep, not after it
+        parser.error(f"output directory {args.out.parent} does not exist")
     records = run_sweep(config)
-    emit_csv(records, args.out)
+    try:
+        emit_csv(records, args.out)
+    except OSError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 1
     if args.summary:
         print(format_summary(records))
     print(f"wrote {len(records)} records to {args.out}", file=sys.stderr)

@@ -5,17 +5,18 @@ extended to data subcarriers by linear interpolation, which is one fixed
 (n_used x n_pilots) matrix.  The LMMSE estimator filters the LS pilot
 estimates through the channel frequency-correlation matrices of a
 power-delay profile in the simplified beta/SNR form (the exact-noise form
-coincides with it for unit-modulus pilots and beta=1).  The correlations
-depend only on the bin offset, so a model gathers them from one lag table,
-and it eigendecomposes its pilot autocorrelation once, which makes the filter
-of every SNR one matrix product.  The hybrid estimator picks LMMSE whenever
+coincides with it for unit-modulus pilots and beta=1).  Both correlation
+matrices are products of the profile's tap-phase matrices, of rank at most
+n_taps, so a model keeps one thin SVD, and the filter of every SNR is two thin
+factors (the low-rank form of Edfors et al., IEEE Trans. Commun. 46(7), 1998,
+exact rather than truncated).  The hybrid estimator picks LMMSE whenever
 the cyclic prefix covers the channel and otherwise switches between LMMSE
 (low SNR) and LS (high SNR) at a calibrated threshold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,45 +37,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CorrelationModel:
-    """Frequency-correlation matrices of the channel under a tap-delay profile.
+    """Low-rank factors of the channel's frequency correlation under a profile.
 
-    r_hh_p cross-correlates every used subcarrier with the pilot subcarriers
-    (it performs the interpolation); r_hp_hp is the Hermitian PSD pilot
-    autocorrelation, the restriction of the same model to pilot rows/columns.
-    The sweep keeps one per (config, truncated profile): every antenna port
-    pilots the same comb, so one model and one filter serve them all.
-
-    Construction eigendecomposes r_hp_hp = U diag(eigenvalues) U^H once and
-    keeps r_hh_p U and U^H, so lmmse_filter needs no solve at any SNR.
-    Eigenvalues that rounding leaves below zero are clipped to zero.
+    With B = exp(-2j*pi*bins*tau/N) * sqrt(p) the (n_used, n_taps) tap-phase
+    matrix of the used subcarriers and A its pilot rows, the correlation of
+    every used subcarrier with the pilots is R_hh_p = B A^H and the pilot
+    autocorrelation is R_hp_hp = A A^H.  The model keeps the thin SVD
+    A = Q diag(sigma) V^H as q, sigma and bv = B V, so that
+    R_hh_p = bv diag(sigma) q^H and R_hp_hp = q diag(sigma^2) q^H.  The sweep
+    keeps one per (config, truncated profile): every antenna port pilots the
+    same comb, so one model serves them all.
     """
 
-    r_hh_p: np.ndarray  # (n_used, n_pilot)
-    r_hp_hp: np.ndarray  # (n_pilot, n_pilot)
-    eigenvalues: np.ndarray = field(init=False, repr=False)  # (n_pilot,) ascending
-    r_hh_p_u: np.ndarray = field(init=False, repr=False)  # (n_used, n_pilot) r_hh_p U
-    u_h: np.ndarray = field(init=False, repr=False)  # (n_pilot, n_pilot) U^H
+    q: np.ndarray  # (n_pilots, rank) left singular vectors of A
+    sigma: np.ndarray  # (rank,) singular values of A, descending
+    bv: np.ndarray  # (n_used, rank) B V
 
     def __post_init__(self) -> None:
-        r_hh_p = np.asarray(self.r_hh_p, dtype=np.complex128)
-        r_hp_hp = np.asarray(self.r_hp_hp, dtype=np.complex128)
-        if r_hh_p.shape[1] != r_hp_hp.shape[0] or r_hp_hp.shape[0] != r_hp_hp.shape[1]:
-            raise ValueError("inconsistent correlation matrix shapes")
-        s, u = np.linalg.eigh(r_hp_hp)
-        fields = {
-            "r_hh_p": r_hh_p,
-            "r_hp_hp": r_hp_hp,
-            "eigenvalues": np.maximum(s, 0.0),
-            "r_hh_p_u": r_hh_p @ u,
-            "u_h": u.conj().T,
-        }
-        for name, a in fields.items():
+        for a in (self.q, self.sigma, self.bv):
             a.setflags(write=False)
-            object.__setattr__(self, name, a)
 
     @property
     def n_pilots(self) -> int:
-        return self.r_hp_hp.shape[0]
+        return self.q.shape[0]
 
 
 def ls_estimate(y_p: np.ndarray, x_p: np.ndarray) -> np.ndarray:
@@ -115,49 +100,48 @@ def ls_interpolation_matrix(pilot_positions: np.ndarray, n_used: int) -> np.ndar
 def build_correlation_model(
     pdp: PowerDelayProfile, pilot_positions: np.ndarray, config: SystemConfig
 ) -> CorrelationModel:
-    """Closed-form correlation r(k, k') = sum_l p_l * exp(-2j*pi*(k-k')*tau_l/N).
+    """Factors of r(k, k') = sum_l p_l * exp(-2j*pi*(k-k')*tau_l/N) = (B B^H)[k, k'].
 
     Positions are used-subcarrier indices; the phase term uses their absolute
-    FFT bins, so the guard-band gap around DC is accounted for exactly.  The
-    correlation depends only on the bin offset k - k', so both matrices are
-    gathered from one table over the 2N-1 offsets -(N-1)..N-1.
+    FFT bins, so the guard-band gap around DC is accounted for exactly.  One
+    thin SVD of the (n_pilots, n_taps) pilot rows A of B serves every SNR.
     """
     positions = np.asarray(pilot_positions, dtype=np.int64)
     if positions.ndim != 1 or positions.size == 0:
         raise ValueError("pilot_positions must be a non-empty 1-D index array")
     if positions.min() < 0 or positions.max() >= config.n_used:
         raise ValueError("pilot position outside [0, n_used)")
-    bins = used_subcarrier_bins(config)
-    pilot_bins = bins[positions]
     n = config.n_fft
-    lags = np.arange(-(n - 1), n)
-    phases = np.exp(-2j * np.pi * lags[:, None] * pdp.tap_delays / n)
-    table = phases @ pdp.tap_powers.astype(np.complex128)  # offset d at index d + n - 1
-    return CorrelationModel(
-        r_hh_p=table[bins[:, None] - pilot_bins[None, :] + n - 1],
-        r_hp_hp=table[pilot_bins[:, None] - pilot_bins[None, :] + n - 1],
-    )
+    # bin * delay reduced modulo N in integers keeps the phase argument in [0, 2*pi)
+    bin_delay = np.outer(used_subcarrier_bins(config), pdp.tap_delays) % n
+    b = np.exp(-2j * np.pi / n * bin_delay) * np.sqrt(pdp.tap_powers)
+    q, sigma, v_h = np.linalg.svd(b[positions], full_matrices=False)
+    return CorrelationModel(q=q, sigma=sigma, bv=b @ v_h.conj().T)
 
 
-def lmmse_filter(corr: CorrelationModel, regularizer: float) -> np.ndarray:
-    """W = R_hh_p (R_hp_hp + lambda I)^-1 = (R_hh_p U) diag(1/(s + lambda)) U^H.
+def lmmse_filter(corr: CorrelationModel, regularizer: float) -> tuple[np.ndarray, np.ndarray]:
+    """Factors (F, G) of W = R_hh_p (R_hp_hp + lambda I)^-1 = F @ G; W itself
+    is never formed.
 
-    One matrix product on the model's eigendecomposition.  lambda = 0 (an
-    infinite SNR) makes the inverse a pseudo-inverse: eigenvalues at or below
-    n_pilots * eps * max(s), the cutoff numpy's pinv and matrix_rank use, are
-    rounding noise of a zero eigenvalue and get weight 0 instead of 1/s.
+    Push-through gives W = B (A^H A + lambda I)^-1 A^H
+    = (B V) diag(sigma / (sigma^2 + lambda)) Q^H, so F is the model's bv,
+    (n_used, rank), and G the (rank, n_pilots) scaled Q^H.  lambda = 0 (an
+    infinite SNR) makes the inverse a pseudo-inverse: an eigenvalue sigma^2 of
+    R_hp_hp at or below n_pilots * eps * max(sigma^2), the cutoff numpy's pinv
+    and matrix_rank use, is rounding noise of a zero eigenvalue and gets
+    weight 0 instead of 1/sigma.
     """
     lam = float(regularizer)
     if not lam >= 0.0:
         raise ValueError("regularizer must be non-negative")
-    s = corr.eigenvalues
+    sigma, s2 = corr.sigma, corr.sigma**2
     if lam > 0.0:
-        inv = 1.0 / (s + lam)
+        gain = sigma / (s2 + lam)
     else:
-        keep = s > corr.n_pilots * np.finfo(np.float64).eps * s.max()
-        inv = np.zeros_like(s)
-        inv[keep] = 1.0 / s[keep]
-    return (corr.r_hh_p_u * inv) @ corr.u_h
+        keep = s2 > corr.n_pilots * np.finfo(np.float64).eps * s2.max()
+        gain = np.zeros_like(sigma)
+        gain[keep] = 1.0 / sigma[keep]
+    return corr.bv, gain[:, None] * corr.q.conj().T
 
 
 def beta_for_constellation(constellation: Constellation) -> float:

@@ -8,6 +8,7 @@ immutable after construction and safe to share across concurrent trials.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import ClassVar, Sequence
@@ -121,20 +122,24 @@ class SystemConfig:
         return self.n_fft + self.cp_len
 
 
+@functools.lru_cache(maxsize=16)
 def used_subcarrier_bins(config: SystemConfig) -> np.ndarray:
     """FFT bin index of each used subcarrier, in ascending physical frequency.
 
     Index d in [0, n_used) maps to the d-th occupied bin counting up from the
-    lowest negative frequency, skipping the nulled DC bin.
+    lowest negative frequency, skipping the nulled DC bin.  Every slot's
+    (de)modulation reads it, so each config computes it once, read-only.
     """
     n_low = config.n_used // 2
     n_high = config.n_used - n_low
-    return np.concatenate(
+    bins = np.concatenate(
         [
             np.arange(config.n_fft - n_low, config.n_fft),
             np.arange(1, n_high + 1),
         ]
     )
+    bins.setflags(write=False)
+    return bins
 
 
 @dataclass(frozen=True)

@@ -14,15 +14,15 @@ The LMMSE correlation model depends only on the configuration, which fixes the
 pilot comb, and on the channel profile truncated to the cyclic prefix.  It is
 built once per (config, truncated profile) and memoized, so the antenna ports,
 the channel lengths that truncate alike and the threshold calibration share
-it, and with it its eigendecomposition.  Each cell's filter is then one matrix
-product, and it serves every (tx, rx) pair.  LS interpolation is a fixed
-matrix too, so both estimators are h_ls @ W.T.
+it, and with it its SVD.  Each cell's LMMSE filter is then two thin factors,
+never multiplied out, and LS interpolation one fixed matrix; both estimators
+apply the factors of their filter to h_ls, for every (tx, rx) pair at once.
 
 Reproducibility contract: every random draw comes from a stream derived from
 (seed, purpose tag, cell indices, trial index), so results are independent of
 scheduling and identical across runs at a fixed BLAS thread count, e.g.
-OPENBLAS_NUM_THREADS=1 (the eigendecomposition and the matrix products can
-round differently with another count).  All estimators of a cell share the
+OPENBLAS_NUM_THREADS=1 (the SVD and the matrix products can round
+differently with another count).  All estimators of a cell share the
 same trial streams (common random numbers), which makes estimator comparisons
 paired.  The hybrid estimator computes nothing of its own: its row is the row
 of the branch it chooses.
@@ -197,7 +197,6 @@ class _LinkContext:
     config: SystemConfig
     pattern: PilotPattern
     layout: GridLayout
-    used_bins: np.ndarray
     pilot_seq: np.ndarray
     pilot_subcarriers: np.ndarray  # (n_pilots,) the comb every port shares
     pilot_symbols: np.ndarray  # (n_tx, n_pilots) each port's symbol on the comb
@@ -215,7 +214,6 @@ def _make_context(config: SystemConfig, seed: int) -> _LinkContext:
         config=config,
         pattern=pattern,
         layout=layout,
-        used_bins=used_subcarrier_bins(config),
         pilot_seq=pilot_seq,
         pilot_subcarriers=subcarriers,
         pilot_symbols=pattern.entries[entry_index, 1],
@@ -245,7 +243,7 @@ def _run_chain(
     data = [linkproc.map_bits(bits[p], cfg.constellation) for p in range(cfg.n_tx)]
     values = ctx.layout.fill(data, ctx.pilot_seq, ctx.pattern)
     tx = ofdm.modulate_frame(values, cfg)
-    h_true = ch.frequency_responses(cfg.n_fft, ctx.used_bins)
+    h_true = ch.frequency_responses(cfg.n_fft, used_subcarrier_bins(cfg))
     impairment = add_awgn(overrun(tx, ch, cfg), noise, rng)
     # plus H * X: (n_tx, n_rx, n_used, 1) * (n_tx, 1, n_used, n_symbols) summed over tx
     rx_grid = ofdm.demodulate_frame(impairment, cfg) + (h_true[..., None] * values[:, None]).sum(0)
@@ -259,15 +257,19 @@ def _estimate(
     state: _ChainState,
     ctx: _LinkContext,
     method: Estimator,
-    lmmse_w: np.ndarray | None,
+    lmmse_factors: tuple[np.ndarray, ...] | None,
 ) -> np.ndarray:
-    """(n_tx, n_rx, n_used) estimate of every pair by LS, LMMSE or perfect CSI."""
+    """(n_tx, n_rx, n_used) estimate of every pair by LS, LMMSE or perfect CSI;
+    a filter W = F_1 ... F_k is applied factor by factor, right to left."""
     if method is Estimator.PERFECT:
         return state.h_true
-    w = lmmse_w if method is Estimator.LMMSE else ctx.ls_interp
-    # one 2-D product over all pairs: BLAS does it faster than a stacked matmul
+    factors = lmmse_factors if method is Estimator.LMMSE else (ctx.ls_interp,)
+    # 2-D products over all pairs: BLAS does them faster than a stacked matmul
     n_tx, n_rx, n_pilots = state.h_ls.shape
-    return (state.h_ls.reshape(-1, n_pilots) @ w.T).reshape(n_tx, n_rx, -1)
+    h = state.h_ls.reshape(-1, n_pilots)
+    for f in reversed(factors):
+        h = h @ f.T
+    return h.reshape(n_tx, n_rx, -1)
 
 
 def _detect_and_count(
@@ -355,7 +357,9 @@ def _memoized_model(
     return estimation.build_correlation_model(pdp, pilot_subcarriers, config)
 
 
-def _filter_from_model(model: CorrelationModel, snr_db: float, beta: float) -> np.ndarray:
+def _filter_from_model(
+    model: CorrelationModel, snr_db: float, beta: float
+) -> tuple[np.ndarray, np.ndarray]:
     snr_linear = 10.0 ** (snr_db / 10.0)
     reg = 0.0 if math.isinf(snr_linear) else beta / snr_linear
     return estimation.lmmse_filter(model, reg)
@@ -379,13 +383,13 @@ def paired_mse_curves(
     ls_curve = np.empty(len(snrs_db))
     lmmse_curve = np.empty(len(snrs_db))
     for i, snr_db in enumerate(snrs_db):
-        lmmse_w = _filter_from_model(model, snr_db, ctx.beta)
+        lmmse_factors = _filter_from_model(model, snr_db, ctx.beta)
         noise = NoiseSpec(snr_db)
         acc = {Estimator.LS: [0.0, 0.0], Estimator.LMMSE: [0.0, 0.0]}
         for j in range(n_trials):
             state = _run_chain(ctx, pdp, noise, streams[i * n_trials + j])
             for est, sums in acc.items():
-                h_hat = _estimate(state, ctx, est, lmmse_w)
+                h_hat = _estimate(state, ctx, est, lmmse_factors)
                 num, den, _, _ = _score_estimate(h_hat, state.h_true, ctx.pilot_subcarriers)
                 sums[0] += num
                 sums[1] += den
@@ -446,10 +450,10 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
                 branch = Estimator.LS if chooses_ls else Estimator.LMMSE
                 if branch not in methods:
                     cell_methods = (*methods, branch)
-            lmmse_w = None
+            lmmse_factors = None
             if Estimator.LMMSE in cell_methods:
                 model = _correlation_model(config.system, pdp)
-                lmmse_w = _filter_from_model(model, snr_db, ctx.beta)
+                lmmse_factors = _filter_from_model(model, snr_db, ctx.beta)
             noise = NoiseSpec(snr_db)
             sums = {m: _Sums() for m in cell_methods}
             for trial in range(config.n_frames):
@@ -457,7 +461,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
                 try:
                     state = _run_chain(ctx, pdp, noise, rng)
                     for method, acc in sums.items():
-                        acc.add_trial(state, ctx, _estimate(state, ctx, method, lmmse_w))
+                        acc.add_trial(state, ctx, _estimate(state, ctx, method, lmmse_factors))
                 except Exception as exc:
                     raise RuntimeError(
                         f"trial failed (channel_len={length}, snr_db={snr_db}, "

@@ -78,7 +78,7 @@ def time_domain_chain(ctx, pdp, noise, rng) -> tuple[np.ndarray, np.ndarray, np.
     values = ctx.layout.fill(data, ctx.pilot_seq, ctx.pattern)
     rx = add_awgn(apply_channel(ofdm.modulate_frame(values, cfg), ch), noise, rng)
     rx_grid = ofdm.demodulate_frame(rx, cfg)
-    return bits, rx_grid, ch.frequency_responses(cfg.n_fft, ctx.used_bins)
+    return bits, rx_grid, ch.frequency_responses(cfg.n_fft, used_subcarrier_bins(cfg))
 
 
 def zf_detect(y: np.ndarray, h: np.ndarray, cond_limit: float) -> tuple[np.ndarray, bool]:
@@ -127,40 +127,52 @@ def correlation_matrices(pdp, pilot_positions: np.ndarray, config) -> tuple[np.n
     return corr(bins, pilot_bins), corr(pilot_bins, pilot_bins)
 
 
+def model_matrices(corr) -> tuple[np.ndarray, np.ndarray]:
+    """(r_hh_p, r_hp_hp) multiplied out from a CorrelationModel's SVD factors."""
+    return (corr.bv * corr.sigma) @ corr.q.conj().T, (corr.q * corr.sigma**2) @ corr.q.conj().T
+
+
 def lmmse_filter_solve(corr, regularizer: float) -> np.ndarray:
-    """W = R_hh_p (R_hp_hp + lambda I)^-1 by a linear solve, for lambda > 0."""
-    a = corr.r_hp_hp + regularizer * np.eye(corr.n_pilots)
-    return np.linalg.solve(a.T, corr.r_hh_p.T).T
+    """W = R_hh_p (R_hp_hp + lambda I)^-1 by a linear solve, for lambda > 0;
+    corr is the (r_hh_p, r_hp_hp) pair of correlation_matrices."""
+    r_hh_p, r_hp_hp = corr
+    a = r_hp_hp + regularizer * np.eye(r_hp_hp.shape[0])
+    return np.linalg.solve(a.T, r_hh_p.T).T
 
 
 def lmmse_estimate_full(h_ls: np.ndarray, corr, x_p: np.ndarray, sigma_w2: float) -> np.ndarray:
-    """Exact-noise LMMSE: R_hh_p (R_hp_hp + sigma^2 diag(|x_p|^2)^-1)^-1 h_ls.
+    """Exact-noise LMMSE: R_hh_p (R_hp_hp + sigma^2 diag(|x_p|^2)^-1)^-1 h_ls,
+    with corr the (r_hh_p, r_hp_hp) pair of correlation_matrices.
 
     Zero noise takes the pseudo-inverse of R_hp_hp instead of the inverse."""
+    r_hh_p, r_hp_hp = corr
     h_ls = np.asarray(h_ls, dtype=np.complex128)
     x_p = np.asarray(x_p, dtype=np.complex128)
-    if h_ls.shape != (corr.n_pilots,) or x_p.shape != (corr.n_pilots,):
+    n_pilots = r_hp_hp.shape[0]
+    if h_ls.shape != (n_pilots,) or x_p.shape != (n_pilots,):
         raise ValueError("h_ls and x_p must match the model's pilot dimension")
     if sigma_w2 < 0:
         raise ValueError("noise variance must be non-negative")
     if np.any(x_p == 0):
         raise ValueError("pilot value is zero; (X X^H)^-1 undefined")
     if sigma_w2 == 0:
-        return corr.r_hh_p @ np.linalg.pinv(corr.r_hp_hp, hermitian=True) @ h_ls
-    a = corr.r_hp_hp + sigma_w2 * np.diag(1.0 / np.abs(x_p) ** 2)
-    return corr.r_hh_p @ np.linalg.solve(a, h_ls)
+        return r_hh_p @ np.linalg.pinv(r_hp_hp, hermitian=True) @ h_ls
+    a = r_hp_hp + sigma_w2 * np.diag(1.0 / np.abs(x_p) ** 2)
+    return r_hh_p @ np.linalg.solve(a, h_ls)
 
 
 def lmmse_estimate_simplified(
     h_ls: np.ndarray, corr, snr_linear: float, beta: float
 ) -> np.ndarray:
-    """Simplified LMMSE: R_hh_p (R_hp_hp + (beta/SNR) I)^-1 h_ls."""
+    """Simplified LMMSE: R_hh_p (R_hp_hp + (beta/SNR) I)^-1 h_ls, with corr the
+    (r_hh_p, r_hp_hp) pair of correlation_matrices."""
+    r_hh_p, r_hp_hp = corr
     h_ls = np.asarray(h_ls, dtype=np.complex128)
-    if h_ls.shape != (corr.n_pilots,):
+    if h_ls.shape != (r_hp_hp.shape[0],):
         raise ValueError("h_ls must match the model's pilot dimension")
     if not snr_linear > 0:
         raise ValueError(f"snr_linear must be positive, got {snr_linear}")
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    a = corr.r_hp_hp + (beta / snr_linear) * np.eye(corr.n_pilots)
-    return corr.r_hh_p @ np.linalg.solve(a, h_ls)
+    a = r_hp_hp + (beta / snr_linear) * np.eye(r_hp_hp.shape[0])
+    return r_hh_p @ np.linalg.solve(a, h_ls)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from ltelink import cli
 from ltelink.cli import build_parser, main, parse_config_file, sweep_config_from_sources
 from ltelink.grid import Constellation, SystemConfig
 from ltelink.harness import CSV_HEADER, Estimator
@@ -245,3 +246,25 @@ class TestMain:
         assert exc.value.code == 2
         assert "exceeds the FFT size 512" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_missing_output_directory_is_a_usage_error_before_the_sweep(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(config):
+            raise AssertionError("the sweep started although its output cannot be written")
+
+        monkeypatch.setattr(cli, "run_sweep", refuse)
+        out = tmp_path / "missing_dir" / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--frames", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "missing_dir" in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    def test_write_failure_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # the output path is an existing directory, so only the write fails
+        monkeypatch.setattr(cli, "run_sweep", lambda config: [])
+        assert main(["simulate", "--frames", "1", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ltelink: error: failed to write CSV to {tmp_path}")
+        assert err.count("\n") == 1

@@ -11,6 +11,7 @@ from oracles import (
     lmmse_estimate_full,
     lmmse_estimate_simplified,
     lmmse_filter_solve,
+    model_matrices,
 )
 
 from ltelink.channel import PowerDelayProfile
@@ -38,7 +39,8 @@ def steering(cfg: SystemConfig, pdp: PowerDelayProfile, positions=None) -> np.nd
     bins = used_subcarrier_bins(cfg)
     if positions is not None:
         bins = bins[positions]
-    return np.exp(-2j * np.pi * np.outer(bins, pdp.tap_delays) / cfg.n_fft)
+    # bin * delay reduced modulo N in integers: the phase is exact to rounding
+    return np.exp(-2j * np.pi * (np.outer(bins, pdp.tap_delays) % cfg.n_fft) / cfg.n_fft)
 
 
 class TestLsEstimate:
@@ -124,8 +126,8 @@ class TestCorrelationModel:
         corr = build_correlation_model(
             PowerDelayProfile.uniform(1), np.array([0, 4, 8]), cfg
         )
-        assert_allclose(corr.r_hh_p, 1.0, atol=1e-14)
-        assert_allclose(corr.r_hp_hp, 1.0, atol=1e-14)
+        for r in model_matrices(corr):
+            assert_allclose(r, 1.0, atol=1e-14)
 
     def test_unit_diagonal_for_unit_power_profile(self):
         cfg = SystemConfig(n_used=64, n_tx=1, n_rx=1)
@@ -133,7 +135,7 @@ class TestCorrelationModel:
             corr = build_correlation_model(
                 PowerDelayProfile.uniform(taps), np.arange(0, 64, 4), cfg
             )
-            assert_allclose(np.diag(corr.r_hp_hp), 1.0, atol=1e-14)
+            assert_allclose(np.diag(model_matrices(corr)[1]), 1.0, atol=1e-14)
 
     def test_hermitian_positive_semidefinite(self):
         rng = np.random.default_rng(3)
@@ -143,14 +145,16 @@ class TestCorrelationModel:
             n_p = int(rng.integers(2, 24))
             positions = np.sort(rng.choice(48, n_p, replace=False))
             corr = build_correlation_model(PowerDelayProfile.uniform(taps), positions, cfg)
-            assert_allclose(corr.r_hp_hp, corr.r_hp_hp.conj().T, atol=1e-13)
-            assert np.linalg.eigvalsh(corr.r_hp_hp).min() > -1e-10
+            r_hp_hp = model_matrices(corr)[1]
+            assert_allclose(r_hp_hp, r_hp_hp.conj().T, atol=1e-13)
+            assert np.linalg.eigvalsh(r_hp_hp).min() > -1e-10
 
     def test_pilot_block_is_restriction_of_full_model(self):
         cfg = SystemConfig(n_used=40, n_tx=1, n_rx=1)
         positions = np.array([1, 7, 13, 19, 25])
         corr = build_correlation_model(PowerDelayProfile.uniform(6), positions, cfg)
-        assert_allclose(corr.r_hh_p[positions, :], corr.r_hp_hp, atol=1e-14)
+        r_hh_p, r_hp_hp = model_matrices(corr)
+        assert_allclose(r_hh_p[positions, :], r_hp_hp, atol=1e-14)
 
     def test_matches_sample_correlation(self):
         # closed form against the sample statistics of simulated channel draws
@@ -165,7 +169,7 @@ class TestCorrelationModel:
         ) * np.sqrt(pdp.tap_powers / 2)
         h = taps @ v.T
         sample = h.T.conj() @ h / len(h)
-        assert np.max(np.abs(sample.conj() - corr.r_hp_hp)) < 0.02
+        assert np.max(np.abs(sample.conj() - model_matrices(corr)[1])) < 0.02
 
     def test_rejects_out_of_range_positions(self):
         cfg = SystemConfig(n_used=16, n_tx=1, n_rx=1)
@@ -174,54 +178,92 @@ class TestCorrelationModel:
 
     @pytest.mark.parametrize("bandwidth_mhz, cp_len", [(5.0, 16), (10.0, 72)])
     def test_lag_table_equals_phase_tensor(self, bandwidth_mhz, cp_len):
-        # the lag-table gather computes every entry by the same arithmetic as
-        # the per-entry phase sum, so the two agree bit for bit
+        # B A^H and A A^H multiplied out from the SVD factors against the
+        # per-entry phase sums of the oracle
         cfg = SystemConfig(bandwidth_mhz=bandwidth_mhz, cp_len=cp_len)
         positions, _ = build_pilot_pattern(cfg).comb()
         pdp = PowerDelayProfile.uniform(cp_len)
         corr = build_correlation_model(pdp, positions, cfg)
-        r_hh_p, r_hp_hp = correlation_matrices(pdp, positions, cfg)
-        assert np.array_equal(corr.r_hh_p, r_hh_p)
-        assert np.array_equal(corr.r_hp_hp, r_hp_hp)
+        for got, expected in zip(model_matrices(corr), correlation_matrices(pdp, positions, cfg)):
+            rel = np.max(np.abs(got - expected)) / np.max(np.abs(expected))
+            assert rel < 1e-12, f"relative deviation {rel:.2e}"
 
     def test_eigendecomposition_reconstructs_the_model(self):
+        # Q and sigma^2 are the eigenpairs of R_hp_hp = A A^H with nonzero
+        # eigenvalues, and bv = B V = B A^H Q diag(1/sigma)
         cfg = SystemConfig()
         positions, _ = build_pilot_pattern(cfg).comb()
-        corr = build_correlation_model(PowerDelayProfile.uniform(16), positions, cfg)
-        u = corr.u_h.conj().T
-        assert np.all(corr.eigenvalues >= 0)
-        assert_allclose(u @ corr.u_h, np.eye(corr.n_pilots), atol=1e-12)
-        assert_allclose((u * corr.eigenvalues) @ corr.u_h, corr.r_hp_hp, atol=1e-12)
-        assert_allclose(corr.r_hh_p_u @ corr.u_h, corr.r_hh_p, atol=1e-12)
-        for a in (corr.eigenvalues, corr.r_hh_p_u, corr.u_h):
-            assert not a.flags.writeable
+        pdp = PowerDelayProfile.uniform(16)
+        corr = build_correlation_model(pdp, positions, cfg)
+        b = steering(cfg, pdp) * np.sqrt(pdp.tap_powers)
+        a = b[positions]
+        assert corr.q.shape == (100, 16) and corr.bv.shape == (cfg.n_used, 16)
+        assert np.all(corr.sigma > 0) and np.all(np.diff(corr.sigma) <= 0)
+        assert_allclose(corr.q.conj().T @ corr.q, np.eye(16), atol=1e-12)
+        assert_allclose(a @ a.conj().T @ corr.q, corr.q * corr.sigma**2, atol=1e-12)
+        assert_allclose(corr.bv * corr.sigma, b @ a.conj().T @ corr.q, atol=1e-12)
+        for f in (corr.q, corr.sigma, corr.bv):
+            assert not f.flags.writeable
+
+
+BENCHMARK_SNRS_DB = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
+
+
+def _worst_deviation_from_solve(cfg: SystemConfig, pdp: PowerDelayProfile) -> float:
+    """Largest relative deviation of the factored filter from a linear solve
+    over the benchmark SNRs; the factors never exceed rank n_taps."""
+    positions, _ = build_pilot_pattern(cfg).comb()
+    corr = build_correlation_model(pdp, positions, cfg)
+    dense = correlation_matrices(pdp, positions, cfg)
+    rank = min(pdp.n_taps, positions.size)
+    worst = 0.0
+    for snr_db in BENCHMARK_SNRS_DB:
+        lam = 10.0 ** (-snr_db / 10.0)
+        expected = lmmse_filter_solve(dense, lam)
+        f, g = lmmse_filter(corr, lam)
+        assert f.shape == (cfg.n_used, rank) and g.shape == (rank, positions.size)
+        worst = max(worst, np.max(np.abs(f @ g - expected)) / np.max(np.abs(expected)))
+    return worst
 
 
 class TestLmmseFilter:
     @pytest.mark.parametrize("bandwidth_mhz, cp_len", [(5.0, 16), (10.0, 72)])
     def test_matches_linear_solve_at_benchmark_snrs(self, bandwidth_mhz, cp_len):
         cfg = SystemConfig(bandwidth_mhz=bandwidth_mhz, cp_len=cp_len)
-        positions, _ = build_pilot_pattern(cfg).comb()
-        corr = build_correlation_model(PowerDelayProfile.uniform(cp_len), positions, cfg)
-        for snr_db in (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0):
-            lam = 10.0 ** (-snr_db / 10.0)
-            expected = lmmse_filter_solve(corr, lam)
-            got = lmmse_filter(corr, lam)
-            rel = np.max(np.abs(got - expected)) / np.max(np.abs(expected))
-            assert rel < 1e-10, f"{snr_db} dB: relative deviation {rel:.2e}"
+        worst = _worst_deviation_from_solve(cfg, PowerDelayProfile.uniform(cp_len))
+        assert worst < 1e-10, f"relative deviation {worst:.2e}"
+
+    def test_matches_linear_solve_with_more_taps_than_pilots(self):
+        # 40 taps on the 25-pilot comb of 1.25 MHz: A is wide and R_hp_hp full rank
+        cfg = SystemConfig(bandwidth_mhz=1.25, cp_len=40)
+        assert build_pilot_pattern(cfg).comb()[0].size == 25
+        worst = _worst_deviation_from_solve(cfg, PowerDelayProfile.uniform(40))
+        assert worst < 1e-10, f"relative deviation {worst:.2e}"
+
+    def test_matches_linear_solve_on_a_gapped_exponential_profile(self):
+        delays = np.array([0, 3, 7, 15])
+        powers = np.exp(-delays / 5.0)
+        pdp = PowerDelayProfile(delays, powers / powers.sum())
+        worst = _worst_deviation_from_solve(SystemConfig(), pdp)
+        assert worst < 1e-10, f"relative deviation {worst:.2e}"
 
     def test_zero_regularizer_is_the_pseudo_inverse(self):
         # 16 taps on 100 pilots: R_hp_hp has rank 16, so it has no inverse
         cfg = SystemConfig()
         positions, _ = build_pilot_pattern(cfg).comb()
-        corr = build_correlation_model(PowerDelayProfile.uniform(16), positions, cfg)
-        w = lmmse_filter(corr, 0.0)
+        pdp = PowerDelayProfile.uniform(16)
+        corr = build_correlation_model(pdp, positions, cfg)
+        f, g = lmmse_filter(corr, 0.0)
+        w = f @ g
+        r_hh_p, r_hp_hp = correlation_matrices(pdp, positions, cfg)
         # numpy's matrix_rank cutoff finds the 16 nonzero eigenvalues
-        assert np.linalg.matrix_rank(corr.r_hp_hp, hermitian=True) == 16
+        assert np.linalg.matrix_rank(r_hp_hp, hermitian=True) == 16
         # the pseudo-inverse reproduces R_hh_p on the range of R_hp_hp ...
-        assert_allclose(w @ corr.r_hp_hp, corr.r_hh_p, rtol=0, atol=1e-12)
-        # ... and maps its null space (the 84 smallest eigenvalues) to zero
-        null = corr.u_h[:84].conj().T
+        assert_allclose(w @ r_hp_hp, r_hh_p, rtol=0, atol=1e-12)
+        # ... and maps its null space, the 84 left singular vectors of A
+        # beyond its rank, to zero
+        a = (steering(cfg, pdp) * np.sqrt(pdp.tap_powers))[positions]
+        null = np.linalg.svd(a)[0][:, 16:]
         assert np.max(np.abs(w @ null)) < 1e-12
 
     @pytest.mark.parametrize(
@@ -258,7 +300,7 @@ class TestLmmseFull:
         # to DC, full rank for a 2-tap profile.
         cfg = SystemConfig(n_used=4, n_tx=1, n_rx=1)
         positions = np.array([1, 2])
-        corr = build_correlation_model(PowerDelayProfile.uniform(2), positions, cfg)
+        corr = correlation_matrices(PowerDelayProfile.uniform(2), positions, cfg)
         rng = np.random.default_rng(5)
         h_ls = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         est = lmmse_estimate_full(h_ls, corr, np.ones(2, dtype=complex), 0.0)
@@ -266,7 +308,7 @@ class TestLmmseFull:
 
     def test_infinite_noise_shrinks_to_zero(self):
         cfg = SystemConfig(n_used=12, n_tx=1, n_rx=1)
-        corr = build_correlation_model(
+        corr = correlation_matrices(
             PowerDelayProfile.uniform(3), np.arange(0, 12, 2), cfg
         )
         h_ls = np.ones(6, dtype=complex)
@@ -278,21 +320,21 @@ class TestLmmseFull:
         cfg = SystemConfig(n_used=4, n_tx=1, n_rx=1)
         pdp = PowerDelayProfile.uniform(2)
         positions = np.array([1, 3])
-        corr = build_correlation_model(pdp, positions, cfg)
+        corr = r_hh_p, r_hp_hp = correlation_matrices(pdp, positions, cfg)
         rng = np.random.default_rng(6)
         h_ls = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         x_p = np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
         sigma2 = 0.37
-        a_mat = corr.r_hp_hp + sigma2 * np.diag(1.0 / np.abs(x_p) ** 2)
+        a_mat = r_hp_hp + sigma2 * np.diag(1.0 / np.abs(x_p) ** 2)
         (a, b), (c, d) = a_mat
         inv = np.array([[d, -b], [-c, a]]) / (a * d - b * c)
-        expected = corr.r_hh_p @ inv @ h_ls
+        expected = r_hh_p @ inv @ h_ls
         got = lmmse_estimate_full(h_ls, corr, x_p, sigma2)
         assert_allclose(got, expected, atol=1e-12)
 
     def test_rejects_negative_noise(self):
         cfg = SystemConfig(n_used=4, n_tx=1, n_rx=1)
-        corr = build_correlation_model(PowerDelayProfile.uniform(2), np.array([1, 3]), cfg)
+        corr = correlation_matrices(PowerDelayProfile.uniform(2), np.array([1, 3]), cfg)
         with pytest.raises(ValueError, match="non-negative"):
             lmmse_estimate_full(np.ones(2), corr, np.ones(2), -1.0)
 
@@ -301,7 +343,7 @@ class TestLmmseSimplified:
     def test_high_snr_full_rank_recovers_h_ls(self):
         cfg = SystemConfig(n_used=4, n_tx=1, n_rx=1)
         positions = np.array([1, 2])
-        corr = build_correlation_model(PowerDelayProfile.uniform(2), positions, cfg)
+        corr = correlation_matrices(PowerDelayProfile.uniform(2), positions, cfg)
         rng = np.random.default_rng(7)
         h_ls = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         est = lmmse_estimate_simplified(h_ls, corr, 1e12, 1.0)
@@ -316,7 +358,7 @@ class TestLmmseSimplified:
             taps = int(rng.integers(1, 16))
             n_p = int(rng.integers(2, 16))
             positions = np.sort(rng.choice(48, n_p, replace=False))
-            corr = build_correlation_model(PowerDelayProfile.uniform(taps), positions, cfg)
+            corr = correlation_matrices(PowerDelayProfile.uniform(taps), positions, cfg)
             h_ls = rng.standard_normal(n_p) + 1j * rng.standard_normal(n_p)
             x_p = corners[rng.integers(0, 4, n_p)]
             snr = float(10 ** rng.uniform(-1, 3))
@@ -330,7 +372,7 @@ class TestLmmseSimplified:
         cfg = SystemConfig()
         positions, _ = build_pilot_pattern(cfg).comb()
         pdp = PowerDelayProfile.uniform(10)
-        corr = build_correlation_model(pdp, positions, cfg)
+        corr = correlation_matrices(pdp, positions, cfg)
         v_all = steering(cfg, pdp)
         v_p = v_all[positions]
         n_p = len(positions)
@@ -365,7 +407,7 @@ class TestLmmseSimplified:
             taps = int(rng.integers(1, 17))
             n_p = int(rng.integers(2, 24))
             positions = np.sort(rng.choice(48, n_p, replace=False))
-            corr = build_correlation_model(PowerDelayProfile.uniform(taps), positions, cfg)
+            corr = correlation_matrices(PowerDelayProfile.uniform(taps), positions, cfg)
             h_ls = rng.standard_normal(n_p) + 1j * rng.standard_normal(n_p)
             snrs = np.sort(10 ** rng.uniform(-1, 4, 4))
             norms = [
@@ -378,7 +420,7 @@ class TestLmmseSimplified:
 
     def test_rejects_bad_snr_and_beta(self):
         cfg = SystemConfig(n_used=4, n_tx=1, n_rx=1)
-        corr = build_correlation_model(PowerDelayProfile.uniform(2), np.array([1, 3]), cfg)
+        corr = correlation_matrices(PowerDelayProfile.uniform(2), np.array([1, 3]), cfg)
         with pytest.raises(ValueError, match="snr"):
             lmmse_estimate_simplified(np.ones(2), corr, 0.0, 1.0)
         with pytest.raises(ValueError, match="beta"):

@@ -84,6 +84,15 @@ class TestSystemConfig:
         assert bins[0] == 512 - 150 and bins[149] == 511
         assert bins[150] == 1 and bins[-1] == 150
 
+    def test_used_bins_are_computed_once_per_config_and_read_only(self):
+        # every slot modulates and demodulates with them, so equal configs share
+        # one array, and a caller cannot corrupt it for the others
+        bins = used_subcarrier_bins(SystemConfig(bandwidth_mhz=10.0))
+        assert used_subcarrier_bins(SystemConfig(bandwidth_mhz=10.0)) is bins
+        assert not bins.flags.writeable
+        with pytest.raises(ValueError):
+            bins[0] = 0
+
 
 class TestBuildPilotPattern:
     def test_single_port_combs_on_one_prb(self):

@@ -292,17 +292,21 @@ class TestRunSweep:
         assert built == [(16, tuple(range(0, 300, 3)))]
 
     def test_one_eigendecomposition_serves_every_snr(self, monkeypatch):
-        # the model carries its eigendecomposition, so the calibration of both
-        # lengths and every cell of the sweep reuse one factorisation
+        # the model carries the SVD of its (n_pilots, n_taps) tap-phase rows,
+        # so the calibration of both lengths and every cell of the sweep
+        # reuse one factorisation, and nothing decomposes an n_p x n_p matrix
         calls = []
 
-        def counting(a, *args, **kwargs):
-            calls.append(np.shape(a))
-            return eigh(a, *args, **kwargs)
+        def counting(name, fn):
+            def call(a, *args, **kwargs):
+                calls.append((name, np.shape(a)))
+                return fn(a, *args, **kwargs)
 
-        eigh = np.linalg.eigh
+            return call
+
         harness._memoized_model.cache_clear()
-        monkeypatch.setattr(np.linalg, "eigh", counting)
+        for name in ("svd", "eigh", "eig"):
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
         cfg = SweepConfig(
             channel_lengths=(20, 40),
             snr_grid_db=(0.0, 30.0),
@@ -311,7 +315,7 @@ class TestRunSweep:
             estimators=(Estimator.LS, Estimator.LMMSE, Estimator.HYBRID),
         )
         assert len(run_sweep(cfg)) == 12
-        assert calls == [(100, 100)]
+        assert calls == [("svd", (100, 16))]
 
     def test_estimators_share_trial_randomness(self):
         # hybrid on a CP-covered channel must reproduce LMMSE exactly
