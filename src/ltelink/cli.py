@@ -171,8 +171,8 @@ def main(argv: list[str] | None = None) -> int:
         config = sweep_config_from_sources(file_values, args)
     except (ValueError, OSError) as exc:
         parser.error(str(exc))
-    if not args.out.parent.is_dir():  # fail before the sweep, not after it
-        parser.error(f"output directory {args.out.parent} does not exist")
+    if args.out.is_dir() or not args.out.parent.is_dir():  # fail before the sweep
+        parser.error(f"--out {args.out} is not a file path in an existing directory")
     records = run_sweep(config)
     try:
         emit_csv(records, args.out)

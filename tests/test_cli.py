@@ -247,24 +247,27 @@ class TestMain:
         assert "exceeds the FFT size 512" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_missing_output_directory_is_a_usage_error_before_the_sweep(
-        self, tmp_path, capsys, monkeypatch
+    @pytest.mark.parametrize("out", ["missing_dir/x.csv", "."], ids=["missing-dir", "a-directory"])
+    def test_unwritable_output_path_is_a_usage_error_before_the_sweep(
+        self, tmp_path, capsys, monkeypatch, out
     ):
         def refuse(config):
             raise AssertionError("the sweep started although its output cannot be written")
 
         monkeypatch.setattr(cli, "run_sweep", refuse)
-        out = tmp_path / "missing_dir" / "x.csv"
+        out = tmp_path / out
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--frames", "1", "--out", str(out)])
         assert exc.value.code == 2
-        assert "missing_dir" in capsys.readouterr().err
-        assert not out.parent.exists()
+        assert f"--out {out} is not a file path" in capsys.readouterr().err
+        assert not (tmp_path / "missing_dir").exists()
 
     def test_write_failure_is_one_error_line(self, tmp_path, capsys, monkeypatch):
-        # the output path is an existing directory, so only the write fails
-        monkeypatch.setattr(cli, "run_sweep", lambda config: [])
-        assert main(["simulate", "--frames", "1", "--out", str(tmp_path)]) == 1
+        # the output directory disappears while the sweep runs
+        out_dir = tmp_path / "gone"
+        out_dir.mkdir()
+        monkeypatch.setattr(cli, "run_sweep", lambda config: out_dir.rmdir() or [])
+        assert main(["simulate", "--frames", "1", "--out", str(out_dir / "x.csv")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"ltelink: error: failed to write CSV to {tmp_path}")
+        assert err.startswith(f"ltelink: error: failed to write CSV to {out_dir / 'x.csv'}")
         assert err.count("\n") == 1
