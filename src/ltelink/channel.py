@@ -80,32 +80,32 @@ class PowerDelayProfile:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Complex tap gains for every (tx, rx) pair, drawn from one profile."""
+    """Complex tap gains of every (tx, rx) pair from one profile; leading axes stack trials."""
 
-    taps: np.ndarray  # (n_tx, n_rx, n_taps) complex128
+    taps: np.ndarray  # (..., n_tx, n_rx, n_taps) complex128
     pdp: PowerDelayProfile
 
     def __post_init__(self) -> None:
         taps = np.asarray(self.taps, dtype=np.complex128)
-        if taps.ndim != 3 or taps.shape[2] != self.pdp.n_taps:
-            raise ValueError("taps must be (n_tx, n_rx, n_taps) matching the profile")
+        if taps.ndim < 3 or taps.shape[-1] != self.pdp.n_taps:
+            raise ValueError("taps must be (..., n_tx, n_rx, n_taps) matching the profile")
         object.__setattr__(self, "taps", taps)
         taps.setflags(write=False)
 
     @property
     def n_tx(self) -> int:
-        return self.taps.shape[0]
+        return self.taps.shape[-3]
 
     @property
     def n_rx(self) -> int:
-        return self.taps.shape[1]
+        return self.taps.shape[-2]
 
     def impulse_responses(self, length: int | None = None) -> np.ndarray:
-        """Dense (n_tx, n_rx, length) responses with taps at their delays;
+        """Dense (..., n_tx, n_rx, length) responses with taps at their delays;
         length is at least the span and defaults to it."""
         length = self.pdp.span if length is None else length
-        out = np.zeros((self.n_tx, self.n_rx, length), dtype=np.complex128)
-        out[:, :, self.pdp.tap_delays] = self.taps
+        out = np.zeros((*self.taps.shape[:-1], length), dtype=np.complex128)
+        out[..., self.pdp.tap_delays] = self.taps
         return out
 
     def frequency_responses(self, n_fft: int, bins: np.ndarray | None = None) -> np.ndarray:
@@ -118,7 +118,7 @@ class ChannelRealization:
         if self.pdp.span > n_fft:
             raise ValueError(f"channel span {self.pdp.span} exceeds the FFT size {n_fft}")
         h = np.fft.fft(self.impulse_responses(), n_fft, axis=-1)
-        return h if bins is None else h[:, :, bins]
+        return h if bins is None else h[..., bins]
 
 
 def generate_channel(
@@ -147,29 +147,34 @@ def _coupling_plan(span: int, cp_len: int) -> np.ndarray:
 
 
 def overrun(tx: np.ndarray, ch: ChannelRealization, config: SystemConfig) -> np.ndarray:
-    """Linear minus circular channel output in every DFT window, (n_rx, n_samples).
+    """Linear minus circular channel output in every DFT window, (..., n_rx, n_samples).
 
-    tx is the modulated (n_tx, n_samples) stream of whole symbols.  Window
-    sample i gets, from each tap delayed past i + cp_len, the previous
-    symbol's sample (zero before the first) minus the cyclic one it replaces.
+    tx holds the modulated (..., n_tx, n_samples) streams of whole symbols,
+    with the leading axes of ch.  Window sample i gets, from each tap delayed
+    past i + cp_len, the previous symbol's sample (zero before the first)
+    minus the cyclic one it replaces.
     """
-    n_tx, n_samples = tx.shape
+    *lead, n_tx, n_samples = tx.shape
     span, cp, sym_len = ch.pdp.span, config.cp_len, config.symbol_len
     if n_tx != ch.n_tx:
         raise ValueError(f"signal has {n_tx} streams, channel expects {ch.n_tx}")
     if span > config.n_fft:
         raise ValueError(f"channel span {span} exceeds the FFT size {config.n_fft}")
-    out = np.zeros((ch.n_rx, n_samples // sym_len, sym_len), dtype=np.complex128)
+    out = np.zeros((*lead, ch.n_rx, n_samples // sym_len, sym_len), dtype=np.complex128)
     n_over = span - 1 - cp
     if n_over > 0:
-        frames = tx.reshape(n_tx, -1, sym_len)
+        frames = tx.reshape(*lead, n_tx, -1, sym_len)
         # offset j of the last n_over samples before each window: what the
         # linear convolution reads minus the cyclic sample it replaces
-        diff = -frames[:, :, sym_len - span + 1 : sym_len - cp]
-        diff[:, 1:] += frames[:, :-1, sym_len - n_over :]
-        coupling = ch.impulse_responses(span + 1)[:, :, _coupling_plan(span, cp)]  # (t, r, j, i)
-        out[:, :, cp : cp + n_over] = np.matmul(diff[:, None], coupling).sum(axis=0)
-    return out.reshape(ch.n_rx, n_samples)
+        diff = -frames[..., sym_len - span + 1 : sym_len - cp]
+        diff[..., 1:, :] += frames[..., :-1, sym_len - n_over :]
+        responses, plan = ch.impulse_responses(span + 1), _coupling_plan(span, cp)
+        # one trial at a time, as the (t, r, j, i) coupling takes n_over^2 per
+        # pair: 58 MB at 10 MHz with L = 1024
+        for k in np.ndindex(*lead):
+            coupled = np.matmul(diff[k][:, None], responses[k][..., plan])  # (t, r, symbol, i)
+            out[k][..., cp : cp + n_over] = coupled.sum(axis=0)
+    return out.reshape(*lead, ch.n_rx, n_samples)
 
 
 # Average symbol power of every constellation here: unit-power QPSK and 16-QAM.
@@ -200,11 +205,16 @@ class NoiseSpec:
 
 
 def add_awgn(signal: np.ndarray, noise: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
-    """Add i.i.d. complex Gaussian samples of variance noise.noise_variance."""
+    """A copy of signal plus i.i.d. complex Gaussian samples of variance
+    noise.noise_variance; one (2, *signal.shape) draw gives their real parts,
+    then their imaginary parts."""
     signal = np.asarray(signal)
     var = noise.noise_variance
     if var == 0.0:
         return signal
-    scale = np.sqrt(var / 2.0)
-    w = scale * (rng.standard_normal(signal.shape) + 1j * rng.standard_normal(signal.shape))
-    return signal + w
+    w = rng.standard_normal((2, *signal.shape))
+    w *= np.sqrt(var / 2.0)
+    out = np.empty(signal.shape, dtype=np.complex128)
+    np.add(signal.real, w[0], out=out.real)
+    np.add(signal.imag, w[1], out=out.imag)
+    return out

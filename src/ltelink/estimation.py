@@ -221,7 +221,7 @@ def calibrate_threshold(
     cross, linearly interpolated between grid points.  Sentinels: +inf when
     LMMSE never loses (always LMMSE), -inf when LS never loses (always LS).
     """
-    from . import harness  # local import; the harness owns the trial chain
+    from . import harness  # local import; the harness owns the cell routine
 
     snrs = np.asarray(sweep_snrs_db, dtype=np.float64)
     if snrs.size == 0:

@@ -284,30 +284,29 @@ class GridLayout:
 
     def fill(
         self,
-        data_symbols: Sequence[np.ndarray],
+        data_symbols: np.ndarray | Sequence[np.ndarray],
         pilot_seq: np.ndarray,
         pattern: PilotPattern,
     ) -> np.ndarray:
-        """Return the (n_ports, n_used, n_symbols) value array for one slot."""
-        n_ports = self.labels.shape[0]
-        values = np.zeros(self.labels.shape, dtype=np.complex128)
-        for p in range(n_ports):
-            got = len(data_symbols[p])
-            if got != self.n_data_per_port:
-                short = self.n_data_per_port - got
-                kind = "missing" if short > 0 else "extra"
-                raise ValueError(
-                    f"antenna {p}: expected {self.n_data_per_port} data symbols, "
-                    f"got {got} ({abs(short)} {kind})"
-                )
-            values[p, self.data_subcarriers, self.data_symbols] = data_symbols[p]
+        """The (..., n_ports, n_used, n_symbols) values of slots whose data_symbols
+        are (..., n_ports, n_data_per_port); leading axes stack slots."""
+        data = np.asarray(data_symbols)
+        got = data.shape[-1]
+        if got != self.n_data_per_port:
+            short = self.n_data_per_port - got
+            kind = "missing" if short > 0 else "extra"
+            raise ValueError(
+                f"expected {self.n_data_per_port} data symbols, got {got} ({abs(short)} {kind})"
+            )
         if len(pilot_seq) < pattern.n_entries:
             raise ValueError(
                 f"pilot sequence too short: need {pattern.n_entries}, "
                 f"got {len(pilot_seq)} ({pattern.n_entries - len(pilot_seq)} missing)"
             )
+        values = np.zeros((*data.shape[:-2], *self.labels.shape), dtype=np.complex128)
+        values[..., self.data_subcarriers, self.data_symbols] = data
         sc, sym, port = pattern.entries.T
-        values[port, sc, sym] = np.asarray(pilot_seq)[: pattern.n_entries]
+        values[..., port, sc, sym] = np.asarray(pilot_seq)[: pattern.n_entries]
         return values
 
 

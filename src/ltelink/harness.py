@@ -8,7 +8,10 @@ demodulated linear convolution of the stream; H is the exact frequency
 response that also scores the estimates.  Every (tx, rx) response is then
 estimated from the pilots on the comb all ports share (every third
 subcarrier), each subcarrier's channel matrix is inverted once to zero-force
-its symbols, and MSE is scored against H and BER against the payload.
+its symbols, and MSE is scored against H and BER against the payload.  One
+routine runs a cell's trials, for the sweep and the threshold calibration
+alike: _CHUNK trials at a time, stacked on a leading axis, so each chunk makes
+one call per stage.
 
 The LMMSE correlation model depends only on the configuration, which fixes the
 pilot comb, and on the channel profile truncated to the cyclic prefix.  It is
@@ -35,6 +38,7 @@ estimator converges to 1/SNR exactly.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -45,6 +49,7 @@ import numpy as np
 
 from . import estimation, kernels, linkproc, ofdm
 from .channel import (
+    ChannelRealization,
     NoiseSpec,
     PowerDelayProfile,
     add_awgn,
@@ -84,6 +89,11 @@ _TAG_PILOTS = 1
 _TAG_CALIBRATION = 2
 
 _SEED_MASK = (1 << 64) - 1
+
+# Trials per chunk of a cell.  Larger chunks pay less numpy call overhead but
+# hold more arrays at once: chunks of 3 add about 1.2 MB (3%) to the peak RSS
+# of the default 5 MHz sweep.
+_CHUNK = 3
 
 
 class Estimator(Enum):
@@ -203,6 +213,9 @@ class _LinkContext:
     pilot_values: np.ndarray  # (n_tx, n_pilots) each port's pilots on the comb
     ls_interp: np.ndarray  # (n_used, n_pilots) LS interpolation, complex like h_ls
     beta: float
+    # (_CHUNK * n_tx * n_data_per_port,) data resource elements of a raveled
+    # (trial, subcarrier, port, symbol) chunk, in the payload bits' order
+    data_index: np.ndarray
 
 
 def _make_context(config: SystemConfig, seed: int) -> _LinkContext:
@@ -210,6 +223,9 @@ def _make_context(config: SystemConfig, seed: int) -> _LinkContext:
     layout = GridLayout.build(config, pattern)
     pilot_seq = random_pilot_sequence(pattern.n_entries, _stream(seed, _TAG_PILOTS))
     subcarriers, entry_index = pattern.comb()
+    n_tx, n_sym = config.n_tx, config.n_symbols_per_slot
+    in_trial = (layout.data_subcarriers * n_tx + np.arange(n_tx)[:, None]) * n_sym
+    trial_start = np.arange(_CHUNK)[:, None, None] * (config.n_used * n_tx * n_sym)
     return _LinkContext(
         config=config,
         pattern=pattern,
@@ -220,82 +236,59 @@ def _make_context(config: SystemConfig, seed: int) -> _LinkContext:
         pilot_values=pilot_seq[entry_index],
         ls_interp=ls_interpolation_matrix(subcarriers, config.n_used).astype(np.complex128),
         beta=beta_for_constellation(config.constellation),
+        data_index=(trial_start + in_trial + layout.data_symbols).reshape(-1),
     )
 
 
-@dataclass(frozen=True)
-class _ChainState:
-    """Estimator-independent products of one trial's chain."""
-
-    bits: np.ndarray  # (n_tx, n_payload_bits_per_port)
-    rx_grid: np.ndarray  # (n_rx, n_used, n_symbols)
-    h_true: np.ndarray  # (n_tx, n_rx, n_used)
-    h_ls: np.ndarray  # (n_tx, n_rx, n_pilots), on the pilot comb
-
-
-def _run_chain(
-    ctx: _LinkContext, pdp: PowerDelayProfile, noise: NoiseSpec, rng: np.random.Generator
-) -> _ChainState:
-    cfg = ctx.config
-    ch = generate_channel(pdp, cfg.n_tx, cfg.n_rx, rng)
-    bits_per_sym = cfg.constellation.bits_per_symbol
-    bits = rng.integers(0, 2, size=(cfg.n_tx, ctx.layout.n_data_per_port * bits_per_sym))
-    data = [linkproc.map_bits(bits[p], cfg.constellation) for p in range(cfg.n_tx)]
-    values = ctx.layout.fill(data, ctx.pilot_seq, ctx.pattern)
-    tx = ofdm.modulate_frame(values, cfg)
-    h_true = ch.frequency_responses(cfg.n_fft, used_subcarrier_bins(cfg))
-    impairment = add_awgn(overrun(tx, ch, cfg), noise, rng)
-    # plus H * X: (n_tx, n_rx, n_used, 1) * (n_tx, 1, n_used, n_symbols) summed over tx
-    rx_grid = ofdm.demodulate_frame(impairment, cfg) + (h_true[..., None] * values[:, None]).sum(0)
-    # (n_rx, n_tx, n_pilots) -> (n_tx, n_rx, n_pilots)
-    y_p = rx_grid[:, ctx.pilot_subcarriers, ctx.pilot_symbols].swapaxes(0, 1)
-    h_ls = ls_estimate(y_p, ctx.pilot_values[:, None])
-    return _ChainState(bits=bits, rx_grid=rx_grid, h_true=h_true, h_ls=h_ls)
-
-
-def _estimate(
-    state: _ChainState,
+def _receive(
     ctx: _LinkContext,
-    method: Estimator,
-    lmmse_factors: tuple[np.ndarray, ...] | None,
-) -> np.ndarray:
-    """(n_tx, n_rx, n_used) estimate of every pair by LS, LMMSE or perfect CSI;
-    a filter W = F_1 ... F_k is applied factor by factor, right to left."""
-    if method is Estimator.PERFECT:
-        return state.h_true
-    factors = lmmse_factors if method is Estimator.LMMSE else (ctx.ls_interp,)
-    # 2-D products over all pairs: BLAS does them faster than a stacked matmul
-    n_tx, n_rx, n_pilots = state.h_ls.shape
-    h = state.h_ls.reshape(-1, n_pilots)
-    for f in reversed(factors):
-        h = h @ f.T
-    return h.reshape(n_tx, n_rx, -1)
+    pdp: PowerDelayProfile,
+    noise: NoiseSpec,
+    rngs: Sequence[np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Transmit and receive a chunk of slots along a leading trial axis.
 
-
-def _detect_and_count(
-    state: _ChainState, ctx: _LinkContext, h_hat: np.ndarray
-) -> tuple[int, int, int]:
-    """ZF-detect the slot per subcarrier and count bit errors on the data
-    resource elements; returns (bit_errors, bit_count, erased data REs)."""
+    Trial i draws its channel taps, then its payload bits, then its noise from
+    rngs[i].  Returns bits (c, n_tx, n_bits), the subcarrier-major rx_grid
+    (c, n_used, n_rx, n_symbols) that zero-forcing takes, and h_true
+    (c, n_tx, n_rx, n_used)."""
     cfg = ctx.config
-    sc, sym = ctx.layout.data_subcarriers, ctx.layout.data_symbols
-    # (n_used, n_rx, n_symbols) and (n_used, n_rx, n_tx) views
-    detected, erased = kernels.zf_detect_grid(state.rx_grid.swapaxes(0, 1), h_hat.T)
-    errors = 0
-    for p in range(cfg.n_tx):
-        rx_bits = linkproc.demap_symbols(detected[sc, p, sym], cfg.constellation)
-        errors += int(np.count_nonzero(rx_bits != state.bits[p]))
-    return errors, int(state.bits.size), int(np.count_nonzero(erased[sc]))
+    n, n_bits = len(rngs), ctx.layout.n_data_per_port * cfg.constellation.bits_per_symbol
+    taps, bits = [], []
+    for rng in rngs:
+        taps.append(generate_channel(pdp, cfg.n_tx, cfg.n_rx, rng).taps)
+        bits.append(rng.integers(0, 2, size=(cfg.n_tx, n_bits)))
+    ch = ChannelRealization(np.stack(taps), pdp)
+    bits = np.stack(bits)
+    values = ctx.layout.fill(  # (c, n_tx, n_used, n_symbols)
+        linkproc.map_bits(bits, cfg.constellation).reshape(n, cfg.n_tx, -1),
+        ctx.pilot_seq,
+        ctx.pattern,
+    )
+    tx = ofdm.modulate_frame(values.reshape(n * cfg.n_tx, cfg.n_used, -1), cfg)
+    impairment = overrun(tx.reshape(n, cfg.n_tx, -1), ch, cfg)
+    h_true = ch.frequency_responses(cfg.n_fft, used_subcarrier_bins(cfg))
+    # H * X summed over tx, (c, n_used, n_rx, n_symbols), plus the demodulated impairment
+    rx_grid = h_true[:, 0].swapaxes(1, 2)[..., None] * values[:, 0, :, None]
+    for t in range(1, cfg.n_tx):
+        rx_grid += h_true[:, t].swapaxes(1, 2)[..., None] * values[:, t, :, None]
+    del tx, values  # freed before the noise and the demodulation add theirs
+    for i, rng in enumerate(rngs):
+        impairment[i] = add_awgn(impairment[i], noise, rng)
+    rx = ofdm.demodulate_frame(impairment.reshape(n * cfg.n_rx, -1), cfg)
+    rx_grid += rx.reshape(n, cfg.n_rx, cfg.n_used, -1).swapaxes(1, 2)
+    return bits, rx_grid, h_true
 
 
 def _score_estimate(
     h_hat: np.ndarray, h_true: np.ndarray, pilot_subcarriers: np.ndarray
 ) -> tuple[float, float, float, float]:
-    """Energy sums of one slot's estimate: (|err|^2, |h|^2) over all used
-    subcarriers, then over the pilot subcarriers.
+    """Energy sums of estimates: (|err|^2, |h|^2) over all used subcarriers,
+    then over the pilot subcarriers.
 
-    h_hat and h_true are (n_tx, n_rx, n_used); the normalized MSE of a cell
-    is the ratio of the error sum to the energy sum over all its trials.
+    h_hat and h_true are (..., n_tx, n_rx, n_used), any leading axes being
+    trials; the normalized MSE of a cell is the ratio of the error sum to the
+    energy sum over all its trials.
     """
     err2 = np.abs(h_hat - h_true) ** 2
     ref2 = np.abs(h_true) ** 2
@@ -307,28 +300,58 @@ def _score_estimate(
     )
 
 
-@dataclass
-class _Sums:
-    """One estimate's sums over the trials of a cell, added in trial order."""
+def _bit_errors(ctx: _LinkContext, rx_grid: np.ndarray, h_hat: np.ndarray, bits: np.ndarray) -> int:
+    """Payload bit errors of a chunk zero-forced with the estimate h_hat."""
+    cfg = ctx.config
+    # one (n_rx, n_tx) matrix per (trial, subcarrier)
+    h_sc = h_hat.transpose(0, 3, 2, 1).reshape(-1, cfg.n_rx, cfg.n_tx)
+    detected, _ = kernels.zf_detect_grid(rx_grid.reshape(len(h_sc), cfg.n_rx, -1), h_sc)
+    n_symbols = bits.size // cfg.constellation.bits_per_symbol
+    symbols = detected.reshape(-1).take(ctx.data_index[:n_symbols])
+    rx_bits = linkproc.demap_symbols(symbols, cfg.constellation)
+    return int(np.count_nonzero(rx_bits != bits.reshape(-1)))
 
-    num_all: float = 0.0
-    den_all: float = 0.0
-    num_pil: float = 0.0
-    den_pil: float = 0.0
-    errors: int = 0
-    bits: int = 0
 
-    def add_trial(self, state: _ChainState, ctx: _LinkContext, h_hat: np.ndarray) -> None:
-        num_all, den_all, num_pil, den_pil = _score_estimate(
-            h_hat, state.h_true, ctx.pilot_subcarriers
-        )
-        errors, bits, _ = _detect_and_count(state, ctx, h_hat)
-        self.num_all += num_all
-        self.den_all += den_all
-        self.num_pil += num_pil
-        self.den_pil += den_pil
-        self.errors += errors
-        self.bits += bits
+def _run_cell(
+    ctx: _LinkContext,
+    pdp: PowerDelayProfile,
+    noise: NoiseSpec,
+    streams: Iterable[np.random.Generator],
+    filters: Sequence[tuple[np.ndarray, ...] | None],
+    detect: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized MSE and BER of each estimate over the trials of one cell.
+
+    streams yields one generator per trial; the trials run _CHUNK at a time.
+    An estimate is the factors of its filter W = F_1 ... F_k, applied to h_ls
+    right to left, or None for the true channel.  Returns (mse, ber): mse is
+    (n_filters, 2), over all used subcarriers and over the pilot comb, and ber
+    (n_filters,) is 0 without detection.  Errors and energies are summed over
+    the whole cell and divided once.
+    """
+    pilots = ctx.pilot_subcarriers
+    sums = np.zeros((len(filters), 4))  # the sums of _score_estimate
+    errors = np.zeros(len(filters), dtype=np.int64)
+    n_bits = 0
+    streams = iter(streams)
+    while rngs := list(itertools.islice(streams, _CHUNK)):
+        bits, rx_grid, h_true = _receive(ctx, pdp, noise, rngs)
+        # (n_tx, n_pilots, c, n_rx) -> (c, n_tx, n_rx, n_pilots)
+        y_p = rx_grid[:, pilots, :, ctx.pilot_symbols].transpose(2, 0, 3, 1)
+        h_ls = ls_estimate(y_p, ctx.pilot_values[:, None]).reshape(-1, len(pilots))
+        n_bits += bits.size
+        for k, factors in enumerate(filters):
+            h_hat = h_true
+            if factors is not None:
+                # 2-D products over trials and pairs: BLAS beats a stacked matmul here
+                h_hat = h_ls
+                for f in reversed(factors):
+                    h_hat = h_hat @ f.T
+                h_hat = h_hat.reshape(h_true.shape)
+            sums[k] += _score_estimate(h_hat, h_true, pilots)
+            if detect:
+                errors[k] += _bit_errors(ctx, rx_grid, h_hat, bits)
+    return sums[:, 0::2] / sums[:, 1::2], errors / n_bits
 
 
 def _correlation_model(config: SystemConfig, pdp: PowerDelayProfile) -> CorrelationModel:
@@ -377,25 +400,15 @@ def paired_mse_curves(
     Used by the hybrid threshold calibration; aggregation matches run_sweep.
     """
     ctx = _make_context(system, 0)
-    snrs_db = np.asarray(snrs_db, dtype=np.float64)
-    streams = rng.spawn(len(snrs_db) * n_trials)
     model = _correlation_model(system, pdp)
-    ls_curve = np.empty(len(snrs_db))
-    lmmse_curve = np.empty(len(snrs_db))
-    for i, snr_db in enumerate(snrs_db):
-        lmmse_factors = _filter_from_model(model, snr_db, ctx.beta)
-        noise = NoiseSpec(snr_db)
-        acc = {Estimator.LS: [0.0, 0.0], Estimator.LMMSE: [0.0, 0.0]}
-        for j in range(n_trials):
-            state = _run_chain(ctx, pdp, noise, streams[i * n_trials + j])
-            for est, sums in acc.items():
-                h_hat = _estimate(state, ctx, est, lmmse_factors)
-                num, den, _, _ = _score_estimate(h_hat, state.h_true, ctx.pilot_subcarriers)
-                sums[0] += num
-                sums[1] += den
-        ls_curve[i] = acc[Estimator.LS][0] / acc[Estimator.LS][1]
-        lmmse_curve[i] = acc[Estimator.LMMSE][0] / acc[Estimator.LMMSE][1]
-    return ls_curve, lmmse_curve
+    mse = np.empty((2, len(snrs_db)))
+    for i, snr_db in enumerate(np.asarray(snrs_db, dtype=np.float64)):
+        filters = ((ctx.ls_interp,), _filter_from_model(model, snr_db, ctx.beta))
+        # spawned as the chunks take them: the children of spawning all
+        # len(snrs_db) * n_trials up front, in the same order
+        streams = (rng.spawn(1)[0] for _ in range(n_trials))
+        mse[:, i] = _run_cell(ctx, pdp, NoiseSpec(snr_db), streams, filters, detect=False)[0][:, 0]
+    return mse[0], mse[1]
 
 
 def _resolve_thresholds(config: SweepConfig) -> dict[int, float]:
@@ -430,8 +443,8 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     Records are ordered by (channel length, SNR, estimator); channel lengths
     are processed in ascending order regardless of the configured order.  Each
     trial stream derives from (seed, purpose, length index, snr index, trial),
-    shared by every estimator of the cell.  A trial computes each distinct
-    estimate once: the hybrid row copies the sums of the LS or LMMSE estimate
+    shared by every estimator of the cell.  A cell computes each distinct
+    estimate once: the hybrid row copies the row of the LS or LMMSE estimate
     its policy chooses for the cell, computed even when not requested itself.
     """
     ctx = _make_context(config.system, config.seed)
@@ -450,33 +463,27 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
                 branch = Estimator.LS if chooses_ls else Estimator.LMMSE
                 if branch not in methods:
                     cell_methods = (*methods, branch)
-            lmmse_factors = None
+            filters = {Estimator.LS: (ctx.ls_interp,), Estimator.PERFECT: None}
             if Estimator.LMMSE in cell_methods:
                 model = _correlation_model(config.system, pdp)
-                lmmse_factors = _filter_from_model(model, snr_db, ctx.beta)
-            noise = NoiseSpec(snr_db)
-            sums = {m: _Sums() for m in cell_methods}
-            for trial in range(config.n_frames):
-                rng = _stream(config.seed, _TAG_TRIAL, li, si, trial)
-                try:
-                    state = _run_chain(ctx, pdp, noise, rng)
-                    for method, acc in sums.items():
-                        acc.add_trial(state, ctx, _estimate(state, ctx, method, lmmse_factors))
-                except Exception as exc:
-                    raise RuntimeError(
-                        f"trial failed (channel_len={length}, snr_db={snr_db}, "
-                        f"trial={trial})"
-                    ) from exc
+                filters[Estimator.LMMSE] = _filter_from_model(model, snr_db, ctx.beta)
+            streams = (_stream(config.seed, _TAG_TRIAL, li, si, t) for t in range(config.n_frames))
+            try:
+                mse, ber = _run_cell(
+                    ctx, pdp, NoiseSpec(snr_db), streams, [filters[m] for m in cell_methods], True
+                )
+            except Exception as exc:
+                raise RuntimeError(f"cell failed (channel_len={length}, snr_db={snr_db})") from exc
             for est in requested:
-                acc = sums[branch if est is Estimator.HYBRID else est]
+                k = cell_methods.index(branch if est is Estimator.HYBRID else est)
                 records.append(
                     SweepRecord(
                         snr_db=snr_db,
                         channel_len=length,
                         estimator=est,
-                        mse_all_subcarriers=acc.num_all / acc.den_all,
-                        mse_pilot_subcarriers=acc.num_pil / acc.den_pil,
-                        ber=acc.errors / acc.bits,
+                        mse_all_subcarriers=float(mse[k, 0]),
+                        mse_pilot_subcarriers=float(mse[k, 1]),
+                        ber=float(ber[k]),
                         n_trials=config.n_frames,
                         branch_fraction_ls=(
                             float(chooses_ls) if est is Estimator.HYBRID else None

@@ -17,6 +17,8 @@ __all__ = [
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT10 = 1.0 / np.sqrt(10.0)
+# QPSK points indexed by 2 * b0 + b1.
+_QPSK_POINTS = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) * _INV_SQRT2
 # Gray-coded per-axis 16-QAM levels indexed by the two axis bits (b_hi, b_lo).
 _QAM16_LEVELS = np.array([3.0, 1.0, -3.0, -1.0]) * _INV_SQRT10
 
@@ -30,16 +32,14 @@ def qpsk_map(bits: np.ndarray) -> np.ndarray:
     if bits.size % 2 != 0:
         raise ValueError(f"QPSK needs an even bit count, got {bits.size}")
     pairs = bits.reshape(-1, 2)
-    return ((1 - 2 * pairs[:, 0]) + 1j * (1 - 2 * pairs[:, 1])) * _INV_SQRT2
+    return _QPSK_POINTS[2 * pairs[:, 0] + pairs[:, 1]]
 
 
 def qpsk_demap(symbols: np.ndarray) -> np.ndarray:
     """Hard per-axis sign decision, inverse of qpsk_map; ties resolve to bit 0."""
-    symbols = np.asarray(symbols)
-    out = np.empty((symbols.size, 2), dtype=np.int8)
-    out[:, 0] = symbols.real < 0
-    out[:, 1] = symbols.imag < 0
-    return out.reshape(-1)
+    # the float view interleaves real and imaginary parts: b0, b1 of each symbol
+    parts = np.ascontiguousarray(symbols, dtype=np.complex128).reshape(-1).view(np.float64)
+    return (parts < 0).astype(np.int8)
 
 
 def qam16_map(bits: np.ndarray) -> np.ndarray:

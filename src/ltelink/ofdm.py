@@ -30,12 +30,16 @@ def modulate_frame(values: np.ndarray, config: SystemConfig) -> np.ndarray:
         )
     bins = used_subcarrier_bins(config)
     n_ant, _, n_sym = values.shape
-    spectrum = np.zeros((n_ant, n_sym, config.n_fft), dtype=np.complex128)
-    spectrum[:, :, bins] = values.transpose(0, 2, 1)
-    time = np.fft.ifft(spectrum, axis=-1) * np.sqrt(config.n_fft)
-    if config.cp_len:
-        time = np.concatenate([time[:, :, -config.cp_len :], time], axis=-1)
-    return time.reshape(n_ant, -1)
+    cp, n_fft = config.cp_len, config.n_fft
+    # each symbol's spectrum sits where its samples go, after the prefix, and
+    # the samples overwrite it: one buffer holds the spectrum and the output
+    frames = np.zeros((n_ant, n_sym, cp + n_fft), dtype=np.complex128)
+    frames[:, :, cp + bins] = values.transpose(0, 2, 1)
+    time = np.fft.ifft(frames[:, :, cp:], axis=-1)
+    time *= np.sqrt(n_fft)
+    frames[:, :, cp:] = time
+    frames[:, :, :cp] = time[:, :, n_fft - cp :]
+    return frames.reshape(n_ant, -1)
 
 
 def demodulate_frame(samples: np.ndarray, config: SystemConfig) -> np.ndarray:
@@ -49,6 +53,7 @@ def demodulate_frame(samples: np.ndarray, config: SystemConfig) -> np.ndarray:
             f"{config.symbol_len}"
         )
     sym = samples.reshape(n_ant, -1, config.symbol_len)[:, :, config.cp_len :]
-    spectrum = np.fft.fft(sym, axis=-1) / np.sqrt(config.n_fft)
-    return spectrum[:, :, used_subcarrier_bins(config)].transpose(0, 2, 1)
+    spectrum = np.fft.fft(sym, axis=-1)[:, :, used_subcarrier_bins(config)]
+    spectrum /= np.sqrt(config.n_fft)
+    return spectrum.transpose(0, 2, 1)
 

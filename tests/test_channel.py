@@ -20,7 +20,7 @@ from ltelink.channel import (
     overrun,
 )
 from ltelink.grid import SystemConfig, used_subcarrier_bins
-from ltelink.harness import _make_context, _run_chain
+from ltelink.harness import _make_context, _receive
 from ltelink.ofdm import demodulate_frame, modulate_frame
 
 
@@ -297,16 +297,49 @@ class TestReceivePath:
     @pytest.mark.parametrize("snr_db", [np.inf, 10.0], ids=["snr-inf", "snr-10"])
     @pytest.mark.parametrize("bw, cp, length", _receive_cases())
     def test_matches_time_domain_chain(self, bw, cp, length, snr_db):
+        # a chunk of two trials against the oracle trial by trial; the
+        # channels past 128 taps run one, as their overrun couplings take
+        # tens of MB per trial
         ctx = _make_context(SystemConfig(bandwidth_mhz=bw, cp_len=cp), 19)
         pdp, noise = PowerDelayProfile.uniform(length), NoiseSpec(snr_db)
-        rng, oracle_rng = np.random.default_rng(20), np.random.default_rng(20)
-        state = _run_chain(ctx, pdp, noise, rng)
-        bits, rx_grid, h_true = time_domain_chain(ctx, pdp, noise, oracle_rng)
-        rel = np.abs(state.rx_grid - rx_grid).max() / np.abs(rx_grid).max()
-        assert rel < 1e-12
-        assert np.array_equal(state.bits, bits) and np.array_equal(state.h_true, h_true)
-        # the same draws in the same order: taps, bits, then noise
-        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        seeds = (20, 21) if length <= 128 else (20,)
+        rngs = [np.random.default_rng(s) for s in seeds]
+        bits, rx_grid, h_true = _receive(ctx, pdp, noise, rngs)
+        assert rx_grid.shape == (len(seeds), ctx.config.n_used, ctx.config.n_rx, 7)
+        for i, seed in enumerate(seeds):
+            oracle_rng = np.random.default_rng(seed)
+            want_bits, want_grid, want_h = time_domain_chain(ctx, pdp, noise, oracle_rng)
+            rel = np.abs(rx_grid[i].swapaxes(0, 1) - want_grid).max() / np.abs(want_grid).max()
+            assert rel < 1e-12
+            assert np.array_equal(bits[i], want_bits) and np.array_equal(h_true[i], want_h)
+            # the same draws in the same order: taps, bits, then noise
+            assert rngs[i].bit_generator.state == oracle_rng.bit_generator.state
+
+
+class TestTrialAxis:
+    """Leading axes of a realization stack trials: each slice is that trial's result."""
+
+    CFG = SystemConfig()
+
+    def test_responses_and_overrun_per_trial(self):
+        rng = np.random.default_rng(30)
+        pdp = PowerDelayProfile.uniform(40)
+        chans = [generate_channel(pdp, 2, 2, rng) for _ in range(3)]
+        stacked = ChannelRealization(np.stack([ch.taps for ch in chans]), pdp)
+        assert (stacked.n_tx, stacked.n_rx) == (2, 2)
+        values = rng.standard_normal((3, 2, self.CFG.n_used, 7)) + 0j
+        tx = modulate_frame(values.reshape(6, self.CFG.n_used, 7), self.CFG).reshape(3, 2, -1)
+        bins = used_subcarrier_bins(self.CFG)
+        h = stacked.frequency_responses(self.CFG.n_fft, bins)
+        over = overrun(tx, stacked, self.CFG)
+        assert h.shape == (3, 2, 2, self.CFG.n_used) and over.shape == (3, 2, tx.shape[-1])
+        for i, ch in enumerate(chans):
+            assert_allclose(h[i], ch.frequency_responses(self.CFG.n_fft, bins), rtol=0, atol=1e-15)
+            assert_allclose(over[i], overrun(tx[i], ch, self.CFG), rtol=0, atol=1e-15)
+
+    def test_rejects_taps_without_pair_axes(self):
+        with pytest.raises(ValueError, match="n_tx, n_rx, n_taps"):
+            ChannelRealization(np.ones((2, 4), dtype=complex), PowerDelayProfile.uniform(4))
 
 
 class TestAwgn:
@@ -325,6 +358,24 @@ class TestAwgn:
         rng = np.random.default_rng(10)
         out = add_awgn(np.zeros(100_000, dtype=complex), NoiseSpec(10.0), rng)
         assert np.mean(np.abs(out) ** 2) == pytest.approx(0.1, rel=0.03)
+
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_one_draw_equals_the_two_draw_sum(self, dtype):
+        # one (2, *shape) draw holds the real parts, then the imaginary ones:
+        # bit for bit the sum of two draws, and the input is left as it was
+        rng = np.random.default_rng(11)
+        sig = rng.standard_normal((2, 3, 50)).astype(dtype)
+        if dtype is complex:
+            sig += 1j * rng.standard_normal(sig.shape)
+        before = sig.copy()
+        noise = NoiseSpec(7.0)
+        scale = np.sqrt(noise.noise_variance / 2.0)
+        draws = np.random.default_rng(12)
+        a, b = draws.standard_normal(sig.shape), draws.standard_normal(sig.shape)
+        out = add_awgn(sig, noise, np.random.default_rng(12))
+        assert out.dtype == np.complex128
+        assert out.tobytes() == (sig + scale * (a + 1j * b)).tobytes()
+        assert np.array_equal(sig, before) and sig.dtype == before.dtype
 
     def test_reproducible(self):
         sig = np.ones(64, dtype=complex)

@@ -2,12 +2,13 @@
 
 import dataclasses
 import io
+import math
 
 import numpy as np
 import pytest
-from oracles import interpolate_ls
+from oracles import correlation_matrices, interpolate_ls, lmmse_filter_solve, time_domain_chain
 
-from ltelink import estimation, harness
+from ltelink import estimation, harness, kernels, linkproc, ofdm
 from ltelink.channel import NoiseSpec, PowerDelayProfile
 from ltelink.grid import Constellation, SystemConfig
 from ltelink.harness import (
@@ -15,13 +16,13 @@ from ltelink.harness import (
     Estimator,
     SweepConfig,
     SweepRecord,
-    _detect_and_count,
     _make_context,
-    _run_chain,
+    _run_cell,
     _score_estimate,
     _stream,
     emit_csv,
     format_summary,
+    paired_mse_curves,
     run_sweep,
 )
 
@@ -99,23 +100,61 @@ class TestComputeBer:
     """Bit errors as the sweep counts them: detected payload bits against sent."""
 
     @staticmethod
-    def _count(flip):
+    def _ber(monkeypatch, flip):
+        # two noiseless slots of a CP-covered channel, detected with perfect
+        # CSI, demap without error; flip picks the detected bits to report wrong
+        demap, demapped = linkproc.demap_symbols, []
+
+        def flipped(symbols, constellation):
+            bits = demap(symbols, constellation)
+            demapped.append(bits.size)
+            return np.where(flip(np.arange(bits.size)), 1 - bits, bits)
+
+        monkeypatch.setattr(linkproc, "demap_symbols", flipped)
         ctx = _make_context(SystemConfig(), 0)
-        state = _run_chain(ctx, PowerDelayProfile.uniform(6), NoiseSpec(np.inf), _rng(9))
-        sent = dataclasses.replace(state, bits=np.where(flip(state.bits), 1 - state.bits, state.bits))
-        errors, nbits, erasures = _detect_and_count(sent, ctx, state.h_true)
-        assert erasures == 0 and nbits == state.bits.size
-        return errors, nbits
+        noise, streams = NoiseSpec(np.inf), [_rng(9), _rng(10)]
+        mse, ber = _run_cell(ctx, PowerDelayProfile.uniform(6), noise, streams, [None], True)
+        assert demapped == [2 * 7600] and mse.tolist() == [[0.0, 0.0]]
+        return ber[0]
 
-    def test_identical(self):
-        assert self._count(lambda b: np.zeros(b.shape, dtype=bool)) == (0, 7600)
+    def test_identical(self, monkeypatch):
+        assert self._ber(monkeypatch, lambda i: np.zeros(i.shape, dtype=bool)) == 0.0
 
-    def test_all_flipped(self):
-        assert self._count(lambda b: np.ones(b.shape, dtype=bool)) == (7600, 7600)
+    def test_all_flipped(self, monkeypatch):
+        assert self._ber(monkeypatch, lambda i: np.ones(i.shape, dtype=bool)) == 1.0
 
-    def test_half_flipped(self):
-        errors, nbits = self._count(lambda b: np.arange(b.size).reshape(b.shape) % 2 == 1)
-        assert errors == nbits // 2
+    def test_half_flipped(self, monkeypatch):
+        assert self._ber(monkeypatch, lambda i: i % 2 == 1) == 0.5
+
+
+def _oracle_trial(ctx, pdp, noise, rng, filters):
+    """One trial rebuilt without the cell routine: the time-domain chain, LS
+    by interpolate_ls, LMMSE by the dense solve, and per-slot ZF.  Returns
+    one (|err|^2 all, |h|^2 all, |err|^2 comb, |h|^2 comb, errors, bits) row
+    per filter name of ls, lmmse and perfect."""
+    cfg = ctx.config
+    bits, rx_grid, h_true = time_domain_chain(ctx, pdp, noise, rng)
+    comb = ctx.pilot_subcarriers
+    y_p = rx_grid[:, comb, ctx.pilot_symbols].swapaxes(0, 1)  # (n_tx, n_rx, n_pilots)
+    h_ls = y_p / ctx.pilot_values[:, None]
+    snr = 10.0 ** (noise.snr_db / 10.0)
+    rows = []
+    for name in filters:
+        if name == "ls":
+            h_hat = np.array([[interpolate_ls(h, comb, cfg.n_used) for h in h_t] for h_t in h_ls])
+        elif name == "lmmse":
+            corr = correlation_matrices(pdp.truncated(min(pdp.n_taps, cfg.cp_len)), comb, cfg)
+            h_hat = h_ls @ lmmse_filter_solve(corr, ctx.beta / snr).T
+        else:
+            h_hat = h_true
+        err2, ref2 = np.abs(h_hat - h_true) ** 2, np.abs(h_true) ** 2
+        detected, _ = kernels.zf_detect_grid(rx_grid.swapaxes(0, 1), h_hat.T)
+        sc, sym = ctx.layout.data_subcarriers, ctx.layout.data_symbols
+        rx_bits = [linkproc.demap_symbols(x, cfg.constellation) for x in detected[sc, :, sym].T]
+        errors = np.count_nonzero(np.array(rx_bits) != bits)
+        energies = [err2.sum(), ref2.sum(), err2[..., comb].sum(), ref2[..., comb].sum()]
+        rows.append([*energies, errors, bits.size])
+    return np.array(rows)
 
 
 class TestRunSweep:
@@ -143,38 +182,66 @@ class TestRunSweep:
         assert len(records) == 2 * 3 * 2
 
     def test_matches_chain_accumulation(self):
-        # the cell rebuilt trial by trial from the chain, an independent LS
-        # interpolation and the sweep's scoring and detection
+        # seven trials run as chunks of 3 + 3 + 1; the cell rebuilt trial by
+        # trial from the oracles must give the same bit errors, and MSE up to
+        # the order of the sums
+        assert harness._CHUNK == 3
         cfg = SweepConfig(
-            channel_lengths=(8,),
-            snr_grid_db=(5.0, 15.0),
-            n_frames=4,
+            channel_lengths=(20,),
+            snr_grid_db=(5.0, 25.0),
+            n_frames=7,
             seed=11,
-            estimators=(Estimator.LS,),
+            estimators=(Estimator.LS, Estimator.LMMSE, Estimator.PERFECT),
         )
-        records = run_sweep(cfg)
+        records = {(r.snr_db, r.estimator.value): r for r in run_sweep(cfg)}
         ctx = _make_context(cfg.system, cfg.seed)
-        pdp = PowerDelayProfile.uniform(8)
+        pdp = PowerDelayProfile.uniform(20)
+        names = ("ls", "lmmse", "perfect")
         for si, snr in enumerate(cfg.snr_grid_db):
-            num = den = 0.0
-            errs = bits = 0
-            for trial in range(cfg.n_frames):
-                state = _run_chain(ctx, pdp, NoiseSpec(snr), _stream(cfg.seed, 0, 0, si, trial))
-                h_hat = np.array(
-                    [
-                        [interpolate_ls(h_r, ctx.pilot_subcarriers, cfg.system.n_used) for h_r in h_p]
-                        for h_p in state.h_ls
-                    ]
-                )
-                n_all, d_all, _, _ = _score_estimate(h_hat, state.h_true, ctx.pilot_subcarriers)
-                e, b, _ = _detect_and_count(state, ctx, h_hat)
-                num += n_all
-                den += d_all
-                errs += e
-                bits += b
-            rec = [r for r in records if r.snr_db == snr][0]
-            assert rec.mse_all_subcarriers == pytest.approx(num / den, rel=1e-12)
-            assert rec.ber == pytest.approx(errs / bits, rel=1e-12)
+            sums = sum(
+                _oracle_trial(ctx, pdp, NoiseSpec(snr), _stream(cfg.seed, 0, 0, si, trial), names)
+                for trial in range(cfg.n_frames)
+            )
+            for name, (n_all, d_all, n_pil, d_pil, errors, bits) in zip(names, sums):
+                rec = records[snr, name]
+                assert rec.mse_all_subcarriers == pytest.approx(n_all / d_all, rel=1e-9)
+                assert rec.mse_pilot_subcarriers == pytest.approx(n_pil / d_pil, rel=1e-9)
+                assert rec.ber == errors / bits
+
+    def test_calibration_curves_match_per_trial_oracle(self):
+        # chunks of 3 + 3 + 1 again, with streams spawned chunk by chunk: the
+        # same children as spawning every trial's stream up front
+        system, pdp, snrs = SystemConfig(), PowerDelayProfile.uniform(40), np.array([5.0, 25.0])
+        ls, lmmse = paired_mse_curves(system, pdp, snrs, 7, _rng(3))
+        ctx = _make_context(system, 0)
+        streams = _rng(3).spawn(len(snrs) * 7)
+        for i, snr in enumerate(snrs):
+            sums = sum(
+                _oracle_trial(ctx, pdp, NoiseSpec(snr), streams[i * 7 + j], ("ls", "lmmse"))
+                for j in range(7)
+            )
+            assert ls[i] == pytest.approx(sums[0, 0] / sums[0, 1], rel=1e-9)
+            assert lmmse[i] == pytest.approx(sums[1, 0] / sums[1, 1], rel=1e-9)
+
+    def test_one_modulation_and_demodulation_per_chunk(self, monkeypatch):
+        # the sweep and the calibration modulate and demodulate each chunk
+        # once, the CP-covered length included
+        calls = {"modulate": 0, "demodulate": 0}
+
+        def counting(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(ofdm, "modulate_frame", counting("modulate", ofdm.modulate_frame))
+        monkeypatch.setattr(ofdm, "demodulate_frame", counting("demodulate", ofdm.demodulate_frame))
+        cfg = SweepConfig(channel_lengths=(6, 20), snr_grid_db=(0.0, 30.0), n_frames=7, seed=6)
+        run_sweep(cfg)
+        # 2 lengths x 2 SNRs of sweep cells and 2 SNRs of calibrating L=20
+        chunks = (2 * 2 + 2) * math.ceil(cfg.n_frames / harness._CHUNK)
+        assert calls == {"modulate": chunks, "demodulate": chunks}
 
     def test_perfect_csi_noiseless_is_exact(self):
         cfg = dataclasses.replace(
