@@ -8,20 +8,18 @@ The package exports the configuration and sweep API; the stages of the link
 """
 
 from .channel import ChannelRealization, NoiseSpec, PowerDelayProfile
-from .estimation import CorrelationModel, HybridPolicy, calibrate_threshold
-from .grid import CellLabel, Constellation, GridLayout, PilotPattern, SystemConfig
+from .estimation import CorrelationModel, calibrate_threshold
+from .grid import Constellation, GridLayout, PilotPattern, SystemConfig
 from .harness import Estimator, SweepConfig, SweepRecord, emit_csv, run_sweep
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CellLabel",
     "ChannelRealization",
     "Constellation",
     "CorrelationModel",
     "Estimator",
     "GridLayout",
-    "HybridPolicy",
     "NoiseSpec",
     "PilotPattern",
     "PowerDelayProfile",

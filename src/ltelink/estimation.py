@@ -25,7 +25,6 @@ from .grid import Constellation, SystemConfig, used_subcarrier_bins
 
 __all__ = [
     "CorrelationModel",
-    "HybridPolicy",
     "ls_estimate",
     "ls_interpolation_matrix",
     "build_correlation_model",
@@ -153,31 +152,6 @@ def beta_for_constellation(constellation: Constellation) -> float:
     raise ValueError(f"unsupported constellation: {constellation!r}")
 
 
-@dataclass(frozen=True)
-class HybridPolicy:
-    """Branch rule of the hybrid estimator: the one place it picks LS or LMMSE.
-
-    A channel the CP covers (channel_len_hint <= cp_len + 1: every tap delay
-    fits in the prefix, so there is no ISI) always selects LMMSE; otherwise
-    the received SNR decides: below snr_threshold_db LMMSE, at or above it LS.
-    """
-
-    cp_len: int
-    channel_len_hint: int
-    snr_threshold_db: float
-
-    def __post_init__(self) -> None:
-        if self.channel_len_hint < 1:
-            raise ValueError("channel_len_hint must be at least 1")
-        if np.isnan(self.snr_threshold_db):
-            raise ValueError("snr_threshold_db must not be NaN")
-
-    def chooses_ls(self, snr_db: float) -> bool:
-        if self.channel_len_hint <= self.cp_len + 1:
-            return False
-        return snr_db >= self.snr_threshold_db
-
-
 def _crossover_from_curves(
     snrs_db: np.ndarray, mse_ls: np.ndarray, mse_lmmse: np.ndarray
 ) -> float:
@@ -226,7 +200,7 @@ def calibrate_threshold(
     snrs = np.asarray(sweep_snrs_db, dtype=np.float64)
     if snrs.size == 0:
         raise ValueError("empty SNR grid")
-    if pdp_long.span <= config.cp_len + 1:
+    if config.cp_covers(pdp_long.span):
         raise ValueError(
             f"calibration needs a channel exceeding the CP; got span "
             f"{pdp_long.span} with cp_len {config.cp_len}"

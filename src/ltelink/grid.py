@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import Enum
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "Constellation",
     "SystemConfig",
-    "CellLabel",
     "PilotPattern",
     "GridLayout",
     "LTE_PROFILES",
@@ -55,12 +54,6 @@ class Constellation(Enum):
     @property
     def bits_per_symbol(self) -> int:
         return 2 if self is Constellation.QPSK else 4
-
-
-class CellLabel(IntEnum):
-    DATA = 0
-    PILOT = 1
-    NULL = 2
 
 
 @dataclass(frozen=True)
@@ -121,6 +114,11 @@ class SystemConfig:
     def symbol_len(self) -> int:
         return self.n_fft + self.cp_len
 
+    def cp_covers(self, span: int) -> bool:
+        """Whether the cyclic prefix absorbs a channel of span taps: its last
+        tap delay, span - 1, is at most cp_len, so there is no ISI."""
+        return span <= self.cp_len + 1
+
 
 @functools.lru_cache(maxsize=16)
 def used_subcarrier_bins(config: SystemConfig) -> np.ndarray:
@@ -148,145 +146,78 @@ class PilotPattern:
 
     entries holds (subcarrier, symbol, port) rows sorted by (port, symbol,
     subcarrier); that entry order fixes the pilot-sequence assignment.  Every
-    port pilots the same subcarriers (its two symbols' combs interleave), and
-    that shared comb, in ascending subcarrier order, fixes the estimators'
-    observation order: see comb().
+    port pilots the same subcarriers, comb, in ascending order (its two
+    symbols' combs interleave), and that order fixes the estimators'
+    observation order: row p of entry_index holds the indices of port p's
+    entries on the comb.
     """
 
-    entries: np.ndarray
-    pilot_spacing: int
-    n_used: int
-    n_symbols: int
-    n_ports: int
+    entries: np.ndarray  # (n_entries, 3)
+    comb: np.ndarray  # (n_pilots,)
+    entry_index: np.ndarray  # (n_ports, n_pilots)
 
     def __post_init__(self) -> None:
-        entries = np.asarray(self.entries, dtype=np.int64)
-        if entries.ndim != 2 or entries.shape[1] != 3:
-            raise ValueError("entries must be an (n, 3) array of (subcarrier, symbol, port)")
-        object.__setattr__(self, "entries", entries)
-        sc, sym, port = entries.T
-        if entries.size and (
-            sc.min() < 0
-            or sc.max() >= self.n_used
-            or sym.min() < 0
-            or sym.max() >= self.n_symbols
-            or port.min() < 0
-            or port.max() >= self.n_ports
-        ):
-            raise ValueError("pilot entry outside the grid bounds")
-        order = np.lexsort((sc, sym, port))
-        if not np.array_equal(order, np.arange(len(entries))):
-            raise ValueError("entries must be sorted by (port, symbol, subcarrier)")
-        # No two ports may share a resource element.
-        res = entries[:, 0] * self.n_symbols + entries[:, 1]
-        if len(np.unique(res)) != len(res):
-            raise ValueError("two antenna ports share a pilot resource element")
-        # Within one (symbol, port), subcarriers form an arithmetic progression.
-        for p in range(self.n_ports):
-            for s in np.unique(sym[port == p]):
-                ks = sc[(port == p) & (sym == s)]
-                if len(ks) > 1 and not np.all(np.diff(ks) == self.pilot_spacing):
-                    raise ValueError(
-                        f"pilot subcarriers of port {p}, symbol {s} are not an "
-                        f"arithmetic progression with step {self.pilot_spacing}"
-                    )
-        entries.setflags(write=False)
+        for a in (self.entries, self.comb, self.entry_index):
+            a.setflags(write=False)
 
     @property
     def n_entries(self) -> int:
         return len(self.entries)
 
-    def entry_indices(self, port: int) -> np.ndarray:
-        """Row indices of this port's entries (also its pilot-sequence slots)."""
-        idx = np.nonzero(self.entries[:, 2] == port)[0]
-        if idx.size == 0:
-            raise ValueError(f"port {port} has no pilots in this pattern")
-        return idx
 
-    def comb(self) -> tuple[np.ndarray, np.ndarray]:
-        """The pilot subcarriers every port shares, and each port's entries on them.
-
-        Returns (subcarriers, entry_index): the ascending pilot subcarriers
-        and an (n_ports, n_pilots) array whose row p holds the indices of
-        port p's entries in subcarrier order.  Raises ValueError when the
-        ports pilot different subcarriers.
-        """
-        sc = self.entries[:, 0]
-        rows = []
-        for p in range(self.n_ports):
-            idx = self.entry_indices(p)
-            rows.append(idx[np.argsort(sc[idx], kind="stable")])
-        if any(not np.array_equal(sc[row], sc[rows[0]]) for row in rows):
-            raise ValueError("the antenna ports pilot different subcarriers")
-        entry_index = np.stack(rows)
-        return sc[entry_index[0]], entry_index
-
-
+@functools.lru_cache(maxsize=16)
 def build_pilot_pattern(config: SystemConfig) -> PilotPattern:
     """Place reference signals on symbols 0 and 4 of a short-CP slot.
 
     Within a pilot symbol every 6th subcarrier carries a pilot; the
     fifth-symbol comb is offset by 3 subcarriers from the first-symbol comb,
     and port 1's combs are offset by 3 subcarriers from port 0's, so the two
-    ports never share a resource element.
+    ports never share a resource element and each pilots every third
+    subcarrier.  Each config builds it once; it is read-only.
     """
     rows = []
     for port in range(config.n_tx):
         for sym in PILOT_SYMBOLS:
             shift = _SECOND_SYMBOL_SHIFT if sym == PILOT_SYMBOLS[1] else 0
             offset = (_PORT_SHIFT * port + shift) % PILOT_SPACING
-            for k in range(offset, config.n_used, PILOT_SPACING):
-                rows.append((k, sym, port))
-    rows.sort(key=lambda r: (r[2], r[1], r[0]))
-    return PilotPattern(
-        entries=np.array(rows, dtype=np.int64),
-        pilot_spacing=PILOT_SPACING,
-        n_used=config.n_used,
-        n_symbols=config.n_symbols_per_slot,
-        n_ports=config.n_tx,
-    )
+            rows.extend((k, sym, port) for k in range(offset, config.n_used, PILOT_SPACING))
+    entries = np.array(rows, dtype=np.int64)  # already in (port, symbol, subcarrier) order
+    # each port's entries by subcarrier; every port has one per comb subcarrier
+    entry_index = np.lexsort((entries[:, 0], entries[:, 2])).reshape(config.n_tx, -1)
+    return PilotPattern(entries, entries[entry_index[0], 0], entry_index)
 
 
 @dataclass(frozen=True)
 class GridLayout:
     """Precomputed cell bookkeeping shared by every slot built from one pattern.
 
-    data_subcarriers/data_symbols enumerate the Data resource elements in the
-    deterministic fill order (symbols ascending, subcarriers ascending within a
-    symbol); the same order applies to every port because a pilot element is
-    nulled on all non-owning ports.
+    The data resource elements are those no pilot entry occupies: a pilot
+    element is nulled on all non-owning ports, so every port has the same
+    ones.  data_subcarriers/data_symbols enumerate them in the deterministic
+    fill order (symbols ascending, subcarriers ascending within a symbol).
     """
 
-    labels: np.ndarray  # (n_ports, n_used, n_symbols) int8
+    pattern: PilotPattern
+    shape: tuple[int, int, int]  # (n_ports, n_used, n_symbols) of one slot
     data_subcarriers: np.ndarray
     data_symbols: np.ndarray
     n_data_per_port: int
 
     @classmethod
     def build(cls, config: SystemConfig, pattern: PilotPattern) -> "GridLayout":
-        n_ports = config.n_tx
-        shape = (n_ports, config.n_used, config.n_symbols_per_slot)
-        labels = np.zeros(shape, dtype=np.int8)
-        sc, sym, port = pattern.entries.T
-        for p in range(n_ports):
-            mine = port == p
-            labels[p, sc[mine], sym[mine]] = CellLabel.PILOT
-            labels[p, sc[~mine], sym[~mine]] = CellLabel.NULL
-        data_mask = labels[0] == CellLabel.DATA  # identical across ports
-        sym_idx, sc_idx = np.nonzero(data_mask.T)
-        labels.setflags(write=False)
+        occupied = np.zeros((config.n_symbols_per_slot, config.n_used), dtype=bool)
+        occupied[pattern.entries[:, 1], pattern.entries[:, 0]] = True
+        sym_idx, sc_idx = np.nonzero(~occupied)
         return cls(
-            labels=labels,
+            pattern=pattern,
+            shape=(config.n_tx, config.n_used, config.n_symbols_per_slot),
             data_subcarriers=sc_idx,
             data_symbols=sym_idx,
             n_data_per_port=int(sc_idx.size),
         )
 
     def fill(
-        self,
-        data_symbols: np.ndarray | Sequence[np.ndarray],
-        pilot_seq: np.ndarray,
-        pattern: PilotPattern,
+        self, data_symbols: np.ndarray | Sequence[np.ndarray], pilot_seq: np.ndarray
     ) -> np.ndarray:
         """The (..., n_ports, n_used, n_symbols) values of slots whose data_symbols
         are (..., n_ports, n_data_per_port); leading axes stack slots."""
@@ -298,15 +229,16 @@ class GridLayout:
             raise ValueError(
                 f"expected {self.n_data_per_port} data symbols, got {got} ({abs(short)} {kind})"
             )
-        if len(pilot_seq) < pattern.n_entries:
+        n_entries = self.pattern.n_entries
+        if len(pilot_seq) < n_entries:
             raise ValueError(
-                f"pilot sequence too short: need {pattern.n_entries}, "
-                f"got {len(pilot_seq)} ({pattern.n_entries - len(pilot_seq)} missing)"
+                f"pilot sequence too short: need {n_entries}, "
+                f"got {len(pilot_seq)} ({n_entries - len(pilot_seq)} missing)"
             )
-        values = np.zeros((*data.shape[:-2], *self.labels.shape), dtype=np.complex128)
+        values = np.zeros((*data.shape[:-2], *self.shape), dtype=np.complex128)
         values[..., self.data_subcarriers, self.data_symbols] = data
-        sc, sym, port = pattern.entries.T
-        values[..., port, sc, sym] = np.asarray(pilot_seq)[: pattern.n_entries]
+        sc, sym, port = self.pattern.entries.T
+        values[..., port, sc, sym] = np.asarray(pilot_seq)[:n_entries]
         return values
 
 

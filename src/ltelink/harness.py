@@ -58,14 +58,12 @@ from .channel import (
 )
 from .estimation import (
     CorrelationModel,
-    HybridPolicy,
     beta_for_constellation,
     ls_estimate,
     ls_interpolation_matrix,
 )
 from .grid import (
     GridLayout,
-    PilotPattern,
     SystemConfig,
     build_pilot_pattern,
     random_pilot_sequence,
@@ -91,8 +89,8 @@ _TAG_CALIBRATION = 2
 _SEED_MASK = (1 << 64) - 1
 
 # Trials per chunk of a cell.  Larger chunks pay less numpy call overhead but
-# hold more arrays at once: chunks of 3 add about 1.2 MB (3%) to the peak RSS
-# of the default 5 MHz sweep.
+# hold more arrays at once: chunks of 3 added 0.99 MB (2.3%) to the median
+# peak RSS of the default 5 MHz sweep, against one trial at a time.
 _CHUNK = 3
 
 
@@ -113,12 +111,7 @@ class Estimator(Enum):
             ) from None
 
 
-ESTIMATOR_ORDER: tuple[Estimator, ...] = (
-    Estimator.LS,
-    Estimator.LMMSE,
-    Estimator.HYBRID,
-    Estimator.PERFECT,
-)
+ESTIMATOR_ORDER: tuple[Estimator, ...] = tuple(Estimator)
 
 
 @dataclass(frozen=True)
@@ -159,12 +152,15 @@ class SweepConfig:
             raise ValueError("estimators must be a non-empty list of Estimator members")
         if len(set(ests)) != len(ests):
             raise ValueError("duplicate estimator requested")
+        if self.system.cp_len < 1 and (Estimator.LMMSE in ests or Estimator.HYBRID in ests):
+            # the receiver's LMMSE prior keeps the first cp_len taps of a profile
+            raise ValueError("the lmmse and hybrid estimators need cp_len >= 1")
         if self.threshold_override_db is not None and math.isnan(self.threshold_override_db):
             raise ValueError("threshold_override_db must not be NaN")
         if (
             Estimator.HYBRID in ests
             and self.threshold_override_db is None
-            and lengths[-1] > self.system.cp_len + 1
+            and not self.system.cp_covers(lengths[-1])
             and not any(math.isfinite(v) for v in snrs)
         ):
             raise ValueError(
@@ -205,7 +201,6 @@ class _LinkContext:
     """Everything about one configuration that is fixed across trials."""
 
     config: SystemConfig
-    pattern: PilotPattern
     layout: GridLayout
     pilot_seq: np.ndarray
     pilot_subcarriers: np.ndarray  # (n_pilots,) the comb every port shares
@@ -222,19 +217,17 @@ def _make_context(config: SystemConfig, seed: int) -> _LinkContext:
     pattern = build_pilot_pattern(config)
     layout = GridLayout.build(config, pattern)
     pilot_seq = random_pilot_sequence(pattern.n_entries, _stream(seed, _TAG_PILOTS))
-    subcarriers, entry_index = pattern.comb()
     n_tx, n_sym = config.n_tx, config.n_symbols_per_slot
     in_trial = (layout.data_subcarriers * n_tx + np.arange(n_tx)[:, None]) * n_sym
     trial_start = np.arange(_CHUNK)[:, None, None] * (config.n_used * n_tx * n_sym)
     return _LinkContext(
         config=config,
-        pattern=pattern,
         layout=layout,
         pilot_seq=pilot_seq,
-        pilot_subcarriers=subcarriers,
-        pilot_symbols=pattern.entries[entry_index, 1],
-        pilot_values=pilot_seq[entry_index],
-        ls_interp=ls_interpolation_matrix(subcarriers, config.n_used).astype(np.complex128),
+        pilot_subcarriers=pattern.comb,
+        pilot_symbols=pattern.entries[pattern.entry_index, 1],
+        pilot_values=pilot_seq[pattern.entry_index],
+        ls_interp=ls_interpolation_matrix(pattern.comb, config.n_used).astype(np.complex128),
         beta=beta_for_constellation(config.constellation),
         data_index=(trial_start + in_trial + layout.data_symbols).reshape(-1),
     )
@@ -263,7 +256,6 @@ def _receive(
     values = ctx.layout.fill(  # (c, n_tx, n_used, n_symbols)
         linkproc.map_bits(bits, cfg.constellation).reshape(n, cfg.n_tx, -1),
         ctx.pilot_seq,
-        ctx.pattern,
     )
     tx = ofdm.modulate_frame(values.reshape(n * cfg.n_tx, cfg.n_used, -1), cfg)
     impairment = overrun(tx.reshape(n, cfg.n_tx, -1), ch, cfg)
@@ -376,8 +368,7 @@ def _memoized_model(
     """The model of one (config, truncated profile); the comb follows from the
     config.  Models are read-only, so callers share them; the bound caps memory."""
     pdp = PowerDelayProfile(np.array(tap_delays), np.array(tap_powers))
-    pilot_subcarriers, _ = build_pilot_pattern(config).comb()
-    return estimation.build_correlation_model(pdp, pilot_subcarriers, config)
+    return estimation.build_correlation_model(pdp, build_pilot_pattern(config).comb, config)
 
 
 def _filter_from_model(
@@ -412,19 +403,18 @@ def paired_mse_curves(
 
 
 def _resolve_thresholds(config: SweepConfig) -> dict[int, float]:
-    """Hybrid switching threshold per channel length.
+    """Hybrid switching threshold of each channel length the CP does not cover.
 
-    Lengths the CP covers (span <= cp_len + 1, no ISI) never consult the
-    threshold (+inf placeholder).  Genuinely CP-exceeding lengths use the
-    override when set, otherwise the calibrated LS/LMMSE crossover for this
-    configuration and profile.
+    The lengths it covers have none: the hybrid keeps them on LMMSE.  The
+    others use the override when set, otherwise the calibrated LS/LMMSE
+    crossover for this configuration and profile.
     """
     thresholds: dict[int, float] = {}
     finite_snrs = np.array([s for s in config.snr_grid_db if math.isfinite(s)])
     for li, length in enumerate(config.channel_lengths):
-        if length <= config.system.cp_len + 1:
-            thresholds[length] = np.inf
-        elif config.threshold_override_db is not None:
+        if config.system.cp_covers(length):
+            continue
+        if config.threshold_override_db is not None:
             thresholds[length] = config.threshold_override_db
         else:
             thresholds[length] = estimation.calibrate_threshold(
@@ -445,7 +435,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     trial stream derives from (seed, purpose, length index, snr index, trial),
     shared by every estimator of the cell.  A cell computes each distinct
     estimate once: the hybrid row copies the row of the LS or LMMSE estimate
-    its policy chooses for the cell, computed even when not requested itself.
+    it chooses for the cell, computed even when not requested itself.
     """
     ctx = _make_context(config.system, config.seed)
     requested = tuple(e for e in ESTIMATOR_ORDER if e in config.estimators)
@@ -458,8 +448,8 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
         for si, snr_db in enumerate(config.snr_grid_db):
             cell_methods = methods
             if hybrid:
-                policy = HybridPolicy(config.system.cp_len, length, thresholds[length])
-                chooses_ls = policy.chooses_ls(snr_db)
+                # LMMSE wherever the CP covers the channel, else LS from the threshold up
+                chooses_ls = not config.system.cp_covers(length) and snr_db >= thresholds[length]
                 branch = Estimator.LS if chooses_ls else Estimator.LMMSE
                 if branch not in methods:
                     cell_methods = (*methods, branch)

@@ -8,7 +8,7 @@ import numpy as np
 
 from ltelink import linkproc, ofdm
 from ltelink.channel import add_awgn, generate_channel
-from ltelink.grid import CellLabel, used_subcarrier_bins
+from ltelink.grid import used_subcarrier_bins
 
 
 def dft_coefficient(n: int, l: int, k: int) -> complex:
@@ -24,11 +24,29 @@ def dft_matrix(n: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
 
 
-def validate_grid(values: np.ndarray, labels: np.ndarray) -> None:
+# cell labels of a slot
+DATA, PILOT, NULL = 0, 1, 2
+
+
+def cell_labels(pattern, shape: tuple[int, int, int]) -> np.ndarray:
+    """The (n_ports, n_used, n_symbols) label of every cell of a slot, derived
+    from a pilot pattern's entries: a port's own entries are PILOT, the other
+    ports' entries NULL, and every other cell DATA."""
+    labels = np.full(shape, DATA, dtype=np.int8)
+    sc, sym, port = pattern.entries.T
+    for p in range(shape[0]):
+        mine = port == p
+        labels[p, sc[mine], sym[mine]] = PILOT
+        labels[p, sc[~mine], sym[~mine]] = NULL
+    return labels
+
+
+def validate_grid(values: np.ndarray, pattern) -> None:
     """Check a filled slot's cell invariants: unit-modulus pilots, exact-zero
     nulls, and every pilot nulled on all other ports."""
-    pilot = labels == CellLabel.PILOT
-    null = labels == CellLabel.NULL
+    labels = cell_labels(pattern, values.shape)
+    pilot = labels == PILOT
+    null = labels == NULL
     if pilot.any() and not np.allclose(np.abs(values[pilot]), 1.0, atol=1e-9):
         raise ValueError("pilot cells must hold unit-modulus values")
     if null.any() and np.any(values[null] != 0):
@@ -36,7 +54,7 @@ def validate_grid(values: np.ndarray, labels: np.ndarray) -> None:
     n_ports = labels.shape[0]
     if n_ports > 1:
         for p in range(n_ports):
-            others_null = np.all(np.delete(labels, p, axis=0) == CellLabel.NULL, axis=0)
+            others_null = np.all(np.delete(labels, p, axis=0) == NULL, axis=0)
             if np.any(pilot[p] & ~others_null):
                 raise ValueError("a pilot resource element is not nulled on the other ports")
         if np.any(pilot.sum(axis=0) > 1):
@@ -75,7 +93,7 @@ def time_domain_chain(ctx, pdp, noise, rng) -> tuple[np.ndarray, np.ndarray, np.
     bits_per_sym = cfg.constellation.bits_per_symbol
     bits = rng.integers(0, 2, size=(cfg.n_tx, ctx.layout.n_data_per_port * bits_per_sym))
     data = [linkproc.map_bits(bits[p], cfg.constellation) for p in range(cfg.n_tx)]
-    values = ctx.layout.fill(data, ctx.pilot_seq, ctx.pattern)
+    values = ctx.layout.fill(data, ctx.pilot_seq)
     rx = add_awgn(apply_channel(ofdm.modulate_frame(values, cfg), ch), noise, rng)
     rx_grid = ofdm.demodulate_frame(rx, cfg)
     return bits, rx_grid, ch.frequency_responses(cfg.n_fft, used_subcarrier_bins(cfg))

@@ -86,7 +86,7 @@ def test_ac1_cp_covered_frame_diagonalizes():
     n_data = cfg.n_used * cfg.n_symbols_per_slot - len(pattern.entries)
     corners = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2)
     data = [corners[rng.integers(0, 4, n_data)] for _ in range(cfg.n_tx)]
-    values = GridLayout.build(cfg, pattern).fill(data, pilots, pattern)
+    values = GridLayout.build(cfg, pattern).fill(data, pilots)
     ch = generate_channel(PowerDelayProfile.uniform(10), cfg.n_tx, cfg.n_rx, rng)
     rx = apply_channel(modulate_frame(values, cfg), ch)
     got = demodulate_frame(rx, cfg)

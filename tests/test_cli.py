@@ -237,6 +237,24 @@ class TestMain:
         assert "two pilot subcarriers" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_cyclic_prefix_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        # the LMMSE prior keeps the first cp_len taps, so a CP of 0 leaves it
+        # none; the default estimators include lmmse and the hybrid
+        def refuse(config):
+            raise AssertionError("the sweep started with cp_len = 0")
+
+        monkeypatch.setattr(cli, "run_sweep", refuse)
+        cfgfile = tmp_path / "no_cp.cfg"
+        cfgfile.write_text("cp_len = 0\n")
+        out = tmp_path / "never.csv"
+        argv = ["simulate", "--config", str(cfgfile), "--frames", "1"]
+        argv += ["--channel-lengths", "1,4", "--snr", "0:10:10", "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "need cp_len >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_channel_longer_than_the_fft_is_a_usage_error(self, tmp_path, capsys):
         # 5 MHz has a 512-point FFT; taps at delay >= 512 would alias
         out = tmp_path / "never.csv"

@@ -1,6 +1,7 @@
 """Tests for the LS, LMMSE and hybrid channel estimators."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from oracles import (
 
 from ltelink.channel import PowerDelayProfile
 from ltelink.estimation import (
-    HybridPolicy,
     _crossover_from_curves,
     beta_for_constellation,
     build_correlation_model,
@@ -181,7 +181,7 @@ class TestCorrelationModel:
         # B A^H and A A^H multiplied out from the SVD factors against the
         # per-entry phase sums of the oracle
         cfg = SystemConfig(bandwidth_mhz=bandwidth_mhz, cp_len=cp_len)
-        positions, _ = build_pilot_pattern(cfg).comb()
+        positions = build_pilot_pattern(cfg).comb
         pdp = PowerDelayProfile.uniform(cp_len)
         corr = build_correlation_model(pdp, positions, cfg)
         for got, expected in zip(model_matrices(corr), correlation_matrices(pdp, positions, cfg)):
@@ -192,7 +192,7 @@ class TestCorrelationModel:
         # Q and sigma^2 are the eigenpairs of R_hp_hp = A A^H with nonzero
         # eigenvalues, and bv = B V = B A^H Q diag(1/sigma)
         cfg = SystemConfig()
-        positions, _ = build_pilot_pattern(cfg).comb()
+        positions = build_pilot_pattern(cfg).comb
         pdp = PowerDelayProfile.uniform(16)
         corr = build_correlation_model(pdp, positions, cfg)
         b = steering(cfg, pdp) * np.sqrt(pdp.tap_powers)
@@ -212,7 +212,7 @@ BENCHMARK_SNRS_DB = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
 def _worst_deviation_from_solve(cfg: SystemConfig, pdp: PowerDelayProfile) -> float:
     """Largest relative deviation of the factored filter from a linear solve
     over the benchmark SNRs; the factors never exceed rank n_taps."""
-    positions, _ = build_pilot_pattern(cfg).comb()
+    positions = build_pilot_pattern(cfg).comb
     corr = build_correlation_model(pdp, positions, cfg)
     dense = correlation_matrices(pdp, positions, cfg)
     rank = min(pdp.n_taps, positions.size)
@@ -236,7 +236,7 @@ class TestLmmseFilter:
     def test_matches_linear_solve_with_more_taps_than_pilots(self):
         # 40 taps on the 25-pilot comb of 1.25 MHz: A is wide and R_hp_hp full rank
         cfg = SystemConfig(bandwidth_mhz=1.25, cp_len=40)
-        assert build_pilot_pattern(cfg).comb()[0].size == 25
+        assert build_pilot_pattern(cfg).comb.size == 25
         worst = _worst_deviation_from_solve(cfg, PowerDelayProfile.uniform(40))
         assert worst < 1e-10, f"relative deviation {worst:.2e}"
 
@@ -250,7 +250,7 @@ class TestLmmseFilter:
     def test_zero_regularizer_is_the_pseudo_inverse(self):
         # 16 taps on 100 pilots: R_hp_hp has rank 16, so it has no inverse
         cfg = SystemConfig()
-        positions, _ = build_pilot_pattern(cfg).comb()
+        positions = build_pilot_pattern(cfg).comb
         pdp = PowerDelayProfile.uniform(16)
         corr = build_correlation_model(pdp, positions, cfg)
         f, g = lmmse_filter(corr, 0.0)
@@ -370,7 +370,7 @@ class TestLmmseSimplified:
         # CP-sufficient observations: y_p = h_p * x_p + w
         rng = np.random.default_rng(9)
         cfg = SystemConfig()
-        positions, _ = build_pilot_pattern(cfg).comb()
+        positions = build_pilot_pattern(cfg).comb
         pdp = PowerDelayProfile.uniform(10)
         corr = correlation_matrices(pdp, positions, cfg)
         v_all = steering(cfg, pdp)
@@ -473,7 +473,7 @@ class TestInterpolateLs:
     @pytest.mark.parametrize("bandwidth_mhz", [5.0, 10.0])
     def test_matrix_matches_interpolation(self, bandwidth_mhz):
         cfg = SystemConfig(bandwidth_mhz=bandwidth_mhz)
-        positions, _ = build_pilot_pattern(cfg).comb()
+        positions = build_pilot_pattern(cfg).comb
         interp = ls_interpolation_matrix(positions, cfg.n_used)
         rng = np.random.default_rng(16)
         h_p = rng.standard_normal((4, positions.size)) + 1j * rng.standard_normal((4, positions.size))
@@ -488,7 +488,8 @@ class TestInterpolateLs:
 
 
 class TestHybrid:
-    """HybridPolicy decides the branch; the sweep runs the chosen estimator."""
+    """SystemConfig.cp_covers and the threshold decide the branch; the sweep
+    runs the chosen estimator."""
 
     CFG = SweepConfig(
         channel_lengths=(6, 40),
@@ -514,20 +515,15 @@ class TestHybrid:
         ) == expected
 
     def test_cp_covered_channel_always_lmmse(self, rows):
-        policy = HybridPolicy(cp_len=16, channel_len_hint=6, snr_threshold_db=10.0)
-        for snr_db in (-10.0, 10.0, 50.0):
-            assert not policy.chooses_ls(snr_db)
+        assert self.CFG.system.cp_covers(6)
         for snr_db in (0.0, 30.0):
             self._assert_hybrid_row_is(rows, 6, snr_db, Estimator.LMMSE)
 
     def test_long_channel_high_snr_switches_to_ls(self, rows):
-        policy = HybridPolicy(cp_len=16, channel_len_hint=40, snr_threshold_db=12.0)
-        assert policy.chooses_ls(30.0)
+        assert not self.CFG.system.cp_covers(40)
         self._assert_hybrid_row_is(rows, 40, 30.0, Estimator.LS)
 
     def test_long_channel_low_snr_keeps_lmmse(self, rows):
-        policy = HybridPolicy(cp_len=16, channel_len_hint=40, snr_threshold_db=12.0)
-        assert not policy.chooses_ls(0.0)
         self._assert_hybrid_row_is(rows, 40, 0.0, Estimator.LMMSE)
 
     def test_decision_table_over_random_inputs(self):
@@ -535,16 +531,60 @@ class TestHybrid:
         for _ in range(200):
             cp = int(rng.integers(1, 33))
             length = int(rng.integers(1, 64))
-            threshold = float(rng.uniform(-5, 35))
-            snr_db = float(rng.uniform(-10, 40))
-            # a length of cp + 1 has its last tap at delay cp: still no ISI
-            expected = length > cp + 1 and snr_db >= threshold
-            assert HybridPolicy(cp, length, threshold).chooses_ls(snr_db) is expected
+            # covered when the last tap delay fits in the prefix: a length of
+            # cp + 1 has its last tap at delay cp, still no ISI
+            last_delay = PowerDelayProfile.uniform(length).tap_delays.max()
+            assert SystemConfig(cp_len=cp).cp_covers(length) is bool(last_delay <= cp)
 
     def test_threshold_boundary_is_ls(self):
-        policy = HybridPolicy(cp_len=16, channel_len_hint=40, snr_threshold_db=15.0)
-        assert policy.chooses_ls(15.0)
-        assert not policy.chooses_ls(14.999)
+        # the threshold itself belongs to LS
+        cfg = dataclasses.replace(
+            self.CFG,
+            channel_lengths=(40,),
+            snr_grid_db=(14.999, 15.0),
+            estimators=(Estimator.HYBRID,),
+            threshold_override_db=15.0,
+        )
+        assert [r.branch_fraction_ls for r in run_sweep(cfg)] == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("cp_len", [1, 16, 72])
+@pytest.mark.parametrize("past_cp", [1, 2])
+def test_cp_boundary_agrees_everywhere(cp_len, past_cp):
+    """The sweep's check, the hybrid branch and the calibration all put a
+    length of cp_len + 1 inside the CP and cp_len + 2 outside it."""
+    system = SystemConfig(cp_len=cp_len)
+    length = cp_len + past_cp
+    covered = past_cp == 1
+    assert system.cp_covers(length) is covered
+    # the sweep needs a finite SNR to calibrate only a length past the CP
+    hybrid_only = dict(system=system, channel_lengths=(length,), estimators=(Estimator.HYBRID,))
+    if covered:
+        SweepConfig(snr_grid_db=(np.inf,), **hybrid_only)
+    else:
+        with pytest.raises(ValueError, match="finite SNR"):
+            SweepConfig(snr_grid_db=(np.inf,), **hybrid_only)
+    # the hybrid branch: LMMSE at every SNR inside the CP, LS from 12 dB past it
+    sweep = SweepConfig(
+        snr_grid_db=(0.0, 30.0, np.inf), n_frames=1, threshold_override_db=12.0, **hybrid_only
+    )
+    rows = run_sweep(sweep)
+    expected = [0.0, 0.0, 0.0] if covered else [0.0, 1.0, 1.0]
+    assert [r.branch_fraction_ls for r in rows] == expected
+    # the calibration takes only a length past the CP
+    calibrate = functools.partial(
+        calibrate_threshold,
+        system,
+        PowerDelayProfile.uniform(length),
+        np.array([0.0, 30.0]),
+        1,
+        np.random.default_rng(0),
+    )
+    if covered:
+        with pytest.raises(ValueError, match="exceeding the CP"):
+            calibrate()
+    else:
+        assert not np.isnan(calibrate())
 
 
 class TestCrossover:

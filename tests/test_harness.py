@@ -440,6 +440,14 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="exceeds the FFT size 1024"):
             SweepConfig(system=wide, channel_lengths=(1025,))
 
+    def test_lmmse_and_hybrid_need_a_cyclic_prefix(self):
+        no_cp = SystemConfig(cp_len=0)
+        for est in (Estimator.LMMSE, Estimator.HYBRID):
+            with pytest.raises(ValueError, match="need cp_len >= 1"):
+                SweepConfig(system=no_cp, estimators=(Estimator.LS, est))
+        # LS and perfect CSI use no prior
+        SweepConfig(system=no_cp, estimators=(Estimator.LS, Estimator.PERFECT))
+
     def test_hybrid_calibration_needs_a_finite_snr(self):
         with pytest.raises(ValueError, match="without finite SNRs"):
             SweepConfig(channel_lengths=(40,), snr_grid_db=(np.inf,))
