@@ -17,6 +17,7 @@ the cyclic prefix covers the channel and otherwise switches between LMMSE
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -152,33 +153,31 @@ def beta_for_constellation(constellation: Constellation) -> float:
     raise ValueError(f"unsupported constellation: {constellation!r}")
 
 
-def _crossover_from_curves(
-    snrs_db: np.ndarray, mse_ls: np.ndarray, mse_lmmse: np.ndarray
-) -> float:
-    """SNR where the LS and LMMSE MSE curves cross (log-domain interpolation).
+def _crossover(points: Iterable[tuple[float, float, float]]) -> float:
+    """SNR where the LS and LMMSE MSE curves first cross (log-domain interpolation).
 
-    Returns +inf when LMMSE stays below LS over the whole grid (always LMMSE)
-    and -inf when LS is already at or below LMMSE at the lowest SNR with no
-    later upward crossing (always LS).
+    points yields (snr_db, mse_ls, mse_lmmse) in ascending SNR order; the
+    search reads no point past the first grid pair where LMMSE stops being the
+    better estimator.  Returns +inf when LMMSE stays below LS over the whole
+    grid (always LMMSE) and -inf when LS is already at or below LMMSE at the
+    lowest SNR with no later crossing back (always LS); both are known only
+    once every point has been read.
     """
-    snrs_db = np.asarray(snrs_db, dtype=np.float64)
-    mse_ls = np.asarray(mse_ls, dtype=np.float64)
-    mse_lmmse = np.asarray(mse_lmmse, dtype=np.float64)
-    if snrs_db.size == 0:
+    first = prev = None
+    for snr_db, mse_ls, mse_lmmse in points:
+        if not (mse_ls > 0 and mse_lmmse > 0):
+            raise ValueError("MSE curves must be positive")
+        # d > 0 where LMMSE is the better estimator
+        d = np.log(mse_ls) - np.log(mse_lmmse)
+        if prev is None:
+            first = d
+        elif prev[1] > 0 >= d:
+            frac = prev[1] / (prev[1] - d)
+            return float(prev[0] + frac * (snr_db - prev[0]))
+        prev = (snr_db, d)
+    if first is None:
         raise ValueError("empty SNR grid")
-    if mse_ls.shape != snrs_db.shape or mse_lmmse.shape != snrs_db.shape:
-        raise ValueError("curves must parallel the SNR grid")
-    if np.any(mse_ls <= 0) or np.any(mse_lmmse <= 0):
-        raise ValueError("MSE curves must be positive")
-    # d > 0 where LMMSE is the better estimator
-    d = np.log(mse_ls) - np.log(mse_lmmse)
-    for i in range(len(d) - 1):
-        if d[i] > 0 >= d[i + 1]:
-            frac = d[i] / (d[i] - d[i + 1])
-            return float(snrs_db[i] + frac * (snrs_db[i + 1] - snrs_db[i]))
-    if d[0] <= 0:
-        return -np.inf
-    return np.inf
+    return -np.inf if first <= 0 else np.inf
 
 
 def calibrate_threshold(
@@ -191,9 +190,12 @@ def calibrate_threshold(
     """Locate the LS/LMMSE switching SNR for a CP-exceeding channel.
 
     Runs a paired Monte Carlo MSE sweep of both estimators through the full
-    transmit/channel/receive chain and returns the SNR where the two curves
-    cross, linearly interpolated between grid points.  Sentinels: +inf when
-    LMMSE never loses (always LMMSE), -inf when LS never loses (always LS).
+    transmit/channel/receive chain, one SNR at a time in ascending order, and
+    returns the SNR where the two curves first cross, linearly interpolated
+    between grid points.  The sweep stops at that crossing: the SNRs past it
+    are never run, and rng is drawn from only up to it.  Sentinels: +inf when
+    LMMSE never loses (always LMMSE), -inf when LS never loses (always LS);
+    either runs the whole grid.
     """
     from . import harness  # local import; the harness owns the cell routine
 
@@ -207,5 +209,4 @@ def calibrate_threshold(
         )
     if trials < 1:
         raise ValueError("need at least one trial")
-    mse_ls, mse_lmmse = harness.paired_mse_curves(config, pdp_long, snrs, trials, rng)
-    return _crossover_from_curves(snrs, mse_ls, mse_lmmse)
+    return _crossover(harness.paired_mse_curves(config, pdp_long, snrs, trials, rng))

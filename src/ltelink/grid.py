@@ -205,6 +205,13 @@ class GridLayout:
 
     @classmethod
     def build(cls, config: SystemConfig, pattern: PilotPattern) -> "GridLayout":
+        """The layout of config's slots; pattern must be build_pilot_pattern(config).
+
+        Its entries are compared by value, not by identity: the memo of
+        build_pilot_pattern is bounded, so a pattern kept past it is rebuilt as
+        another object with the same entries."""
+        if not np.array_equal(pattern.entries, build_pilot_pattern(config).entries):
+            raise ValueError("pattern is not build_pilot_pattern(config): built for another config")
         occupied = np.zeros((config.n_symbols_per_slot, config.n_used), dtype=bool)
         occupied[pattern.entries[:, 1], pattern.entries[:, 0]] = True
         sym_idx, sc_idx = np.nonzero(~occupied)

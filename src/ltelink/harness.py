@@ -25,10 +25,13 @@ Reproducibility contract: every random draw comes from a stream derived from
 (seed, purpose tag, cell indices, trial index), so results are independent of
 scheduling and identical across runs at a fixed BLAS thread count, e.g.
 OPENBLAS_NUM_THREADS=1 (the SVD and the matrix products can round
-differently with another count).  All estimators of a cell share the
-same trial streams (common random numbers), which makes estimator comparisons
-paired.  The hybrid estimator computes nothing of its own: its row is the row
-of the branch it chooses.
+differently with another count).  The threshold calibration of a length
+spawns one child of its stream per trial, SNR by SNR in ascending order, and
+stops at the first LS/LMMSE crossing: it draws from the stream only up to the
+crossing, and the cells past it are never run.  All estimators of a cell
+share the same trial streams (common random numbers), which makes estimator
+comparisons paired.  The hybrid estimator computes nothing of its own: its
+row is the row of the branch it chooses.
 
 MSE aggregation across trials is energy weighted: |error|^2 and |h|^2 sums are
 accumulated separately and divided once, so the pilot-column MSE of the LS
@@ -43,7 +46,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -385,21 +388,23 @@ def paired_mse_curves(
     snrs_db: np.ndarray,
     n_trials: int,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> Iterator[tuple[float, float, float]]:
     """All-subcarrier MSE of LS and LMMSE over an SNR grid, common random numbers.
 
-    Used by the hybrid threshold calibration; aggregation matches run_sweep.
+    Yields (snr_db, mse_ls, mse_lmmse) one SNR at a time, in grid order, and
+    runs a cell only when it is asked for, so a caller that stops early runs
+    and draws no more.  Used by the hybrid threshold calibration; aggregation
+    matches run_sweep.
     """
     ctx = _make_context(system, 0)
     model = _correlation_model(system, pdp)
-    mse = np.empty((2, len(snrs_db)))
-    for i, snr_db in enumerate(np.asarray(snrs_db, dtype=np.float64)):
+    for snr_db in np.asarray(snrs_db, dtype=np.float64):
         filters = ((ctx.ls_interp,), _filter_from_model(model, snr_db, ctx.beta))
-        # spawned as the chunks take them: the children of spawning all
-        # len(snrs_db) * n_trials up front, in the same order
+        # spawned as the chunks take them: the children that spawning n_trials
+        # per SNR up front would give the SNRs run, in the same order
         streams = (rng.spawn(1)[0] for _ in range(n_trials))
-        mse[:, i] = _run_cell(ctx, pdp, NoiseSpec(snr_db), streams, filters, detect=False)[0][:, 0]
-    return mse[0], mse[1]
+        mse = _run_cell(ctx, pdp, NoiseSpec(snr_db), streams, filters, detect=False)[0][:, 0]
+        yield float(snr_db), float(mse[0]), float(mse[1])
 
 
 def _resolve_thresholds(config: SweepConfig) -> dict[int, float]:
@@ -448,8 +453,11 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
         for si, snr_db in enumerate(config.snr_grid_db):
             cell_methods = methods
             if hybrid:
-                # LMMSE wherever the CP covers the channel, else LS from the threshold up
-                chooses_ls = not config.system.cp_covers(length) and snr_db >= thresholds[length]
+                # LS from the threshold up, LMMSE below it; a length the CP
+                # covers has no threshold, and neither it nor a +inf threshold
+                # ever chooses LS, not even at SNR = +inf
+                threshold = thresholds.get(length, math.inf)
+                chooses_ls = threshold < math.inf and snr_db >= threshold
                 branch = Estimator.LS if chooses_ls else Estimator.LMMSE
                 if branch not in methods:
                     cell_methods = (*methods, branch)

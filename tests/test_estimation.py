@@ -17,7 +17,7 @@ from oracles import (
 
 from ltelink.channel import PowerDelayProfile
 from ltelink.estimation import (
-    _crossover_from_curves,
+    _crossover,
     beta_for_constellation,
     build_correlation_model,
     calibrate_threshold,
@@ -31,7 +31,8 @@ from ltelink.grid import (
     build_pilot_pattern,
     used_subcarrier_bins,
 )
-from ltelink.harness import Estimator, SweepConfig, run_sweep
+from ltelink import harness
+from ltelink.harness import Estimator, SweepConfig, paired_mse_curves, run_sweep
 
 
 def steering(cfg: SystemConfig, pdp: PowerDelayProfile, positions=None) -> np.ndarray:
@@ -587,24 +588,68 @@ def test_cp_boundary_agrees_everywhere(cp_len, past_cp):
         assert not np.isnan(calibrate())
 
 
+def curve(snrs, mse_ls, mse_lmmse):
+    """Calibration points (snr_db, mse_ls, mse_lmmse) of parallel sequences."""
+    return list(zip(snrs, mse_ls, mse_lmmse))
+
+
+def first_crossing(points):
+    """Reference search over the whole grid: the first downward crossing of
+    d = log(mse_ls) - log(mse_lmmse), interpolated, else a sentinel."""
+    snrs, mse_ls, mse_lmmse = (np.array(a, dtype=np.float64) for a in zip(*points))
+    d = np.log(mse_ls) - np.log(mse_lmmse)
+    for i in range(len(d) - 1):
+        if d[i] > 0 >= d[i + 1]:
+            frac = d[i] / (d[i] - d[i + 1])
+            return float(snrs[i] + frac * (snrs[i + 1] - snrs[i]))
+    return -np.inf if d[0] <= 0 else np.inf
+
+
 class TestCrossover:
     def test_interpolated_crossing(self):
-        snrs = np.array([0.0, 10.0])
         # log difference +1 then -1: crossing at the midpoint
-        got = _crossover_from_curves(snrs, np.array([np.e, 1 / np.e]), np.array([1.0, 1.0]))
+        got = _crossover(curve([0.0, 10.0], [np.e, 1 / np.e], [1.0, 1.0]))
         assert got == pytest.approx(5.0)
 
     def test_lmmse_always_better_gives_plus_inf(self):
         snrs = np.arange(0.0, 31.0, 5.0)
-        assert _crossover_from_curves(snrs, np.full(7, 0.5), np.full(7, 0.1)) == np.inf
+        assert _crossover(curve(snrs, np.full(7, 0.5), np.full(7, 0.1))) == np.inf
 
     def test_ls_always_better_gives_minus_inf(self):
         snrs = np.arange(0.0, 31.0, 5.0)
-        assert _crossover_from_curves(snrs, np.full(7, 0.1), np.full(7, 0.5)) == -np.inf
+        assert _crossover(curve(snrs, np.full(7, 0.1), np.full(7, 0.5))) == -np.inf
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            _crossover_from_curves(np.array([]), np.array([]), np.array([]))
+            _crossover(iter(()))
+
+    def test_non_positive_mse_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            _crossover(curve([0.0, 10.0], [1.0, 0.0], [0.5, 0.5]))
+
+    @pytest.mark.parametrize("i", range(6))
+    def test_reads_no_point_past_the_crossing(self, i):
+        # d = +1 up to point i and -1 from i + 1: points i + 2 onward are never
+        # drawn, and the crossing is the midpoint of points i and i + 1
+        snrs = np.arange(0.0, 31.0, 5.0)
+        points = curve(snrs, np.where(np.arange(7) <= i, np.e, 1 / np.e), np.ones(7))
+        read = []
+
+        def lazy():
+            for p in points:
+                read.append(p[0])
+                yield p
+
+        assert _crossover(lazy()) == pytest.approx(snrs[i] + 2.5)
+        assert read == list(snrs[: i + 2])
+
+    def test_first_downward_crossing_after_an_upward_one(self):
+        # LS better at 0 dB, LMMSE at 5 and 10 dB, LS again from 15 dB
+        snrs = np.arange(0.0, 31.0, 5.0)
+        points = curve(snrs, [0.1, 0.5, 0.5, 0.1, 0.1, 0.1, 0.1], np.full(7, 0.2))
+        got = _crossover(points)
+        assert 10.0 < got < 15.0
+        assert got == first_crossing(points)
 
     def test_calibrate_rejects_cp_covered_profile(self):
         cfg = SystemConfig()
@@ -627,3 +672,61 @@ class TestCrossover:
             np.random.default_rng(1),
         )
         assert 0.0 < got < 30.0
+
+
+SWEEP_GRID = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
+
+# (length, seed, trials, SNR grid, crossing): the calibration curves cross
+# between points i and i + 1 of the grid for crossing = i, or never for a
+# sentinel crossing
+LAZY_CASES = [
+    (18, 0, 2, SWEEP_GRID, 2),
+    (20, 0, 2, SWEEP_GRID, 1),
+    (40, 0, 2, SWEEP_GRID, 0),
+    (60, 2, 1, SWEEP_GRID, -np.inf),
+    (20, 3, 2, (-30.0, -20.0, -10.0), np.inf),
+]
+
+
+class TestLazyCalibration:
+    """calibrate_threshold runs the paired cells in SNR order up to the crossing."""
+
+    @pytest.mark.parametrize("length, seed, trials, snrs, crossing", LAZY_CASES)
+    def test_runs_the_cells_up_to_the_crossing_only(
+        self, monkeypatch, length, seed, trials, snrs, crossing
+    ):
+        system, pdp, snrs = SystemConfig(), PowerDelayProfile.uniform(length), np.array(snrs)
+        points = list(paired_mse_curves(system, pdp, snrs, trials, np.random.default_rng(seed)))
+        d = [np.log(ls) - np.log(lmmse) for _, ls, lmmse in points]
+        downward = [i for i in range(len(d) - 1) if d[i] > 0 >= d[i + 1]]
+        if np.isinf(crossing):
+            assert downward == [] and (d[0] > 0) == (crossing > 0)
+            n_cells = len(snrs)  # a sentinel is known only at the end of the grid
+        else:
+            assert downward[0] == crossing
+            n_cells = crossing + 2
+        cells = []
+        run_cell = harness._run_cell
+
+        def counting(ctx, pdp, noise, *args, **kwargs):
+            cells.append(noise.snr_db)
+            return run_cell(ctx, pdp, noise, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "_run_cell", counting)
+        rng = np.random.default_rng(seed)
+        calibrate_threshold(system, pdp, snrs, trials, rng)
+        assert cells == list(snrs[:n_cells])
+        # one child of rng per trial of each cell run, and no more
+        assert rng.bit_generator.seed_seq.n_children_spawned == n_cells * trials
+
+    @pytest.mark.parametrize("length, seed, trials, snrs, crossing", LAZY_CASES)
+    def test_matches_the_search_of_the_full_curves(self, length, seed, trials, snrs, crossing):
+        system, pdp, snrs = SystemConfig(), PowerDelayProfile.uniform(length), np.array(snrs)
+        full = list(paired_mse_curves(system, pdp, snrs, trials, np.random.default_rng(seed)))
+        assert [p[0] for p in full] == list(snrs)
+        got = calibrate_threshold(system, pdp, snrs, trials, np.random.default_rng(seed))
+        assert got == _crossover(full) == first_crossing(full)
+        if np.isinf(crossing):
+            assert got == crossing
+        else:
+            assert snrs[crossing] < got <= snrs[crossing + 1]

@@ -247,6 +247,18 @@ class TestMapToGrid:
         with pytest.raises(ValueError, match="pilot sequence too short"):
             fill_slot(cfg, pat, data, np.ones(2, dtype=complex))
 
+    def test_layout_rejects_a_pattern_of_another_config(self):
+        # a one-port pattern would leave port 1's pilot REs in the data count
+        two_ports = SystemConfig(n_tx=2)
+        assert GridLayout.build(two_ports, build_pilot_pattern(two_ports)).n_data_per_port == 1900
+        with pytest.raises(ValueError, match="another config"):
+            GridLayout.build(two_ports, build_pilot_pattern(SystemConfig(n_tx=1)))
+        # a config's own pattern, kept while the bounded memo rebuilt it
+        kept = build_pilot_pattern(two_ports)
+        build_pilot_pattern.cache_clear()
+        assert build_pilot_pattern(two_ports) is not kept
+        assert GridLayout.build(two_ports, kept).n_data_per_port == 1900
+
     def test_zero_data_grid(self):
         # a grid whose every non-pilot cell is absent: n_used=6 gives one pilot
         # per comb and the rest data; instead check the degenerate request path

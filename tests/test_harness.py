@@ -212,16 +212,17 @@ class TestRunSweep:
         # chunks of 3 + 3 + 1 again, with streams spawned chunk by chunk: the
         # same children as spawning every trial's stream up front
         system, pdp, snrs = SystemConfig(), PowerDelayProfile.uniform(40), np.array([5.0, 25.0])
-        ls, lmmse = paired_mse_curves(system, pdp, snrs, 7, _rng(3))
+        points = list(paired_mse_curves(system, pdp, snrs, 7, _rng(3)))
+        assert [p[0] for p in points] == list(snrs)
         ctx = _make_context(system, 0)
         streams = _rng(3).spawn(len(snrs) * 7)
-        for i, snr in enumerate(snrs):
+        for i, (snr, ls, lmmse) in enumerate(points):
             sums = sum(
                 _oracle_trial(ctx, pdp, NoiseSpec(snr), streams[i * 7 + j], ("ls", "lmmse"))
                 for j in range(7)
             )
-            assert ls[i] == pytest.approx(sums[0, 0] / sums[0, 1], rel=1e-9)
-            assert lmmse[i] == pytest.approx(sums[1, 0] / sums[1, 1], rel=1e-9)
+            assert ls == pytest.approx(sums[0, 0] / sums[0, 1], rel=1e-9)
+            assert lmmse == pytest.approx(sums[1, 0] / sums[1, 1], rel=1e-9)
 
     def test_one_modulation_and_demodulation_per_chunk(self, monkeypatch):
         # the sweep and the calibration modulate and demodulate each chunk
@@ -312,6 +313,27 @@ class TestRunSweep:
             assert dataclasses.replace(
                 hybrid, estimator=Estimator.LMMSE, branch_fraction_ls=None
             ) == rows[snr_db, Estimator.LMMSE]
+
+    @pytest.mark.parametrize(
+        "threshold_db, branch", [(np.inf, Estimator.LMMSE), (-np.inf, Estimator.LS)]
+    )
+    def test_infinite_threshold_holds_at_infinite_snr(self, threshold_db, branch):
+        # +inf is LMMSE and -inf LS at every SNR, SNR = +inf included
+        cfg = SweepConfig(
+            channel_lengths=(40,),
+            snr_grid_db=(30.0, np.inf),
+            n_frames=3,
+            seed=1,
+            estimators=(Estimator.LS, Estimator.LMMSE, Estimator.HYBRID),
+            threshold_override_db=threshold_db,
+        )
+        rows = {(r.snr_db, r.estimator): r for r in run_sweep(cfg)}
+        for snr_db in (30.0, np.inf):
+            hybrid = rows[snr_db, Estimator.HYBRID]
+            assert hybrid.branch_fraction_ls == float(branch is Estimator.LS)
+            assert dataclasses.replace(
+                hybrid, estimator=branch, branch_fraction_ls=None
+            ) == rows[snr_db, branch]
 
     def test_unused_correlation_models_are_not_built(self, monkeypatch):
         def refuse(*args, **kwargs):
