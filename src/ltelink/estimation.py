@@ -1,9 +1,10 @@
 """Pilot-based channel estimators: LS, LMMSE, and the length-aware hybrid.
 
 The LS estimate is the per-pilot division of received by transmitted pilots,
-extended to data subcarriers by linear interpolation, which is one fixed
-(n_used x n_pilots) matrix.  The LMMSE estimator filters the LS pilot
-estimates through the channel frequency-correlation matrices of a
+extended to data subcarriers by linear interpolation between the two nearest
+pilots (Coleri et al., IEEE Trans. Broadcasting 48(3), 2002): two taps per
+subcarrier, built once per pilot comb.  The LMMSE estimator filters the LS
+pilot estimates through the channel frequency-correlation matrices of a
 power-delay profile in the simplified beta/SNR form (the exact-noise form
 coincides with it for unit-modulus pilots and beta=1).  Both correlation
 matrices are products of the profile's tap-phase matrices, of rank at most
@@ -26,8 +27,10 @@ from .grid import Constellation, SystemConfig, used_subcarrier_bins
 
 __all__ = [
     "CorrelationModel",
+    "LsTaps",
     "ls_estimate",
-    "ls_interpolation_matrix",
+    "ls_interpolation_taps",
+    "interpolate_ls",
     "build_correlation_model",
     "lmmse_filter",
     "beta_for_constellation",
@@ -78,23 +81,51 @@ def ls_estimate(y_p: np.ndarray, x_p: np.ndarray) -> np.ndarray:
     return y_p / x_p
 
 
-def ls_interpolation_matrix(pilot_positions: np.ndarray, n_used: int) -> np.ndarray:
-    """(n_used, n_pilots) matrix that extends pilot LS estimates to all used
-    subcarriers: h_ls @ L.T.
+@dataclass(frozen=True)
+class LsTaps:
+    """Linear interpolation of pilot estimates onto every used subcarrier.
 
-    Linear interpolation between adjacent pilots and constant extrapolation
-    beyond the first/last pilot.  Interpolation is linear in the pilot values,
-    so column j is the interpolation of the j-th unit vector.
+    Subcarrier k reads two pilots, indexed in the caller's pilot order:
+    h[k] = (1 - weight[k]) * h_p[below[k]] + weight[k] * h_p[above[k]].  A
+    subcarrier outside the comb copies the end pilot (weight 0 below the first
+    pilot, 1 above the last one).
     """
+
+    below: np.ndarray  # (n_used,) index of the pilot at or below k
+    above: np.ndarray  # (n_used,) index of the next pilot up
+    weight: np.ndarray  # (n_used,) weight of the pilot above, in [0, 1]
+    n_pilots: int
+
+    def __post_init__(self) -> None:
+        for a in (self.below, self.above, self.weight):
+            a.setflags(write=False)
+
+
+def ls_interpolation_taps(pilot_positions: np.ndarray, n_used: int) -> LsTaps:
+    """The two interpolation taps of each of n_used subcarriers from pilots at
+    pilot_positions, given in any order."""
     positions = np.asarray(pilot_positions, dtype=np.int64)
     if positions.ndim != 1 or positions.size < 2:
         raise ValueError("need at least 2 pilots to interpolate")
     order = np.argsort(positions)
+    pos = positions[order]
+    if np.any(pos[1:] == pos[:-1]):
+        raise ValueError("pilot positions must be distinct")
     k = np.arange(n_used)
-    # column j interpolates pilot j's unit vector, listed in ascending position order
-    return np.column_stack(
-        [np.interp(k, positions[order], (order == j).astype(np.float64)) for j in range(order.size)]
-    )
+    # sorted index of the pilot below k, clamped so that pilot j + 1 exists
+    j = np.clip(np.searchsorted(pos, k, side="right") - 1, 0, pos.size - 2)
+    weight = np.clip((k - pos[j]) / (pos[j + 1] - pos[j]), 0.0, 1.0)
+    return LsTaps(below=order[j], above=order[j + 1], weight=weight, n_pilots=pos.size)
+
+
+def interpolate_ls(h_ls: np.ndarray, taps: LsTaps) -> np.ndarray:
+    """Extend pilot LS estimates, along the last axis of h_ls, to all used
+    subcarriers: (1 - t) * h_lo + t * h_hi."""
+    if h_ls.shape[-1] != taps.n_pilots:
+        raise ValueError(f"h_ls has {h_ls.shape[-1]} pilots, the taps {taps.n_pilots}")
+    h = h_ls[..., taps.below] * (1.0 - taps.weight)
+    h += h_ls[..., taps.above] * taps.weight
+    return h
 
 
 def build_correlation_model(
@@ -200,8 +231,10 @@ def calibrate_threshold(
     from . import harness  # local import; the harness owns the cell routine
 
     snrs = np.asarray(sweep_snrs_db, dtype=np.float64)
-    if snrs.size == 0:
-        raise ValueError("empty SNR grid")
+    if snrs.ndim != 1 or snrs.size == 0:
+        raise ValueError("the SNR grid must be a non-empty 1-D array")
+    if not (np.all(np.isfinite(snrs)) and np.all(snrs[1:] > snrs[:-1])):
+        raise ValueError("the SNR grid must be finite and strictly ascending")
     if config.cp_covers(pdp_long.span):
         raise ValueError(
             f"calibration needs a channel exceeding the CP; got span "

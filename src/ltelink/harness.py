@@ -11,15 +11,16 @@ subcarrier), each subcarrier's channel matrix is inverted once to zero-force
 its symbols, and MSE is scored against H and BER against the payload.  One
 routine runs a cell's trials, for the sweep and the threshold calibration
 alike: _CHUNK trials at a time, stacked on a leading axis, so each chunk makes
-one call per stage.
+one call per stage and one per estimate.
 
 The LMMSE correlation model depends only on the configuration, which fixes the
 pilot comb, and on the channel profile truncated to the cyclic prefix.  It is
 built once per (config, truncated profile) and memoized, so the antenna ports,
 the channel lengths that truncate alike and the threshold calibration share
 it, and with it its SVD.  Each cell's LMMSE filter is then two thin factors,
-never multiplied out, and LS interpolation one fixed matrix; both estimators
-apply the factors of their filter to h_ls, for every (tx, rx) pair at once.
+never multiplied out, and LS interpolation two taps per subcarrier, built once
+per context; each estimator has one application path, which serves every
+(tx, rx) pair of a chunk at once.
 
 Reproducibility contract: every random draw comes from a stream derived from
 (seed, purpose tag, cell indices, trial index), so results are independent of
@@ -61,9 +62,11 @@ from .channel import (
 )
 from .estimation import (
     CorrelationModel,
+    LsTaps,
     beta_for_constellation,
+    interpolate_ls,
     ls_estimate,
-    ls_interpolation_matrix,
+    ls_interpolation_taps,
 )
 from .grid import (
     GridLayout,
@@ -145,8 +148,8 @@ class SweepConfig:
             raise ValueError(f"channel length {lengths[-1]} exceeds the FFT size {n_fft}")
         if not snrs:
             raise ValueError("snr grid must be non-empty")
-        if any(a > b for a, b in zip(snrs, snrs[1:])):
-            raise ValueError("snr grid must be sorted ascending")
+        if any(a >= b for a, b in zip(snrs, snrs[1:])):
+            raise ValueError("snr grid must be strictly ascending (sorted, no repeats)")
         if any(math.isnan(v) or v == -math.inf for v in snrs):
             raise ValueError("snr grid must not contain NaN or -inf")
         if self.n_frames < 1:
@@ -209,7 +212,7 @@ class _LinkContext:
     pilot_subcarriers: np.ndarray  # (n_pilots,) the comb every port shares
     pilot_symbols: np.ndarray  # (n_tx, n_pilots) each port's symbol on the comb
     pilot_values: np.ndarray  # (n_tx, n_pilots) each port's pilots on the comb
-    ls_interp: np.ndarray  # (n_used, n_pilots) LS interpolation, complex like h_ls
+    ls_taps: LsTaps  # LS interpolation from the comb to every used subcarrier
     beta: float
     # (_CHUNK * n_tx * n_data_per_port,) data resource elements of a raveled
     # (trial, subcarrier, port, symbol) chunk, in the payload bits' order
@@ -230,7 +233,7 @@ def _make_context(config: SystemConfig, seed: int) -> _LinkContext:
         pilot_subcarriers=pattern.comb,
         pilot_symbols=pattern.entries[pattern.entry_index, 1],
         pilot_values=pilot_seq[pattern.entry_index],
-        ls_interp=ls_interpolation_matrix(pattern.comb, config.n_used).astype(np.complex128),
+        ls_taps=ls_interpolation_taps(pattern.comb, config.n_used),
         beta=beta_for_constellation(config.constellation),
         data_index=(trial_start + in_trial + layout.data_symbols).reshape(-1),
     )
@@ -312,21 +315,22 @@ def _run_cell(
     pdp: PowerDelayProfile,
     noise: NoiseSpec,
     streams: Iterable[np.random.Generator],
-    filters: Sequence[tuple[np.ndarray, ...] | None],
+    methods: Sequence[Estimator],
+    lmmse: tuple[np.ndarray, np.ndarray] | None,
     detect: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Normalized MSE and BER of each estimate over the trials of one cell.
 
     streams yields one generator per trial; the trials run _CHUNK at a time.
-    An estimate is the factors of its filter W = F_1 ... F_k, applied to h_ls
-    right to left, or None for the true channel.  Returns (mse, ber): mse is
-    (n_filters, 2), over all used subcarriers and over the pilot comb, and ber
-    (n_filters,) is 0 without detection.  Errors and energies are summed over
-    the whole cell and divided once.
+    methods lists the estimates, each LS, LMMSE or PERFECT (the true channel);
+    lmmse is the cell's filter factors (F, G), W = F @ G, which LMMSE needs.
+    Returns (mse, ber): mse is (n_methods, 2), over all used subcarriers and
+    over the pilot comb, and ber (n_methods,) is 0 without detection.  Errors
+    and energies are summed over the whole cell and divided once.
     """
     pilots = ctx.pilot_subcarriers
-    sums = np.zeros((len(filters), 4))  # the sums of _score_estimate
-    errors = np.zeros(len(filters), dtype=np.int64)
+    sums = np.zeros((len(methods), 4))  # the sums of _score_estimate
+    errors = np.zeros(len(methods), dtype=np.int64)
     n_bits = 0
     streams = iter(streams)
     while rngs := list(itertools.islice(streams, _CHUNK)):
@@ -335,14 +339,15 @@ def _run_cell(
         y_p = rx_grid[:, pilots, :, ctx.pilot_symbols].transpose(2, 0, 3, 1)
         h_ls = ls_estimate(y_p, ctx.pilot_values[:, None]).reshape(-1, len(pilots))
         n_bits += bits.size
-        for k, factors in enumerate(filters):
-            h_hat = h_true
-            if factors is not None:
+        for k, method in enumerate(methods):
+            if method is Estimator.LS:
+                h_hat = interpolate_ls(h_ls, ctx.ls_taps).reshape(h_true.shape)
+            elif method is Estimator.LMMSE:
+                f, g = lmmse
                 # 2-D products over trials and pairs: BLAS beats a stacked matmul here
-                h_hat = h_ls
-                for f in reversed(factors):
-                    h_hat = h_hat @ f.T
-                h_hat = h_hat.reshape(h_true.shape)
+                h_hat = ((h_ls @ g.T) @ f.T).reshape(h_true.shape)
+            else:
+                h_hat = h_true
             sums[k] += _score_estimate(h_hat, h_true, pilots)
             if detect:
                 errors[k] += _bit_errors(ctx, rx_grid, h_hat, bits)
@@ -398,12 +403,13 @@ def paired_mse_curves(
     """
     ctx = _make_context(system, 0)
     model = _correlation_model(system, pdp)
+    methods = (Estimator.LS, Estimator.LMMSE)
     for snr_db in np.asarray(snrs_db, dtype=np.float64):
-        filters = ((ctx.ls_interp,), _filter_from_model(model, snr_db, ctx.beta))
+        lmmse = _filter_from_model(model, snr_db, ctx.beta)
         # spawned as the chunks take them: the children that spawning n_trials
         # per SNR up front would give the SNRs run, in the same order
         streams = (rng.spawn(1)[0] for _ in range(n_trials))
-        mse = _run_cell(ctx, pdp, NoiseSpec(snr_db), streams, filters, detect=False)[0][:, 0]
+        mse = _run_cell(ctx, pdp, NoiseSpec(snr_db), streams, methods, lmmse, detect=False)[0][:, 0]
         yield float(snr_db), float(mse[0]), float(mse[1])
 
 
@@ -461,14 +467,14 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
                 branch = Estimator.LS if chooses_ls else Estimator.LMMSE
                 if branch not in methods:
                     cell_methods = (*methods, branch)
-            filters = {Estimator.LS: (ctx.ls_interp,), Estimator.PERFECT: None}
+            lmmse = None
             if Estimator.LMMSE in cell_methods:
                 model = _correlation_model(config.system, pdp)
-                filters[Estimator.LMMSE] = _filter_from_model(model, snr_db, ctx.beta)
+                lmmse = _filter_from_model(model, snr_db, ctx.beta)
             streams = (_stream(config.seed, _TAG_TRIAL, li, si, t) for t in range(config.n_frames))
             try:
                 mse, ber = _run_cell(
-                    ctx, pdp, NoiseSpec(snr_db), streams, [filters[m] for m in cell_methods], True
+                    ctx, pdp, NoiseSpec(snr_db), streams, cell_methods, lmmse, detect=True
                 )
             except Exception as exc:
                 raise RuntimeError(f"cell failed (channel_len={length}, snr_db={snr_db})") from exc

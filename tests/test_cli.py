@@ -226,6 +226,19 @@ class TestMain:
         assert "-inf" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_snr_is_a_usage_error(self, tmp_path, capsys):
+        # the parser sorts the grid; a repeat would write two rows per cell
+        cfgfile = tmp_path / "repeat.cfg"
+        cfgfile.write_text(
+            "snr_grid_db = 10, 10\nn_frames = 1\nchannel_lengths = 6\nestimators = ls\n"
+        )
+        out = tmp_path / "never.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfgfile), "--out", str(out)])
+        assert exc.value.code == 2
+        assert "strictly ascending" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fewer_than_two_pilots_per_port_is_a_usage_error(self, tmp_path, capsys):
         # n_used = 3 leaves one subcarrier on the every-third pilot comb
         cfgfile = tmp_path / "narrow.cfg"

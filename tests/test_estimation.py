@@ -23,8 +23,9 @@ from ltelink.estimation import (
     calibrate_threshold,
     lmmse_filter,
     ls_estimate,
-    ls_interpolation_matrix,
+    ls_interpolation_taps,
 )
+from ltelink.estimation import interpolate_ls as apply_ls_taps
 from ltelink.grid import (
     Constellation,
     SystemConfig,
@@ -469,23 +470,46 @@ class TestInterpolateLs:
         with pytest.raises(ValueError, match="at least 2"):
             interpolate_ls(np.ones(1), np.array([0]), 4)
         with pytest.raises(ValueError, match="at least 2"):
-            ls_interpolation_matrix(np.array([0]), 4)
+            ls_interpolation_taps(np.array([0]), 4)
 
-    @pytest.mark.parametrize("bandwidth_mhz", [5.0, 10.0])
-    def test_matrix_matches_interpolation(self, bandwidth_mhz):
+
+class TestLsTaps:
+    """The sweep's LS interpolation, two taps per subcarrier, against the oracle."""
+
+    @pytest.mark.parametrize("bandwidth_mhz", [5.0, 10.0, 20.0])
+    def test_taps_match_interpolation(self, bandwidth_mhz):
         cfg = SystemConfig(bandwidth_mhz=bandwidth_mhz)
         positions = build_pilot_pattern(cfg).comb
-        interp = ls_interpolation_matrix(positions, cfg.n_used)
+        taps = ls_interpolation_taps(positions, cfg.n_used)
         rng = np.random.default_rng(16)
         h_p = rng.standard_normal((4, positions.size)) + 1j * rng.standard_normal((4, positions.size))
         expected = np.array([interpolate_ls(h, positions, cfg.n_used) for h in h_p])
-        assert_allclose(h_p @ interp.T, expected, rtol=0, atol=1e-12)
+        assert_allclose(apply_ls_taps(h_p, taps), expected, rtol=0, atol=1e-12)
 
-    def test_matrix_accepts_unsorted_positions(self):
+    def test_taps_accept_unsorted_positions(self):
         positions = np.array([7, 0, 3])
         h_p = np.array([1 + 2j, -1j, 0.5])
-        got = h_p @ ls_interpolation_matrix(positions, 9).T
+        got = apply_ls_taps(h_p, ls_interpolation_taps(positions, 9))
         assert_allclose(got, interpolate_ls(h_p, positions, 9), atol=1e-15)
+
+    @pytest.mark.parametrize("n_used", [4, 300])
+    def test_end_subcarriers_copy_the_end_pilots(self, n_used):
+        # n_used = 4 is the smallest config with two pilots, at 0 and 3; at
+        # 300 the comb ends at 297, so subcarriers 298 and 299 lie beyond it
+        positions = build_pilot_pattern(SystemConfig(n_used=n_used)).comb
+        taps = ls_interpolation_taps(positions, n_used)
+        assert np.all((taps.weight >= 0) & (taps.weight <= 1))
+        h_p = np.arange(1, positions.size + 1) * (1 - 2j)
+        got = apply_ls_taps(h_p, taps)
+        assert got[0] == h_p[0]
+        assert np.all(got[positions[-1]:] == h_p[-1])
+        assert_allclose(got, interpolate_ls(h_p, positions, n_used), rtol=0, atol=1e-12)
+
+    def test_rejects_repeated_positions_and_a_mismatched_comb(self):
+        with pytest.raises(ValueError, match="distinct"):
+            ls_interpolation_taps(np.array([0, 3, 3]), 6)
+        with pytest.raises(ValueError, match="pilots"):
+            apply_ls_taps(np.ones(2), ls_interpolation_taps(np.array([0, 3, 6]), 8))
 
 
 class TestHybrid:
@@ -660,6 +684,19 @@ class TestCrossover:
                 np.array([0.0, 10.0]),
                 4,
                 np.random.default_rng(0),
+            )
+
+    @pytest.mark.parametrize(
+        "snrs",
+        [np.arange(30.0, -1.0, -5.0), np.array([0.0, np.nan, 10.0]), np.array([0.0, 0.0])],
+        ids=["descending", "nan", "repeat"],
+    )
+    def test_calibrate_rejects_a_grid_it_cannot_search(self, snrs):
+        # descending, a grid read as "always LS" (-inf); with a NaN, an error
+        # deep in the filter build; with a repeat, a zero-width interpolation
+        with pytest.raises(ValueError, match="finite and strictly ascending"):
+            calibrate_threshold(
+                SystemConfig(), PowerDelayProfile.uniform(40), snrs, 5, np.random.default_rng(1)
             )
 
     def test_calibrate_finds_finite_crossover_for_long_channel(self):

@@ -113,7 +113,8 @@ class TestComputeBer:
         monkeypatch.setattr(linkproc, "demap_symbols", flipped)
         ctx = _make_context(SystemConfig(), 0)
         noise, streams = NoiseSpec(np.inf), [_rng(9), _rng(10)]
-        mse, ber = _run_cell(ctx, PowerDelayProfile.uniform(6), noise, streams, [None], True)
+        pdp, methods = PowerDelayProfile.uniform(6), [Estimator.PERFECT]
+        mse, ber = _run_cell(ctx, pdp, noise, streams, methods, None, True)
         assert demapped == [2 * 7600] and mse.tolist() == [[0.0, 0.0]]
         return ber[0]
 
@@ -450,6 +451,13 @@ class TestRunSweep:
             SweepConfig(estimators=("ls",))
         with pytest.raises(ValueError, match="-inf"):
             SweepConfig(snr_grid_db=(-np.inf, 0.0))
+
+    def test_repeated_snr_rejected(self):
+        # a repeated SNR would run its cell twice and write two rows for it
+        with pytest.raises(ValueError, match="strictly ascending"):
+            SweepConfig(snr_grid_db=(10.0, 10.0))
+        with pytest.raises(ValueError, match="strictly ascending"):
+            SweepConfig(snr_grid_db=(0.0, np.inf, np.inf))
 
     def test_channel_lengths_up_to_the_fft_size(self):
         # the response is sampled at n_fft bins, so a longer channel would
