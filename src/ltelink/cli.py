@@ -110,8 +110,29 @@ def sweep_config_from_sources(
     return SweepConfig(system=system, **sweep)
 
 
+_SIGNED_OPTIONS = ("--snr", "--threshold-db")  # their values may start with '-'
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads `--snr -5:30:5` and `--threshold-db -inf`, abbreviated or not, as
+    their '=' forms: argparse takes a token that starts with '-' and is not a
+    plain negative number for an option, so the token after either option is
+    joined to it, unless it starts with '--' and so is an option itself."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined: list[str] = []
+        for arg in sys.argv[1:] if args is None else args:
+            option = joined[-1] if joined else ""
+            signed = len(option) > 2 and any(o.startswith(option) for o in _SIGNED_OPTIONS)
+            if signed and not arg.startswith("--"):
+                joined[-1] += "=" + arg
+            else:
+                joined.append(arg)
+        return super().parse_known_args(joined, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ltelink",
         description="Link-level downlink simulator: MSE/BER versus SNR sweeps "
         "with LS, LMMSE and hybrid channel estimation.",

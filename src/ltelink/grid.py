@@ -1,9 +1,11 @@
 """LTE-style time-frequency resource lattice.
 
-Builds the per-slot grid of (subcarrier, OFDM symbol, antenna port) cells,
+Builds the per-slot grid of (antenna port, OFDM symbol, subcarrier) cells,
 places cell-specific reference signals on the two pilot-bearing symbols of a
-short-CP slot, and fills a slot with data and pilot symbols.  All objects are
-immutable after construction and safe to share across concurrent trials.
+short-CP slot, and fills a slot with data and pilot symbols.  Every stage,
+from the fill to zero-forcing, keeps that layout, subcarriers innermost.  All
+objects are immutable after construction and safe to share across concurrent
+trials.
 """
 
 from __future__ import annotations
@@ -193,12 +195,13 @@ class GridLayout:
 
     The data resource elements are those no pilot entry occupies: a pilot
     element is nulled on all non-owning ports, so every port has the same
-    ones.  data_subcarriers/data_symbols enumerate them in the deterministic
-    fill order (symbols ascending, subcarriers ascending within a symbol).
+    ones.  data_symbols/data_subcarriers enumerate them in the deterministic
+    fill order (symbols ascending, subcarriers ascending within a symbol),
+    which is the raveled order of a port's (n_symbols, n_used) slot.
     """
 
     pattern: PilotPattern
-    shape: tuple[int, int, int]  # (n_ports, n_used, n_symbols) of one slot
+    shape: tuple[int, int, int]  # (n_ports, n_symbols, n_used) of one slot
     data_subcarriers: np.ndarray
     data_symbols: np.ndarray
     n_data_per_port: int
@@ -217,7 +220,7 @@ class GridLayout:
         sym_idx, sc_idx = np.nonzero(~occupied)
         return cls(
             pattern=pattern,
-            shape=(config.n_tx, config.n_used, config.n_symbols_per_slot),
+            shape=(config.n_tx, config.n_symbols_per_slot, config.n_used),
             data_subcarriers=sc_idx,
             data_symbols=sym_idx,
             n_data_per_port=int(sc_idx.size),
@@ -226,7 +229,7 @@ class GridLayout:
     def fill(
         self, data_symbols: np.ndarray | Sequence[np.ndarray], pilot_seq: np.ndarray
     ) -> np.ndarray:
-        """The (..., n_ports, n_used, n_symbols) values of slots whose data_symbols
+        """The (..., n_ports, n_symbols, n_used) values of slots whose data_symbols
         are (..., n_ports, n_data_per_port); leading axes stack slots."""
         data = np.asarray(data_symbols)
         got = data.shape[-1]
@@ -243,9 +246,9 @@ class GridLayout:
                 f"got {len(pilot_seq)} ({n_entries - len(pilot_seq)} missing)"
             )
         values = np.zeros((*data.shape[:-2], *self.shape), dtype=np.complex128)
-        values[..., self.data_subcarriers, self.data_symbols] = data
+        values[..., self.data_symbols, self.data_subcarriers] = data
         sc, sym, port = self.pattern.entries.T
-        values[..., port, sc, sym] = np.asarray(pilot_seq)[:n_entries]
+        values[..., port, sym, sc] = np.asarray(pilot_seq)[:n_entries]
         return values
 
 

@@ -11,7 +11,8 @@ subcarrier), each subcarrier's channel matrix is inverted once to zero-force
 its symbols, and MSE is scored against H and BER against the payload.  One
 routine runs a cell's trials, for the sweep and the threshold calibration
 alike: _CHUNK trials at a time, stacked on a leading axis, so each chunk makes
-one call per stage and one per estimate.
+one call per stage and one per estimate.  A chunk keeps one slot layout from
+the grid fill to zero-forcing: (trial, antenna, symbol, subcarrier).
 
 The LMMSE correlation model depends only on the configuration, which fixes the
 pilot comb, and on the channel profile truncated to the cyclic prefix.  It is
@@ -214,18 +215,12 @@ class _LinkContext:
     pilot_values: np.ndarray  # (n_tx, n_pilots) each port's pilots on the comb
     ls_taps: LsTaps  # LS interpolation from the comb to every used subcarrier
     beta: float
-    # (_CHUNK * n_tx * n_data_per_port,) data resource elements of a raveled
-    # (trial, subcarrier, port, symbol) chunk, in the payload bits' order
-    data_index: np.ndarray
 
 
 def _make_context(config: SystemConfig, seed: int) -> _LinkContext:
     pattern = build_pilot_pattern(config)
     layout = GridLayout.build(config, pattern)
     pilot_seq = random_pilot_sequence(pattern.n_entries, _stream(seed, _TAG_PILOTS))
-    n_tx, n_sym = config.n_tx, config.n_symbols_per_slot
-    in_trial = (layout.data_subcarriers * n_tx + np.arange(n_tx)[:, None]) * n_sym
-    trial_start = np.arange(_CHUNK)[:, None, None] * (config.n_used * n_tx * n_sym)
     return _LinkContext(
         config=config,
         layout=layout,
@@ -235,7 +230,6 @@ def _make_context(config: SystemConfig, seed: int) -> _LinkContext:
         pilot_values=pilot_seq[pattern.entry_index],
         ls_taps=ls_interpolation_taps(pattern.comb, config.n_used),
         beta=beta_for_constellation(config.constellation),
-        data_index=(trial_start + in_trial + layout.data_symbols).reshape(-1),
     )
 
 
@@ -248,9 +242,9 @@ def _receive(
     """Transmit and receive a chunk of slots along a leading trial axis.
 
     Trial i draws its channel taps, then its payload bits, then its noise from
-    rngs[i].  Returns bits (c, n_tx, n_bits), the subcarrier-major rx_grid
-    (c, n_used, n_rx, n_symbols) that zero-forcing takes, and h_true
-    (c, n_tx, n_rx, n_used)."""
+    rngs[i].  Returns bits (c, n_tx, n_bits), rx_grid (c, n_rx, n_symbols,
+    n_used) in the slot layout of the grid, the modem and zero-forcing, and
+    h_true (c, n_tx, n_rx, n_used)."""
     cfg = ctx.config
     n, n_bits = len(rngs), ctx.layout.n_data_per_port * cfg.constellation.bits_per_symbol
     taps, bits = [], []
@@ -259,54 +253,39 @@ def _receive(
         bits.append(rng.integers(0, 2, size=(cfg.n_tx, n_bits)))
     ch = ChannelRealization(np.stack(taps), pdp)
     bits = np.stack(bits)
-    values = ctx.layout.fill(  # (c, n_tx, n_used, n_symbols)
+    values = ctx.layout.fill(  # (c, n_tx, n_symbols, n_used)
         linkproc.map_bits(bits, cfg.constellation).reshape(n, cfg.n_tx, -1),
         ctx.pilot_seq,
     )
-    tx = ofdm.modulate_frame(values.reshape(n * cfg.n_tx, cfg.n_used, -1), cfg)
+    tx = ofdm.modulate_frame(values.reshape(n * cfg.n_tx, -1, cfg.n_used), cfg)
     impairment = overrun(tx.reshape(n, cfg.n_tx, -1), ch, cfg)
     h_true = ch.frequency_responses(cfg.n_fft, used_subcarrier_bins(cfg))
-    # H * X summed over tx, (c, n_used, n_rx, n_symbols), plus the demodulated impairment
-    rx_grid = h_true[:, 0].swapaxes(1, 2)[..., None] * values[:, 0, :, None]
+    # H * X summed over tx, (c, n_rx, n_symbols, n_used), plus the demodulated impairment
+    rx_grid = h_true[:, 0, :, None] * values[:, 0, None]
     for t in range(1, cfg.n_tx):
-        rx_grid += h_true[:, t].swapaxes(1, 2)[..., None] * values[:, t, :, None]
+        rx_grid += h_true[:, t, :, None] * values[:, t, None]
     del tx, values  # freed before the noise and the demodulation add theirs
     for i, rng in enumerate(rngs):
         impairment[i] = add_awgn(impairment[i], noise, rng)
     rx = ofdm.demodulate_frame(impairment.reshape(n * cfg.n_rx, -1), cfg)
-    rx_grid += rx.reshape(n, cfg.n_rx, cfg.n_used, -1).swapaxes(1, 2)
+    rx_grid += rx.reshape(rx_grid.shape)
     return bits, rx_grid, h_true
 
 
-def _score_estimate(
-    h_hat: np.ndarray, h_true: np.ndarray, pilot_subcarriers: np.ndarray
-) -> tuple[float, float, float, float]:
-    """Energy sums of estimates: (|err|^2, |h|^2) over all used subcarriers,
-    then over the pilot subcarriers.
-
-    h_hat and h_true are (..., n_tx, n_rx, n_used), any leading axes being
-    trials; the normalized MSE of a cell is the ratio of the error sum to the
-    energy sum over all its trials.
-    """
-    err2 = np.abs(h_hat - h_true) ** 2
-    ref2 = np.abs(h_true) ** 2
-    return (
-        float(err2.sum()),
-        float(ref2.sum()),
-        float(err2[..., pilot_subcarriers].sum()),
-        float(ref2[..., pilot_subcarriers].sum()),
-    )
+def _energy(h: np.ndarray, pilot_subcarriers: np.ndarray) -> tuple[float, float]:
+    """Sums of |h|^2 over all used subcarriers, then over the pilot subcarriers,
+    of (..., n_used) responses; a cell's normalized MSE is the ratio of its
+    estimate errors' sums to its true channels' sums."""
+    h2 = np.abs(h) ** 2
+    return float(h2.sum()), float(h2[..., pilot_subcarriers].sum())
 
 
 def _bit_errors(ctx: _LinkContext, rx_grid: np.ndarray, h_hat: np.ndarray, bits: np.ndarray) -> int:
     """Payload bit errors of a chunk zero-forced with the estimate h_hat."""
-    cfg = ctx.config
-    # one (n_rx, n_tx) matrix per (trial, subcarrier)
-    h_sc = h_hat.transpose(0, 3, 2, 1).reshape(-1, cfg.n_rx, cfg.n_tx)
-    detected, _ = kernels.zf_detect_grid(rx_grid.reshape(len(h_sc), cfg.n_rx, -1), h_sc)
-    n_symbols = bits.size // cfg.constellation.bits_per_symbol
-    symbols = detected.reshape(-1).take(ctx.data_index[:n_symbols])
-    rx_bits = linkproc.demap_symbols(symbols, cfg.constellation)
+    detected, _ = kernels.zf_detect_grid(rx_grid, h_hat.swapaxes(1, 2))
+    # (c, n_tx, n_data_per_port) payload symbols, in the order of their bits
+    symbols = detected[:, :, ctx.layout.data_symbols, ctx.layout.data_subcarriers]
+    rx_bits = linkproc.demap_symbols(symbols, ctx.config.constellation)
     return int(np.count_nonzero(rx_bits != bits.reshape(-1)))
 
 
@@ -329,15 +308,17 @@ def _run_cell(
     and energies are summed over the whole cell and divided once.
     """
     pilots = ctx.pilot_subcarriers
-    sums = np.zeros((len(methods), 4))  # the sums of _score_estimate
+    err2 = np.zeros((len(methods), 2))  # the _energy of each estimate's error
+    ref2 = np.zeros(2)  # and of the true channel
     errors = np.zeros(len(methods), dtype=np.int64)
     n_bits = 0
     streams = iter(streams)
     while rngs := list(itertools.islice(streams, _CHUNK)):
         bits, rx_grid, h_true = _receive(ctx, pdp, noise, rngs)
-        # (n_tx, n_pilots, c, n_rx) -> (c, n_tx, n_rx, n_pilots)
-        y_p = rx_grid[:, pilots, :, ctx.pilot_symbols].transpose(2, 0, 3, 1)
+        # (c, n_rx, n_tx, n_pilots) -> (c, n_tx, n_rx, n_pilots)
+        y_p = rx_grid[:, :, ctx.pilot_symbols, pilots].swapaxes(1, 2)
         h_ls = ls_estimate(y_p, ctx.pilot_values[:, None]).reshape(-1, len(pilots))
+        ref2 += _energy(h_true, pilots)
         n_bits += bits.size
         for k, method in enumerate(methods):
             if method is Estimator.LS:
@@ -348,10 +329,10 @@ def _run_cell(
                 h_hat = ((h_ls @ g.T) @ f.T).reshape(h_true.shape)
             else:
                 h_hat = h_true
-            sums[k] += _score_estimate(h_hat, h_true, pilots)
+            err2[k] += _energy(h_hat - h_true, pilots)
             if detect:
                 errors[k] += _bit_errors(ctx, rx_grid, h_hat, bits)
-    return sums[:, 0::2] / sums[:, 1::2], errors / n_bits
+    return err2 / ref2, errors / n_bits
 
 
 def _correlation_model(config: SystemConfig, pdp: PowerDelayProfile) -> CorrelationModel:

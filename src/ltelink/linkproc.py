@@ -54,19 +54,12 @@ def qam16_map(bits: np.ndarray) -> np.ndarray:
 
 
 def qam16_demap(symbols: np.ndarray) -> np.ndarray:
-    """Hard nearest-level decision per axis, inverse of qam16_map."""
-    symbols = np.asarray(symbols)
-
-    def axis_bits(vals: np.ndarray) -> np.ndarray:
-        hi = (vals < 0).astype(np.int8)
-        lo = (np.abs(vals) < 2.0 * _INV_SQRT10).astype(np.int8)
-        return hi, lo
-
-    re_hi, re_lo = axis_bits(symbols.real)
-    im_hi, im_lo = axis_bits(symbols.imag)
-    out = np.empty((symbols.size, 4), dtype=np.int8)
-    out[:, 0], out[:, 1], out[:, 2], out[:, 3] = re_hi, re_lo, im_hi, im_lo
-    return out.reshape(-1)
+    """Hard nearest-level decision per axis, inverse of qam16_map; like
+    qpsk_demap, it reads symbols of any shape in raveled order."""
+    parts = np.ascontiguousarray(symbols, dtype=np.complex128).reshape(-1, 1).view(np.float64)
+    # per symbol, per axis (real, imaginary): the sign bit, then the inner-level bit
+    bits = np.stack([parts < 0, np.abs(parts) < 2.0 * _INV_SQRT10], axis=-1)
+    return bits.astype(np.int8).reshape(-1)
 
 
 def map_bits(bits: np.ndarray, constellation: Constellation) -> np.ndarray:

@@ -16,7 +16,7 @@ __all__ = ["modulate_frame", "demodulate_frame"]
 
 
 def modulate_frame(values: np.ndarray, config: SystemConfig) -> np.ndarray:
-    """IDFT + cyclic prefix for a whole (n_antennas, n_used, n_symbols) grid.
+    """IDFT + cyclic prefix for a whole (n_antennas, n_symbols, n_used) grid.
 
     Used subcarriers are scattered into their FFT bins (all other bins zero),
     the unitary inverse DFT is applied per symbol, and the last cp_len output
@@ -24,17 +24,17 @@ def modulate_frame(values: np.ndarray, config: SystemConfig) -> np.ndarray:
     (n_antennas, n_symbols * symbol_len) sample streams.
     """
     values = np.asarray(values, dtype=np.complex128)
-    if values.ndim != 3 or values.shape[1] != config.n_used:
+    if values.ndim != 3 or values.shape[2] != config.n_used:
         raise ValueError(
-            f"grid must be (antennas, {config.n_used}, symbols); got {values.shape}"
+            f"grid must be (antennas, symbols, {config.n_used}); got {values.shape}"
         )
     bins = used_subcarrier_bins(config)
-    n_ant, _, n_sym = values.shape
+    n_ant, n_sym, _ = values.shape
     cp, n_fft = config.cp_len, config.n_fft
     # each symbol's spectrum sits where its samples go, after the prefix, and
     # the samples overwrite it: one buffer holds the spectrum and the output
     frames = np.zeros((n_ant, n_sym, cp + n_fft), dtype=np.complex128)
-    frames[:, :, cp + bins] = values.transpose(0, 2, 1)
+    frames[:, :, cp + bins] = values
     time = np.fft.ifft(frames[:, :, cp:], axis=-1)
     time *= np.sqrt(n_fft)
     frames[:, :, cp:] = time
@@ -44,7 +44,7 @@ def modulate_frame(values: np.ndarray, config: SystemConfig) -> np.ndarray:
 
 def demodulate_frame(samples: np.ndarray, config: SystemConfig) -> np.ndarray:
     """CP removal + DFT + used-bin extraction of (antennas, n_samples) streams;
-    returns (antennas, n_used, n_symbols)."""
+    returns (antennas, n_symbols, n_used), the layout modulate_frame takes."""
     samples = np.atleast_2d(samples)
     n_ant, n_samples = samples.shape
     if n_samples % config.symbol_len != 0:
@@ -55,5 +55,5 @@ def demodulate_frame(samples: np.ndarray, config: SystemConfig) -> np.ndarray:
     sym = samples.reshape(n_ant, -1, config.symbol_len)[:, :, config.cp_len :]
     spectrum = np.fft.fft(sym, axis=-1)[:, :, used_subcarrier_bins(config)]
     spectrum /= np.sqrt(config.n_fft)
-    return spectrum.transpose(0, 2, 1)
+    return spectrum
 

@@ -29,15 +29,15 @@ DATA, PILOT, NULL = 0, 1, 2
 
 
 def cell_labels(pattern, shape: tuple[int, int, int]) -> np.ndarray:
-    """The (n_ports, n_used, n_symbols) label of every cell of a slot, derived
+    """The (n_ports, n_symbols, n_used) label of every cell of a slot, derived
     from a pilot pattern's entries: a port's own entries are PILOT, the other
     ports' entries NULL, and every other cell DATA."""
     labels = np.full(shape, DATA, dtype=np.int8)
     sc, sym, port = pattern.entries.T
     for p in range(shape[0]):
         mine = port == p
-        labels[p, sc[mine], sym[mine]] = PILOT
-        labels[p, sc[~mine], sym[~mine]] = NULL
+        labels[p, sym[mine], sc[mine]] = PILOT
+        labels[p, sym[~mine], sc[~mine]] = NULL
     return labels
 
 
@@ -86,8 +86,9 @@ def apply_channel(tx: np.ndarray, ch) -> np.ndarray:
 
 def time_domain_chain(ctx, pdp, noise, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One slot of the sweep's trial chain with the channel applied by linear
-    convolution: (bits, rx_grid, h_true), drawing taps, bits and noise from rng
-    in the sweep's order.  ctx is a harness link context."""
+    convolution: (bits, rx_grid (n_rx, n_symbols, n_used), h_true), drawing
+    taps, bits and noise from rng in the sweep's order.  ctx is a harness link
+    context."""
     cfg = ctx.config
     ch = generate_channel(pdp, cfg.n_tx, cfg.n_rx, rng)
     bits_per_sym = cfg.constellation.bits_per_symbol

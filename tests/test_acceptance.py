@@ -91,7 +91,7 @@ def test_ac1_cp_covered_frame_diagonalizes():
     rx = apply_channel(modulate_frame(values, cfg), ch)
     got = demodulate_frame(rx, cfg)
     h = ch.frequency_responses(cfg.n_fft, used_subcarrier_bins(cfg))
-    predicted = np.einsum("trk,tks->rks", h, values)
+    predicted = np.einsum("trk,tsk->rsk", h, values)
     rel = np.abs(got - predicted) / np.abs(predicted)
     worst = float(rel.max())
     _report("AC-1", worst < 1e-10, f"max per-subcarrier residual {worst:.3e} < 1e-10")

@@ -187,13 +187,13 @@ class TestApplyChannel:
         cfg = self.CFG
         pdp = PowerDelayProfile.uniform(cfg.cp_len)
         ch = generate_channel(pdp, 2, 2, rng)
-        values = rng.standard_normal((2, cfg.n_used, 7)) + 1j * rng.standard_normal(
-            (2, cfg.n_used, 7)
+        values = rng.standard_normal((2, 7, cfg.n_used)) + 1j * rng.standard_normal(
+            (2, 7, cfg.n_used)
         )
         rx = apply_channel(modulate_frame(values, cfg), ch)
         got = demodulate_frame(rx, cfg)
         h = ch.frequency_responses(cfg.n_fft, used_subcarrier_bins(cfg))
-        pred = np.einsum("trk,tks->rks", h, values)
+        pred = np.einsum("trk,tsk->rsk", h, values)
         assert np.max(np.abs(got - pred)) / np.abs(pred).max() < 1e-10
 
     def test_cp_exceeding_channel_breaks_diagonalization(self):
@@ -202,11 +202,11 @@ class TestApplyChannel:
         cfg = self.CFG
         ch = generate_channel(PowerDelayProfile.uniform(40), 2, 2, rng)
         corners = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2)
-        values = corners[rng.integers(0, 4, (2, cfg.n_used, 7))]
+        values = corners[rng.integers(0, 4, (2, 7, cfg.n_used))]
         rx = apply_channel(modulate_frame(values, cfg), ch)
         got = demodulate_frame(rx, cfg)
         h = ch.frequency_responses(cfg.n_fft, used_subcarrier_bins(cfg))
-        pred = np.einsum("trk,tks->rks", h, values)
+        pred = np.einsum("trk,tsk->rsk", h, values)
         residual = np.linalg.norm(got - pred) / np.linalg.norm(pred)
         assert residual > 1e-3
 
@@ -233,8 +233,8 @@ class TestOverrun:
     CFG = SystemConfig()  # 5 MHz, 512-point FFT, cp 16
 
     def _stream(self, rng, cfg=CFG):
-        values = rng.standard_normal((2, cfg.n_used, 7)) + 1j * rng.standard_normal(
-            (2, cfg.n_used, 7)
+        values = rng.standard_normal((2, 7, cfg.n_used)) + 1j * rng.standard_normal(
+            (2, 7, cfg.n_used)
         )
         return modulate_frame(values, cfg)
 
@@ -305,11 +305,11 @@ class TestReceivePath:
         seeds = (20, 21) if length <= 128 else (20,)
         rngs = [np.random.default_rng(s) for s in seeds]
         bits, rx_grid, h_true = _receive(ctx, pdp, noise, rngs)
-        assert rx_grid.shape == (len(seeds), ctx.config.n_used, ctx.config.n_rx, 7)
+        assert rx_grid.shape == (len(seeds), ctx.config.n_rx, 7, ctx.config.n_used)
         for i, seed in enumerate(seeds):
             oracle_rng = np.random.default_rng(seed)
             want_bits, want_grid, want_h = time_domain_chain(ctx, pdp, noise, oracle_rng)
-            rel = np.abs(rx_grid[i].swapaxes(0, 1) - want_grid).max() / np.abs(want_grid).max()
+            rel = np.abs(rx_grid[i] - want_grid).max() / np.abs(want_grid).max()
             assert rel < 1e-12
             assert np.array_equal(bits[i], want_bits) and np.array_equal(h_true[i], want_h)
             # the same draws in the same order: taps, bits, then noise
@@ -327,8 +327,8 @@ class TestTrialAxis:
         chans = [generate_channel(pdp, 2, 2, rng) for _ in range(3)]
         stacked = ChannelRealization(np.stack([ch.taps for ch in chans]), pdp)
         assert (stacked.n_tx, stacked.n_rx) == (2, 2)
-        values = rng.standard_normal((3, 2, self.CFG.n_used, 7)) + 0j
-        tx = modulate_frame(values.reshape(6, self.CFG.n_used, 7), self.CFG).reshape(3, 2, -1)
+        values = rng.standard_normal((3, 2, 7, self.CFG.n_used)) + 0j
+        tx = modulate_frame(values.reshape(6, 7, self.CFG.n_used), self.CFG).reshape(3, 2, -1)
         bins = used_subcarrier_bins(self.CFG)
         h = stacked.frequency_responses(self.CFG.n_fft, bins)
         over = overrun(tx, stacked, self.CFG)

@@ -1,5 +1,6 @@
 """Tests for the simulate CLI and the flat config-file format."""
 
+import math
 import subprocess
 import sys
 
@@ -94,6 +95,19 @@ class TestFlagMerging:
         assert cfg.snr_grid_db == (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
         cfg = sweep_config_from_sources({}, _args(["--snr", "2:8:3"]))
         assert cfg.snr_grid_db == (2.0, 5.0, 8.0)
+
+    def test_negative_snr_range_parses_after_a_space(self):
+        spaced, joined = _args(["--snr", "-5:30:5"]), _args(["--snr=-5:30:5"])
+        assert spaced == joined == _args(["--sn", "-5:30:5"])
+        cfg = sweep_config_from_sources({}, spaced)
+        assert cfg.snr_grid_db == (-5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
+
+    def test_minus_inf_threshold_parses_after_a_space(self):
+        spaced, joined = _args(["--threshold-db", "-inf"]), _args(["--threshold-db=-inf"])
+        assert spaced == joined == _args(["--threshold", "-inf"])
+        assert sweep_config_from_sources({}, spaced).threshold_override_db == -math.inf
+        with pytest.raises(SystemExit):  # an option after it is not its value
+            _args(["--threshold-db", "--calibrate-threshold"])
 
     def test_estimator_parsing(self):
         cfg = sweep_config_from_sources({}, _args(["--estimators", "perfect,ls"]))

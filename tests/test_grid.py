@@ -32,7 +32,7 @@ def extract_pilots(rx_grid, pattern, port):
     """Pilot observations of one port on the pilot comb, indexed the way the
     trial chain does."""
     sc = pattern.comb
-    return rx_grid[sc, pattern.entries[pattern.entry_index[port], 1]], sc
+    return rx_grid[pattern.entries[pattern.entry_index[port], 1], sc], sc
 
 
 # every profile's default band and an odd band, with one and two ports
@@ -215,9 +215,9 @@ class TestMapToGrid:
             labels = cell_labels(pat, values.shape)
             for p in range(n_tx):
                 # Data cells read back in fill order: subcarrier-fastest, then symbol
-                mask = (labels[p] == DATA).T
-                assert_allclose(values[p].T[mask], data[p], atol=0)
-                got = values[p, layout.data_subcarriers, layout.data_symbols]
+                mask = labels[p] == DATA
+                assert_allclose(values[p][mask], data[p], atol=0)
+                got = values[p, layout.data_symbols, layout.data_subcarriers]
                 assert_allclose(got, data[p], atol=0)
 
     def test_non_pilot_symbol_columns_are_all_data(self):
@@ -225,7 +225,7 @@ class TestMapToGrid:
         labels = cell_labels(pat, values.shape)
         assert layout.shape == values.shape
         for sym in (1, 2, 3, 5, 6):
-            assert np.all(labels[0, :, sym] == DATA)
+            assert np.all(labels[0, sym, :] == DATA)
 
     def test_null_cells_zero_and_pilots_unit(self):
         _, pat, _, _, (values, _) = self._mapped(n_tx=2)
@@ -273,7 +273,7 @@ class TestExtractPilots:
     def test_all_ones_grid(self):
         cfg = small_config(n_tx=2)
         pat = build_pilot_pattern(cfg)
-        rx = np.ones((cfg.n_used, cfg.n_symbols_per_slot), dtype=complex)
+        rx = np.ones((cfg.n_symbols_per_slot, cfg.n_used), dtype=complex)
         y_p, pos = extract_pilots(rx, pat, 0)
         assert np.all(y_p == 1)
         assert len(y_p) == len(pos) == pat.entry_index.shape[1] == pat.n_entries // 2
@@ -281,14 +281,14 @@ class TestExtractPilots:
     def test_ordering_follows_the_comb(self):
         cfg = small_config(n_used=12, n_tx=2)
         pat = build_pilot_pattern(cfg)
-        rx = np.arange(cfg.n_used * 7, dtype=complex).reshape(cfg.n_used, 7)
+        rx = np.arange(7 * cfg.n_used, dtype=complex).reshape(7, cfg.n_used)
         # ascending subcarriers; each port reads its own symbol on each:
         # port 0 pilots {0,6} in symbol 0 and {3,9} in symbol 4, port 1 swaps
         y_0, pos = extract_pilots(rx, pat, 0)
         y_1, _ = extract_pilots(rx, pat, 1)
         assert list(pos) == [0, 3, 6, 9]
-        assert_allclose(y_0, [rx[0, 0], rx[3, 4], rx[6, 0], rx[9, 4]])
-        assert_allclose(y_1, [rx[0, 4], rx[3, 0], rx[6, 4], rx[9, 0]])
+        assert_allclose(y_0, [rx[0, 0], rx[4, 3], rx[0, 6], rx[4, 9]])
+        assert_allclose(y_1, [rx[4, 0], rx[0, 3], rx[4, 6], rx[0, 9]])
 
     def test_silent_port_leaks_zero_through_identity_channel(self):
         # port 0 transmits nothing; port 1 active.  After a one-tap identity
@@ -298,7 +298,7 @@ class TestExtractPilots:
         pat = build_pilot_pattern(cfg)
         rng = np.random.default_rng(5)
         pilots = random_pilot_sequence(pat.n_entries, rng)
-        n_data = int((np.zeros((cfg.n_used, 7)) == 0).sum()) - len(pat.entries)
+        n_data = int((np.zeros((7, cfg.n_used)) == 0).sum()) - len(pat.entries)
         data = [np.zeros(n_data, dtype=complex), np.ones(n_data, dtype=complex)]
         values, _ = fill_slot(cfg, pat, data, pilots)
         values[0] = 0  # silence port 0 entirely (drop its pilots too)

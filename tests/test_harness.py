@@ -16,9 +16,9 @@ from ltelink.harness import (
     Estimator,
     SweepConfig,
     SweepRecord,
+    _energy,
     _make_context,
     _run_cell,
-    _score_estimate,
     _stream,
     emit_csv,
     format_summary,
@@ -49,14 +49,15 @@ def compute_mse(h_hat, h_true, positions=None):
     h_hat = np.asarray(h_hat, dtype=complex)[None, None, :]
     h_true = np.asarray(h_true, dtype=complex)[None, None, :]
     comb = np.arange(h_true.shape[-1]) if positions is None else positions
-    num_all, den_all, num_pil, den_pil = _score_estimate(h_hat, h_true, comb)
+    num_all, num_pil = _energy(h_hat - h_true, comb)
+    den_all, den_pil = _energy(h_true, comb)
     if positions is None:
         assert (num_pil, den_pil) == (num_all, den_all)
     return num_pil / den_pil
 
 
 class TestComputeMse:
-    """The energy-weighted MSE sums of harness._score_estimate."""
+    """The energy-weighted MSE sums of harness._energy."""
 
     def test_exact_estimate_is_zero(self):
         h = np.array([1 + 1j, 2.0, -3j])
@@ -87,7 +88,9 @@ class TestComputeMse:
         rng = _rng(2)
         h_true = rng.standard_normal((2, 2, 6)) + 1j * rng.standard_normal((2, 2, 6))
         h_hat = h_true + 0.1 * (rng.standard_normal((2, 2, 6)) + 0j)
-        num_all, den_all, num_pil, den_pil = _score_estimate(h_hat, h_true, np.array([0, 3]))
+        comb = np.array([0, 3])
+        num_all, num_pil = _energy(h_hat - h_true, comb)
+        den_all, den_pil = _energy(h_true, comb)
         err2, ref2 = np.abs(h_hat - h_true) ** 2, np.abs(h_true) ** 2
         assert num_all == pytest.approx(err2.sum())
         assert den_all == pytest.approx(ref2.sum())
@@ -136,7 +139,7 @@ def _oracle_trial(ctx, pdp, noise, rng, filters):
     cfg = ctx.config
     bits, rx_grid, h_true = time_domain_chain(ctx, pdp, noise, rng)
     comb = ctx.pilot_subcarriers
-    y_p = rx_grid[:, comb, ctx.pilot_symbols].swapaxes(0, 1)  # (n_tx, n_rx, n_pilots)
+    y_p = rx_grid[:, ctx.pilot_symbols, comb].swapaxes(0, 1)  # (n_tx, n_rx, n_pilots)
     h_ls = y_p / ctx.pilot_values[:, None]
     snr = 10.0 ** (noise.snr_db / 10.0)
     rows = []
@@ -149,9 +152,9 @@ def _oracle_trial(ctx, pdp, noise, rng, filters):
         else:
             h_hat = h_true
         err2, ref2 = np.abs(h_hat - h_true) ** 2, np.abs(h_true) ** 2
-        detected, _ = kernels.zf_detect_grid(rx_grid.swapaxes(0, 1), h_hat.T)
+        detected, _ = kernels.zf_detect_grid(rx_grid, h_hat.swapaxes(0, 1))
         sc, sym = ctx.layout.data_subcarriers, ctx.layout.data_symbols
-        rx_bits = [linkproc.demap_symbols(x, cfg.constellation) for x in detected[sc, :, sym].T]
+        rx_bits = [linkproc.demap_symbols(x, cfg.constellation) for x in detected[:, sym, sc]]
         errors = np.count_nonzero(np.array(rx_bits) != bits)
         energies = [err2.sum(), ref2.sum(), err2[..., comb].sum(), ref2[..., comb].sum()]
         rows.append([*energies, errors, bits.size])

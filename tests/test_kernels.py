@@ -32,8 +32,8 @@ def _shift_sum(tx, impulse):
 
 def _zf_case(seed, n_sc=500, n_rx=2, n_tx=2, n_sym=7):
     rng = np.random.default_rng(seed)
-    y = rng.standard_normal((n_sc, n_rx, n_sym)) + 1j * rng.standard_normal((n_sc, n_rx, n_sym))
-    h = rng.standard_normal((n_sc, n_rx, n_tx)) + 1j * rng.standard_normal((n_sc, n_rx, n_tx))
+    y = rng.standard_normal((n_rx, n_sym, n_sc)) + 1j * rng.standard_normal((n_rx, n_sym, n_sc))
+    h = rng.standard_normal((n_rx, n_tx, n_sc)) + 1j * rng.standard_normal((n_rx, n_tx, n_sc))
     return y, h
 
 
@@ -56,41 +56,58 @@ class TestZfGrid:
     def test_numpy_matches_per_element_solve(self):
         y, h = _zf_case(3)
         out, erased = kernels.zf_detect_grid(y, h)
-        assert out.shape == (500, 2, 7) and erased.shape == (500,)
+        assert out.shape == (2, 7, 500) and erased.shape == (500,)
         assert not erased.any()
-        for i in range(0, len(y), 37):
+        for i in range(0, y.shape[-1], 37):
             for s in (0, 3, 6):
-                ref = np.linalg.solve(h[i], y[i, :, s])
-                assert_allclose(out[i, :, s], ref, atol=1e-10)
+                ref = np.linalg.solve(h[..., i], y[:, s, i])
+                assert_allclose(out[:, s, i], ref, atol=1e-10)
 
     def test_bit_identical_to_the_per_element_formula(self):
         # the per-resource-element closed form on flattened (subcarrier,
         # symbol) pairs, as a detector without the symbol axis computes it
         y, h = _zf_case(21, n_sc=200)
-        u, s, vh = np.linalg.svd(h[7])
-        h[7] = u @ np.diag([s[0], s[0] * 1e-14]) @ vh  # one ill-conditioned subcarrier
+        u, s, vh = np.linalg.svd(h[..., 7])
+        h[..., 7] = u @ np.diag([s[0], s[0] * 1e-14]) @ vh  # one ill-conditioned subcarrier
         out, erased = kernels.zf_detect_grid(y, h)
-        assert erased[7] and erased.sum() == 1 and not out[7].any()
+        assert erased[7] and erased.sum() == 1 and not out[..., 7].any()
         sc = np.repeat(np.arange(200), 7)
         sym = np.tile(np.arange(7), 200)
         keep = ~erased[sc]
         sc, sym = sc[keep], sym[keep]
-        a, b, c, d = h[sc, 0, 0], h[sc, 0, 1], h[sc, 1, 0], h[sc, 1, 1]
-        y0, y1 = y[sc, 0, sym], y[sc, 1, sym]
+        a, b, c, d = h[0, 0, sc], h[0, 1, sc], h[1, 0, sc], h[1, 1, sc]
+        y0, y1 = y[0, sym, sc], y[1, sym, sc]
         det = a * d - b * c
-        assert np.array_equal(out[sc, 0, sym], (d * y0 - b * y1) / det)
-        assert np.array_equal(out[sc, 1, sym], (a * y1 - c * y0) / det)
+        assert np.array_equal(out[0, sym, sc], (d * y0 - b * y1) / det)
+        assert np.array_equal(out[1, sym, sc], (a * y1 - c * y0) / det)
 
     def test_maximum_ratio_branch_bit_identical_to_the_per_element_formula(self):
         y, h = _zf_case(22, n_sc=50, n_rx=2, n_tx=1)
-        h[9] = 0.0
+        h[..., 9] = 0.0
         out, erased = kernels.zf_detect_grid(y, h)
-        assert erased[9] and erased.sum() == 1 and not out[9].any()
+        assert erased[9] and erased.sum() == 1 and not out[..., 9].any()
         for i in np.flatnonzero(~erased):
-            norm2 = np.sum(np.abs(h[i, :, 0]) ** 2)
+            norm2 = np.sum(np.abs(h[:, 0, i]) ** 2)
             for s in range(7):
-                ref = np.sum(np.conj(h[i, :, 0]) * y[i, :, s]) / norm2
-                assert out[i, 0, s] == ref
+                ref = np.sum(np.conj(h[:, 0, i]) * y[:, s, i]) / norm2
+                assert out[0, s, i] == ref
+
+    @pytest.mark.parametrize("n_tx", [2, 1], ids=["2x2", "mrc"])
+    def test_stacked_slots_bit_identical_to_slot_by_slot(self, n_tx):
+        # leading axes stack slots: three trials in one call, with h a
+        # (trial, tx, rx, subcarrier) estimate seen through swapaxes as the
+        # sweep passes it, detect exactly as each trial does alone
+        rng = np.random.default_rng(24)
+        y = rng.standard_normal((3, 2, 7, 40)) + 1j * rng.standard_normal((3, 2, 7, 40))
+        h_hat = rng.standard_normal((3, n_tx, 2, 40)) + 1j * rng.standard_normal((3, n_tx, 2, 40))
+        h_hat[1, ..., 5] = 0.0  # erase one subcarrier of the middle trial
+        h = h_hat.swapaxes(1, 2)
+        out, erased = kernels.zf_detect_grid(y, h)
+        assert out.shape == (3, n_tx, 7, 40) and erased.shape == (3, 40)
+        assert erased[1, 5] and erased.sum() == 1
+        for i in range(3):
+            alone, alone_erased = kernels.zf_detect_grid(y[i], np.ascontiguousarray(h[i]))
+            assert np.array_equal(out[i], alone) and np.array_equal(erased[i], alone_erased)
 
     def test_matches_svd_oracle_across_shapes_and_conditioning(self):
         # the closed-form condition test agrees with the SVD one away from the
@@ -99,34 +116,34 @@ class TestZfGrid:
         for n_rx, n_tx in [(1, 1), (2, 1), (2, 2)]:
             y, h = _zf_case(11, n_sc=60, n_rx=n_rx, n_tx=n_tx, n_sym=3)
             if n_tx == 2:
-                u, s, vh = np.linalg.svd(h[:40])
+                u, s, vh = np.linalg.svd(h[..., :40].transpose(2, 0, 1))
                 s[:20, 1] = s[:20, 0] * 1e-8
                 s[20:40, 1] = s[20:40, 0] * 1e-16
-                h[:40] = np.einsum("nij,nj,njk->nik", u, s.astype(complex), vh)
-            h[-1] = 0.0
+                h[..., :40] = np.einsum("nij,nj,njk->ikn", u, s.astype(complex), vh)
+            h[..., -1] = 0.0
             out, erased = kernels.zf_detect_grid(y, h)
-            for i in range(len(y)):
+            for i in range(y.shape[-1]):
                 for sym in range(3):
-                    ref, ref_erased = zf_detect(y[i, :, sym], h[i], kernels.COND_LIMIT)
+                    ref, ref_erased = zf_detect(y[:, sym, i], h[..., i], kernels.COND_LIMIT)
                     assert erased[i] == ref_erased, (n_rx, n_tx, i)
-                    assert_allclose(out[i, :, sym], ref, rtol=1e-6, atol=1e-12)
+                    assert_allclose(out[:, sym, i], ref, rtol=1e-6, atol=1e-12)
             assert erased[-1]
             if n_tx == 2:
                 assert not erased[:20].any() and erased[20:40].all()
 
     def test_singular_elements_erased_not_raised(self):
         y, h = _zf_case(5, n_sc=4)
-        h[1] = 1.0  # rank-1 matrix
+        h[..., 1] = 1.0  # rank-1 matrix
         out, erased = kernels.zf_detect_grid(y, h)
         assert erased[1] and not erased[0]
-        assert np.all(out[1] == 0)
+        assert np.all(out[..., 1] == 0)
         assert np.all(np.isfinite(out))
 
     def test_column_vector_channel(self):
         rng = np.random.default_rng(7)
-        h = rng.standard_normal((10, 2, 1)) + 1j * rng.standard_normal((10, 2, 1))
-        x = rng.standard_normal((10, 1, 7)) + 1j * rng.standard_normal((10, 1, 7))
-        y = h @ x
+        h = rng.standard_normal((2, 1, 10)) + 1j * rng.standard_normal((2, 1, 10))
+        x = rng.standard_normal((1, 7, 10)) + 1j * rng.standard_normal((1, 7, 10))
+        y = h * x
         out, erased = kernels.zf_detect_grid(y, h)
         assert not erased.any()
         assert_allclose(out, x, atol=1e-12)
@@ -134,13 +151,13 @@ class TestZfGrid:
     def test_rejects_mismatched_shapes(self):
         y, h = _zf_case(8)
         with pytest.raises(ValueError, match="does not match"):
-            kernels.zf_detect_grid(y[:, :1], h)
+            kernels.zf_detect_grid(y[:1], h)
         with pytest.raises(ValueError, match="does not match"):
-            kernels.zf_detect_grid(y[:, :, 0], h)
+            kernels.zf_detect_grid(y[:, 0], h)
 
     def test_rejects_unsupported_antennas(self):
         rng = np.random.default_rng(9)
-        y = rng.standard_normal((4, 3, 7)).astype(complex)
-        h = rng.standard_normal((4, 3, 3)).astype(complex)
+        y = rng.standard_normal((3, 7, 4)).astype(complex)
+        h = rng.standard_normal((3, 3, 4)).astype(complex)
         with pytest.raises(ValueError, match="unsupported antenna"):
             kernels.zf_detect_grid(y, h)

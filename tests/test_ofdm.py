@@ -15,12 +15,12 @@ CFG = SystemConfig()  # 5 MHz, 512-FFT, 300 used, CP 16
 
 def ofdm_modulate(column, config=CFG):
     """One grid column through the frame modulator: one CP-prefixed symbol."""
-    return modulate_frame(np.asarray(column)[None, :, None], config)[0]
+    return modulate_frame(np.asarray(column)[None, None, :], config)[0]
 
 
 def ofdm_demodulate(symbol, config=CFG):
     """One received symbol through the frame demodulator: its used bins."""
-    return demodulate_frame(np.asarray(symbol)[None, :], config)[0, :, 0]
+    return demodulate_frame(np.asarray(symbol)[None, :], config)[0, 0, :]
 
 
 class TestDftCoefficient:
@@ -82,7 +82,7 @@ class TestModulate:
         assert np.sum(np.abs(body) ** 2) == pytest.approx(np.sum(np.abs(col) ** 2))
 
     def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError, match=f"grid must be \\(antennas, {CFG.n_used}, symbols\\)"):
+        with pytest.raises(ValueError, match=f"grid must be \\(antennas, symbols, {CFG.n_used}\\)"):
             ofdm_modulate(np.zeros(CFG.n_used + 1, dtype=complex), CFG)
 
 
@@ -125,8 +125,8 @@ class TestDemodulate:
 class TestFrameHelpers:
     def test_frame_round_trip_multi_antenna(self):
         rng = np.random.default_rng(5)
-        values = rng.standard_normal((2, CFG.n_used, 7)) + 1j * rng.standard_normal(
-            (2, CFG.n_used, 7)
+        values = rng.standard_normal((2, 7, CFG.n_used)) + 1j * rng.standard_normal(
+            (2, 7, CFG.n_used)
         )
         sig = modulate_frame(values, CFG)
         assert sig.shape == (2, 7 * CFG.symbol_len)
@@ -137,12 +137,12 @@ class TestFrameHelpers:
         # each symbol of a frame is modulated on its own: a one-column frame
         # equals that column's slice of the whole frame, bit for bit
         rng = np.random.default_rng(6)
-        values = rng.standard_normal((2, CFG.n_used, 7)) + 1j * rng.standard_normal(
-            (2, CFG.n_used, 7)
+        values = rng.standard_normal((2, 7, CFG.n_used)) + 1j * rng.standard_normal(
+            (2, 7, CFG.n_used)
         )
         frame = modulate_frame(values, CFG).reshape(2, 7, CFG.symbol_len)
         for s in range(7):
-            alone = modulate_frame(values[:, :, s : s + 1], CFG)
+            alone = modulate_frame(values[:, s : s + 1], CFG)
             assert np.array_equal(alone, frame[:, s])
 
     def test_signal_validates_length(self):
@@ -157,7 +157,7 @@ class TestCircularConvolutionDichotomy:
     def _residual(self, n_taps: int, seed: int = 7) -> float:
         rng = np.random.default_rng(seed)
         values = (
-            rng.standard_normal((1, CFG.n_used, 7)) + 1j * rng.standard_normal((1, CFG.n_used, 7))
+            rng.standard_normal((1, 7, CFG.n_used)) + 1j * rng.standard_normal((1, 7, CFG.n_used))
         ) / np.sqrt(2)
         taps = (rng.standard_normal(n_taps) + 1j * rng.standard_normal(n_taps)) / np.sqrt(
             2 * n_taps
@@ -167,7 +167,7 @@ class TestCircularConvolutionDichotomy:
         got = demodulate_frame(rx[None, :], CFG)[0]
         ch = ChannelRealization(taps[None, None, :], PowerDelayProfile.uniform(n_taps))
         h = ch.frequency_responses(CFG.n_fft, used_subcarrier_bins(CFG))[0, 0]
-        pred = h[:, None] * values[0]
+        pred = h[None, :] * values[0]
         return float(np.linalg.norm(got - pred) / np.linalg.norm(pred))
 
     def test_cp_sufficient_has_no_residual(self):
