@@ -68,14 +68,15 @@ class PowerDelayProfile:
         """Impulse-response length in samples (max delay + 1)."""
         return int(self.tap_delays[-1]) + 1
 
-    def truncated(self, max_taps: int) -> "PowerDelayProfile":
-        """First max_taps taps with powers renormalized to unit energy."""
-        if max_taps < 1:
-            raise ValueError("need at least one tap")
-        if max_taps >= self.n_taps:
+    def truncated(self, max_delay: int) -> "PowerDelayProfile":
+        """The taps at delays below max_delay, powers renormalized to unit energy."""
+        if max_delay >= self.span:
             return self
-        powers = self.tap_powers[:max_taps]
-        return PowerDelayProfile(self.tap_delays[:max_taps], powers / powers.sum())
+        keep = self.tap_delays < max_delay
+        powers = self.tap_powers[keep]
+        if not powers.sum() > 0:
+            raise ValueError(f"no tap power at delays below {max_delay}")
+        return PowerDelayProfile(self.tap_delays[keep], powers / powers.sum())
 
 
 @dataclass(frozen=True)

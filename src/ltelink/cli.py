@@ -38,16 +38,29 @@ def _parse_snr_range(text: str) -> tuple[float, ...]:
     """a:b:step inclusive grid, e.g. 0:30:5."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected a:b:step, got {text!r}")
+        raise ValueError(f"expected a:b:step, got {text!r}")
     start, stop, step = (float(p) for p in parts)
     if step <= 0:
-        raise argparse.ArgumentTypeError("step must be positive")
+        raise ValueError("step must be positive")
     grid = np.arange(start, stop + step / 2.0, step)
     return tuple(float(v) for v in grid)
 
 
 def _parse_estimators(text: str) -> tuple[Estimator, ...]:
     return tuple(Estimator.parse(name) for name in text.split(",") if name.strip())
+
+
+def _flag(parse: Callable[[str], Any]) -> Callable[[str], Any]:
+    """parse as an argparse type: argparse prints the message of an
+    ArgumentTypeError, but only the function's name for a ValueError."""
+
+    def parse_flag(text: str) -> Any:
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse_flag
 
 
 # Config-file key -> parser of its value.  Keys that name a SystemConfig field
@@ -142,14 +155,14 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", type=Path, default=None, help="flat key=value config file")
     sim.add_argument(
         "--snr",
-        type=_parse_snr_range,
+        type=_flag(_parse_snr_range),
         default=None,
         metavar="A:B:STEP",
         help="SNR grid in dB, inclusive (default 0:30:5)",
     )
     sim.add_argument(
         "--channel-lengths",
-        type=_parse_int_list,
+        type=_flag(_parse_int_list),
         default=None,
         metavar="CSV",
         help="channel tap counts, e.g. 6,10,20,40",
@@ -158,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=None, help="master seed")
     sim.add_argument(
         "--estimators",
-        type=_parse_estimators,
+        type=_flag(_parse_estimators),
         default=None,
         metavar="CSV",
         help="subset of ls,lmmse,hybrid,perfect",

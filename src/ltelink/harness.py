@@ -9,10 +9,11 @@ response that also scores the estimates.  Every (tx, rx) response is then
 estimated from the pilots on the comb all ports share (every third
 subcarrier), each subcarrier's channel matrix is inverted once to zero-force
 its symbols, and MSE is scored against H and BER against the payload.  One
-routine runs a cell's trials, for the sweep and the threshold calibration
-alike: _CHUNK trials at a time, stacked on a leading axis, so each chunk makes
-one call per stage and one per estimate.  A chunk keeps one slot layout from
-the grid fill to zero-forcing: (trial, antenna, symbol, subcarrier).
+routine owns a cell, its noise, LMMSE filter and one row per estimator, for
+the sweep and the threshold calibration alike.  It runs _CHUNK trials at a
+time, stacked on a leading axis, so each chunk makes one call per stage and
+one per estimate.  A chunk keeps one slot layout from the grid fill to
+zero-forcing: (trial, antenna, symbol, subcarrier).
 
 The LMMSE correlation model depends only on the configuration, which fixes the
 pilot comb, and on the channel profile truncated to the cyclic prefix.  It is
@@ -160,7 +161,7 @@ class SweepConfig:
         if len(set(ests)) != len(ests):
             raise ValueError("duplicate estimator requested")
         if self.system.cp_len < 1 and (Estimator.LMMSE in ests or Estimator.HYBRID in ests):
-            # the receiver's LMMSE prior keeps the first cp_len taps of a profile
+            # the receiver's LMMSE prior keeps the taps at delays below cp_len
             raise ValueError("the lmmse and hybrid estimators need cp_len >= 1")
         if self.threshold_override_db is not None and math.isnan(self.threshold_override_db):
             raise ValueError("threshold_override_db must not be NaN")
@@ -214,7 +215,6 @@ class _LinkContext:
     pilot_symbols: np.ndarray  # (n_tx, n_pilots) each port's symbol on the comb
     pilot_values: np.ndarray  # (n_tx, n_pilots) each port's pilots on the comb
     ls_taps: LsTaps  # LS interpolation from the comb to every used subcarrier
-    beta: float
 
 
 def _make_context(config: SystemConfig, seed: int) -> _LinkContext:
@@ -229,7 +229,6 @@ def _make_context(config: SystemConfig, seed: int) -> _LinkContext:
         pilot_symbols=pattern.entries[pattern.entry_index, 1],
         pilot_values=pilot_seq[pattern.entry_index],
         ls_taps=ls_interpolation_taps(pattern.comb, config.n_used),
-        beta=beta_for_constellation(config.constellation),
     )
 
 
@@ -289,24 +288,51 @@ def _bit_errors(ctx: _LinkContext, rx_grid: np.ndarray, h_hat: np.ndarray, bits:
     return int(np.count_nonzero(rx_bits != bits.reshape(-1)))
 
 
+def _lmmse_factors(
+    config: SystemConfig, pdp: PowerDelayProfile, noise: NoiseSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """A cell's LMMSE filter factors (F, G), W = F @ G, regularized by
+    beta / SNR = beta * sigma^2.
+
+    The receiver's prior keeps the taps at delays below cp_len: the
+    demodulator is designed for delay spreads the CP absorbs, and a longer
+    channel is precisely the unforeseen case the hybrid estimator exists for.
+    """
+    prior = pdp.truncated(config.cp_len)
+    delays, powers = tuple(prior.tap_delays.tolist()), tuple(prior.tap_powers.tolist())
+    model = _memoized_model(config, delays, powers)
+    beta = beta_for_constellation(config.constellation)
+    return estimation.lmmse_filter(model, beta * noise.noise_variance)
+
+
+@functools.lru_cache(maxsize=8)
+def _memoized_model(
+    config: SystemConfig, tap_delays: tuple[int, ...], tap_powers: tuple[float, ...]
+) -> CorrelationModel:
+    """The model of one (config, truncated profile); the comb follows from the
+    config.  Models are read-only, so callers share them; the bound caps memory."""
+    pdp = PowerDelayProfile(np.array(tap_delays), np.array(tap_powers))
+    return estimation.build_correlation_model(pdp, build_pilot_pattern(config).comb, config)
+
+
 def _run_cell(
     ctx: _LinkContext,
     pdp: PowerDelayProfile,
-    noise: NoiseSpec,
+    snr_db: float,
     streams: Iterable[np.random.Generator],
     methods: Sequence[Estimator],
-    lmmse: tuple[np.ndarray, np.ndarray] | None,
     detect: bool,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> dict[Estimator, tuple[float, float, float]]:
     """Normalized MSE and BER of each estimate over the trials of one cell.
 
     streams yields one generator per trial; the trials run _CHUNK at a time.
-    methods lists the estimates, each LS, LMMSE or PERFECT (the true channel);
-    lmmse is the cell's filter factors (F, G), W = F @ G, which LMMSE needs.
-    Returns (mse, ber): mse is (n_methods, 2), over all used subcarriers and
-    over the pilot comb, and ber (n_methods,) is 0 without detection.  Errors
-    and energies are summed over the whole cell and divided once.
+    methods lists the estimates, each LS, LMMSE or PERFECT (the true channel).
+    Returns {method: (mse_all, mse_pilot, ber)}: the MSE over all used
+    subcarriers and over the pilot comb, and the BER, 0 without detection.
+    Errors and energies are summed over the whole cell and divided once.
     """
+    noise = NoiseSpec(snr_db)
+    lmmse = _lmmse_factors(ctx.config, pdp, noise) if Estimator.LMMSE in methods else None
     pilots = ctx.pilot_subcarriers
     err2 = np.zeros((len(methods), 2))  # the _energy of each estimate's error
     ref2 = np.zeros(2)  # and of the true channel
@@ -332,40 +358,8 @@ def _run_cell(
             err2[k] += _energy(h_hat - h_true, pilots)
             if detect:
                 errors[k] += _bit_errors(ctx, rx_grid, h_hat, bits)
-    return err2 / ref2, errors / n_bits
-
-
-def _correlation_model(config: SystemConfig, pdp: PowerDelayProfile) -> CorrelationModel:
-    """The receiver's correlation model of one channel profile, on the pilot comb.
-
-    The receiver's correlation prior covers at most the cyclic prefix: the
-    demodulator is designed for delay spreads the CP absorbs, and a longer
-    channel is precisely the unforeseen case the hybrid estimator exists for.
-    One model serves every port, and it is memoized by (config, truncated
-    profile), so lengths that truncate alike and the calibration share it.
-    """
-    model_pdp = pdp.truncated(min(pdp.n_taps, config.cp_len))
-    return _memoized_model(
-        config, tuple(model_pdp.tap_delays.tolist()), tuple(model_pdp.tap_powers.tolist())
-    )
-
-
-@functools.lru_cache(maxsize=8)
-def _memoized_model(
-    config: SystemConfig, tap_delays: tuple[int, ...], tap_powers: tuple[float, ...]
-) -> CorrelationModel:
-    """The model of one (config, truncated profile); the comb follows from the
-    config.  Models are read-only, so callers share them; the bound caps memory."""
-    pdp = PowerDelayProfile(np.array(tap_delays), np.array(tap_powers))
-    return estimation.build_correlation_model(pdp, build_pilot_pattern(config).comb, config)
-
-
-def _filter_from_model(
-    model: CorrelationModel, snr_db: float, beta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    snr_linear = 10.0 ** (snr_db / 10.0)
-    reg = 0.0 if math.isinf(snr_linear) else beta / snr_linear
-    return estimation.lmmse_filter(model, reg)
+    mse, ber = err2 / ref2, errors / n_bits
+    return {m: (float(mse[k, 0]), float(mse[k, 1]), float(ber[k])) for k, m in enumerate(methods)}
 
 
 def paired_mse_curves(
@@ -383,15 +377,13 @@ def paired_mse_curves(
     matches run_sweep.
     """
     ctx = _make_context(system, 0)
-    model = _correlation_model(system, pdp)
     methods = (Estimator.LS, Estimator.LMMSE)
     for snr_db in np.asarray(snrs_db, dtype=np.float64):
-        lmmse = _filter_from_model(model, snr_db, ctx.beta)
         # spawned as the chunks take them: the children that spawning n_trials
         # per SNR up front would give the SNRs run, in the same order
         streams = (rng.spawn(1)[0] for _ in range(n_trials))
-        mse = _run_cell(ctx, pdp, NoiseSpec(snr_db), streams, methods, lmmse, detect=False)[0][:, 0]
-        yield float(snr_db), float(mse[0]), float(mse[1])
+        rows = _run_cell(ctx, pdp, snr_db, streams, methods, detect=False)
+        yield float(snr_db), rows[Estimator.LS][0], rows[Estimator.LMMSE][0]
 
 
 def _resolve_thresholds(config: SweepConfig) -> dict[int, float]:
@@ -438,7 +430,6 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     for li, length in enumerate(config.channel_lengths):
         pdp = PowerDelayProfile.uniform(length)
         for si, snr_db in enumerate(config.snr_grid_db):
-            cell_methods = methods
             if hybrid:
                 # LS from the threshold up, LMMSE below it; a length the CP
                 # covers has no threshold, and neither it nor a +inf threshold
@@ -446,36 +437,18 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
                 threshold = thresholds.get(length, math.inf)
                 chooses_ls = threshold < math.inf and snr_db >= threshold
                 branch = Estimator.LS if chooses_ls else Estimator.LMMSE
-                if branch not in methods:
-                    cell_methods = (*methods, branch)
-            lmmse = None
-            if Estimator.LMMSE in cell_methods:
-                model = _correlation_model(config.system, pdp)
-                lmmse = _filter_from_model(model, snr_db, ctx.beta)
+            cell_methods = (*methods, branch) if hybrid and branch not in methods else methods
             streams = (_stream(config.seed, _TAG_TRIAL, li, si, t) for t in range(config.n_frames))
             try:
-                mse, ber = _run_cell(
-                    ctx, pdp, NoiseSpec(snr_db), streams, cell_methods, lmmse, detect=True
-                )
+                rows = _run_cell(ctx, pdp, snr_db, streams, cell_methods, detect=True)
             except Exception as exc:
                 raise RuntimeError(f"cell failed (channel_len={length}, snr_db={snr_db})") from exc
+            if hybrid:
+                rows[Estimator.HYBRID] = rows[branch]
             for est in requested:
-                k = cell_methods.index(branch if est is Estimator.HYBRID else est)
-                records.append(
-                    SweepRecord(
-                        snr_db=snr_db,
-                        channel_len=length,
-                        estimator=est,
-                        mse_all_subcarriers=float(mse[k, 0]),
-                        mse_pilot_subcarriers=float(mse[k, 1]),
-                        ber=float(ber[k]),
-                        n_trials=config.n_frames,
-                        branch_fraction_ls=(
-                            float(chooses_ls) if est is Estimator.HYBRID else None
-                        ),
-                        seed=config.seed,
-                    )
-                )
+                branch_ls = float(chooses_ls) if est is Estimator.HYBRID else None
+                row = (*rows[est], config.n_frames, branch_ls, config.seed)
+                records.append(SweepRecord(snr_db, length, est, *row))
     return records
 
 

@@ -49,6 +49,17 @@ class TestPowerDelayProfile:
         assert pdp.tap_powers.sum() == pytest.approx(1.0)
         assert PowerDelayProfile.uniform(6).truncated(16).n_taps == 6
 
+    def test_truncated_cuts_by_delay_not_tap_count(self):
+        pdp = PowerDelayProfile(np.array([0, 4, 20, 40]), np.array([0.4, 0.2, 0.2, 0.2]))
+        cut = pdp.truncated(16)
+        assert cut.tap_delays.tolist() == [0, 4]
+        assert cut.tap_powers.tolist() == pytest.approx([2 / 3, 1 / 3])
+        assert pdp.truncated(41) is pdp
+        with pytest.raises(ValueError, match="no tap power"):
+            PowerDelayProfile(np.array([0, 20]), np.array([0.0, 1.0])).truncated(16)
+        with pytest.raises(ValueError, match="no tap power"):
+            pdp.truncated(0)
+
 
 class TestGenerateChannel:
     def test_single_tap_unit_power_moment(self):

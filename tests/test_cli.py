@@ -115,6 +115,25 @@ class TestFlagMerging:
         with pytest.raises(SystemExit):  # argparse reports the unknown name
             _args(["--estimators", "mmse"])
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            (
+                "--estimators",
+                "foo",
+                "unknown estimator 'foo'; choose from ls, lmmse, hybrid, perfect",
+            ),
+            ("--channel-lengths", "6,x", "invalid literal for int() with base 10: 'x'"),
+            ("--snr", "a:b:c", "could not convert string to float: 'a'"),
+        ],
+        ids=["estimators", "channel-lengths", "snr"],
+    )
+    def test_bad_flag_value_reports_its_parser_message(self, capsys, flag, value, message):
+        with pytest.raises(SystemExit) as exc:
+            _args([flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
+
     def test_calibrate_flag_clears_file_threshold(self):
         cfg = sweep_config_from_sources(
             {"threshold_db": "9.0"}, _args(["--calibrate-threshold"])

@@ -745,9 +745,9 @@ class TestLazyCalibration:
         cells = []
         run_cell = harness._run_cell
 
-        def counting(ctx, pdp, noise, *args, **kwargs):
-            cells.append(noise.snr_db)
-            return run_cell(ctx, pdp, noise, *args, **kwargs)
+        def counting(ctx, pdp, snr_db, *args, **kwargs):
+            cells.append(snr_db)
+            return run_cell(ctx, pdp, snr_db, *args, **kwargs)
 
         monkeypatch.setattr(harness, "_run_cell", counting)
         rng = np.random.default_rng(seed)

@@ -115,11 +115,12 @@ class TestComputeBer:
 
         monkeypatch.setattr(linkproc, "demap_symbols", flipped)
         ctx = _make_context(SystemConfig(), 0)
-        noise, streams = NoiseSpec(np.inf), [_rng(9), _rng(10)]
+        streams = [_rng(9), _rng(10)]
         pdp, methods = PowerDelayProfile.uniform(6), [Estimator.PERFECT]
-        mse, ber = _run_cell(ctx, pdp, noise, streams, methods, None, True)
-        assert demapped == [2 * 7600] and mse.tolist() == [[0.0, 0.0]]
-        return ber[0]
+        rows = _run_cell(ctx, pdp, np.inf, streams, methods, True)
+        mse_all, mse_pilot, ber = rows[Estimator.PERFECT]
+        assert demapped == [2 * 7600] and [mse_all, mse_pilot] == [0.0, 0.0]
+        return ber
 
     def test_identical(self, monkeypatch):
         assert self._ber(monkeypatch, lambda i: np.zeros(i.shape, dtype=bool)) == 0.0
@@ -147,8 +148,9 @@ def _oracle_trial(ctx, pdp, noise, rng, filters):
         if name == "ls":
             h_hat = np.array([[interpolate_ls(h, comb, cfg.n_used) for h in h_t] for h_t in h_ls])
         elif name == "lmmse":
-            corr = correlation_matrices(pdp.truncated(min(pdp.n_taps, cfg.cp_len)), comb, cfg)
-            h_hat = h_ls @ lmmse_filter_solve(corr, ctx.beta / snr).T
+            corr = correlation_matrices(pdp.truncated(cfg.cp_len), comb, cfg)
+            beta = estimation.beta_for_constellation(cfg.constellation)
+            h_hat = h_ls @ lmmse_filter_solve(corr, beta / snr).T
         else:
             h_hat = h_true
         err2, ref2 = np.abs(h_hat - h_true) ** 2, np.abs(h_true) ** 2
@@ -383,6 +385,33 @@ class TestRunSweep:
         )
         assert len(run_sweep(cfg)) == 12
         assert built == [(16, tuple(range(0, 300, 3)))]
+
+    def test_prior_keeps_the_taps_at_delays_below_the_cp(self, monkeypatch):
+        # three taps, two of them past cp 16: the prior is the delay-0 tap alone
+        built = []
+
+        def counting(pdp, pilot_positions, config):
+            built.append((pdp.tap_delays.tolist(), pdp.tap_powers.tolist()))
+            return build(pdp, pilot_positions, config)
+
+        build = estimation.build_correlation_model
+        harness._memoized_model.cache_clear()
+        monkeypatch.setattr(estimation, "build_correlation_model", counting)
+        pdp = PowerDelayProfile(np.array([0, 20, 40]), np.full(3, 1 / 3))
+        list(paired_mse_curves(SystemConfig(), pdp, np.array([10.0]), 1, _rng(4)))
+        assert built == [([0], [1.0])]
+
+    def test_failing_cell_names_its_cell(self, monkeypatch):
+        cause = ValueError("demapper broke")
+
+        def failing(symbols, constellation):
+            raise cause
+
+        monkeypatch.setattr(linkproc, "demap_symbols", failing)
+        with pytest.raises(RuntimeError) as exc:
+            run_sweep(SMALL)
+        assert str(exc.value) == "cell failed (channel_len=6, snr_db=10.0)"
+        assert exc.value.__cause__ is cause
 
     def test_one_eigendecomposition_serves_every_snr(self, monkeypatch):
         # the model carries the SVD of its (n_pilots, n_taps) tap-phase rows,
