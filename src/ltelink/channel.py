@@ -43,8 +43,8 @@ class PowerDelayProfile:
             raise ValueError("tap_delays and tap_powers must be equal-length 1-D arrays")
         if delays[0] != 0 or np.any(np.diff(delays) <= 0):
             raise ValueError("tap delays must be strictly increasing and start at 0")
-        if np.any(powers < 0):
-            raise ValueError("tap powers must be non-negative")
+        if not np.all(np.isfinite(powers) & (powers >= 0)):
+            raise ValueError("tap powers must be finite and non-negative")
         if abs(powers.sum() - 1.0) > 1e-12:
             raise ValueError(f"tap powers must sum to 1, got {powers.sum()!r}")
         object.__setattr__(self, "tap_delays", delays)

@@ -1,19 +1,21 @@
 """Monte Carlo sweep driver: TX -> channel -> RX -> estimate -> detect -> score.
 
 One trial is one slot: draw a block-fading channel, fill the grid with random
-payload bits and the run's pilot sequence, and modulate all symbols.  The
-received grid is H * X plus the demodulated sum of AWGN and the channel's
-overrun past the cyclic prefix (see ltelink.channel), which equals the
-demodulated linear convolution of the stream; H is the exact frequency
-response that also scores the estimates.  Every (tx, rx) response is then
-estimated from the pilots on the comb all ports share (every third
-subcarrier), each subcarrier's channel matrix is inverted once to zero-force
-its symbols, and MSE is scored against H and BER against the payload.  One
-routine owns a cell, its noise, LMMSE filter and one row per estimator, for
-the sweep and the threshold calibration alike.  It runs _CHUNK trials at a
-time, stacked on a leading axis, so each chunk makes one call per stage and
-one per estimate.  A chunk keeps one slot layout from the grid fill to
-zero-forcing: (trial, antenna, symbol, subcarrier).
+payload bits and the run's pilot sequence, and modulate the symbols the cell
+reads.  The received grid is H * X plus the demodulated sum of AWGN and the
+channel's overrun past the cyclic prefix (see ltelink.channel), which equals
+the demodulated linear convolution of the stream; H is the exact frequency
+response that also scores the estimates.  A cell that detects reads all 7
+symbols; a calibration cell, which scores MSE alone, reads pilot symbols 0
+and 4 with the same draws.  Every (tx, rx) response is then estimated from
+the pilots on the comb all ports share (every third subcarrier), each
+subcarrier's channel matrix is inverted once to zero-force its symbols, and
+MSE is scored against H and BER against the payload.  One routine owns a
+cell, its noise, LMMSE filter and one row per estimator, for the sweep and
+the threshold calibration alike.  It runs _CHUNK trials at a time, stacked on
+a leading axis, so each chunk makes one call per stage and one per estimate.
+A chunk keeps one slot layout from the grid fill to zero-forcing: (trial,
+antenna, symbol, subcarrier).
 
 The LMMSE correlation model depends only on the configuration, which fixes the
 pilot comb, and on the channel profile truncated to the cyclic prefix.  It is
@@ -71,6 +73,7 @@ from .estimation import (
     ls_interpolation_taps,
 )
 from .grid import (
+    PILOT_SYMBOLS,
     GridLayout,
     SystemConfig,
     build_pilot_pattern,
@@ -100,6 +103,9 @@ _SEED_MASK = (1 << 64) - 1
 # hold more arrays at once: chunks of 3 added 0.99 MB (2.3%) to the median
 # peak RSS of the default 5 MHz sweep, against one trial at a time.
 _CHUNK = 3
+
+# The symbols a detecting cell reads; a calibration cell reads PILOT_SYMBOLS.
+_SLOT_SYMBOLS = tuple(range(SystemConfig.n_symbols_per_slot))
 
 
 class Estimator(Enum):
@@ -215,6 +221,7 @@ class _LinkContext:
     pilot_symbols: np.ndarray  # (n_tx, n_pilots) each port's symbol on the comb
     pilot_values: np.ndarray  # (n_tx, n_pilots) each port's pilots on the comb
     ls_taps: LsTaps  # LS interpolation from the comb to every used subcarrier
+    payload_index: np.ndarray  # (n_data_per_port,) payload positions in a raveled slot
 
 
 def _make_context(config: SystemConfig, seed: int) -> _LinkContext:
@@ -229,7 +236,14 @@ def _make_context(config: SystemConfig, seed: int) -> _LinkContext:
         pilot_symbols=pattern.entries[pattern.entry_index, 1],
         pilot_values=pilot_seq[pattern.entry_index],
         ls_taps=ls_interpolation_taps(pattern.comb, config.n_used),
+        payload_index=layout.data_symbols * config.n_used + layout.data_subcarriers,
     )
+
+
+def _rows(rows: Sequence[int]) -> slice | list[int]:
+    """Ascending indices as a slice when they are consecutive, so that a whole
+    slot is read through views, not copies."""
+    return slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] == len(rows) - 1 else list(rows)
 
 
 def _receive(
@@ -237,13 +251,16 @@ def _receive(
     pdp: PowerDelayProfile,
     noise: NoiseSpec,
     rngs: Sequence[np.random.Generator],
+    symbols: tuple[int, ...] = _SLOT_SYMBOLS,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Transmit and receive a chunk of slots along a leading trial axis.
+    """Transmit and receive a chunk of slots along a leading trial axis, in
+    the OFDM symbols listed in symbols (ascending) only.
 
-    Trial i draws its channel taps, then its payload bits, then its noise from
-    rngs[i].  Returns bits (c, n_tx, n_bits), rx_grid (c, n_rx, n_symbols,
-    n_used) in the slot layout of the grid, the modem and zero-forcing, and
-    h_true (c, n_tx, n_rx, n_used)."""
+    Trial i draws its channel taps, then its payload bits, then the noise of
+    its whole slot from rngs[i], whatever symbols it reads.  Returns bits
+    (c, n_tx, n_bits), rx_grid (c, n_rx, len(symbols), n_used) in the slot
+    layout of the grid, the modem and zero-forcing, and h_true
+    (c, n_tx, n_rx, n_used)."""
     cfg = ctx.config
     n, n_bits = len(rngs), ctx.layout.n_data_per_port * cfg.constellation.bits_per_symbol
     taps, bits = [], []
@@ -256,16 +273,24 @@ def _receive(
         linkproc.map_bits(bits, cfg.constellation).reshape(n, cfg.n_tx, -1),
         ctx.pilot_seq,
     )
-    tx = ofdm.modulate_frame(values.reshape(n * cfg.n_tx, -1, cfg.n_used), cfg)
-    impairment = overrun(tx.reshape(n, cfg.n_tx, -1), ch, cfg)
+    # a window's overrun reaches back one symbol, so each read symbol is sent
+    # with the one before it; only the read windows are kept
+    sent, read = sorted({*symbols, *(s - 1 for s in symbols if s > 0)}), _rows(symbols)
+    tx = ofdm.modulate_frame(values[:, :, _rows(sent)].reshape(n * cfg.n_tx, -1, cfg.n_used), cfg)
+    impairment = overrun(tx.reshape(n, cfg.n_tx, -1), ch, cfg).reshape(n, cfg.n_rx, len(sent), -1)
+    impairment = impairment[:, :, _rows([sent.index(s) for s in symbols])]
     h_true = ch.frequency_responses(cfg.n_fft, used_subcarrier_bins(cfg))
-    # H * X summed over tx, (c, n_rx, n_symbols, n_used), plus the demodulated impairment
+    # H * X summed over tx, (c, n_rx, len(symbols), n_used), plus the demodulated impairment
+    values = values[:, :, read]
     rx_grid = h_true[:, 0, :, None] * values[:, 0, None]
     for t in range(1, cfg.n_tx):
         rx_grid += h_true[:, t, :, None] * values[:, t, None]
     del tx, values  # freed before the noise and the demodulation add theirs
+    # each trial's noise is drawn over its whole slot, onto zeros (0 + w is w
+    # exactly), and only its read windows are added
+    slot = np.broadcast_to(np.complex128(0), (cfg.n_rx, cfg.n_symbols_per_slot, cfg.symbol_len))
     for i, rng in enumerate(rngs):
-        impairment[i] = add_awgn(impairment[i], noise, rng)
+        impairment[i] += add_awgn(slot, noise, rng)[:, read]
     rx = ofdm.demodulate_frame(impairment.reshape(n * cfg.n_rx, -1), cfg)
     rx_grid += rx.reshape(rx_grid.shape)
     return bits, rx_grid, h_true
@@ -283,7 +308,7 @@ def _bit_errors(ctx: _LinkContext, rx_grid: np.ndarray, h_hat: np.ndarray, bits:
     """Payload bit errors of a chunk zero-forced with the estimate h_hat."""
     detected, _ = kernels.zf_detect_grid(rx_grid, h_hat.swapaxes(1, 2))
     # (c, n_tx, n_data_per_port) payload symbols, in the order of their bits
-    symbols = detected[:, :, ctx.layout.data_symbols, ctx.layout.data_subcarriers]
+    symbols = np.take(detected.reshape(*detected.shape[:2], -1), ctx.payload_index, axis=-1)
     rx_bits = linkproc.demap_symbols(symbols, ctx.config.constellation)
     return int(np.count_nonzero(rx_bits != bits.reshape(-1)))
 
@@ -338,11 +363,14 @@ def _run_cell(
     ref2 = np.zeros(2)  # and of the true channel
     errors = np.zeros(len(methods), dtype=np.int64)
     n_bits = 0
+    # detection reads the whole slot, the MSE alone only the pilot symbols
+    symbols = _SLOT_SYMBOLS if detect else PILOT_SYMBOLS
+    pilot_rows = np.searchsorted(symbols, ctx.pilot_symbols)  # in rx_grid's symbol axis
     streams = iter(streams)
     while rngs := list(itertools.islice(streams, _CHUNK)):
-        bits, rx_grid, h_true = _receive(ctx, pdp, noise, rngs)
+        bits, rx_grid, h_true = _receive(ctx, pdp, noise, rngs, symbols)
         # (c, n_rx, n_tx, n_pilots) -> (c, n_tx, n_rx, n_pilots)
-        y_p = rx_grid[:, :, ctx.pilot_symbols, pilots].swapaxes(1, 2)
+        y_p = rx_grid[:, :, pilot_rows, pilots].swapaxes(1, 2)
         h_ls = ls_estimate(y_p, ctx.pilot_values[:, None]).reshape(-1, len(pilots))
         ref2 += _energy(h_true, pilots)
         n_bits += bits.size

@@ -19,7 +19,7 @@ from ltelink.channel import (
     generate_channel,
     overrun,
 )
-from ltelink.grid import SystemConfig, used_subcarrier_bins
+from ltelink.grid import PILOT_SYMBOLS, Constellation, SystemConfig, used_subcarrier_bins
 from ltelink.harness import _make_context, _receive
 from ltelink.ofdm import demodulate_frame, modulate_frame
 
@@ -34,6 +34,12 @@ class TestPowerDelayProfile:
     def test_rejects_bad_power_sum(self):
         with pytest.raises(ValueError, match="sum to 1"):
             PowerDelayProfile(np.arange(2), np.array([0.5, 0.6]))
+
+    @pytest.mark.parametrize("powers", [[np.nan], [1.0, np.nan], [np.inf, -np.inf], [-0.5, 1.5]])
+    def test_rejects_non_finite_and_negative_powers(self, powers):
+        # NaN passes both a sign test and a sum test, as every comparison with it is False
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            PowerDelayProfile(np.arange(len(powers)), np.array(powers))
 
     def test_rejects_nonzero_first_delay(self):
         with pytest.raises(ValueError, match="start at 0"):
@@ -325,6 +331,35 @@ class TestReceivePath:
             assert np.array_equal(bits[i], want_bits) and np.array_equal(h_true[i], want_h)
             # the same draws in the same order: taps, bits, then noise
             assert rngs[i].bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("snr_db", [np.inf, 10.0], ids=["snr-inf", "snr-10"])
+    @pytest.mark.parametrize(
+        "config, length",
+        [
+            pytest.param(SystemConfig(), 17, id="5MHz-cp16-L17"),
+            pytest.param(SystemConfig(), 20, id="5MHz-cp16-L20"),
+            pytest.param(SystemConfig(), 40, id="5MHz-cp16-L40"),
+            pytest.param(SystemConfig(), 512, id="5MHz-cp16-L512"),
+            pytest.param(SystemConfig(bandwidth_mhz=10.0, cp_len=72), 100, id="10MHz-cp72-L100"),
+            pytest.param(SystemConfig(n_tx=1), 40, id="1tx-L40"),
+            pytest.param(SystemConfig(constellation=Constellation.QAM16), 40, id="qam16-L40"),
+        ],
+    )
+    def test_pilot_symbols_match_the_whole_slot(self, config, length, snr_db):
+        # receiving only the pilot symbols, as the calibration does, draws the
+        # same taps, bits and whole-slot noise, and gives the same windows
+        ctx = _make_context(config, 19)
+        pdp, noise = PowerDelayProfile.uniform(length), NoiseSpec(snr_db)
+        seeds = (20, 21) if length <= 128 else (20,)
+        whole, pilots = ([np.random.default_rng(s) for s in seeds] for _ in range(2))
+        bits, rx_grid, h_true = _receive(ctx, pdp, noise, whole)
+        got_bits, got_grid, got_h = _receive(ctx, pdp, noise, pilots, PILOT_SYMBOLS)
+        assert got_grid.shape == (len(seeds), config.n_rx, 2, config.n_used)
+        assert np.array_equal(got_bits, bits) and np.array_equal(got_h, h_true)
+        want = rx_grid[:, :, list(PILOT_SYMBOLS)]
+        assert np.abs(got_grid - want).max() <= 1e-12 * np.abs(want).max()
+        for a, b in zip(whole, pilots):
+            assert a.bit_generator.state == b.bit_generator.state
 
 
 class TestTrialAxis:

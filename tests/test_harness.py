@@ -250,6 +250,29 @@ class TestRunSweep:
         chunks = (2 * 2 + 2) * math.ceil(cfg.n_frames / harness._CHUNK)
         assert calls == {"modulate": chunks, "demodulate": chunks}
 
+    @pytest.mark.parametrize("detect, sent, read", [(True, 7, 7), (False, 3, 2)])
+    def test_calibration_receives_only_the_pilot_symbols(self, monkeypatch, detect, sent, read):
+        # a cell that does not detect modulates symbols 0, 3 and 4 (4's overrun
+        # reads 3) and demodulates the windows of pilot symbols 0 and 4 only
+        system = SystemConfig()
+        shapes = {"modulate": [], "demodulate": []}
+
+        def spying(name, fn):
+            def call(grid, config):
+                shapes[name].append(grid.shape)
+                return fn(grid, config)
+
+            return call
+
+        monkeypatch.setattr(ofdm, "modulate_frame", spying("modulate", ofdm.modulate_frame))
+        monkeypatch.setattr(ofdm, "demodulate_frame", spying("demodulate", ofdm.demodulate_frame))
+        ctx, pdp, methods = _make_context(system, 0), PowerDelayProfile.uniform(40), [Estimator.LS]
+        _run_cell(ctx, pdp, 10.0, [_rng(s) for s in range(4)], methods, detect)
+        # chunks of 3 + 1 trials, each a row per antenna
+        assert shapes["modulate"] == [(3 * 2, sent, system.n_used), (2, sent, system.n_used)]
+        per_rx = read * system.symbol_len
+        assert shapes["demodulate"] == [(3 * 2, per_rx), (2, per_rx)]
+
     def test_perfect_csi_noiseless_is_exact(self):
         cfg = dataclasses.replace(
             SMALL, channel_lengths=(10,), snr_grid_db=(np.inf,), estimators=(Estimator.PERFECT,)
