@@ -206,9 +206,10 @@ class NoiseSpec:
 
 
 def add_awgn(signal: np.ndarray, noise: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
-    """A copy of signal plus i.i.d. complex Gaussian samples of variance
-    noise.noise_variance; one (2, *signal.shape) draw gives their real parts,
-    then their imaginary parts."""
+    """A new complex array, signal plus i.i.d. complex Gaussian samples of
+    variance noise.noise_variance; one (2, *signal.shape) draw gives their
+    real parts, then their imaginary parts.  At SNR = +inf nothing is drawn
+    and signal itself is returned, not a copy."""
     signal = np.asarray(signal)
     var = noise.noise_variance
     if var == 0.0:

@@ -323,6 +323,7 @@ class TestReceivePath:
         rngs = [np.random.default_rng(s) for s in seeds]
         bits, rx_grid, h_true = _receive(ctx, pdp, noise, rngs)
         assert rx_grid.shape == (len(seeds), ctx.config.n_rx, 7, ctx.config.n_used)
+        assert bits.dtype == np.int8
         for i, seed in enumerate(seeds):
             oracle_rng = np.random.default_rng(seed)
             want_bits, want_grid, want_h = time_domain_chain(ctx, pdp, noise, oracle_rng)

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from oracles import correlation_matrices, interpolate_ls, lmmse_filter_solve, ti
 
 from ltelink import estimation, harness, kernels, linkproc, ofdm
 from ltelink.channel import NoiseSpec, PowerDelayProfile
-from ltelink.grid import Constellation, SystemConfig
+from ltelink.grid import Constellation, GridLayout, SystemConfig
 from ltelink.harness import (
     CSV_HEADER,
     Estimator,
@@ -272,6 +273,33 @@ class TestRunSweep:
         assert shapes["modulate"] == [(3 * 2, sent, system.n_used), (2, sent, system.n_used)]
         per_rx = read * system.symbol_len
         assert shapes["demodulate"] == [(3 * 2, per_rx), (2, per_rx)]
+
+    @pytest.mark.parametrize(
+        "length, detect",
+        [(40, True), (40, False), (6, True)],
+        ids=["L40-detect", "L40-calibrate", "L6-cp-covered"],
+    )
+    def test_grid_is_released_before_the_overrun(self, monkeypatch, length, detect):
+        # the filled slot grid is dead by the time the overrun allocates its
+        # buffer: the chain has already modulated it and formed H * X
+        grids, entered = [], []
+        fill, over = GridLayout.fill, harness.overrun
+
+        def spying_fill(self, *args):
+            values = fill(self, *args)
+            grids.append(weakref.ref(values))
+            return values
+
+        def spying_overrun(*args):
+            entered.append(grids[-1]() is None)
+            return over(*args)
+
+        monkeypatch.setattr(GridLayout, "fill", spying_fill)
+        monkeypatch.setattr(harness, "overrun", spying_overrun)
+        system = SystemConfig()  # 5 MHz, cp 16
+        ctx, pdp = _make_context(system, 0), PowerDelayProfile.uniform(length)
+        _run_cell(ctx, pdp, 10.0, [_rng(s) for s in range(4)], [Estimator.LS], detect)
+        assert entered == [True, True]
 
     def test_perfect_csi_noiseless_is_exact(self):
         cfg = dataclasses.replace(
