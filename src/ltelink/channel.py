@@ -7,13 +7,13 @@ delayed past the cyclic prefix read from the previous symbol instead of the
 cyclic extension.  So the received grid is H * X + DFT(overrun + noise), with
 genuine ISI/ICI whenever the delay spread exceeds the CP.  The overrun fills
 the first span - 1 - cp_len samples of a window and, as the span never
-exceeds the FFT size, reaches back one symbol only.
+exceeds the FFT size, reaches back one symbol only.  It is the tail of a short
+FFT convolution with the taps past the CP, and no plan is memoized.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,10 +31,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PowerDelayProfile:
-    """Average tap powers at integer-sample delays, normalized to unit energy."""
+    """Average tap powers at integer-sample delays, normalized to unit energy;
+    profiles compare and hash by value."""
 
-    tap_delays: np.ndarray
-    tap_powers: np.ndarray
+    tap_delays: np.ndarray = field(compare=False)
+    tap_powers: np.ndarray = field(compare=False)
+    _values: tuple = field(init=False, repr=False)  # (delays, powers) as tuples
 
     def __post_init__(self) -> None:
         delays = np.asarray(self.tap_delays, dtype=np.int64)
@@ -49,6 +51,7 @@ class PowerDelayProfile:
             raise ValueError(f"tap powers must sum to 1, got {powers.sum()!r}")
         object.__setattr__(self, "tap_delays", delays)
         object.__setattr__(self, "tap_powers", powers)
+        object.__setattr__(self, "_values", (tuple(delays.tolist()), tuple(powers.tolist())))
         delays.setflags(write=False)
         powers.setflags(write=False)
 
@@ -101,11 +104,9 @@ class ChannelRealization:
     def n_rx(self) -> int:
         return self.taps.shape[-2]
 
-    def impulse_responses(self, length: int | None = None) -> np.ndarray:
-        """Dense (..., n_tx, n_rx, length) responses with taps at their delays;
-        length is at least the span and defaults to it."""
-        length = self.pdp.span if length is None else length
-        out = np.zeros((*self.taps.shape[:-1], length), dtype=np.complex128)
+    def impulse_responses(self) -> np.ndarray:
+        """Dense (..., n_tx, n_rx, span) responses with taps at their delays."""
+        out = np.zeros((*self.taps.shape[:-1], self.pdp.span), dtype=np.complex128)
         out[..., self.pdp.tap_delays] = self.taps
         return out
 
@@ -135,25 +136,13 @@ def generate_channel(
     return ChannelRealization(taps=taps, pdp=pdp)
 
 
-@functools.lru_cache(maxsize=16)
-def _coupling_plan(span: int, cp_len: int) -> np.ndarray:
-    """(n_over, n_over) delay of the tap that couples offset j of the samples
-    before a window into window sample i, at [j, i]; span (an appended zero
-    tap) where no tap does."""
-    n_over = span - 1 - cp_len
-    j, i = np.ogrid[:n_over, :n_over]
-    plan = np.where(j >= i, i + span - 1 - j, span)
-    plan.setflags(write=False)
-    return plan
-
-
 def overrun(tx: np.ndarray, ch: ChannelRealization, config: SystemConfig) -> np.ndarray:
     """Linear minus circular channel output in every DFT window, (..., n_rx, n_samples).
 
     tx holds the modulated (..., n_tx, n_samples) streams of whole symbols,
     with the leading axes of ch.  Window sample i gets, from each tap delayed
     past i + cp_len, the previous symbol's sample (zero before the first)
-    minus the cyclic one it replaces.
+    minus the cyclic one it replaces, for every trial, symbol and pair at once.
     """
     *lead, n_tx, n_samples = tx.shape
     span, cp, sym_len = ch.pdp.span, config.cp_len, config.symbol_len
@@ -169,12 +158,13 @@ def overrun(tx: np.ndarray, ch: ChannelRealization, config: SystemConfig) -> np.
         # linear convolution reads minus the cyclic sample it replaces
         diff = -frames[..., sym_len - span + 1 : sym_len - cp]
         diff[..., 1:, :] += frames[..., :-1, sym_len - n_over :]
-        responses, plan = ch.impulse_responses(span + 1), _coupling_plan(span, cp)
-        # one trial at a time, as the (t, r, j, i) coupling takes n_over^2 per
-        # pair: 58 MB at 10 MHz with L = 1024
-        for k in np.ndindex(*lead):
-            coupled = np.matmul(diff[k][:, None], responses[k][..., plan])  # (t, r, symbol, i)
-            out[k][..., cp : cp + n_over] = coupled.sum(axis=0)
+        # window sample i is sum_j diff[j] g[i + span - 1 - j], sample n_over - 1 + i
+        # of diff convolved with g[cp + 1 : span]; a power-of-two FFT length
+        # beat the prime 2 n_over - 1 at L = 100, cp 72
+        n = 1 << (2 * n_over - 2).bit_length()
+        taps = np.fft.fft(ch.impulse_responses()[..., cp + 1 :], n)
+        coupled = np.einsum("...tsn,...trn->...rsn", np.fft.fft(diff, n), taps)  # s: symbol
+        out[..., cp : cp + n_over] = np.fft.ifft(coupled)[..., n_over - 1 : 2 * n_over - 1]
     return out.reshape(*lead, ch.n_rx, n_samples)
 
 

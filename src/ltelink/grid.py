@@ -11,6 +11,7 @@ trials.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar, Sequence
@@ -58,6 +59,14 @@ class Constellation(Enum):
         return 2 if self is Constellation.QPSK else 4
 
 
+def as_int(name: str, value: object) -> int:
+    """value as an int, numpy integers included; else a ValueError that names the field."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be integral, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Static link parameters of one downlink configuration.
@@ -86,6 +95,8 @@ class SystemConfig:
             )
         if self.n_used is None:
             object.__setattr__(self, "n_used", LTE_PROFILES[self.bandwidth_mhz][1] - 1)
+        for name in ("n_used", "cp_len", "n_tx", "n_rx"):
+            object.__setattr__(self, name, as_int(name, getattr(self, name)))
         if not 4 <= self.n_used < self.n_fft:
             raise ValueError(
                 f"n_used must be in [4, n_fft) so every antenna port has two pilot "

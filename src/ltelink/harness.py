@@ -79,6 +79,7 @@ from .grid import (
     PILOT_SYMBOLS,
     GridLayout,
     SystemConfig,
+    as_int,
     build_pilot_pattern,
     random_pilot_sequence,
     used_subcarrier_bins,
@@ -147,10 +148,12 @@ class SweepConfig:
     def __post_init__(self) -> None:
         # channel lengths are canonicalized (sorted, deduplicated) so cell
         # indices, and with them the rng streams, do not depend on input order
-        lengths = tuple(sorted({int(v) for v in self.channel_lengths}))
+        lengths = tuple(sorted({as_int("channel_lengths", v) for v in self.channel_lengths}))
         snrs = tuple(float(v) for v in self.snr_grid_db)
         ests = tuple(self.estimators)
         object.__setattr__(self, "channel_lengths", lengths)
+        object.__setattr__(self, "n_frames", as_int("n_frames", self.n_frames))
+        object.__setattr__(self, "seed", as_int("seed", self.seed))
         object.__setattr__(self, "snr_grid_db", snrs)
         object.__setattr__(self, "estimators", ests)
         if not lengths or any(v < 1 for v in lengths):
@@ -331,21 +334,16 @@ def _lmmse_factors(
     demodulator is designed for delay spreads the CP absorbs, and a longer
     channel is precisely the unforeseen case the hybrid estimator exists for.
     """
-    prior = pdp.truncated(config.cp_len)
-    delays, powers = tuple(prior.tap_delays.tolist()), tuple(prior.tap_powers.tolist())
-    model = _memoized_model(config, delays, powers)
+    model = _memoized_model(config, pdp.truncated(config.cp_len))
     beta = beta_for_constellation(config.constellation)
     return estimation.lmmse_filter(model, beta * noise.noise_variance)
 
 
 @functools.lru_cache(maxsize=8)
-def _memoized_model(
-    config: SystemConfig, tap_delays: tuple[int, ...], tap_powers: tuple[float, ...]
-) -> CorrelationModel:
+def _memoized_model(config: SystemConfig, prior: PowerDelayProfile) -> CorrelationModel:
     """The model of one (config, truncated profile); the comb follows from the
     config.  Models are read-only, so callers share them; the bound caps memory."""
-    pdp = PowerDelayProfile(np.array(tap_delays), np.array(tap_powers))
-    return estimation.build_correlation_model(pdp, build_pilot_pattern(config).comb, config)
+    return estimation.build_correlation_model(prior, build_pilot_pattern(config).comb, config)
 
 
 def _run_cell(

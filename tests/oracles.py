@@ -195,3 +195,14 @@ def lmmse_estimate_simplified(
         raise ValueError(f"beta must be positive, got {beta}")
     a = r_hp_hp + (beta / snr_linear) * np.eye(r_hp_hp.shape[0])
     return r_hh_p @ np.linalg.solve(a, h_ls)
+
+
+def zf_qpsk_ber_rayleigh(snr_db: float) -> float:
+    """Closed-form BER of Gray QPSK zero-forced with perfect CSI over a 2x2
+    channel of i.i.d. CN(0, 1) entries: each stream's post-ZF SNR is
+    exponential with mean snr (chi-square with 2(n_rx - n_tx + 1) = 2 degrees
+    of freedom; Winters, Salz and Gitlin, IEEE Trans. Commun. 42, 1994), and
+    each axis's Q(sqrt(snr)) averages over it to 1/2 (1 - sqrt(snr / (2 + snr)))
+    (Proakis, "Digital Communications")."""
+    snr = 10.0 ** (snr_db / 10.0)
+    return 0.5 * (1.0 - np.sqrt(snr / (2.0 + snr)))

@@ -13,6 +13,7 @@ from oracles import (
     correlation_matrices,
     lmmse_estimate_full,
     lmmse_estimate_simplified,
+    zf_qpsk_ber_rayleigh,
 )
 
 from ltelink.channel import PowerDelayProfile, generate_channel
@@ -301,3 +302,43 @@ def test_invariant_perfect_csi_lower_bounds_ber(sweep_short, sweep_long):
                     if cells[(length, snr, est)].ber < perfect:
                         violations.append(f"L={length} snr={snr} {est.value}")
     assert len(violations) <= 1, violations
+
+
+def test_perfect_csi_ber_matches_closed_form():
+    """QPSK 2x2 perfect-CSI BER at CP-covered lengths against the closed form.
+
+    Twelve 10-frame sweeps (seeds 0-11) are the batches.  Each cell's mean
+    batch BER must lie within 4 standard errors of the closed form, the
+    standard error taken from the spread of the batches, and that standard
+    error must be below 25% of the closed form, so the bound cannot go
+    slack.  At these seeds the standard error is 1.4-13% of the closed form
+    and the largest deviation 2.6 standard errors.
+    """
+    snrs = (0.0, 5.0, 10.0, 15.0, 20.0)
+    batches = np.array(
+        [
+            [
+                r.ber
+                for r in run_sweep(
+                    SweepConfig(
+                        channel_lengths=(6, 17),  # 17 = cp_len + 1, the longest covered
+                        snr_grid_db=snrs,
+                        n_frames=10,
+                        seed=seed,
+                        estimators=(Estimator.PERFECT,),
+                    )
+                )
+            ]
+            for seed in range(12)
+        ]
+    )
+    mean = batches.mean(axis=0)
+    stderr = batches.std(axis=0, ddof=1) / np.sqrt(len(batches))
+    theory = np.tile([zf_qpsk_ber_rayleigh(snr) for snr in snrs], 2)
+    ok = bool(np.all(np.abs(mean - theory) <= 4 * stderr) and np.all(stderr < 0.25 * theory))
+    cells = [f"L={length} {snr:g}dB" for length in (6, 17) for snr in snrs]
+    detail = "; ".join(
+        f"{c}: {m:.4g} vs {t:.4g} ({(m - t) / e:+.1f} se)"
+        for c, m, t, e in zip(cells, mean, theory, stderr)
+    )
+    _report("BER-theory", ok, detail)

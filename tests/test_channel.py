@@ -6,6 +6,8 @@ tests/oracles.py; the sweep's frequency-domain receive path is checked
 against it.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -65,6 +67,15 @@ class TestPowerDelayProfile:
             PowerDelayProfile(np.array([0, 20]), np.array([0.0, 1.0])).truncated(16)
         with pytest.raises(ValueError, match="no tap power"):
             pdp.truncated(0)
+
+    def test_compares_and_hashes_by_value(self):
+        a, b = PowerDelayProfile.uniform(3), PowerDelayProfile.uniform(3)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert PowerDelayProfile.uniform(40).truncated(16) == PowerDelayProfile.uniform(16)
+        assert a != PowerDelayProfile.uniform(4)
+        assert a != PowerDelayProfile(np.array([0, 1, 3]), np.full(3, 1 / 3))
+        assert a != PowerDelayProfile(np.arange(3), np.array([0.5, 0.25, 0.25]))
+        assert a != (a.tap_delays, a.tap_powers)
 
 
 class TestGenerateChannel:
@@ -307,6 +318,26 @@ class TestOverrun:
         with pytest.raises(ValueError, match="exceeds the FFT size 512"):
             overrun(tx, too_long, self.CFG)
 
+    def test_long_channel_chunk_stays_small(self):
+        # a 3-trial chunk at 10 MHz, cp 72, L = n_fft, 951 overrun samples per
+        # window: its FFT convolution peaks near 6 MB, where an (n_over x
+        # n_over) coupling matrix per (tx, rx) pair would take 61 MB
+        cfg = SystemConfig(bandwidth_mhz=10.0, cp_len=72)
+        rng = np.random.default_rng(19)
+        pdp = PowerDelayProfile.uniform(cfg.n_fft)
+        taps = np.stack([generate_channel(pdp, 2, 2, rng).taps for _ in range(3)])
+        ch = ChannelRealization(taps, pdp)
+        values = rng.standard_normal((6, 7, cfg.n_used)) + 0j
+        tx = modulate_frame(values, cfg).reshape(3, 2, -1)
+        tracemalloc.start()
+        try:
+            over = overrun(tx, ch, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert over.shape == (3, 2, tx.shape[-1]) and np.abs(over).max() > 1e-3
+        assert peak < 16e6
+
 
 class TestReceivePath:
     """The sweep's frequency-domain chain against the time-domain oracle."""
@@ -314,12 +345,10 @@ class TestReceivePath:
     @pytest.mark.parametrize("snr_db", [np.inf, 10.0], ids=["snr-inf", "snr-10"])
     @pytest.mark.parametrize("bw, cp, length", _receive_cases())
     def test_matches_time_domain_chain(self, bw, cp, length, snr_db):
-        # a chunk of two trials against the oracle trial by trial; the
-        # channels past 128 taps run one, as their overrun couplings take
-        # tens of MB per trial
+        # a chunk of two trials against the oracle trial by trial
         ctx = _make_context(SystemConfig(bandwidth_mhz=bw, cp_len=cp), 19)
         pdp, noise = PowerDelayProfile.uniform(length), NoiseSpec(snr_db)
-        seeds = (20, 21) if length <= 128 else (20,)
+        seeds = (20, 21)
         rngs = [np.random.default_rng(s) for s in seeds]
         bits, rx_grid, h_true = _receive(ctx, pdp, noise, rngs)
         assert rx_grid.shape == (len(seeds), ctx.config.n_rx, 7, ctx.config.n_used)
@@ -351,7 +380,7 @@ class TestReceivePath:
         # same taps, bits and whole-slot noise, and gives the same windows
         ctx = _make_context(config, 19)
         pdp, noise = PowerDelayProfile.uniform(length), NoiseSpec(snr_db)
-        seeds = (20, 21) if length <= 128 else (20,)
+        seeds = (20, 21)
         whole, pilots = ([np.random.default_rng(s) for s in seeds] for _ in range(2))
         bits, rx_grid, h_true = _receive(ctx, pdp, noise, whole)
         got_bits, got_grid, got_h = _receive(ctx, pdp, noise, pilots, PILOT_SYMBOLS)

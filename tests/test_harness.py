@@ -535,6 +535,33 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="-inf"):
             SweepConfig(snr_grid_db=(-np.inf, 0.0))
 
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda: SweepConfig(channel_lengths=(6, 6.7)), "channel_lengths"),
+            (lambda: SweepConfig(n_frames=1.5), "n_frames"),
+            (lambda: SweepConfig(seed=1.5), "seed"),
+            (lambda: SystemConfig(cp_len=16.0), "cp_len"),
+            (lambda: SystemConfig(n_tx=2.0), "n_tx"),
+            (lambda: SystemConfig(n_rx=np.float64(2.0)), "n_rx"),
+            (lambda: SystemConfig(n_used=300.0), "n_used"),
+        ],
+        ids=["channel_lengths", "n_frames", "seed", "cp_len", "n_tx", "n_rx", "n_used"],
+    )
+    def test_non_integral_counts_rejected(self, make, field):
+        # int() would truncate 6.7 to 6, and a float count fails deep in a cell
+        with pytest.raises(ValueError, match=f"{field} must be integral"):
+            make()
+
+    def test_numpy_integer_counts_accepted(self):
+        system = SystemConfig(n_used=np.int64(300), cp_len=np.int32(16), n_tx=np.uint8(2))
+        cfg = SweepConfig(
+            system=system, channel_lengths=(np.int64(6),), n_frames=np.int16(3), seed=np.int64(7)
+        )
+        assert (system.n_used, system.cp_len, system.n_tx) == (300, 16, 2)
+        assert (cfg.channel_lengths, cfg.n_frames, cfg.seed) == ((6,), 3, 7)
+        assert system == SystemConfig() and type(cfg.seed) is int
+
     def test_repeated_snr_rejected(self):
         # a repeated SNR would run its cell twice and write two rows for it
         with pytest.raises(ValueError, match="strictly ascending"):
