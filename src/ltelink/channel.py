@@ -1,14 +1,14 @@
 """Rayleigh tap-delay-line MIMO channels and receiver noise.
 
 One realization is drawn per slot (block fading).  In each DFT window the
-linear convolution of the stream is the circular convolution of the window's
-symbol, which demodulates to H * X exactly, plus an overrun: what the taps
-delayed past the cyclic prefix read from the previous symbol instead of the
-cyclic extension.  So the received grid is H * X + DFT(overrun + noise), with
-genuine ISI/ICI whenever the delay spread exceeds the CP.  The overrun fills
-the first span - 1 - cp_len samples of a window and, as the span never
-exceeds the FFT size, reaches back one symbol only.  It is the tail of a short
-FFT convolution with the taps past the CP, and no plan is memoized.
+linear convolution of the transmitted symbols is the circular convolution of
+the window's symbol, which demodulates to H * X exactly, plus an overrun: what
+the taps delayed past the cyclic prefix read from the previous symbol instead
+of the cyclic extension.  So the received grid is H * X + DFT(overrun +
+noise), with genuine ISI/ICI whenever the delay spread exceeds the CP.  The
+overrun fills the first span - 1 - cp_len samples of a window and, as the span
+never exceeds the FFT size, reaches back one symbol only.  It is the tail of a
+short FFT convolution with the taps past the CP, and no plan is memoized.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ class PowerDelayProfile:
         return PowerDelayProfile(self.tap_delays[keep], powers / powers.sum())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelRealization:
     """Complex tap gains of every (tx, rx) pair from one profile; leading axes stack trials."""
 
@@ -136,24 +136,25 @@ def generate_channel(
     return ChannelRealization(taps=taps, pdp=pdp)
 
 
-def overrun(tx: np.ndarray, ch: ChannelRealization, config: SystemConfig) -> np.ndarray:
-    """Linear minus circular channel output in every DFT window, (..., n_rx, n_samples).
+def overrun(frames: np.ndarray, ch: ChannelRealization, config: SystemConfig) -> np.ndarray:
+    """Linear minus circular channel output in every DFT window, as frames.
 
-    tx holds the modulated (..., n_tx, n_samples) streams of whole symbols,
-    with the leading axes of ch.  Window sample i gets, from each tap delayed
-    past i + cp_len, the previous symbol's sample (zero before the first)
-    minus the cyclic one it replaces, for every trial, symbol and pair at once.
+    Modulated (..., n_tx, n_symbols, symbol_len) frames, with the leading axes of
+    ch, give (..., n_rx, n_symbols, symbol_len) ones.  Window sample i gets, from
+    each tap delayed past i + cp_len, the previous symbol's sample (zero before
+    the first) minus the cyclic one it replaces, for every trial, symbol and pair.
     """
-    *lead, n_tx, n_samples = tx.shape
-    span, cp, sym_len = ch.pdp.span, config.cp_len, config.symbol_len
+    *lead, n_tx, n_sym, sym_len = frames.shape
+    span, cp = ch.pdp.span, config.cp_len
     if n_tx != ch.n_tx:
         raise ValueError(f"signal has {n_tx} streams, channel expects {ch.n_tx}")
+    if sym_len != config.symbol_len:
+        raise ValueError(f"frames must be (..., symbols, {config.symbol_len}); got {frames.shape}")
     if span > config.n_fft:
         raise ValueError(f"channel span {span} exceeds the FFT size {config.n_fft}")
-    out = np.zeros((*lead, ch.n_rx, n_samples // sym_len, sym_len), dtype=np.complex128)
+    out = np.zeros((*lead, ch.n_rx, n_sym, sym_len), dtype=np.complex128)
     n_over = span - 1 - cp
     if n_over > 0:
-        frames = tx.reshape(*lead, n_tx, -1, sym_len)
         # offset j of the last n_over samples before each window: what the
         # linear convolution reads minus the cyclic sample it replaces
         diff = -frames[..., sym_len - span + 1 : sym_len - cp]
@@ -165,7 +166,7 @@ def overrun(tx: np.ndarray, ch: ChannelRealization, config: SystemConfig) -> np.
         taps = np.fft.fft(ch.impulse_responses()[..., cp + 1 :], n)
         coupled = np.einsum("...tsn,...trn->...rsn", np.fft.fft(diff, n), taps)  # s: symbol
         out[..., cp : cp + n_over] = np.fft.ifft(coupled)[..., n_over - 1 : 2 * n_over - 1]
-    return out.reshape(*lead, ch.n_rx, n_samples)
+    return out
 
 
 # Average symbol power of every constellation here: unit-power QPSK and 16-QAM.

@@ -97,6 +97,10 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         if key not in _CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = value.strip()
+        try:  # parsed here too, where the file and line of a bad value are known
+            _CONFIG_KEYS[key](values[key])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 

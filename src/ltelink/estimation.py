@@ -23,7 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from .channel import PowerDelayProfile
-from .grid import Constellation, SystemConfig, used_subcarrier_bins
+from .grid import Constellation, SystemConfig, as_int, used_subcarrier_bins
 
 __all__ = [
     "CorrelationModel",
@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationModel:
     """Low-rank factors of the channel's frequency correlation under a profile.
 
@@ -81,7 +81,7 @@ def ls_estimate(y_p: np.ndarray, x_p: np.ndarray) -> np.ndarray:
     return y_p / x_p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LsTaps:
     """Linear interpolation of pilot estimates onto every used subcarrier.
 
@@ -230,6 +230,9 @@ def calibrate_threshold(
     """
     from . import harness  # local import; the harness owns the cell routine
 
+    trials = as_int("trials", trials)
+    if config.cp_len < 1:  # the LMMSE prior keeps the taps at delays below cp_len
+        raise ValueError("the lmmse and hybrid estimators need cp_len >= 1")
     snrs = np.asarray(sweep_snrs_db, dtype=np.float64)
     if snrs.ndim != 1 or snrs.size == 0:
         raise ValueError("the SNR grid must be a non-empty 1-D array")

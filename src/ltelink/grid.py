@@ -153,7 +153,7 @@ def used_subcarrier_bins(config: SystemConfig) -> np.ndarray:
     return bins
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PilotPattern:
     """Reference-signal placement for all antenna ports of one slot.
 
@@ -200,7 +200,7 @@ def build_pilot_pattern(config: SystemConfig) -> PilotPattern:
     return PilotPattern(entries, entries[entry_index[0], 0], entry_index)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridLayout:
     """Precomputed cell bookkeeping shared by every slot built from one pattern.
 

@@ -4,20 +4,21 @@ One trial is one slot: draw a block-fading channel, fill the grid with random
 payload bits and the run's pilot sequence, and modulate the symbols the cell
 reads.  The received grid is H * X plus the demodulated sum of AWGN and the
 channel's overrun past the cyclic prefix (see ltelink.channel), which equals
-the demodulated linear convolution of the stream; H is the exact frequency
-response that also scores the estimates.  A cell that detects reads all 7
-symbols; a calibration cell, which scores MSE alone, reads pilot symbols 0
-and 4 with the same draws.  Every (tx, rx) response is then estimated from
+the demodulated linear convolution of the sent symbols; H is the exact
+frequency response that also scores the estimates.  A cell that detects reads
+all 7 symbols; a calibration cell, which scores MSE alone, reads pilot symbols
+0 and 4 with the same draws.  Every (tx, rx) response is then estimated from
 the pilots on the comb all ports share (every third subcarrier), each
 subcarrier's channel matrix is inverted once to zero-force its symbols, and
-MSE is scored against H and BER against the payload.  One routine owns a
-cell, its noise, LMMSE filter and one row per estimator, for the sweep and
-the threshold calibration alike.  It runs _CHUNK trials at a time, stacked on
-a leading axis, so each chunk makes one call per stage and one per estimate.
-A chunk keeps one slot layout from the grid fill to zero-forcing: (trial,
-antenna, symbol, subcarrier).  Its stages are ordered so that no large array
-outlives its last reader: modulate the filled grid and form H * X from it,
-drop the grid, form the overrun from the stream, drop the stream, then add
+MSE is scored against H and BER against the payload.  One routine owns a cell,
+its noise, LMMSE filter and one row per estimator, for the sweep and the
+threshold calibration alike.  It runs _CHUNK trials at a time, stacked on a
+leading axis, so each chunk makes one call per stage and one per estimate.  A
+chunk keeps one slot layout, (trial, antenna, symbol, subcarrier), from the
+grid fill to zero-forcing and one frame layout, (trial, antenna, symbol,
+sample), from the modulator to the demodulator.  Its stages are ordered so
+that no large array outlives its last reader: modulate the grid and form H * X
+from it, drop the grid, form the overrun from the frames, drop them, then add
 the noise and demodulate.  Payload bits are drawn as int64 and kept as int8.
 
 The LMMSE correlation model depends only on the configuration, which fixes the
@@ -217,7 +218,7 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed & _SEED_MASK, *key]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _LinkContext:
     """Everything about one configuration that is fixed across trials."""
 
@@ -267,10 +268,10 @@ def _receive(
     its whole slot from rngs[i], whatever symbols it reads.  The stages hold
     each array only while they read it: the filled grid is modulated and
     multiplied by H, then dropped before the overrun allocates its buffer,
-    and the modulated stream is dropped once the overrun is formed.  Returns
+    and the modulated frames are dropped once the overrun is formed.  Returns
     bits (c, n_tx, n_bits) as int8, rx_grid (c, n_rx, len(symbols), n_used)
     in the slot layout of the grid, the modem and zero-forcing, and h_true
-    (c, n_tx, n_rx, n_used)."""
+    (c, n_tx, n_rx, n_used) in the layout of the taps and zero-forcing."""
     cfg = ctx.config
     n, n_bits = len(rngs), ctx.layout.n_data_per_port * cfg.constellation.bits_per_symbol
     taps, bits = [], []
@@ -287,14 +288,14 @@ def _receive(
     # a window's overrun reaches back one symbol, so each read symbol is sent
     # with the one before it; only the read windows are kept
     sent, read = sorted({*symbols, *(s - 1 for s in symbols if s > 0)}), _rows(symbols)
-    tx = ofdm.modulate_frame(values[:, :, _rows(sent)].reshape(n * cfg.n_tx, -1, cfg.n_used), cfg)
+    tx = ofdm.modulate_frame(values[:, :, _rows(sent)], cfg)  # (c, n_tx, len(sent), symbol_len)
     h_true = ch.frequency_responses(cfg.n_fft, used_subcarrier_bins(cfg))
     # H * X summed over tx, (c, n_rx, len(symbols), n_used), plus the demodulated impairment
     rx_grid = h_true[:, 0, :, None] * values[:, 0, read][:, None]
     for t in range(1, cfg.n_tx):
         rx_grid += h_true[:, t, :, None] * values[:, t, read][:, None]
     del values  # the grid, before the overrun allocates its buffer
-    impairment = overrun(tx.reshape(n, cfg.n_tx, -1), ch, cfg).reshape(n, cfg.n_rx, len(sent), -1)
+    impairment = overrun(tx, ch, cfg)
     del tx
     impairment = impairment[:, :, _rows([sent.index(s) for s in symbols])]
     # each trial's noise is drawn over its whole slot, onto zeros (0 + w is w
@@ -302,8 +303,7 @@ def _receive(
     slot = np.broadcast_to(np.complex128(0), (cfg.n_rx, cfg.n_symbols_per_slot, cfg.symbol_len))
     for i, rng in enumerate(rngs):
         impairment[i] += add_awgn(slot, noise, rng)[:, read]
-    rx = ofdm.demodulate_frame(impairment.reshape(n * cfg.n_rx, -1), cfg)
-    rx_grid += rx.reshape(rx_grid.shape)
+    rx_grid += ofdm.demodulate_frame(impairment, cfg)
     return bits, rx_grid, h_true
 
 
@@ -317,7 +317,7 @@ def _energy(h: np.ndarray, pilot_subcarriers: np.ndarray) -> tuple[float, float]
 
 def _bit_errors(ctx: _LinkContext, rx_grid: np.ndarray, h_hat: np.ndarray, bits: np.ndarray) -> int:
     """Payload bit errors of a chunk zero-forced with the estimate h_hat."""
-    detected, _ = kernels.zf_detect_grid(rx_grid, h_hat.swapaxes(1, 2))
+    detected, _ = kernels.zf_detect_grid(rx_grid, h_hat)
     # (c, n_tx, n_data_per_port) payload symbols, in the order of their bits
     symbols = np.take(detected.reshape(*detected.shape[:2], -1), ctx.payload_index, axis=-1)
     rx_bits = linkproc.demap_symbols(symbols, ctx.config.constellation)

@@ -13,9 +13,9 @@ COND_LIMIT = 1e12
 def zf_detect_grid(y: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Zero-forcing of every symbol of every subcarrier.
 
-    y: (..., n_rx, n_sym, n_sc) received slots; h: (..., n_rx, n_tx, n_sc)
-    channel matrices, one per subcarrier and fixed over its symbols, with
-    n_tx <= n_rx <= 2; leading axes stack slots.  Returns (symbols
+    y: (..., n_rx, n_sym, n_sc) received slots; h: (..., n_tx, n_rx, n_sc)
+    responses, one channel matrix per subcarrier and fixed over its symbols,
+    with n_tx <= n_rx <= 2; leading axes stack slots.  Returns (symbols
     (..., n_tx, n_sym, n_sc), erased (..., n_sc)).  The determinant and the
     condition test are evaluated once per subcarrier and the per-element
     formula is broadcast over the symbols, so each slot of a stack gets its
@@ -23,7 +23,7 @@ def zf_detect_grid(y: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray
     COND_LIMIT is zeroed and flagged, never raised.  A single transmit stream
     is combined by maximum ratio, the least-squares solution of the tall system.
     """
-    *lead, n_rx, n_tx, n_sc = h.shape
+    *lead, n_tx, n_rx, n_sc = h.shape
     if y.ndim != h.ndim or y.shape[:-2] != (*lead, n_rx) or y.shape[-1] != n_sc:
         raise ValueError(f"y shape {y.shape} does not match h shape {h.shape}")
     if n_tx > n_rx or n_rx > 2 or n_tx < 1:
@@ -31,13 +31,13 @@ def zf_detect_grid(y: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray
     # erased subcarriers divide by zero here and are zeroed below
     with np.errstate(divide="ignore", invalid="ignore"):
         if n_tx == 1:
-            norm2 = np.sum(np.abs(h[..., 0, :]) ** 2, axis=-2)
+            norm2 = np.sum(np.abs(h[..., 0, :, :]) ** 2, axis=-2)
             erased = norm2 == 0.0
-            mrc = np.sum(np.conj(h) * y, axis=-3) / norm2[..., None, :]
+            mrc = np.sum(np.conj(h[..., 0, :, None, :]) * y, axis=-3) / norm2[..., None, :]
             out = mrc[..., None, :, :]
         else:
-            a, b = h[..., 0, 0, :], h[..., 0, 1, :]
-            c, d = h[..., 1, 0, :], h[..., 1, 1, :]
+            a, b = h[..., 0, 0, :], h[..., 1, 0, :]  # H = [[a, b], [c, d]], H[r, t] = h[t, r]
+            c, d = h[..., 0, 1, :], h[..., 1, 1, :]
             det = a * d - b * c
             absdet = np.abs(det)
             fro2 = np.abs(a) ** 2 + np.abs(b) ** 2 + np.abs(c) ** 2 + np.abs(d) ** 2

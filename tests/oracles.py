@@ -75,13 +75,17 @@ def mimo_convolve(tx: np.ndarray, impulse: np.ndarray) -> np.ndarray:
 
 
 def apply_channel(tx: np.ndarray, ch) -> np.ndarray:
-    """The channel applied to a whole (n_tx, n_samples) stream in the time
-    domain: every tx stream linear-convolved with every (tx, rx) response."""
-    if tx.shape[0] != ch.n_tx:
-        raise ValueError(f"signal has {tx.shape[0]} streams, channel expects {ch.n_tx}")
-    if tx.shape[1] < ch.pdp.span:
+    """The channel applied to (n_tx, n_symbols, symbol_len) frames in the time
+    domain: each antenna's frames are flattened into one stream, every tx
+    stream is linear-convolved with every (tx, rx) response, and the
+    (n_rx, n_symbols, symbol_len) received frames are returned."""
+    n_tx, n_sym, sym_len = tx.shape
+    if n_tx != ch.n_tx:
+        raise ValueError(f"signal has {n_tx} streams, channel expects {ch.n_tx}")
+    if n_sym * sym_len < ch.pdp.span:
         raise ValueError("stream shorter than the channel impulse response")
-    return mimo_convolve(tx, ch.impulse_responses())
+    rx = mimo_convolve(tx.reshape(n_tx, -1), ch.impulse_responses())
+    return rx.reshape(-1, n_sym, sym_len)
 
 
 def time_domain_chain(ctx, pdp, noise, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

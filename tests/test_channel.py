@@ -177,8 +177,8 @@ class TestApplyChannel:
     CFG = SystemConfig(n_tx=2, n_rx=2)
 
     def _random_signal(self, rng, n_ant=2, n_sym=3):
-        n = n_sym * self.CFG.symbol_len
-        return rng.standard_normal((n_ant, n)) + 1j * rng.standard_normal((n_ant, n))
+        shape = (n_ant, n_sym, self.CFG.symbol_len)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     def test_identity_channel(self):
         rng = np.random.default_rng(5)
@@ -204,10 +204,10 @@ class TestApplyChannel:
         ch = generate_channel(pdp, 2, 2, rng)
         sig = self._random_signal(rng)
         out = apply_channel(sig, ch)
-        n = sig.shape[1]
+        n = sig[0].size
         for r in range(2):
-            ref = sum(np.convolve(sig[t], ch.taps[t, r])[:n] for t in range(2))
-            assert_allclose(out[r], ref, atol=1e-10)
+            ref = sum(np.convolve(sig[t].ravel(), ch.taps[t, r])[:n] for t in range(2))
+            assert_allclose(out[r].ravel(), ref, atol=1e-10)
 
     def test_cross_module_diagonalization(self):
         # noiseless CP-covered end-to-end: demodulated grid equals H o X
@@ -239,7 +239,7 @@ class TestApplyChannel:
         assert residual > 1e-3
 
     def test_rejects_stream_shorter_than_channel(self):
-        sig = np.ones((1, 4), dtype=complex)
+        sig = np.ones((1, 1, 4), dtype=complex)
         ch = ChannelRealization(
             np.ones((1, 1, 6), dtype=complex) / np.sqrt(6), PowerDelayProfile.uniform(6)
         )
@@ -260,7 +260,7 @@ def _receive_cases():
 class TestOverrun:
     CFG = SystemConfig()  # 5 MHz, 512-point FFT, cp 16
 
-    def _stream(self, rng, cfg=CFG):
+    def _frames(self, rng, cfg=CFG):
         values = rng.standard_normal((2, 7, cfg.n_used)) + 1j * rng.standard_normal(
             (2, 7, cfg.n_used)
         )
@@ -268,11 +268,11 @@ class TestOverrun:
 
     def test_zero_when_the_cp_covers_the_channel(self):
         rng = np.random.default_rng(15)
-        tx = self._stream(rng)
+        tx = self._frames(rng)
         for length in (1, 6, self.CFG.cp_len + 1):
             ch = generate_channel(PowerDelayProfile.uniform(length), 2, 2, rng)
             out = overrun(tx, ch, self.CFG)
-            assert out.shape == (2, tx.shape[1]) and not out.any()
+            assert out.shape == (2, 7, self.CFG.symbol_len) and not out.any()
 
     def test_linear_output_is_circular_plus_overrun_in_every_window(self):
         # the time-domain identity behind the receive path: window m of the
@@ -280,13 +280,13 @@ class TestOverrun:
         # body plus the overrun, which lives in the first span - 1 - cp samples
         cfg = self.CFG
         rng = np.random.default_rng(16)
-        tx = self._stream(rng)
+        tx = self._frames(rng)
         ch = generate_channel(PowerDelayProfile.uniform(40), 2, 2, rng)
-        linear = apply_channel(tx, ch).reshape(2, 7, cfg.symbol_len)[:, :, cfg.cp_len :]
-        body = np.fft.fft(tx.reshape(2, 7, cfg.symbol_len)[:, :, cfg.cp_len :], axis=-1)
+        linear = apply_channel(tx, ch)[:, :, cfg.cp_len :]
+        body = np.fft.fft(tx[:, :, cfg.cp_len :], axis=-1)
         h = ch.frequency_responses(cfg.n_fft)
         circular = np.fft.ifft(np.einsum("trk,tmk->rmk", h, body), axis=-1)
-        over = overrun(tx, ch, cfg).reshape(2, 7, cfg.symbol_len)
+        over = overrun(tx, ch, cfg)
         n_over = 40 - 1 - cfg.cp_len
         assert not over[:, :, : cfg.cp_len].any()
         assert not over[:, :, cfg.cp_len + n_over :].any()
@@ -297,26 +297,33 @@ class TestOverrun:
         # with only the first symbol transmitted, the overrun of window 0 is
         # the cyclic samples the delay-30 tap reads, negated
         cfg = self.CFG
-        tx = self._stream(np.random.default_rng(17))
-        tx[:, cfg.symbol_len :] = 0
+        tx = self._frames(np.random.default_rng(17))
+        tx[:, 1:] = 0
         ch = ChannelRealization(
             np.ones((2, 1, 2)) / np.sqrt(2), PowerDelayProfile(np.array([0, 30]), np.full(2, 0.5))
         )
-        over = overrun(tx, ch, cfg)[0, : cfg.symbol_len]
+        over = overrun(tx, ch, cfg)[0, 0]
         n_over = 30 - cfg.cp_len
-        body = tx[:, cfg.cp_len : cfg.symbol_len]
+        body = tx[:, 0, cfg.cp_len :]
         expected = -(body[0, -30 : -30 + n_over] + body[1, -30 : -30 + n_over]) / np.sqrt(2)
         assert_allclose(over[cfg.cp_len : cfg.cp_len + n_over], expected, atol=1e-15)
         assert not over[cfg.cp_len + n_over :].any()
 
     def test_rejects_mismatched_streams_and_spans_beyond_the_fft(self):
         rng = np.random.default_rng(18)
-        tx = self._stream(rng)
+        tx = self._frames(rng)
         with pytest.raises(ValueError, match="channel expects 1"):
             overrun(tx, generate_channel(PowerDelayProfile.uniform(20), 1, 2, rng), self.CFG)
         too_long = generate_channel(PowerDelayProfile.uniform(513), 2, 2, rng)
         with pytest.raises(ValueError, match="exceeds the FFT size 512"):
             overrun(tx, too_long, self.CFG)
+
+    def test_rejects_frames_of_another_symbol_length(self):
+        # a (n_tx, n_samples) stream seen as one long symbol per antenna
+        rng = np.random.default_rng(32)
+        ch = generate_channel(PowerDelayProfile.uniform(40), 2, 2, rng)
+        with pytest.raises(ValueError, match="frames must be"):
+            overrun(np.zeros((2, 1, 7 * self.CFG.symbol_len), dtype=complex), ch, self.CFG)
 
     def test_long_channel_chunk_stays_small(self):
         # a 3-trial chunk at 10 MHz, cp 72, L = n_fft, 951 overrun samples per
@@ -328,14 +335,14 @@ class TestOverrun:
         taps = np.stack([generate_channel(pdp, 2, 2, rng).taps for _ in range(3)])
         ch = ChannelRealization(taps, pdp)
         values = rng.standard_normal((6, 7, cfg.n_used)) + 0j
-        tx = modulate_frame(values, cfg).reshape(3, 2, -1)
+        tx = modulate_frame(values.reshape(3, 2, 7, cfg.n_used), cfg)
         tracemalloc.start()
         try:
             over = overrun(tx, ch, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert over.shape == (3, 2, tx.shape[-1]) and np.abs(over).max() > 1e-3
+        assert over.shape == (3, 2, 7, cfg.symbol_len) and np.abs(over).max() > 1e-3
         assert peak < 16e6
 
 
@@ -404,14 +411,30 @@ class TestTrialAxis:
         stacked = ChannelRealization(np.stack([ch.taps for ch in chans]), pdp)
         assert (stacked.n_tx, stacked.n_rx) == (2, 2)
         values = rng.standard_normal((3, 2, 7, self.CFG.n_used)) + 0j
-        tx = modulate_frame(values.reshape(6, 7, self.CFG.n_used), self.CFG).reshape(3, 2, -1)
+        tx = modulate_frame(values, self.CFG)
         bins = used_subcarrier_bins(self.CFG)
         h = stacked.frequency_responses(self.CFG.n_fft, bins)
         over = overrun(tx, stacked, self.CFG)
-        assert h.shape == (3, 2, 2, self.CFG.n_used) and over.shape == (3, 2, tx.shape[-1])
+        assert h.shape == (3, 2, 2, self.CFG.n_used)
+        assert over.shape == (3, 2, 7, self.CFG.symbol_len)
         for i, ch in enumerate(chans):
             assert_allclose(h[i], ch.frequency_responses(self.CFG.n_fft, bins), rtol=0, atol=1e-15)
             assert_allclose(over[i], overrun(tx[i], ch, self.CFG), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n_tx, n_rx", [(2, 2), (1, 2), (2, 1)])
+    def test_stacked_slots_overrun_bit_identical_to_slot_by_slot(self, n_tx, n_rx):
+        # two slots on a leading axis, each with its own channel, give each
+        # slot's own frames exactly
+        rng = np.random.default_rng(31)
+        pdp = PowerDelayProfile.uniform(40)
+        chans = [generate_channel(pdp, n_tx, n_rx, rng) for _ in range(2)]
+        stacked = ChannelRealization(np.stack([ch.taps for ch in chans]), pdp)
+        values = rng.standard_normal((2, n_tx, 7, self.CFG.n_used)) + 0j
+        tx = modulate_frame(values, self.CFG)
+        over = overrun(tx, stacked, self.CFG)
+        assert over.shape == (2, n_rx, 7, self.CFG.symbol_len)
+        for i, ch in enumerate(chans):
+            assert np.array_equal(over[i], overrun(tx[i], ch, self.CFG))
 
     def test_rejects_taps_without_pair_axes(self):
         with pytest.raises(ValueError, match="n_tx, n_rx, n_taps"):

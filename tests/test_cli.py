@@ -249,6 +249,27 @@ class TestMain:
         assert "unknown config key" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("n_used = 300.0", "invalid literal for int() with base 10: '300.0'"),
+            ("n_frames = 3x", "invalid literal for int() with base 10: '3x'"),
+            ("snr_grid_db = 0,abc", "could not convert string to float: 'abc'"),
+            ("constellation = qam64", "'qam64' is not a valid Constellation"),
+        ],
+        ids=["n_used", "n_frames", "snr_grid_db", "constellation"],
+    )
+    def test_bad_config_value_names_its_key_and_file(self, tmp_path, capsys, line, message):
+        cfgfile = tmp_path / "bad_value.cfg"
+        cfgfile.write_text(f"seed = 3\n{line}\n")
+        out = tmp_path / "never.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfgfile), "--frames", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        key = line.split(" = ")[0]
+        assert f"ltelink: error: {cfgfile}:2: {key}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_minus_inf_snr_is_a_usage_error(self, tmp_path, capsys):
         cfgfile = tmp_path / "minus_inf.cfg"
         cfgfile.write_text("snr_grid_db = -inf,0\nchannel_lengths = 6\n")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -698,6 +699,31 @@ class TestCrossover:
             calibrate_threshold(
                 SystemConfig(), PowerDelayProfile.uniform(40), snrs, 5, np.random.default_rng(1)
             )
+
+    @pytest.mark.parametrize(
+        "system, trials, message",
+        [
+            (SystemConfig(cp_len=0), 2, "the lmmse and hybrid estimators need cp_len >= 1"),
+            (SystemConfig(), 2.5, "trials must be integral, got 2.5"),
+        ],
+        ids=["cp0", "fractional-trials"],
+    )
+    def test_calibrate_validates_before_any_draw(self, system, trials, message):
+        # without a CP the LMMSE prior keeps no tap; a fractional trial count
+        # is no count: both are refused before the first cell draws
+        rng = np.random.default_rng(2)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            calibrate_threshold(
+                system, PowerDelayProfile.uniform(20), np.array([0.0, 10.0]), trials, rng
+            )
+        assert rng.bit_generator.seed_seq.n_children_spawned == 0
+
+    @pytest.mark.parametrize("trials", [np.int64(2), True], ids=["numpy-int", "true"])
+    def test_calibrate_accepts_integral_counts(self, trials):
+        pdp, snrs = PowerDelayProfile.uniform(40), np.array([0.0, 30.0])
+        got = calibrate_threshold(SystemConfig(), pdp, snrs, trials, np.random.default_rng(3))
+        want = calibrate_threshold(SystemConfig(), pdp, snrs, int(trials), np.random.default_rng(3))
+        assert got == want
 
     def test_calibrate_finds_finite_crossover_for_long_channel(self):
         cfg = SystemConfig()

@@ -31,6 +31,8 @@ def _shift_sum(tx, impulse):
 
 
 def _zf_case(seed, n_sc=500, n_rx=2, n_tx=2, n_sym=7):
+    """Received slots y and per-subcarrier (n_rx, n_tx) channel matrices h,
+    which the detector reads as h.swapaxes(-3, -2), (tx, rx, subcarrier)."""
     rng = np.random.default_rng(seed)
     y = rng.standard_normal((n_rx, n_sym, n_sc)) + 1j * rng.standard_normal((n_rx, n_sym, n_sc))
     h = rng.standard_normal((n_rx, n_tx, n_sc)) + 1j * rng.standard_normal((n_rx, n_tx, n_sc))
@@ -55,7 +57,7 @@ class TestMimoConvolve:
 class TestZfGrid:
     def test_numpy_matches_per_element_solve(self):
         y, h = _zf_case(3)
-        out, erased = kernels.zf_detect_grid(y, h)
+        out, erased = kernels.zf_detect_grid(y, h.swapaxes(-3, -2))
         assert out.shape == (2, 7, 500) and erased.shape == (500,)
         assert not erased.any()
         for i in range(0, y.shape[-1], 37):
@@ -69,7 +71,7 @@ class TestZfGrid:
         y, h = _zf_case(21, n_sc=200)
         u, s, vh = np.linalg.svd(h[..., 7])
         h[..., 7] = u @ np.diag([s[0], s[0] * 1e-14]) @ vh  # one ill-conditioned subcarrier
-        out, erased = kernels.zf_detect_grid(y, h)
+        out, erased = kernels.zf_detect_grid(y, h.swapaxes(-3, -2))
         assert erased[7] and erased.sum() == 1 and not out[..., 7].any()
         sc = np.repeat(np.arange(200), 7)
         sym = np.tile(np.arange(7), 200)
@@ -84,7 +86,7 @@ class TestZfGrid:
     def test_maximum_ratio_branch_bit_identical_to_the_per_element_formula(self):
         y, h = _zf_case(22, n_sc=50, n_rx=2, n_tx=1)
         h[..., 9] = 0.0
-        out, erased = kernels.zf_detect_grid(y, h)
+        out, erased = kernels.zf_detect_grid(y, h.swapaxes(-3, -2))
         assert erased[9] and erased.sum() == 1 and not out[..., 9].any()
         for i in np.flatnonzero(~erased):
             norm2 = np.sum(np.abs(h[:, 0, i]) ** 2)
@@ -94,19 +96,18 @@ class TestZfGrid:
 
     @pytest.mark.parametrize("n_tx", [2, 1], ids=["2x2", "mrc"])
     def test_stacked_slots_bit_identical_to_slot_by_slot(self, n_tx):
-        # leading axes stack slots: three trials in one call, with h a
-        # (trial, tx, rx, subcarrier) estimate seen through swapaxes as the
-        # sweep passes it, detect exactly as each trial does alone
+        # leading axes stack slots: three trials in one call, with h_hat a
+        # (trial, tx, rx, subcarrier) estimate as the sweep passes it, detect
+        # exactly as each trial does alone
         rng = np.random.default_rng(24)
         y = rng.standard_normal((3, 2, 7, 40)) + 1j * rng.standard_normal((3, 2, 7, 40))
         h_hat = rng.standard_normal((3, n_tx, 2, 40)) + 1j * rng.standard_normal((3, n_tx, 2, 40))
         h_hat[1, ..., 5] = 0.0  # erase one subcarrier of the middle trial
-        h = h_hat.swapaxes(1, 2)
-        out, erased = kernels.zf_detect_grid(y, h)
+        out, erased = kernels.zf_detect_grid(y, h_hat)
         assert out.shape == (3, n_tx, 7, 40) and erased.shape == (3, 40)
         assert erased[1, 5] and erased.sum() == 1
         for i in range(3):
-            alone, alone_erased = kernels.zf_detect_grid(y[i], np.ascontiguousarray(h[i]))
+            alone, alone_erased = kernels.zf_detect_grid(y[i], h_hat[i])
             assert np.array_equal(out[i], alone) and np.array_equal(erased[i], alone_erased)
 
     def test_matches_svd_oracle_across_shapes_and_conditioning(self):
@@ -121,7 +122,7 @@ class TestZfGrid:
                 s[20:40, 1] = s[20:40, 0] * 1e-16
                 h[..., :40] = np.einsum("nij,nj,njk->ikn", u, s.astype(complex), vh)
             h[..., -1] = 0.0
-            out, erased = kernels.zf_detect_grid(y, h)
+            out, erased = kernels.zf_detect_grid(y, h.swapaxes(-3, -2))
             for i in range(y.shape[-1]):
                 for sym in range(3):
                     ref, ref_erased = zf_detect(y[:, sym, i], h[..., i], kernels.COND_LIMIT)
@@ -134,7 +135,7 @@ class TestZfGrid:
     def test_singular_elements_erased_not_raised(self):
         y, h = _zf_case(5, n_sc=4)
         h[..., 1] = 1.0  # rank-1 matrix
-        out, erased = kernels.zf_detect_grid(y, h)
+        out, erased = kernels.zf_detect_grid(y, h.swapaxes(-3, -2))
         assert erased[1] and not erased[0]
         assert np.all(out[..., 1] == 0)
         assert np.all(np.isfinite(out))
@@ -144,16 +145,16 @@ class TestZfGrid:
         h = rng.standard_normal((2, 1, 10)) + 1j * rng.standard_normal((2, 1, 10))
         x = rng.standard_normal((1, 7, 10)) + 1j * rng.standard_normal((1, 7, 10))
         y = h * x
-        out, erased = kernels.zf_detect_grid(y, h)
+        out, erased = kernels.zf_detect_grid(y, h.swapaxes(-3, -2))
         assert not erased.any()
         assert_allclose(out, x, atol=1e-12)
 
     def test_rejects_mismatched_shapes(self):
         y, h = _zf_case(8)
         with pytest.raises(ValueError, match="does not match"):
-            kernels.zf_detect_grid(y[:1], h)
+            kernels.zf_detect_grid(y[:1], h.swapaxes(-3, -2))
         with pytest.raises(ValueError, match="does not match"):
-            kernels.zf_detect_grid(y[:, 0], h)
+            kernels.zf_detect_grid(y[:, 0], h.swapaxes(-3, -2))
 
     def test_rejects_unsupported_antennas(self):
         rng = np.random.default_rng(9)

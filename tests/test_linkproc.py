@@ -13,7 +13,7 @@ _S2 = np.sqrt(2.0)
 def zf_detect(y, h):
     """Zero-force one resource element through the batched detector."""
     h = np.atleast_2d(np.asarray(h, dtype=complex))
-    out, erased = zf_detect_grid(np.asarray(y, dtype=complex)[:, None, None], h[:, :, None])
+    out, erased = zf_detect_grid(np.asarray(y, dtype=complex)[:, None, None], h.T[:, :, None])
     return out[:, 0, 0], bool(erased[0])
 
 

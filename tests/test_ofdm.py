@@ -1,5 +1,7 @@
 """Tests for the OFDM modem: DFT convention, CP structure, diagonalization."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -15,12 +17,12 @@ CFG = SystemConfig()  # 5 MHz, 512-FFT, 300 used, CP 16
 
 def ofdm_modulate(column, config=CFG):
     """One grid column through the frame modulator: one CP-prefixed symbol."""
-    return modulate_frame(np.asarray(column)[None, None, :], config)[0]
+    return modulate_frame(np.asarray(column)[None, :], config)[0]
 
 
 def ofdm_demodulate(symbol, config=CFG):
     """One received symbol through the frame demodulator: its used bins."""
-    return demodulate_frame(np.asarray(symbol)[None, :], config)[0, 0, :]
+    return demodulate_frame(np.asarray(symbol)[None, :], config)[0, :]
 
 
 class TestDftCoefficient:
@@ -82,7 +84,8 @@ class TestModulate:
         assert np.sum(np.abs(body) ** 2) == pytest.approx(np.sum(np.abs(col) ** 2))
 
     def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError, match=f"grid must be \\(antennas, symbols, {CFG.n_used}\\)"):
+        message = f"grid must be (..., symbols, {CFG.n_used})"
+        with pytest.raises(ValueError, match=re.escape(message)):
             ofdm_modulate(np.zeros(CFG.n_used + 1, dtype=complex), CFG)
 
 
@@ -102,7 +105,8 @@ class TestDemodulate:
         assert_allclose(ofdm_demodulate(rx, CFG), col, atol=1e-12)
 
     def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError, match="not a multiple of symbol length"):
+        message = f"frames must be (..., symbols, {CFG.symbol_len})"
+        with pytest.raises(ValueError, match=re.escape(message)):
             ofdm_demodulate(np.zeros(CFG.symbol_len - 1, dtype=complex), CFG)
 
     def test_cp_covered_channel_diagonalizes(self):
@@ -129,7 +133,7 @@ class TestFrameHelpers:
             (2, 7, CFG.n_used)
         )
         sig = modulate_frame(values, CFG)
-        assert sig.shape == (2, 7 * CFG.symbol_len)
+        assert sig.shape == (2, 7, CFG.symbol_len)
         back = demodulate_frame(sig, CFG)
         assert_allclose(back, values, atol=1e-12)
 
@@ -140,15 +144,39 @@ class TestFrameHelpers:
         values = rng.standard_normal((2, 7, CFG.n_used)) + 1j * rng.standard_normal(
             (2, 7, CFG.n_used)
         )
-        frame = modulate_frame(values, CFG).reshape(2, 7, CFG.symbol_len)
+        frame = modulate_frame(values, CFG)
         for s in range(7):
             alone = modulate_frame(values[:, s : s + 1], CFG)
-            assert np.array_equal(alone, frame[:, s])
+            assert np.array_equal(alone, frame[:, s : s + 1])
+
+    def test_stacked_slots_bit_identical_to_slot_by_slot(self):
+        # leading axes stack slots: two (antenna, symbol) slots in one call
+        # modulate and demodulate exactly as each slot does alone
+        rng = np.random.default_rng(8)
+        values = rng.standard_normal((2, 2, 7, CFG.n_used)) + 1j * rng.standard_normal(
+            (2, 2, 7, CFG.n_used)
+        )
+        frames = modulate_frame(values, CFG)
+        back = demodulate_frame(frames, CFG)
+        assert frames.shape == (2, 2, 7, CFG.symbol_len) and back.shape == values.shape
+        for i in range(2):
+            alone = modulate_frame(values[i], CFG)
+            assert np.array_equal(frames[i], alone)
+            assert np.array_equal(back[i], demodulate_frame(alone, CFG))
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(2, 7 * CFG.symbol_len), (2, 7, CFG.n_fft)],
+        ids=["stream", "no-prefix"],
+    )
+    def test_rejects_frames_of_another_symbol_length(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"got {shape}")):
+            demodulate_frame(np.zeros(shape, dtype=complex), CFG)
 
     def test_signal_validates_length(self):
-        # a multi-antenna stream must hold whole symbols too
-        with pytest.raises(ValueError, match="multiple"):
-            demodulate_frame(np.zeros((2, 2 * CFG.symbol_len + 1), dtype=complex), CFG)
+        # multi-antenna frames must hold whole symbols too
+        with pytest.raises(ValueError, match="frames must be"):
+            demodulate_frame(np.zeros((2, 2, CFG.symbol_len + 1), dtype=complex), CFG)
 
 
 class TestCircularConvolutionDichotomy:
@@ -163,8 +191,8 @@ class TestCircularConvolutionDichotomy:
             2 * n_taps
         )
         sig = modulate_frame(values, CFG)
-        rx = np.convolve(sig[0], taps)[: sig.shape[1]]
-        got = demodulate_frame(rx[None, :], CFG)[0]
+        rx = np.convolve(sig[0].ravel(), taps)[: sig[0].size]
+        got = demodulate_frame(rx.reshape(sig[0].shape), CFG)
         ch = ChannelRealization(taps[None, None, :], PowerDelayProfile.uniform(n_taps))
         h = ch.frequency_responses(CFG.n_fft, used_subcarrier_bins(CFG))[0, 0]
         pred = h[None, :] * values[0]
