@@ -191,9 +191,10 @@ class NoiseSpec:
     @property
     def noise_variance(self) -> float:
         """Complex per-sample variance sigma_w^2 (0 for the no-noise sentinel)."""
-        if np.isinf(self.snr_db):
+        try:
+            return _SIGNAL_POWER / 10.0 ** (float(self.snr_db) / 10.0)
+        except OverflowError:  # 10 ** (snr / 10) overflows: no noise, as at +inf
             return 0.0
-        return _SIGNAL_POWER / 10.0 ** (self.snr_db / 10.0)
 
 
 def add_awgn(signal: np.ndarray, noise: NoiseSpec, rng: np.random.Generator) -> np.ndarray:

@@ -63,8 +63,8 @@ def _flag(parse: Callable[[str], Any]) -> Callable[[str], Any]:
     return parse_flag
 
 
-# Config-file key -> parser of its value.  Keys that name a SystemConfig field
-# configure the link; the others configure the sweep.
+# Config-file key -> parser of its value.  Each key names a SystemConfig field,
+# which configures the link, or a SweepConfig field, and the dest of its flag.
 _CONFIG_KEYS: dict[str, Callable[[str], Any]] = {
     "bandwidth_mhz": float,
     "n_used": int,
@@ -82,10 +82,10 @@ _CONFIG_KEYS: dict[str, Callable[[str], Any]] = {
 _SYSTEM_FIELDS = frozenset(f.name for f in fields(SystemConfig))
 
 
-def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Parse `key = value` lines; '#' starts a comment, blank lines ignored."""
+def parse_config_file(path: str | Path) -> dict[str, Any]:
+    """{key: parsed value} of `key = value` lines; '#' starts a comment, blank lines ignored."""
     text = Path(path).read_text()
-    values: dict[str, str] = {}
+    values: dict[str, Any] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -96,34 +96,23 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         key = key.strip().lower()
         if key not in _CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = value.strip()
-        try:  # parsed here too, where the file and line of a bad value are known
-            _CONFIG_KEYS[key](values[key])
+        try:  # parsed here, where the file and line of a bad value are known
+            values[key] = _CONFIG_KEYS[key](value.strip())
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
 def sweep_config_from_sources(
-    file_values: dict[str, str], args: argparse.Namespace
+    file_values: dict[str, Any], args: argparse.Namespace
 ) -> SweepConfig:
-    """Merge config-file values and CLI flags (flags win) into a SweepConfig."""
-    values = {key: _CONFIG_KEYS[key](text) for key, text in file_values.items()}
-    flags = {
-        "snr_grid_db": args.snr,
-        "channel_lengths": args.channel_lengths,
-        "n_frames": args.frames,
-        "seed": args.seed,
-        "estimators": args.estimators,
-        "threshold_db": args.threshold_db,
-    }
-    values.update((key, value) for key, value in flags.items() if value is not None)
+    """Merge parsed config-file values and CLI flags (flags win) into a SweepConfig."""
+    values = dict(file_values)
+    values.update((k, v) for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None)
     if args.calibrate_threshold:
         values.pop("threshold_db", None)
     system = SystemConfig(**{k: v for k, v in values.items() if k in _SYSTEM_FIELDS})
     sweep = {k: v for k, v in values.items() if k not in _SYSTEM_FIELDS}
-    if "threshold_db" in sweep:
-        sweep["threshold_override_db"] = sweep.pop("threshold_db")
     return SweepConfig(system=system, **sweep)
 
 
@@ -159,6 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", type=Path, default=None, help="flat key=value config file")
     sim.add_argument(
         "--snr",
+        dest="snr_grid_db",
         type=_flag(_parse_snr_range),
         default=None,
         metavar="A:B:STEP",
@@ -171,7 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="CSV",
         help="channel tap counts, e.g. 6,10,20,40",
     )
-    sim.add_argument("--frames", type=int, default=None, help="trials per grid cell")
+    sim.add_argument(
+        "--frames", dest="n_frames", type=int, metavar="FRAMES", help="trials per grid cell"
+    )
     sim.add_argument("--seed", type=int, default=None, help="master seed")
     sim.add_argument(
         "--estimators",

@@ -243,6 +243,8 @@ def calibrate_threshold(
             f"calibration needs a channel exceeding the CP; got span "
             f"{pdp_long.span} with cp_len {config.cp_len}"
         )
+    if pdp_long.span > config.n_fft:  # later taps would alias in the frequency response
+        raise ValueError(f"channel length {pdp_long.span} exceeds the FFT size {config.n_fft}")
     if trials < 1:
         raise ValueError("need at least one trial")
     return _crossover(harness.paired_mse_curves(config, pdp_long, snrs, trials, rng))

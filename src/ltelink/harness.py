@@ -52,7 +52,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
@@ -144,7 +144,7 @@ class SweepConfig:
     n_frames: int = 100
     seed: int = 42
     estimators: tuple[Estimator, ...] = ESTIMATOR_ORDER
-    threshold_override_db: float | None = None
+    threshold_db: float | None = None
 
     def __post_init__(self) -> None:
         # channel lengths are canonicalized (sorted, deduplicated) so cell
@@ -177,11 +177,11 @@ class SweepConfig:
         if self.system.cp_len < 1 and (Estimator.LMMSE in ests or Estimator.HYBRID in ests):
             # the receiver's LMMSE prior keeps the taps at delays below cp_len
             raise ValueError("the lmmse and hybrid estimators need cp_len >= 1")
-        if self.threshold_override_db is not None and math.isnan(self.threshold_override_db):
-            raise ValueError("threshold_override_db must not be NaN")
+        if self.threshold_db is not None and math.isnan(self.threshold_db):
+            raise ValueError("threshold_db must not be NaN")
         if (
             Estimator.HYBRID in ests
-            and self.threshold_override_db is None
+            and self.threshold_db is None
             and not self.system.cp_covers(lengths[-1])
             and not any(math.isfinite(v) for v in snrs)
         ):
@@ -432,8 +432,8 @@ def _resolve_thresholds(config: SweepConfig) -> dict[int, float]:
     for li, length in enumerate(config.channel_lengths):
         if config.system.cp_covers(length):
             continue
-        if config.threshold_override_db is not None:
-            thresholds[length] = config.threshold_override_db
+        if config.threshold_db is not None:
+            thresholds[length] = config.threshold_db
         else:
             thresholds[length] = estimation.calibrate_threshold(
                 config.system,
@@ -486,16 +486,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     return records
 
 
-CSV_HEADER = (
-    "snr_db,channel_len,estimator,mse_all_subcarriers,mse_pilot_subcarriers,"
-    "ber,n_trials,branch_fraction_ls,seed"
-)
-
-
-def _fmt_float(v: float) -> str:
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return f"{v:.12g}"
+CSV_HEADER = ",".join(f.name for f in fields(SweepRecord))
 
 
 def _row_order(r: SweepRecord) -> tuple[int, float, int]:
@@ -503,21 +494,16 @@ def _row_order(r: SweepRecord) -> tuple[int, float, int]:
     return (r.channel_len, r.snr_db, ESTIMATOR_ORDER.index(r.estimator))
 
 
+def _csv_field(v: object) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, Estimator):
+        return v.value
+    return f"{v:.12g}" if isinstance(v, float) else str(v)
+
+
 def _record_line(r: SweepRecord) -> str:
-    branch = "" if r.branch_fraction_ls is None else _fmt_float(r.branch_fraction_ls)
-    return ",".join(
-        [
-            _fmt_float(r.snr_db),
-            str(r.channel_len),
-            r.estimator.value,
-            _fmt_float(r.mse_all_subcarriers),
-            _fmt_float(r.mse_pilot_subcarriers),
-            _fmt_float(r.ber),
-            str(r.n_trials),
-            branch,
-            str(r.seed),
-        ]
-    )
+    return ",".join(_csv_field(getattr(r, f.name)) for f in fields(SweepRecord))
 
 
 def emit_csv(records: Iterable[SweepRecord], destination: str | Path | IO[str]) -> None:

@@ -210,3 +210,13 @@ def zf_qpsk_ber_rayleigh(snr_db: float) -> float:
     (Proakis, "Digital Communications")."""
     snr = 10.0 ** (snr_db / 10.0)
     return 0.5 * (1.0 - np.sqrt(snr / (2.0 + snr)))
+
+
+def lmmse_mse_closed_form(model, noise_variance: float) -> float:
+    """Mean over the used subcarriers of the LMMSE error variance of a channel
+    whose profile is the model's prior, unit-modulus pilots and a filter
+    regularized by the noise variance lambda (QPSK, beta = 1):
+    sigma_e^2(k) = 1 - sum_r |bv[k, r]|^2 sigma_r^2 / (sigma_r^2 + lambda),
+    the diagonal of R_hh - W R_hh_p^H from the model's factors."""
+    s2 = model.sigma**2
+    return float(np.mean(1.0 - (np.abs(model.bv) ** 2) @ (s2 / (s2 + noise_variance))))

@@ -492,3 +492,8 @@ class TestAwgn:
         assert NoiseSpec(0.0).noise_variance == pytest.approx(1.0)
         assert NoiseSpec(20.0).noise_variance == pytest.approx(0.01)
         assert NoiseSpec(np.inf).noise_variance == 0.0
+
+    @pytest.mark.parametrize("snr_db", [4000.0, np.float64(4000.0)], ids=["float", "numpy"])
+    def test_noise_variance_past_the_float_range_is_zero(self, snr_db):
+        # 10 ** 400 overflows a float; the variance it divides is no noise
+        assert NoiseSpec(snr_db).noise_variance == 0.0

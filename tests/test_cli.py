@@ -3,13 +3,14 @@
 import math
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 from ltelink import cli
 from ltelink.cli import build_parser, main, parse_config_file, sweep_config_from_sources
 from ltelink.grid import Constellation, SystemConfig
-from ltelink.harness import CSV_HEADER, Estimator
+from ltelink.harness import CSV_HEADER, Estimator, SweepConfig
 
 
 def _args(extra):
@@ -37,7 +38,7 @@ class TestConfigFile:
             """
         )
         values = parse_config_file(path)
-        assert values["seed"] == "99"
+        assert values["seed"] == 99
         cfg = sweep_config_from_sources(values, _args([]))
         assert cfg.system.n_fft == 512
         assert cfg.system.constellation is Constellation.QPSK
@@ -46,7 +47,7 @@ class TestConfigFile:
         assert cfg.n_frames == 7
         assert cfg.seed == 99
         assert cfg.estimators == (Estimator.LS, Estimator.LMMSE)
-        assert cfg.threshold_override_db == 12.5
+        assert cfg.threshold_db == 12.5
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -69,6 +70,12 @@ class TestConfigFile:
 
 
 class TestFlagMerging:
+    def test_config_keys_name_their_fields_and_flag_dests(self):
+        settings = {f.name for f in fields(SystemConfig)} | {f.name for f in fields(SweepConfig)}
+        assert set(cli._CONFIG_KEYS) <= settings
+        run_options = {"command", "config", "calibrate_threshold", "out", "summary"}
+        assert set(vars(_args([]))) - run_options <= set(cli._CONFIG_KEYS)
+
     def test_defaults_without_config(self):
         cfg = sweep_config_from_sources({}, _args([]))
         assert cfg.channel_lengths == (6, 10, 20, 40)
@@ -83,7 +90,7 @@ class TestFlagMerging:
         )
 
     def test_flags_override_file(self):
-        file_values = {"n_frames": "7", "seed": "1", "channel_lengths": "6"}
+        file_values = {"n_frames": 7, "seed": 1, "channel_lengths": (6,)}
         args = _args(["--frames", "3", "--seed", "123", "--channel-lengths", "10,20"])
         cfg = sweep_config_from_sources(file_values, args)
         assert cfg.n_frames == 3
@@ -105,7 +112,7 @@ class TestFlagMerging:
     def test_minus_inf_threshold_parses_after_a_space(self):
         spaced, joined = _args(["--threshold-db", "-inf"]), _args(["--threshold-db=-inf"])
         assert spaced == joined == _args(["--threshold", "-inf"])
-        assert sweep_config_from_sources({}, spaced).threshold_override_db == -math.inf
+        assert sweep_config_from_sources({}, spaced).threshold_db == -math.inf
         with pytest.raises(SystemExit):  # an option after it is not its value
             _args(["--threshold-db", "--calibrate-threshold"])
 
@@ -136,9 +143,9 @@ class TestFlagMerging:
 
     def test_calibrate_flag_clears_file_threshold(self):
         cfg = sweep_config_from_sources(
-            {"threshold_db": "9.0"}, _args(["--calibrate-threshold"])
+            {"threshold_db": 9.0}, _args(["--calibrate-threshold"])
         )
-        assert cfg.threshold_override_db is None
+        assert cfg.threshold_db is None
 
     def test_threshold_flag_and_calibrate_are_exclusive(self):
         with pytest.raises(SystemExit):

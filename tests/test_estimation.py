@@ -523,7 +523,7 @@ class TestHybrid:
         n_frames=1,
         seed=7,
         estimators=(Estimator.LS, Estimator.LMMSE, Estimator.HYBRID),
-        threshold_override_db=12.0,
+        threshold_db=12.0,
     )
 
     @pytest.fixture(scope="class")
@@ -569,7 +569,7 @@ class TestHybrid:
             channel_lengths=(40,),
             snr_grid_db=(14.999, 15.0),
             estimators=(Estimator.HYBRID,),
-            threshold_override_db=15.0,
+            threshold_db=15.0,
         )
         assert [r.branch_fraction_ls for r in run_sweep(cfg)] == [0.0, 1.0]
 
@@ -592,7 +592,7 @@ def test_cp_boundary_agrees_everywhere(cp_len, past_cp):
             SweepConfig(snr_grid_db=(np.inf,), **hybrid_only)
     # the hybrid branch: LMMSE at every SNR inside the CP, LS from 12 dB past it
     sweep = SweepConfig(
-        snr_grid_db=(0.0, 30.0, np.inf), n_frames=1, threshold_override_db=12.0, **hybrid_only
+        snr_grid_db=(0.0, 30.0, np.inf), n_frames=1, threshold_db=12.0, **hybrid_only
     )
     rows = run_sweep(sweep)
     expected = [0.0, 0.0, 0.0] if covered else [0.0, 1.0, 1.0]
@@ -701,20 +701,22 @@ class TestCrossover:
             )
 
     @pytest.mark.parametrize(
-        "system, trials, message",
+        "system, length, trials, message",
         [
-            (SystemConfig(cp_len=0), 2, "the lmmse and hybrid estimators need cp_len >= 1"),
-            (SystemConfig(), 2.5, "trials must be integral, got 2.5"),
+            (SystemConfig(cp_len=0), 20, 2, "the lmmse and hybrid estimators need cp_len >= 1"),
+            (SystemConfig(), 20, 2.5, "trials must be integral, got 2.5"),
+            (SystemConfig(), 600, 2, "channel length 600 exceeds the FFT size 512"),
         ],
-        ids=["cp0", "fractional-trials"],
+        ids=["cp0", "fractional-trials", "longer-than-fft"],
     )
-    def test_calibrate_validates_before_any_draw(self, system, trials, message):
+    def test_calibrate_validates_before_any_draw(self, system, length, trials, message):
         # without a CP the LMMSE prior keeps no tap; a fractional trial count
-        # is no count: both are refused before the first cell draws
+        # is no count; taps past the FFT size would alias: all are refused
+        # before the first cell draws
         rng = np.random.default_rng(2)
         with pytest.raises(ValueError, match=re.escape(message)):
             calibrate_threshold(
-                system, PowerDelayProfile.uniform(20), np.array([0.0, 10.0]), trials, rng
+                system, PowerDelayProfile.uniform(length), np.array([0.0, 10.0]), trials, rng
             )
         assert rng.bit_generator.seed_seq.n_children_spawned == 0
 

@@ -51,7 +51,7 @@ GOLDEN = {
             snr_grid_db=(0.0, 10.0, 20.0, 30.0),
             n_frames=4,
             seed=12,
-            threshold_override_db=15.0,
+            threshold_db=15.0,
         ),
         15200,
     ),

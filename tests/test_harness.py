@@ -352,7 +352,7 @@ class TestRunSweep:
             snr_grid_db=(30.0,),
             n_frames=1,
             estimators=(Estimator.LS, Estimator.HYBRID, Estimator.PERFECT),
-            threshold_override_db=12.0,
+            threshold_db=12.0,
         )
         branch = {(r.channel_len, r.estimator): r.branch_fraction_ls for r in run_sweep(cfg)}
         assert branch == {
@@ -371,7 +371,7 @@ class TestRunSweep:
             snr_grid_db=(0.0, 30.0),
             n_frames=2,
             seed=4,
-            threshold_override_db=12.0,
+            threshold_db=12.0,
         )
         hybrid = run_sweep(dataclasses.replace(base, estimators=(Estimator.HYBRID,)))
         branches = run_sweep(dataclasses.replace(base, estimators=(Estimator.LS, Estimator.LMMSE)))
@@ -393,7 +393,7 @@ class TestRunSweep:
             n_frames=1,
             seed=5,
             estimators=(Estimator.LMMSE, Estimator.HYBRID),
-            threshold_override_db=threshold_db,
+            threshold_db=threshold_db,
         )
         rows = {(r.snr_db, r.estimator): r for r in run_sweep(cfg)}
         for snr_db in (30.0, np.inf):
@@ -414,7 +414,7 @@ class TestRunSweep:
             n_frames=3,
             seed=1,
             estimators=(Estimator.LS, Estimator.LMMSE, Estimator.HYBRID),
-            threshold_override_db=threshold_db,
+            threshold_db=threshold_db,
         )
         rows = {(r.snr_db, r.estimator): r for r in run_sweep(cfg)}
         for snr_db in (30.0, np.inf):
@@ -443,7 +443,7 @@ class TestRunSweep:
             no_lmmse,
             channel_lengths=(40,),
             estimators=(Estimator.HYBRID,),
-            threshold_override_db=0.0,
+            threshold_db=0.0,
         )
         assert [r.branch_fraction_ls for r in run_sweep(always_ls)] == [1.0, 1.0]
 
@@ -601,6 +601,15 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="strictly ascending"):
             SweepConfig(snr_grid_db=(0.0, np.inf, np.inf))
 
+    def test_finite_snr_past_the_float_range_runs_as_noiseless(self):
+        def rows(snr_db):
+            cfg = SweepConfig(
+                channel_lengths=(6, 40), snr_grid_db=(snr_db,), n_frames=2, threshold_db=10.0
+            )
+            return [dataclasses.replace(r, snr_db=0.0) for r in run_sweep(cfg)]
+
+        assert rows(4000.0) == rows(np.inf)
+
     def test_channel_lengths_up_to_the_fft_size(self):
         # the response is sampled at n_fft bins, so a longer channel would
         # alias its late taps onto the early ones
@@ -624,7 +633,7 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="without finite SNRs"):
             SweepConfig(channel_lengths=(40,), snr_grid_db=(np.inf,))
         # nothing to calibrate: a set threshold, no hybrid, or a covering CP
-        SweepConfig(channel_lengths=(40,), snr_grid_db=(np.inf,), threshold_override_db=12.0)
+        SweepConfig(channel_lengths=(40,), snr_grid_db=(np.inf,), threshold_db=12.0)
         SweepConfig(channel_lengths=(40,), snr_grid_db=(np.inf,), estimators=(Estimator.LS,))
         SweepConfig(channel_lengths=(6, 17), snr_grid_db=(np.inf,))
 
@@ -668,6 +677,15 @@ class TestRecordsAndCsv:
         assert len(lines) == 2
         assert lines[0] == CSV_HEADER
         assert lines[1] == "0,6,ls,0.5,1,0.25,10,,42"
+
+    def test_header_and_infinite_snr_line_text(self):
+        buf = io.StringIO()
+        emit_csv([SweepRecord(math.inf, 40, Estimator.HYBRID, 0.5, 1.0, 0.25, 10, 1.0, 42)], buf)
+        assert buf.getvalue().splitlines() == [
+            "snr_db,channel_len,estimator,mse_all_subcarriers,mse_pilot_subcarriers,"
+            "ber,n_trials,branch_fraction_ls,seed",
+            "inf,40,hybrid,0.5,1,0.25,10,1,42",
+        ]
 
     def test_rows_sorted_ls_before_hybrid(self):
         buf = io.StringIO()
