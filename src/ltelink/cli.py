@@ -2,11 +2,15 @@
 
 Reads an optional flat key=value config file, applies flag overrides, runs the
 Monte Carlo sweep and writes the CSV.  Flags always win over file values.
+
+Before the sweep, main has glibc keep the heap that one chunk of trials frees
+for the next (_keep_freed_heap).
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -116,6 +120,32 @@ def sweep_config_from_sources(
     return SweepConfig(system=system, **sweep)
 
 
+# (glibc mallopt parameter from malloc.h, value): keep a freed heap top of up
+# to 8 MiB (M_TRIM_THRESHOLD) and give only blocks of 4 MiB or more a mapping
+# of their own (M_MMAP_THRESHOLD).  Setting either one turns off glibc's
+# dynamic thresholds, so both are set.
+_MALLOPT_SETTINGS = ((-1, 8 << 20), (-3, 4 << 20))
+
+
+def _keep_freed_heap() -> None:
+    """Stop glibc from trimming the heap and mapping mid-sized arrays.
+
+    Each chunk of trials frees arrays that the next chunk allocates again; by
+    default glibc returns that memory to the kernel in between, and every
+    chunk faults its pages back in.  A no-op where the C library has no
+    mallopt (not glibc).  Only the memory policy of this process changes, no
+    computed value.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in _MALLOPT_SETTINGS:
+        mallopt(param, value)
+
+
 _SIGNED_OPTIONS = ("--snr", "--threshold-db")  # their values may start with '-'
 
 
@@ -203,6 +233,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(str(exc))
     if args.out.is_dir() or not args.out.parent.is_dir():  # fail before the sweep
         parser.error(f"--out {args.out} is not a file path in an existing directory")
+    _keep_freed_heap()
     records = run_sweep(config)
     try:
         emit_csv(records, args.out)

@@ -108,6 +108,11 @@ _SEED_MASK = (1 << 64) - 1
 # hold more arrays at once: against one trial at a time, chunks of 3 added
 # 1.18 MB (3.0%) to the median peak RSS of the default 5 MHz sweep and took
 # 20% less CPU (6 alternating single calls each, 2 vCPU, BLAS at 1 thread).
+# With the freed heap kept between chunks (cli.main), chunks of 4 and 5 took
+# 3.7% and 7.6% less wall time than 3 and added 0.50 and 1.25 MB (1.2% and
+# 3.0%) to its peak RSS, about 0.6 MB per extra trial (3 alternating runs of
+# sweepbench/run.py --seconds 8 each).  3 stays: what a larger chunk saves in
+# time it pays for in peak RSS.
 _CHUNK = 3
 
 # The symbols a detecting cell reads; a calibration cell reads PILOT_SYMBOLS.

@@ -1,10 +1,11 @@
 """OFDM modulation and demodulation of (..., n_symbols, symbol_len) frames.
 
-Unitary DFT convention (1/sqrt(N) both ways), so signal power is preserved
-across the transform and a cyclic prefix equal to the last cp_len time samples
-is prepended to every symbol, one per row of a frame; leading axes stack
-antennas and slots.  The tests check the FFT against the explicit coefficient
-matrix exp(-2j*pi*l*k/N)/sqrt(N).
+Unitary DFT convention (1/sqrt(N) both ways, numpy's norm="ortho", which
+scales inside the FFT instead of in a pass of its own), so signal power is
+preserved across the transform, and a cyclic prefix equal to the last cp_len
+time samples is prepended to every symbol, one per row of a frame; leading
+axes stack antennas and slots.  The tests check the FFT against the explicit
+coefficient matrix exp(-2j*pi*l*k/N)/sqrt(N).
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ def modulate_frame(values: np.ndarray, config: SystemConfig) -> np.ndarray:
     # the samples overwrite it: one buffer holds the spectrum and the output
     frames = np.zeros((*values.shape[:-1], cp + n_fft), dtype=np.complex128)
     frames[..., cp + bins] = values
-    time = np.fft.ifft(frames[..., cp:], axis=-1)
-    time *= np.sqrt(n_fft)
+    time = np.fft.ifft(frames[..., cp:], axis=-1, norm="ortho")
     frames[..., cp:] = time
     frames[..., :cp] = time[..., n_fft - cp :]
     return frames
@@ -45,6 +45,5 @@ def demodulate_frame(frames: np.ndarray, config: SystemConfig) -> np.ndarray:
     frames; returns (..., n_symbols, n_used), the layout modulate_frame takes."""
     if frames.shape[-1:] != (config.symbol_len,):
         raise ValueError(f"frames must be (..., symbols, {config.symbol_len}); got {frames.shape}")
-    spectrum = np.fft.fft(frames[..., config.cp_len :], axis=-1)[..., used_subcarrier_bins(config)]
-    spectrum /= np.sqrt(config.n_fft)
-    return spectrum
+    spectrum = np.fft.fft(frames[..., config.cp_len :], axis=-1, norm="ortho")
+    return spectrum[..., used_subcarrier_bins(config)]

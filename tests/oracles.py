@@ -201,15 +201,30 @@ def lmmse_estimate_simplified(
     return r_hh_p @ np.linalg.solve(a, h_ls)
 
 
+def _rayleigh_q(a2: float, snr: float) -> float:
+    """E Q(a sqrt(gamma)) over an exponential gamma of mean snr:
+    1/2 (1 - sqrt(a^2 snr / (2 + a^2 snr))) (Proakis, "Digital Communications")."""
+    return 0.5 * (1.0 - np.sqrt(a2 * snr / (2.0 + a2 * snr)))
+
+
 def zf_qpsk_ber_rayleigh(snr_db: float) -> float:
     """Closed-form BER of Gray QPSK zero-forced with perfect CSI over a 2x2
     channel of i.i.d. CN(0, 1) entries: each stream's post-ZF SNR is
     exponential with mean snr (chi-square with 2(n_rx - n_tx + 1) = 2 degrees
     of freedom; Winters, Salz and Gitlin, IEEE Trans. Commun. 42, 1994), and
-    each axis's Q(sqrt(snr)) averages over it to 1/2 (1 - sqrt(snr / (2 + snr)))
-    (Proakis, "Digital Communications")."""
+    each axis's Q(sqrt(snr)) averages over it to 1/2 (1 - sqrt(snr / (2 + snr)))."""
+    return _rayleigh_q(1.0, 10.0 ** (snr_db / 10.0))
+
+
+def zf_qam16_ber_rayleigh(snr_db: float) -> float:
+    """Closed-form BER of unit-power Gray 16-QAM zero-forced with perfect CSI
+    over the same 2x2 channel.  Each axis is Gray 4-PAM with half-distance
+    d = sqrt(gamma / 5) in noise units, so its two bits err on average
+    1/4 [3 Q(d) + 2 Q(3d) - Q(5d)] (Simon and Alouini, "Digital Communication
+    over Fading Channels", 2005), each term averaged over the exponential
+    post-ZF SNR gamma as in zf_qpsk_ber_rayleigh."""
     snr = 10.0 ** (snr_db / 10.0)
-    return 0.5 * (1.0 - np.sqrt(snr / (2.0 + snr)))
+    return 0.25 * (3.0 * _rayleigh_q(1 / 5, snr) + 2.0 * _rayleigh_q(9 / 5, snr) - _rayleigh_q(25 / 5, snr))
 
 
 def lmmse_mse_closed_form(model, noise_variance: float) -> float:

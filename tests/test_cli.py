@@ -1,5 +1,6 @@
 """Tests for the simulate CLI and the flat config-file format."""
 
+import ctypes
 import math
 import subprocess
 import sys
@@ -15,6 +16,13 @@ from ltelink.harness import CSV_HEADER, Estimator, SweepConfig
 
 def _args(extra):
     return build_parser().parse_args(["simulate", *extra])
+
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
 
 
 class TestConfigFile:
@@ -363,3 +371,44 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith(f"ltelink: error: failed to write CSV to {out_dir / 'x.csv'}")
         assert err.count("\n") == 1
+
+
+class TestHeapPolicy:
+    """main keeps glibc's freed heap across chunks; results never depend on it."""
+
+    @pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+    def test_a_second_sweep_reuses_the_heap_of_the_first(self, tmp_path):
+        # glibc's default policy trims the freed heap after each chunk and the
+        # next chunk faults it back in: about 10,000 minor faults per 10-frame
+        # sweep; with the heap kept, a second sweep faults in almost nothing
+        script = (
+            "import resource, sys\n"
+            "from ltelink import cli\n"
+            "argv = ['simulate', '--frames', '10', '--out', sys.argv[1]]\n"
+            "cli.main(argv)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "cli.main(argv)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "r.csv")],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout.split()[-1]) < 1000
+
+    def test_csv_is_identical_without_mallopt(self, tmp_path, monkeypatch):
+        argv = ["simulate", "--frames", "2", "--channel-lengths", "6,20", "--snr", "0:30:15"]
+        assert main([*argv, "--out", str(tmp_path / "kept.csv")]) == 0
+        lookups = []
+
+        def no_libc(name, *args, **kwargs):
+            lookups.append(name)
+            raise OSError("no C library")
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", no_libc)
+        assert main([*argv, "--out", str(tmp_path / "default.csv")]) == 0
+        assert lookups == [None]
+        assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "kept.csv").read_bytes()

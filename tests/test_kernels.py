@@ -67,21 +67,24 @@ class TestZfGrid:
 
     def test_bit_identical_to_the_per_element_formula(self):
         # the per-resource-element closed form on flattened (subcarrier,
-        # symbol) pairs, as a detector without the symbol axis computes it
+        # symbol) pairs, as a detector without the symbol axis computes it:
+        # the reciprocal determinant, then the adjugate's entries times it
         y, h = _zf_case(21, n_sc=200)
         u, s, vh = np.linalg.svd(h[..., 7])
         h[..., 7] = u @ np.diag([s[0], s[0] * 1e-14]) @ vh  # one ill-conditioned subcarrier
+        h[..., 11] = np.array([[1.0, 2.0], [0.5, 1.0]])  # one exactly singular: det == 0
         out, erased = kernels.zf_detect_grid(y, h.swapaxes(-3, -2))
-        assert erased[7] and erased.sum() == 1 and not out[..., 7].any()
+        assert np.flatnonzero(erased).tolist() == [7, 11]
+        assert not out[..., erased].any()
         sc = np.repeat(np.arange(200), 7)
         sym = np.tile(np.arange(7), 200)
         keep = ~erased[sc]
         sc, sym = sc[keep], sym[keep]
         a, b, c, d = h[0, 0, sc], h[0, 1, sc], h[1, 0, sc], h[1, 1, sc]
         y0, y1 = y[0, sym, sc], y[1, sym, sc]
-        det = a * d - b * c
-        assert np.array_equal(out[0, sym, sc], (d * y0 - b * y1) / det)
-        assert np.array_equal(out[1, sym, sc], (a * y1 - c * y0) / det)
+        inv = 1 / (a * d - b * c)
+        assert np.array_equal(out[0, sym, sc], (d * inv) * y0 - (b * inv) * y1)
+        assert np.array_equal(out[1, sym, sc], (a * inv) * y1 - (c * inv) * y0)
 
     def test_maximum_ratio_branch_bit_identical_to_the_per_element_formula(self):
         y, h = _zf_case(22, n_sc=50, n_rx=2, n_tx=1)
@@ -89,10 +92,9 @@ class TestZfGrid:
         out, erased = kernels.zf_detect_grid(y, h.swapaxes(-3, -2))
         assert erased[9] and erased.sum() == 1 and not out[..., 9].any()
         for i in np.flatnonzero(~erased):
-            norm2 = np.sum(np.abs(h[:, 0, i]) ** 2)
+            inv = 1 / np.sum(np.abs(h[:, 0, i]) ** 2)
             for s in range(7):
-                ref = np.sum(np.conj(h[:, 0, i]) * y[:, s, i]) / norm2
-                assert out[0, s, i] == ref
+                assert out[0, s, i] == np.sum(np.conj(h[:, 0, i]) * y[:, s, i]) * inv
 
     @pytest.mark.parametrize("n_tx", [2, 1], ids=["2x2", "mrc"])
     def test_stacked_slots_bit_identical_to_slot_by_slot(self, n_tx):
