@@ -3,14 +3,16 @@
 Pilot-based LS, LMMSE and hybrid channel estimation over Rayleigh tap-delay
 channels, with true inter-symbol/inter-carrier interference when the channel
 exceeds the cyclic prefix, and a reproducible MSE/BER-versus-SNR sweep CLI.
-The package exports the configuration and sweep API; the stages of the link
-(ofdm, channel, estimation, kernels, linkproc) are imported from their modules.
+The package exports the configuration and sweep API, linkproc's Constellation
+included; the stages of the link (ofdm, channel, estimation, kernels,
+linkproc) are imported from their modules.
 """
 
 from .channel import ChannelRealization, NoiseSpec, PowerDelayProfile
 from .estimation import CorrelationModel, calibrate_threshold
-from .grid import Constellation, GridLayout, PilotPattern, SystemConfig
+from .grid import GridLayout, PilotPattern, SystemConfig
 from .harness import Estimator, SweepConfig, SweepRecord, emit_csv, run_sweep
+from .linkproc import Constellation
 
 __version__ = "0.1.0"
 

@@ -169,13 +169,9 @@ def overrun(frames: np.ndarray, ch: ChannelRealization, config: SystemConfig) ->
     return out
 
 
-# Average symbol power of every constellation here: unit-power QPSK and 16-QAM.
-_SIGNAL_POWER = 1.0
-
-
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Receiver AWGN level: per-sample variance = signal power / SNR.
+    """Receiver AWGN level: per-sample variance = 1 / SNR.
 
     snr_db=+inf is the documented no-noise sentinel; NaN and -inf are invalid.
     Every constellation has unit average symbol power, so the per-subcarrier
@@ -192,7 +188,7 @@ class NoiseSpec:
     def noise_variance(self) -> float:
         """Complex per-sample variance sigma_w^2 (0 for the no-noise sentinel)."""
         try:
-            return _SIGNAL_POWER / 10.0 ** (float(self.snr_db) / 10.0)
+            return 1.0 / 10.0 ** (float(self.snr_db) / 10.0)
         except OverflowError:  # 10 ** (snr / 10) overflows: no noise, as at +inf
             return 0.0
 

@@ -18,7 +18,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .grid import Constellation, SystemConfig
+from .grid import SystemConfig
 from .harness import (
     Estimator,
     SweepConfig,
@@ -26,6 +26,7 @@ from .harness import (
     format_summary,
     run_sweep,
 )
+from .linkproc import Constellation
 
 __all__ = ["main", "build_parser", "parse_config_file", "sweep_config_from_sources"]
 
@@ -39,7 +40,8 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def _parse_snr_range(text: str) -> tuple[float, ...]:
-    """a:b:step inclusive grid, e.g. 0:30:5."""
+    """a, a + step, ... up to b, which is included when it lies on the grid:
+    0:30:5 ends at 30, 0:13:5 at 10."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"expected a:b:step, got {text!r}")
@@ -47,7 +49,8 @@ def _parse_snr_range(text: str) -> tuple[float, ...]:
     if step <= 0:
         raise ValueError("step must be positive")
     grid = np.arange(start, stop + step / 2.0, step)
-    return tuple(float(v) for v in grid)
+    # the half step keeps a b rounding puts past the last point, the filter drops one past b
+    return tuple(float(v) for v in grid if v <= stop + 1e-9 * step)
 
 
 def _parse_estimators(text: str) -> tuple[Estimator, ...]:
@@ -182,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_flag(_parse_snr_range),
         default=None,
         metavar="A:B:STEP",
-        help="SNR grid in dB, inclusive (default 0:30:5)",
+        help="SNR grid in dB; B is included when it lies on the grid (default 0:30:5)",
     )
     sim.add_argument(
         "--channel-lengths",

@@ -6,7 +6,9 @@ pilots (Coleri et al., IEEE Trans. Broadcasting 48(3), 2002): two taps per
 subcarrier, built once per pilot comb.  The LMMSE estimator filters the LS
 pilot estimates through the channel frequency-correlation matrices of a
 power-delay profile in the simplified beta/SNR form (the exact-noise form
-coincides with it for unit-modulus pilots and beta=1).  Both correlation
+coincides with it for unit-modulus pilots and beta=1); beta is the payload
+constellation's, Constellation.beta in linkproc, and lmmse_filter takes
+beta/SNR as one number.  Both correlation
 matrices are products of the profile's tap-phase matrices, of rank at most
 n_taps, so a model keeps one thin SVD, and the filter of every SNR is two thin
 factors (the low-rank form of Edfors et al., IEEE Trans. Commun. 46(7), 1998,
@@ -23,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .channel import PowerDelayProfile
-from .grid import Constellation, SystemConfig, as_int, used_subcarrier_bins
+from .grid import SystemConfig, as_int, used_subcarrier_bins
 
 __all__ = [
     "CorrelationModel",
@@ -33,7 +35,6 @@ __all__ = [
     "interpolate_ls",
     "build_correlation_model",
     "lmmse_filter",
-    "beta_for_constellation",
     "calibrate_threshold",
 ]
 
@@ -173,15 +174,6 @@ def lmmse_filter(corr: CorrelationModel, regularizer: float) -> tuple[np.ndarray
         gain = np.zeros_like(sigma)
         gain[keep] = 1.0 / sigma[keep]
     return corr.bv, gain[:, None] * corr.q.conj().T
-
-
-def beta_for_constellation(constellation: Constellation) -> float:
-    """Constellation scaling factor of the simplified LMMSE regularizer."""
-    if constellation is Constellation.QPSK:
-        return 1.0
-    if constellation is Constellation.QAM16:
-        return 17.0 / 9.0
-    raise ValueError(f"unsupported constellation: {constellation!r}")
 
 
 def _crossover(points: Iterable[tuple[float, float, float]]) -> float:

@@ -13,10 +13,11 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from enum import Enum
 from typing import ClassVar, Sequence
 
 import numpy as np
+
+from .linkproc import Constellation
 
 __all__ = [
     "Constellation",
@@ -46,18 +47,6 @@ PILOT_SYMBOLS: tuple[int, int] = (0, 4)
 PILOT_SPACING: int = 6
 _SECOND_SYMBOL_SHIFT = 3  # frequency shift of the fifth-symbol comb
 _PORT_SHIFT = 3  # frequency shift between antenna ports
-
-_QPSK_CORNERS = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
-
-
-class Constellation(Enum):
-    QPSK = "qpsk"
-    QAM16 = "qam16"
-
-    @property
-    def bits_per_symbol(self) -> int:
-        return 2 if self is Constellation.QPSK else 4
-
 
 def as_int(name: str, value: object) -> int:
     """value as an int, numpy integers included; else a ValueError that names the field."""
@@ -264,5 +253,6 @@ class GridLayout:
 
 
 def random_pilot_sequence(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Pseudo-random unit-modulus QPSK pilot sequence (trivially invertible)."""
-    return _QPSK_CORNERS[rng.integers(0, 4, size=n)]
+    """Pseudo-random unit-modulus QPSK pilot sequence (trivially invertible),
+    in the points of the QPSK payload alphabet."""
+    return Constellation.QPSK.points[rng.integers(0, 4, size=n)]

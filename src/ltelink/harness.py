@@ -71,7 +71,6 @@ from .channel import (
 from .estimation import (
     CorrelationModel,
     LsTaps,
-    beta_for_constellation,
     interpolate_ls,
     ls_estimate,
     ls_interpolation_taps,
@@ -213,8 +212,8 @@ class SweepRecord:
     def __post_init__(self) -> None:
         if not 0.0 <= self.ber <= 1.0:
             raise ValueError(f"ber out of [0, 1]: {self.ber}")
-        if self.mse_all_subcarriers < 0 or self.mse_pilot_subcarriers < 0:
-            raise ValueError("mse must be non-negative")
+        if not (self.mse_all_subcarriers >= 0 and self.mse_pilot_subcarriers >= 0):
+            raise ValueError("mse must be non-negative, not NaN")
         if self.branch_fraction_ls is not None and not 0.0 <= self.branch_fraction_ls <= 1.0:
             raise ValueError(f"branch_fraction_ls out of [0, 1]: {self.branch_fraction_ls}")
 
@@ -340,8 +339,7 @@ def _lmmse_factors(
     channel is precisely the unforeseen case the hybrid estimator exists for.
     """
     model = _memoized_model(config, pdp.truncated(config.cp_len))
-    beta = beta_for_constellation(config.constellation)
-    return estimation.lmmse_filter(model, beta * noise.noise_variance)
+    return estimation.lmmse_filter(model, config.constellation.beta * noise.noise_variance)
 
 
 @functools.lru_cache(maxsize=8)

@@ -1,75 +1,72 @@
-"""Gray-coded QPSK and 16-QAM constellation mapping and hard-decision demapping."""
+"""The constellations: Gray-coded QPSK and 16-QAM mapping and hard-decision demapping.
+
+This is the one module that knows a constellation.  Each alphabet is a table
+of per-axis Gray levels; the first half of a symbol's bits picks its in-phase
+level and the second half its quadrature level, so the symbol's bits read as
+one binary number index its point table.
+"""
 
 from __future__ import annotations
 
+from enum import Enum
+
 import numpy as np
 
-from .grid import Constellation
-
-__all__ = [
-    "qpsk_map",
-    "qpsk_demap",
-    "qam16_map",
-    "qam16_demap",
-    "map_bits",
-    "demap_symbols",
-]
-
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT10 = 1.0 / np.sqrt(10.0)
-# QPSK points indexed by 2 * b0 + b1.
-_QPSK_POINTS = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) * _INV_SQRT2
-# Gray-coded per-axis 16-QAM levels indexed by the two axis bits (b_hi, b_lo).
-_QAM16_LEVELS = np.array([3.0, 1.0, -3.0, -1.0]) * _INV_SQRT10
+__all__ = ["Constellation", "map_bits", "demap_symbols"]
 
 
-def qpsk_map(bits: np.ndarray) -> np.ndarray:
-    """Gray-mapped QPSK, unit power: pair (b0, b1) -> ((1-2*b0) + 1j*(1-2*b1))/sqrt(2).
+class Constellation(Enum):
+    """A square Gray-coded alphabet of unit average symbol power.
 
-    00 -> (1+1j)/sqrt(2), 01 -> (1-1j)/sqrt(2), 10 -> (-1+1j)/sqrt(2), 11 -> (-1-1j)/sqrt(2).
+    A member is declared by its per-axis Gray levels in odd-integer units,
+    indexed by the axis bits read as a binary number, and by beta =
+    E|x|^2 E|1/x|^2, the factor of the simplified LMMSE regularizer beta/SNR.
+    beta is the exact literal: computed from the points, 16-QAM's is 1 ULP off
+    17/9.  From the levels it derives unit (the scale of one odd-integer unit),
+    bits_per_symbol and the read-only point table.
     """
-    bits = np.asarray(bits)
-    if bits.size % 2 != 0:
-        raise ValueError(f"QPSK needs an even bit count, got {bits.size}")
-    pairs = bits.reshape(-1, 2)
-    return _QPSK_POINTS[2 * pairs[:, 0] + pairs[:, 1]]
 
+    QPSK = ("qpsk", (1.0, -1.0), 1.0)
+    QAM16 = ("qam16", (3.0, 1.0, -3.0, -1.0), 17.0 / 9.0)
 
-def qpsk_demap(symbols: np.ndarray) -> np.ndarray:
-    """Hard per-axis sign decision, inverse of qpsk_map; ties resolve to bit 0."""
-    # the float view interleaves real and imaginary parts: b0, b1 of each symbol
-    parts = np.ascontiguousarray(symbols, dtype=np.complex128).reshape(-1).view(np.float64)
-    return (parts < 0).astype(np.int8)
+    def __new__(cls, value: str, gray_levels: tuple[float, ...], beta: float):
+        member = object.__new__(cls)
+        member._value_ = value
+        return member
 
-
-def qam16_map(bits: np.ndarray) -> np.ndarray:
-    """Gray-mapped 16-QAM, unit average power; 4 bits per symbol (2 per axis)."""
-    bits = np.asarray(bits)
-    if bits.size % 4 != 0:
-        raise ValueError(f"16-QAM needs a multiple of 4 bits, got {bits.size}")
-    quads = bits.reshape(-1, 4)
-    re = _QAM16_LEVELS[2 * quads[:, 0] + quads[:, 1]]
-    im = _QAM16_LEVELS[2 * quads[:, 2] + quads[:, 3]]
-    return re + 1j * im
-
-
-def qam16_demap(symbols: np.ndarray) -> np.ndarray:
-    """Hard nearest-level decision per axis, inverse of qam16_map; like
-    qpsk_demap, it reads symbols of any shape in raveled order."""
-    parts = np.ascontiguousarray(symbols, dtype=np.complex128).reshape(-1, 1).view(np.float64)
-    # per symbol, per axis (real, imaginary): the sign bit, then the inner-level bit
-    bits = np.stack([parts < 0, np.abs(parts) < 2.0 * _INV_SQRT10], axis=-1)
-    return bits.astype(np.int8).reshape(-1)
+    def __init__(self, value: str, gray_levels: tuple[float, ...], beta: float) -> None:
+        levels = np.array(gray_levels)
+        # one level unit; the in-phase and quadrature axes share the unit power
+        self.unit = 1.0 / np.sqrt(2.0 * np.mean(levels**2))
+        axis = levels * self.unit
+        self.bits_per_symbol = 2 * (len(levels).bit_length() - 1)
+        self.points = (axis[:, None] + 1j * axis).reshape(-1)
+        self.points.setflags(write=False)
+        self.beta = beta
 
 
 def map_bits(bits: np.ndarray, constellation: Constellation) -> np.ndarray:
-    if constellation is Constellation.QPSK:
-        return qpsk_map(bits)
-    return qam16_map(bits)
+    """The symbols of bits in raveled order: each symbol's bits_per_symbol bits,
+    read as one binary number, index the point table (QPSK 01 -> (1-1j)/sqrt(2))."""
+    bits = np.asarray(bits)
+    n = constellation.bits_per_symbol
+    if bits.size % n != 0:
+        raise ValueError(f"{constellation.value} needs a multiple of {n} bits, got {bits.size}")
+    groups = bits.reshape(-1, n)
+    index = groups[:, 0].astype(np.intp)
+    for j in range(1, n):
+        index <<= 1
+        index |= groups[:, j]
+    return constellation.points[index]
 
 
 def demap_symbols(symbols: np.ndarray, constellation: Constellation) -> np.ndarray:
-    if constellation is Constellation.QPSK:
-        return qpsk_demap(symbols)
-    return qam16_demap(symbols)
-
+    """Hard nearest-point decision per axis, inverse of map_bits, on symbols of
+    any shape in raveled order.  Ties resolve to bit 0: a zero axis to the
+    positive levels, a 16-QAM axis at +-2 level units to the outer level."""
+    # the float view interleaves each symbol's real and imaginary parts
+    parts = np.ascontiguousarray(symbols, dtype=np.complex128).reshape(-1, 1).view(np.float64)
+    bits = parts < 0
+    if constellation.bits_per_symbol == 4:  # each axis's sign bit, then its inner-level bit
+        bits = np.stack([bits, np.abs(parts) < 2.0 * constellation.unit], axis=-1)
+    return bits.astype(np.int8).reshape(-1)

@@ -20,7 +20,6 @@ from oracles import (
 
 from ltelink.channel import PowerDelayProfile, generate_channel
 from ltelink.estimation import (
-    beta_for_constellation,
     build_correlation_model,
     calibrate_threshold,
     lmmse_filter,
@@ -244,8 +243,8 @@ def test_ac6_full_and_simplified_lmmse_coincide():
 def test_ac7_beta_constants():
     """Exact constellation scaling factors."""
     ok = (
-        beta_for_constellation(Constellation.QPSK) == 1.0
-        and beta_for_constellation(Constellation.QAM16) == 17.0 / 9.0
+        Constellation.QPSK.beta == 1.0
+        and Constellation.QAM16.beta == 17.0 / 9.0
     )
     _report("AC-7", ok, "beta(QPSK)=1, beta(16QAM)=17/9, both exact")
 

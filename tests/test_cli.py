@@ -110,6 +110,14 @@ class TestFlagMerging:
         assert cfg.snr_grid_db == (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
         cfg = sweep_config_from_sources({}, _args(["--snr", "2:8:3"]))
         assert cfg.snr_grid_db == (2.0, 5.0, 8.0)
+        # a stop off the grid is not passed
+        cfg = sweep_config_from_sources({}, _args(["--snr", "0:13:5"]))
+        assert cfg.snr_grid_db == (0.0, 5.0, 10.0)
+        cfg = sweep_config_from_sources({}, _args(["--snr=-5:8:5"]))
+        assert cfg.snr_grid_db == (-5.0, 0.0, 5.0)
+        # a stop that rounding puts just past the last point is kept
+        cfg = sweep_config_from_sources({}, _args(["--snr", "0:0.3:0.1"]))
+        assert len(cfg.snr_grid_db) == 4
 
     def test_negative_snr_range_parses_after_a_space(self):
         spaced, joined = _args(["--snr", "-5:30:5"]), _args(["--snr=-5:30:5"])

@@ -19,7 +19,6 @@ from oracles import (
 from ltelink.channel import PowerDelayProfile
 from ltelink.estimation import (
     _crossover,
-    beta_for_constellation,
     build_correlation_model,
     calibrate_threshold,
     lmmse_filter,
@@ -432,14 +431,10 @@ class TestLmmseSimplified:
 
 class TestBeta:
     def test_qpsk(self):
-        assert beta_for_constellation(Constellation.QPSK) == 1.0
+        assert Constellation.QPSK.beta == 1.0
 
     def test_qam16(self):
-        assert beta_for_constellation(Constellation.QAM16) == 17.0 / 9.0
-
-    def test_unsupported(self):
-        with pytest.raises(ValueError, match="unsupported"):
-            beta_for_constellation("qam64")
+        assert Constellation.QAM16.beta == 17.0 / 9.0
 
 
 class TestInterpolateLs:

@@ -80,6 +80,12 @@ class TestSystemConfig:
         with pytest.raises(ValueError, match="n_tx"):
             SystemConfig(n_tx=3)
 
+    def test_rejects_unsupported_constellation(self):
+        # a string is not a Constellation, even the value of a supported one
+        for name in ("qam64", "qpsk"):
+            with pytest.raises(ValueError, match="unsupported constellation"):
+                SystemConfig(constellation=name)
+
     def test_rejects_more_transmit_than_receive_antennas(self):
         with pytest.raises(ValueError, match="n_tx=2 exceeds n_rx=1"):
             SystemConfig(n_tx=2, n_rx=1)
@@ -329,6 +335,11 @@ class TestPilotValues:
         b = random_pilot_sequence(64, np.random.default_rng(11))
         assert_allclose(np.abs(a), 1.0, atol=1e-12)
         assert np.array_equal(a, b)
+
+    def test_sequence_uses_the_qpsk_payload_points(self):
+        got = random_pilot_sequence(64, np.random.default_rng(12))
+        want = Constellation.QPSK.points[np.random.default_rng(12).integers(0, 4, 64)]
+        assert np.array_equal(got.view(np.float64), want.view(np.float64))
 
     def test_constellation_enum_bits(self):
         assert Constellation.QPSK.bits_per_symbol == 2

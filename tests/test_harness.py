@@ -182,8 +182,7 @@ def _oracle_trial(ctx, pdp, noise, rng, filters):
             h_hat = np.array([[interpolate_ls(h, comb, cfg.n_used) for h in h_t] for h_t in h_ls])
         elif name == "lmmse":
             corr = correlation_matrices(pdp.truncated(cfg.cp_len), comb, cfg)
-            beta = estimation.beta_for_constellation(cfg.constellation)
-            h_hat = h_ls @ lmmse_filter_solve(corr, beta / snr).T
+            h_hat = h_ls @ lmmse_filter_solve(corr, cfg.constellation.beta / snr).T
         else:
             h_hat = h_true
         err2, ref2 = np.abs(h_hat - h_true) ** 2, np.abs(h_true) ** 2
@@ -717,6 +716,10 @@ class TestRecordsAndCsv:
             SweepRecord(0.0, 6, Estimator.LS, 0.0, 0.0, 1.5, 1, None, 0)
         with pytest.raises(ValueError, match="branch"):
             SweepRecord(0.0, 6, Estimator.HYBRID, 0.0, 0.0, 0.5, 1, 1.5, 0)
+        with pytest.raises(ValueError, match="mse"):
+            SweepRecord(0.0, 6, Estimator.LS, float("nan"), 0.0, 0.5, 1, None, 0)
+        with pytest.raises(ValueError, match="mse"):
+            SweepRecord(0.0, 6, Estimator.LS, 0.0, float("nan"), 0.5, 1, None, 0)
 
     def test_summary_mentions_branch_only_for_hybrid(self):
         text = format_summary(self._records())

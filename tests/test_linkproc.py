@@ -5,8 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ltelink.kernels import zf_detect_grid
-from ltelink.linkproc import qam16_demap, qam16_map, qpsk_demap, qpsk_map
+from ltelink.linkproc import Constellation, demap_symbols, map_bits
 
+QPSK, QAM16 = Constellation.QPSK, Constellation.QAM16
 _S2 = np.sqrt(2.0)
 
 
@@ -19,7 +20,7 @@ def zf_detect(y, h):
 
 class TestQpsk:
     def test_mapping_table(self):
-        syms = qpsk_map(np.array([0, 0, 0, 1, 1, 0, 1, 1]))
+        syms = map_bits(np.array([0, 0, 0, 1, 1, 0, 1, 1]), QPSK)
         assert_allclose(
             syms,
             np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / _S2,
@@ -28,52 +29,78 @@ class TestQpsk:
 
     def test_unit_modulus(self):
         rng = np.random.default_rng(0)
-        syms = qpsk_map(rng.integers(0, 2, 600))
+        syms = map_bits(rng.integers(0, 2, 600), QPSK)
         assert_allclose(np.abs(syms), 1.0, atol=1e-12)
 
     def test_round_trip(self):
         rng = np.random.default_rng(1)
         bits = rng.integers(0, 2, 1000)
-        assert np.array_equal(qpsk_demap(qpsk_map(bits)), bits)
+        assert np.array_equal(demap_symbols(map_bits(bits, QPSK), QPSK), bits)
 
     def test_demap_is_nearest_quadrant(self):
-        assert np.array_equal(qpsk_demap(np.array([(0.9 + 1.1j) / _S2])), [0, 0])
-        assert np.array_equal(qpsk_demap(np.array([-0.3 + 0.01j])), [1, 0])
+        assert np.array_equal(demap_symbols(np.array([(0.9 + 1.1j) / _S2]), QPSK), [0, 0])
+        assert np.array_equal(demap_symbols(np.array([-0.3 + 0.01j]), QPSK), [1, 0])
 
     def test_origin_ties_to_zero_bits(self):
-        assert np.array_equal(qpsk_demap(np.array([0.0 + 0.0j])), [0, 0])
-
-    def test_rejects_odd_bit_count(self):
-        with pytest.raises(ValueError, match="even"):
-            qpsk_map(np.array([1, 0, 1]))
+        assert np.array_equal(demap_symbols(np.array([0.0 + 0.0j]), QPSK), [0, 0])
 
 
 class TestQam16:
     def test_unit_average_power(self):
         rng = np.random.default_rng(2)
-        syms = qam16_map(rng.integers(0, 2, 40_000))
+        syms = map_bits(rng.integers(0, 2, 40_000), QAM16)
         assert np.mean(np.abs(syms) ** 2) == pytest.approx(1.0, rel=0.02)
 
     def test_round_trip(self):
         rng = np.random.default_rng(3)
         bits = rng.integers(0, 2, 4000)
-        assert np.array_equal(qam16_demap(qam16_map(bits)), bits)
+        assert np.array_equal(demap_symbols(map_bits(bits, QAM16), QAM16), bits)
 
     def test_gray_neighbors_differ_in_one_bit(self):
-        levels = sorted({qam16_map(np.array(b))[0].real for b in
+        levels = sorted({map_bits(np.array(b), QAM16)[0].real for b in
                          ([0,0,0,0],[0,1,0,0],[1,0,0,0],[1,1,0,0])})
         bits_by_level = {}
         for b0 in (0, 1):
             for b1 in (0, 1):
-                sym = qam16_map(np.array([b0, b1, 0, 0]))[0]
+                sym = map_bits(np.array([b0, b1, 0, 0]), QAM16)[0]
                 bits_by_level[round(sym.real, 6)] = (b0, b1)
         ordered = [bits_by_level[round(l, 6)] for l in levels]
         for a, b in zip(ordered, ordered[1:]):
             assert sum(x != y for x, y in zip(a, b)) == 1
 
-    def test_rejects_bad_length(self):
-        with pytest.raises(ValueError, match="multiple of 4"):
-            qam16_map(np.zeros(6, dtype=int))
+
+@pytest.mark.parametrize("constellation", list(Constellation), ids=lambda c: c.value)
+def test_map_rejects_a_partial_symbol(constellation):
+    n = constellation.bits_per_symbol
+    with pytest.raises(ValueError, match=f"multiple of {n} bits"):
+        map_bits(np.zeros(n + n // 2, dtype=int), constellation)
+
+
+_T = 2.0 / np.sqrt(10.0)  # the 16-QAM inner/outer decision boundary
+# 0 is what zero-forcing puts out on an erased subcarrier
+_BOUNDARY_SYMBOLS = np.array([
+    complex(0.0, 0.0), complex(-0.0, -0.0), complex(-0.0, 0.0), complex(0.0, -0.0),
+    complex(_T, 0.0), complex(-_T, 0.0), complex(0.0, _T), complex(0.0, -_T),
+])
+
+
+@pytest.mark.parametrize(
+    "constellation, expected",
+    [
+        # one row of bits per boundary symbol; ties go to bit 0
+        pytest.param(
+            QPSK, [[0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [1, 0], [0, 0], [0, 1]], id="qpsk"
+        ),
+        pytest.param(
+            QAM16,
+            [[0, 1, 0, 1], [0, 1, 0, 1], [0, 1, 0, 1], [0, 1, 0, 1],
+             [0, 0, 0, 1], [1, 0, 0, 1], [0, 1, 0, 0], [0, 1, 1, 0]],
+            id="qam16",
+        ),
+    ],
+)
+def test_decision_boundaries(constellation, expected):
+    assert np.array_equal(demap_symbols(_BOUNDARY_SYMBOLS, constellation), np.ravel(expected))
 
 
 class TestZfDetect:
