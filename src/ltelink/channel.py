@@ -6,9 +6,9 @@ the window's symbol, which demodulates to H * X exactly, plus an overrun: what
 the taps delayed past the cyclic prefix read from the previous symbol instead
 of the cyclic extension.  So the received grid is H * X + DFT(overrun +
 noise), with genuine ISI/ICI whenever the delay spread exceeds the CP.  The
-overrun fills the first span - 1 - cp_len samples of a window and, as the span
-never exceeds the FFT size, reaches back one symbol only.  It is the tail of a
-short FFT convolution with the taps past the CP, and no plan is memoized.
+overrun fills the first span - 1 - cp_len samples of a window, its head, and,
+as the span never exceeds the FFT size, reaches back one symbol only.  Only
+the heads are formed, the tail of an FFT convolution with the past-CP taps.
 """
 
 from __future__ import annotations
@@ -137,12 +137,13 @@ def generate_channel(
 
 
 def overrun(frames: np.ndarray, ch: ChannelRealization, config: SystemConfig) -> np.ndarray:
-    """Linear minus circular channel output in every DFT window, as frames.
+    """Linear minus circular channel output at the head of every DFT window.
 
     Modulated (..., n_tx, n_symbols, symbol_len) frames, with the leading axes of
-    ch, give (..., n_rx, n_symbols, symbol_len) ones.  Window sample i gets, from
-    each tap delayed past i + cp_len, the previous symbol's sample (zero before
-    the first) minus the cyclic one it replaces, for every trial, symbol and pair.
+    ch, give the (..., n_rx, n_symbols, n_over) heads, n_over = max(span - 1 -
+    cp_len, 0); every later window sample is zero.  Head sample i gets, from each
+    tap delayed past i + cp_len, the previous symbol's sample (zero before the
+    first) minus the cyclic one it replaces, for every trial, symbol and pair.
     """
     *lead, n_tx, n_sym, sym_len = frames.shape
     span, cp = ch.pdp.span, config.cp_len
@@ -152,21 +153,21 @@ def overrun(frames: np.ndarray, ch: ChannelRealization, config: SystemConfig) ->
         raise ValueError(f"frames must be (..., symbols, {config.symbol_len}); got {frames.shape}")
     if span > config.n_fft:
         raise ValueError(f"channel span {span} exceeds the FFT size {config.n_fft}")
-    out = np.zeros((*lead, ch.n_rx, n_sym, sym_len), dtype=np.complex128)
     n_over = span - 1 - cp
-    if n_over > 0:
-        # offset j of the last n_over samples before each window: what the
-        # linear convolution reads minus the cyclic sample it replaces
-        diff = -frames[..., sym_len - span + 1 : sym_len - cp]
-        diff[..., 1:, :] += frames[..., :-1, sym_len - n_over :]
-        # window sample i is sum_j diff[j] g[i + span - 1 - j], sample n_over - 1 + i
-        # of diff convolved with g[cp + 1 : span]; a power-of-two FFT length
-        # beat the prime 2 n_over - 1 at L = 100, cp 72
-        n = 1 << (2 * n_over - 2).bit_length()
-        taps = np.fft.fft(ch.impulse_responses()[..., cp + 1 :], n)
-        coupled = np.einsum("...tsn,...trn->...rsn", np.fft.fft(diff, n), taps)  # s: symbol
-        out[..., cp : cp + n_over] = np.fft.ifft(coupled)[..., n_over - 1 : 2 * n_over - 1]
-    return out
+    if n_over <= 0:
+        return np.zeros((*lead, ch.n_rx, n_sym, 0), dtype=np.complex128)
+    # offset j of the last n_over samples before each window: what the
+    # linear convolution reads minus the cyclic sample it replaces
+    diff = -frames[..., sym_len - span + 1 : sym_len - cp]
+    diff[..., 1:, :] += frames[..., :-1, sym_len - n_over :]
+    # head sample i is sum_j diff[j] g[i + span - 1 - j], sample n_over - 1 + i
+    # of diff convolved with g[cp + 1 : span]; a power-of-two FFT length beat
+    # the prime 2 n_over - 1 at L = 100, cp 72
+    n = 1 << (2 * n_over - 2).bit_length()
+    taps = np.fft.fft(ch.impulse_responses()[..., cp + 1 :], n)
+    coupled = np.einsum("...tsn,...trn->...rsn", np.fft.fft(diff, n), taps)  # s: symbol
+    np.fft.ifft(coupled, out=coupled)
+    return coupled[..., n_over - 1 : 2 * n_over - 1]
 
 
 @dataclass(frozen=True)
@@ -193,18 +194,17 @@ class NoiseSpec:
             return 0.0
 
 
-def add_awgn(signal: np.ndarray, noise: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
-    """A new complex array, signal plus i.i.d. complex Gaussian samples of
-    variance noise.noise_variance; one (2, *signal.shape) draw gives their
-    real parts, then their imaginary parts.  At SNR = +inf nothing is drawn
-    and signal itself is returned, not a copy."""
-    signal = np.asarray(signal)
+def add_awgn(signal: np.ndarray, noise: NoiseSpec, rng: np.random.Generator) -> None:
+    """Add i.i.d. complex Gaussian samples of variance noise.noise_variance to
+    the complex128 array signal, in place; one (2, *signal.shape) draw gives
+    their real parts, then their imaginary parts.  At SNR = +inf nothing is
+    drawn and signal is left as it is."""
+    if signal.dtype != np.complex128:
+        raise ValueError(f"signal must be complex128, got {signal.dtype}")
     var = noise.noise_variance
     if var == 0.0:
-        return signal
+        return
     w = rng.standard_normal((2, *signal.shape))
     w *= np.sqrt(var / 2.0)
-    out = np.empty(signal.shape, dtype=np.complex128)
-    np.add(signal.real, w[0], out=out.real)
-    np.add(signal.imag, w[1], out=out.imag)
-    return out
+    signal.real += w[0]
+    signal.imag += w[1]

@@ -17,9 +17,11 @@ leading axis, so each chunk makes one call per stage and one per estimate.  A
 chunk keeps one slot layout, (trial, antenna, symbol, subcarrier), from the
 grid fill to zero-forcing and one frame layout, (trial, antenna, symbol,
 sample), from the modulator to the demodulator.  Its stages are ordered so
-that no large array outlives its last reader: modulate the grid and form H * X
-from it, drop the grid, form the overrun from the frames, drop them, then add
-the noise and demodulate.  Payload bits are drawn as int64 and kept as int8.
+that no large array outlives its last reader: form H * X from the grid,
+modulate the grid and drop it, form the overrun heads from the frames and drop
+them, then add each trial's noise and the heads into one receive buffer per
+chunk, the frames of its whole slots, and demodulate its read windows in
+place.  Payload bits are drawn as int64 and kept as int8.
 
 The LMMSE correlation model depends only on the configuration, which fixes the
 pilot comb, and on the channel profile truncated to the cyclic prefix.  It is
@@ -104,15 +106,13 @@ _TAG_CALIBRATION = 2
 _SEED_MASK = (1 << 64) - 1
 
 # Trials per chunk of a cell.  Larger chunks pay less numpy call overhead but
-# hold more arrays at once: against one trial at a time, chunks of 3 added
-# 1.18 MB (3.0%) to the median peak RSS of the default 5 MHz sweep and took
-# 20% less CPU (6 alternating single calls each, 2 vCPU, BLAS at 1 thread).
-# With the freed heap kept between chunks (cli.main), chunks of 4 and 5 took
-# 3.7% and 7.6% less wall time than 3 and added 0.50 and 1.25 MB (1.2% and
-# 3.0%) to its peak RSS, about 0.6 MB per extra trial (3 alternating runs of
-# sweepbench/run.py --seconds 8 each).  3 stays: what a larger chunk saves in
-# time it pays for in peak RSS.
-_CHUNK = 3
+# hold more arrays at once.  With one receive buffer per chunk and the modem
+# transforming in place, a 5 MHz chunk peaks near 0.32 MB a trial.  Against the
+# chunks of 3 before that, chunks of 4 took 7.7% less sweep_5mhz and 10% less
+# calibrate_5mhz wall time for +0.5% peak RSS, and chunks of 5 added 2.1% to
+# the sweep's peak RSS (3 alternating runs of sweepbench/run.py --seconds 5,
+# 2 vCPU, BLAS at 1 thread): 4 is the largest within +1.5% of that peak RSS.
+_CHUNK = 4
 
 # The symbols a detecting cell reads; a calibration cell reads PILOT_SYMBOLS.
 _SLOT_SYMBOLS = tuple(range(SystemConfig.n_symbols_per_slot))
@@ -269,12 +269,9 @@ def _receive(
     the OFDM symbols listed in symbols (ascending) only.
 
     Trial i draws its channel taps, then its payload bits, then the noise of
-    its whole slot from rngs[i], whatever symbols it reads.  The stages hold
-    each array only while they read it: the filled grid is modulated and
-    multiplied by H, then dropped before the overrun allocates its buffer,
-    and the modulated frames are dropped once the overrun is formed.  Returns
-    bits (c, n_tx, n_bits) as int8, rx_grid (c, n_rx, len(symbols), n_used)
-    in the slot layout of the grid, the modem and zero-forcing, and h_true
+    its whole slot from rngs[i], whatever symbols it reads.  Returns bits
+    (c, n_tx, n_bits) as int8, rx_grid (c, n_rx, len(symbols), n_used) in the
+    slot layout of the grid, the modem and zero-forcing, and h_true
     (c, n_tx, n_rx, n_used) in the layout of the taps and zero-forcing."""
     cfg = ctx.config
     n, n_bits = len(rngs), ctx.layout.n_data_per_port * cfg.constellation.bits_per_symbol
@@ -289,25 +286,26 @@ def _receive(
         linkproc.map_bits(bits, cfg.constellation).reshape(n, cfg.n_tx, -1),
         ctx.pilot_seq,
     )
-    # a window's overrun reaches back one symbol, so each read symbol is sent
-    # with the one before it; only the read windows are kept
+    # each read symbol is sent with the one before it, which its overrun reads
     sent, read = sorted({*symbols, *(s - 1 for s in symbols if s > 0)}), _rows(symbols)
-    tx = ofdm.modulate_frame(values[:, :, _rows(sent)], cfg)  # (c, n_tx, len(sent), symbol_len)
     h_true = ch.frequency_responses(cfg.n_fft, used_subcarrier_bins(cfg))
     # H * X summed over tx, (c, n_rx, len(symbols), n_used), plus the demodulated impairment
     rx_grid = h_true[:, 0, :, None] * values[:, 0, read][:, None]
     for t in range(1, cfg.n_tx):
         rx_grid += h_true[:, t, :, None] * values[:, t, read][:, None]
-    del values  # the grid, before the overrun allocates its buffer
-    impairment = overrun(tx, ch, cfg)
+    tx = ofdm.modulate_frame(values[:, :, _rows(sent)], cfg)  # (c, n_tx, len(sent), symbol_len)
+    del values
+    heads = overrun(tx, ch, cfg)[:, :, _rows([sent.index(s) for s in symbols])]
     del tx
-    impairment = impairment[:, :, _rows([sent.index(s) for s in symbols])]
-    # each trial's noise is drawn over its whole slot, onto zeros (0 + w is w
-    # exactly), and only its read windows are added
-    slot = np.broadcast_to(np.complex128(0), (cfg.n_rx, cfg.n_symbols_per_slot, cfg.symbol_len))
+    # the receive buffer: each trial's noise over its whole slot, then the heads
+    rx = np.zeros((n, cfg.n_rx, cfg.n_symbols_per_slot, cfg.symbol_len), dtype=np.complex128)
     for i, rng in enumerate(rngs):
-        impairment[i] += add_awgn(slot, noise, rng)[:, read]
-    rx_grid += ofdm.demodulate_frame(impairment, cfg)
+        add_awgn(rx[i], noise, rng)
+    rx[:, :, read, cfg.cp_len : cfg.cp_len + heads.shape[-1]] += heads
+    del heads
+    impairment = ofdm.demodulate_frame(rx[:, :, read], cfg)
+    del rx  # before the sum, whose buffered loop allocates
+    rx_grid += impairment
     return bits, rx_grid, h_true
 
 

@@ -88,6 +88,17 @@ def apply_channel(tx: np.ndarray, ch) -> np.ndarray:
     return rx.reshape(-1, n_sym, sym_len)
 
 
+def window_overrun(tx: np.ndarray, ch, cfg) -> np.ndarray:
+    """Linear minus circular channel output in every DFT window of
+    (n_tx, n_symbols, symbol_len) frames: the (n_rx, n_symbols, n_fft) samples
+    after each prefix of the time-domain channel output, less the circular
+    convolution of each symbol's body with the channel."""
+    linear = apply_channel(tx, ch)[:, :, cfg.cp_len :]
+    body = np.fft.fft(tx[:, :, cfg.cp_len :], axis=-1)
+    h = ch.frequency_responses(cfg.n_fft)
+    return linear - np.fft.ifft(np.einsum("trk,tmk->rmk", h, body), axis=-1)
+
+
 def time_domain_chain(ctx, pdp, noise, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One slot of the sweep's trial chain with the channel applied by linear
     convolution: (bits, rx_grid (n_rx, n_symbols, n_used), h_true), drawing
@@ -99,7 +110,8 @@ def time_domain_chain(ctx, pdp, noise, rng) -> tuple[np.ndarray, np.ndarray, np.
     bits = rng.integers(0, 2, size=(cfg.n_tx, ctx.layout.n_data_per_port * bits_per_sym))
     data = [linkproc.map_bits(bits[p], cfg.constellation) for p in range(cfg.n_tx)]
     values = ctx.layout.fill(data, ctx.pilot_seq)
-    rx = add_awgn(apply_channel(ofdm.modulate_frame(values, cfg), ch), noise, rng)
+    rx = apply_channel(ofdm.modulate_frame(values, cfg), ch)
+    add_awgn(rx, noise, rng)
     rx_grid = ofdm.demodulate_frame(rx, cfg)
     return bits, rx_grid, ch.frequency_responses(cfg.n_fft, used_subcarrier_bins(cfg))
 
@@ -214,6 +226,17 @@ def zf_qpsk_ber_rayleigh(snr_db: float) -> float:
     of freedom; Winters, Salz and Gitlin, IEEE Trans. Commun. 42, 1994), and
     each axis's Q(sqrt(snr)) averages over it to 1/2 (1 - sqrt(snr / (2 + snr)))."""
     return _rayleigh_q(1.0, 10.0 ** (snr_db / 10.0))
+
+
+def mrc_qpsk_ber_rayleigh(snr_db: float) -> float:
+    """Closed-form BER of Gray QPSK with perfect CSI over a 1x2 channel of
+    i.i.d. CN(0, 1) entries, which zero-forcing combines as maximal-ratio
+    combining: with mu = sqrt(snr / (2 + snr)) from each branch's mean SNR,
+    each axis errs with ((1 - mu) / 2)^2 (2 + mu), the two-branch case of
+    L-branch MRC (Proakis, "Digital Communications")."""
+    snr = 10.0 ** (snr_db / 10.0)
+    mu = np.sqrt(snr / (2.0 + snr))
+    return ((1.0 - mu) / 2.0) ** 2 * (2.0 + mu)
 
 
 def zf_qam16_ber_rayleigh(snr_db: float) -> float:

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from oracles import apply_channel, time_domain_chain
+from oracles import apply_channel, time_domain_chain, window_overrun
 
 from ltelink.channel import (
     ChannelRealization,
@@ -267,31 +267,31 @@ class TestOverrun:
         return modulate_frame(values, cfg)
 
     def test_zero_when_the_cp_covers_the_channel(self):
+        # zero-width heads, and the time-domain oracle's windows are circular
+        # throughout: linear minus circular is zero in every sample
+        cfg = self.CFG
         rng = np.random.default_rng(15)
         tx = self._frames(rng)
-        for length in (1, 6, self.CFG.cp_len + 1):
+        for length in (1, 6, cfg.cp_len + 1):
             ch = generate_channel(PowerDelayProfile.uniform(length), 2, 2, rng)
-            out = overrun(tx, ch, self.CFG)
-            assert out.shape == (2, 7, self.CFG.symbol_len) and not out.any()
+            assert overrun(tx, ch, cfg).shape == (2, 7, 0)
+            assert_allclose(window_overrun(tx, ch, cfg), 0, atol=1e-12)
 
     def test_linear_output_is_circular_plus_overrun_in_every_window(self):
         # the time-domain identity behind the receive path: window m of the
         # linearly convolved stream is the circular convolution of symbol m's
-        # body plus the overrun, which lives in the first span - 1 - cp samples
+        # body plus the overrun, whose first span - 1 - cp samples are the
+        # returned head and whose later samples are zero
         cfg = self.CFG
         rng = np.random.default_rng(16)
         tx = self._frames(rng)
         ch = generate_channel(PowerDelayProfile.uniform(40), 2, 2, rng)
-        linear = apply_channel(tx, ch)[:, :, cfg.cp_len :]
-        body = np.fft.fft(tx[:, :, cfg.cp_len :], axis=-1)
-        h = ch.frequency_responses(cfg.n_fft)
-        circular = np.fft.ifft(np.einsum("trk,tmk->rmk", h, body), axis=-1)
-        over = overrun(tx, ch, cfg)
+        head = overrun(tx, ch, cfg)
         n_over = 40 - 1 - cfg.cp_len
-        assert not over[:, :, : cfg.cp_len].any()
-        assert not over[:, :, cfg.cp_len + n_over :].any()
-        assert np.abs(over[:, :, cfg.cp_len :]).max() > 1e-3
-        assert_allclose(circular + over[:, :, cfg.cp_len :], linear, atol=1e-12)
+        assert head.shape == (2, 7, n_over) and np.abs(head).max() > 1e-3
+        want = window_overrun(tx, ch, cfg)
+        assert_allclose(head, want[..., :n_over], rtol=0, atol=1e-12)
+        assert_allclose(want[..., n_over:], 0, atol=1e-12)
 
     def test_first_symbol_has_zero_history(self):
         # with only the first symbol transmitted, the overrun of window 0 is
@@ -302,12 +302,13 @@ class TestOverrun:
         ch = ChannelRealization(
             np.ones((2, 1, 2)) / np.sqrt(2), PowerDelayProfile(np.array([0, 30]), np.full(2, 0.5))
         )
-        over = overrun(tx, ch, cfg)[0, 0]
+        head = overrun(tx, ch, cfg)[0, 0]
         n_over = 30 - cfg.cp_len
         body = tx[:, 0, cfg.cp_len :]
         expected = -(body[0, -30 : -30 + n_over] + body[1, -30 : -30 + n_over]) / np.sqrt(2)
-        assert_allclose(over[cfg.cp_len : cfg.cp_len + n_over], expected, atol=1e-15)
-        assert not over[cfg.cp_len + n_over :].any()
+        assert head.shape == (n_over,)
+        assert_allclose(head, expected, atol=1e-15)
+        assert_allclose(window_overrun(tx, ch, cfg)[0, 0, n_over:], 0, atol=1e-12)
 
     def test_rejects_mismatched_streams_and_spans_beyond_the_fft(self):
         rng = np.random.default_rng(18)
@@ -327,7 +328,7 @@ class TestOverrun:
 
     def test_long_channel_chunk_stays_small(self):
         # a 3-trial chunk at 10 MHz, cp 72, L = n_fft, 951 overrun samples per
-        # window: its FFT convolution peaks near 6 MB, where an (n_over x
+        # window: its FFT convolution peaks near 4 MB, where an (n_over x
         # n_over) coupling matrix per (tx, rx) pair would take 61 MB
         cfg = SystemConfig(bandwidth_mhz=10.0, cp_len=72)
         rng = np.random.default_rng(19)
@@ -342,7 +343,7 @@ class TestOverrun:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert over.shape == (3, 2, 7, cfg.symbol_len) and np.abs(over).max() > 1e-3
+        assert over.shape == (3, 2, 7, cfg.n_fft - 1 - cfg.cp_len) and np.abs(over).max() > 1e-3
         assert peak < 16e6
 
 
@@ -416,7 +417,7 @@ class TestTrialAxis:
         h = stacked.frequency_responses(self.CFG.n_fft, bins)
         over = overrun(tx, stacked, self.CFG)
         assert h.shape == (3, 2, 2, self.CFG.n_used)
-        assert over.shape == (3, 2, 7, self.CFG.symbol_len)
+        assert over.shape == (3, 2, 7, 40 - 1 - self.CFG.cp_len)
         for i, ch in enumerate(chans):
             assert_allclose(h[i], ch.frequency_responses(self.CFG.n_fft, bins), rtol=0, atol=1e-15)
             assert_allclose(over[i], overrun(tx[i], ch, self.CFG), rtol=0, atol=1e-15)
@@ -432,9 +433,11 @@ class TestTrialAxis:
         values = rng.standard_normal((2, n_tx, 7, self.CFG.n_used)) + 0j
         tx = modulate_frame(values, self.CFG)
         over = overrun(tx, stacked, self.CFG)
-        assert over.shape == (2, n_rx, 7, self.CFG.symbol_len)
+        assert over.shape == (2, n_rx, 7, 40 - 1 - self.CFG.cp_len)
         for i, ch in enumerate(chans):
             assert np.array_equal(over[i], overrun(tx[i], ch, self.CFG))
+            want = window_overrun(tx[i], ch, self.CFG)
+            assert_allclose(over[i], want[..., : over.shape[-1]], rtol=0, atol=1e-12)
 
     def test_rejects_taps_without_pair_axes(self):
         with pytest.raises(ValueError, match="n_tx, n_rx, n_taps"):
@@ -443,44 +446,54 @@ class TestTrialAxis:
 
 class TestAwgn:
     def test_no_noise_sentinel(self):
+        # nothing drawn and nothing added
         sig = np.ones((2, 8), dtype=complex)
-        out = add_awgn(sig, NoiseSpec(np.inf), np.random.default_rng(0))
-        assert out is sig
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert add_awgn(sig, NoiseSpec(np.inf), rng) is None
+        assert np.array_equal(sig, np.ones((2, 8))) and rng.bit_generator.state == state
 
     def test_zero_db_variance(self):
         rng = np.random.default_rng(9)
         sig = np.zeros(100_000, dtype=complex)
-        out = add_awgn(sig, NoiseSpec(0.0), rng)
-        assert 0.98 < np.mean(np.abs(out) ** 2) < 1.02
+        add_awgn(sig, NoiseSpec(0.0), rng)
+        assert 0.98 < np.mean(np.abs(sig) ** 2) < 1.02
 
     def test_snr_scaling(self):
         rng = np.random.default_rng(10)
-        out = add_awgn(np.zeros(100_000, dtype=complex), NoiseSpec(10.0), rng)
-        assert np.mean(np.abs(out) ** 2) == pytest.approx(0.1, rel=0.03)
+        sig = np.zeros(100_000, dtype=complex)
+        add_awgn(sig, NoiseSpec(10.0), rng)
+        assert np.mean(np.abs(sig) ** 2) == pytest.approx(0.1, rel=0.03)
 
-    @pytest.mark.parametrize("dtype", [complex, float])
-    def test_one_draw_equals_the_two_draw_sum(self, dtype):
+    def test_one_draw_equals_the_two_draw_sum(self):
         # one (2, *shape) draw holds the real parts, then the imaginary ones:
-        # bit for bit the sum of two draws, and the input is left as it was
+        # bit for bit the sum of two draws, added into the signal in place,
+        # here a strided slot of a larger buffer whose other slots stay as
+        # they were
         rng = np.random.default_rng(11)
-        sig = rng.standard_normal((2, 3, 50)).astype(dtype)
-        if dtype is complex:
-            sig += 1j * rng.standard_normal(sig.shape)
-        before = sig.copy()
+        buffer = rng.standard_normal((3, 2, 3, 50)) + 1j * rng.standard_normal((3, 2, 3, 50))
+        before = buffer.copy()
         noise = NoiseSpec(7.0)
         scale = np.sqrt(noise.noise_variance / 2.0)
         draws = np.random.default_rng(12)
-        a, b = draws.standard_normal(sig.shape), draws.standard_normal(sig.shape)
-        out = add_awgn(sig, noise, np.random.default_rng(12))
-        assert out.dtype == np.complex128
-        assert out.tobytes() == (sig + scale * (a + 1j * b)).tobytes()
-        assert np.array_equal(sig, before) and sig.dtype == before.dtype
+        a, b = draws.standard_normal((2, 3, 50)), draws.standard_normal((2, 3, 50))
+        add_awgn(buffer[1], noise, np.random.default_rng(12))
+        assert buffer[1].tobytes() == (before[1] + scale * (a + 1j * b)).tobytes()
+        assert np.array_equal(buffer[::2], before[::2])
+
+    @pytest.mark.parametrize("dtype", [float, np.complex64])
+    def test_rejects_a_signal_that_is_not_complex128(self, dtype):
+        rng = np.random.default_rng(13)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="complex128"):
+            add_awgn(np.zeros(8, dtype=dtype), NoiseSpec(5.0), rng)
+        assert rng.bit_generator.state == state
 
     def test_reproducible(self):
-        sig = np.ones(64, dtype=complex)
-        a = add_awgn(sig, NoiseSpec(5.0), np.random.default_rng(1))
-        b = add_awgn(sig, NoiseSpec(5.0), np.random.default_rng(1))
-        assert np.array_equal(a, b)
+        a, b = np.ones(64, dtype=complex), np.ones(64, dtype=complex)
+        add_awgn(a, NoiseSpec(5.0), np.random.default_rng(1))
+        add_awgn(b, NoiseSpec(5.0), np.random.default_rng(1))
+        assert np.array_equal(a, b) and not np.array_equal(a, np.ones(64))
 
     def test_spec_rejects_nan_and_minus_inf(self):
         with pytest.raises(ValueError, match="snr_db"):

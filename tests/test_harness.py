@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -220,14 +221,13 @@ class TestRunSweep:
         assert len(records) == 2 * 3 * 2
 
     def test_matches_chain_accumulation(self):
-        # seven trials run as chunks of 3 + 3 + 1; the cell rebuilt trial by
-        # trial from the oracles must give the same bit errors, and MSE up to
-        # the order of the sums
-        assert harness._CHUNK == 3
+        # two full chunks and a partial one of a single trial; the cell rebuilt
+        # trial by trial from the oracles must give the same bit errors, and
+        # MSE up to the order of the sums
         cfg = SweepConfig(
             channel_lengths=(20,),
             snr_grid_db=(5.0, 25.0),
-            n_frames=7,
+            n_frames=2 * harness._CHUNK + 1,
             seed=11,
             estimators=(Estimator.LS, Estimator.LMMSE, Estimator.PERFECT),
         )
@@ -247,17 +247,18 @@ class TestRunSweep:
                 assert rec.ber == errors / bits
 
     def test_calibration_curves_match_per_trial_oracle(self):
-        # chunks of 3 + 3 + 1 again, with streams spawned chunk by chunk: the
-        # same children as spawning every trial's stream up front
+        # two full chunks and a partial one again, with streams spawned chunk
+        # by chunk: the same children as spawning every trial's stream up front
         system, pdp, snrs = SystemConfig(), PowerDelayProfile.uniform(40), np.array([5.0, 25.0])
-        points = list(paired_mse_curves(system, pdp, snrs, 7, _rng(3)))
+        n = 2 * harness._CHUNK + 1
+        points = list(paired_mse_curves(system, pdp, snrs, n, _rng(3)))
         assert [p[0] for p in points] == list(snrs)
         ctx = _make_context(system, 0)
-        streams = _rng(3).spawn(len(snrs) * 7)
+        streams = _rng(3).spawn(len(snrs) * n)
         for i, (snr, ls, lmmse) in enumerate(points):
             sums = sum(
-                _oracle_trial(ctx, pdp, NoiseSpec(snr), streams[i * 7 + j], ("ls", "lmmse"))
-                for j in range(7)
+                _oracle_trial(ctx, pdp, NoiseSpec(snr), streams[i * n + j], ("ls", "lmmse"))
+                for j in range(n)
             )
             assert ls == pytest.approx(sums[0, 0] / sums[0, 1], rel=1e-9)
             assert lmmse == pytest.approx(sums[1, 0] / sums[1, 1], rel=1e-9)
@@ -299,11 +300,12 @@ class TestRunSweep:
         monkeypatch.setattr(ofdm, "modulate_frame", spying("modulate", ofdm.modulate_frame))
         monkeypatch.setattr(ofdm, "demodulate_frame", spying("demodulate", ofdm.demodulate_frame))
         ctx, pdp, methods = _make_context(system, 0), PowerDelayProfile.uniform(40), [Estimator.LS]
-        _run_cell(ctx, pdp, 10.0, [_rng(s) for s in range(4)], methods, detect)
-        # chunks of 3 + 1 trials, each with an antenna axis
-        assert shapes["modulate"] == [(3, 2, sent, system.n_used), (1, 2, sent, system.n_used)]
+        c = harness._CHUNK
+        _run_cell(ctx, pdp, 10.0, [_rng(s) for s in range(c + 1)], methods, detect)
+        # a full chunk and one of a single trial, each with an antenna axis
+        assert shapes["modulate"] == [(c, 2, sent, system.n_used), (1, 2, sent, system.n_used)]
         per_rx = (read, system.symbol_len)
-        assert shapes["demodulate"] == [(3, 2, *per_rx), (1, 2, *per_rx)]
+        assert shapes["demodulate"] == [(c, 2, *per_rx), (1, 2, *per_rx)]
 
     @pytest.mark.parametrize(
         "length, detect",
@@ -311,8 +313,8 @@ class TestRunSweep:
         ids=["L40-detect", "L40-calibrate", "L6-cp-covered"],
     )
     def test_grid_is_released_before_the_overrun(self, monkeypatch, length, detect):
-        # the filled slot grid is dead by the time the overrun allocates its
-        # buffer: the chain has already modulated it and formed H * X
+        # the filled slot grid is dead by the time the overrun is formed: the
+        # chain has already formed H * X from it and modulated it
         grids, entered = [], []
         fill, over = GridLayout.fill, harness.overrun
 
@@ -329,8 +331,50 @@ class TestRunSweep:
         monkeypatch.setattr(harness, "overrun", spying_overrun)
         system = SystemConfig()  # 5 MHz, cp 16
         ctx, pdp = _make_context(system, 0), PowerDelayProfile.uniform(length)
-        _run_cell(ctx, pdp, 10.0, [_rng(s) for s in range(4)], [Estimator.LS], detect)
+        rngs = [_rng(s) for s in range(harness._CHUNK + 1)]
+        _run_cell(ctx, pdp, 10.0, rngs, [Estimator.LS], detect)
         assert entered == [True, True]
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 7])
+    def test_results_do_not_depend_on_the_chunk_size(self, monkeypatch, chunk):
+        # a sweep that detects and calibrates L = 20, 7 frames a cell: the
+        # chunk size only regroups the trials, so it moves no draw and no
+        # decision, and MSE and thresholds only by the order of the sums
+        cfg = SweepConfig(channel_lengths=(6, 20), snr_grid_db=(5.0, 25.0), n_frames=7, seed=9)
+        want, want_thresholds = run_sweep(cfg), harness._resolve_thresholds(cfg)
+        monkeypatch.setattr(harness, "_CHUNK", chunk)
+        got, thresholds = run_sweep(cfg), harness._resolve_thresholds(cfg)
+        assert thresholds.keys() == want_thresholds.keys() == {20}
+        assert math.isfinite(thresholds[20])
+        assert thresholds[20] == pytest.approx(want_thresholds[20], rel=1e-12)
+        assert [r.branch_fraction_ls for r in got] == [r.branch_fraction_ls for r in want]
+        assert {r.branch_fraction_ls for r in got} == {None, 0.0, 1.0}
+        for a, b in zip(got, want, strict=True):
+            assert (a.channel_len, a.snr_db, a.estimator) == (b.channel_len, b.snr_db, b.estimator)
+            assert a.ber == b.ber
+            assert a.mse_all_subcarriers == pytest.approx(b.mse_all_subcarriers, rel=1e-12)
+            assert a.mse_pilot_subcarriers == pytest.approx(b.mse_pilot_subcarriers, rel=1e-12)
+
+    def test_detecting_chunk_working_set_stays_lean(self, monkeypatch):
+        """tracemalloc peak of one detecting chunk of _CHUNK trials, 5 MHz,
+        L = 40: the receive chain and the detection of the LS, LMMSE and
+        true-channel estimates.  It measured 0.316 MB a trial in chunks of 4,
+        and the bound is 0.38 MB, 20% above.  A whole-frame overrun, a
+        complex noise temporary per trial and out-of-place FFTs measured
+        0.403 MB a trial in chunks of 3."""
+        ctx, pdp = _make_context(SystemConfig(), 0), PowerDelayProfile.uniform(40)
+        methods = (Estimator.LS, Estimator.LMMSE, Estimator.PERFECT)
+        lmmse = harness._lmmse_factors(ctx.config, pdp, NoiseSpec(10.0))
+        monkeypatch.setattr(harness, "_lmmse_factors", lambda *args: lmmse)
+        n = harness._CHUNK
+        _run_cell(ctx, pdp, 10.0, [_rng(s) for s in range(n)], methods, detect=True)  # warm caches
+        tracemalloc.start()
+        try:
+            _run_cell(ctx, pdp, 10.0, [_rng(s) for s in range(n)], methods, detect=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 0.38e6
 
     def test_perfect_csi_noiseless_is_exact(self):
         cfg = dataclasses.replace(
