@@ -115,12 +115,15 @@ class ChannelRealization:
 
         No 1/sqrt(N) factor: with the unitary modem this makes the
         per-subcarrier model Y = H * X + W hold exactly for CP-covered
-        channels.  Optionally restricted to bins.
+        channels.  Optionally restricted to bins.  The (..., n_tx, n_rx,
+        bins) result is C-contiguous, bins innermost, the slot layout's
+        subcarrier axis in memory too.
         """
         if self.pdp.span > n_fft:
             raise ValueError(f"channel span {self.pdp.span} exceeds the FFT size {n_fft}")
         h = np.fft.fft(self.impulse_responses(), n_fft, axis=-1)
-        return h if bins is None else h[..., bins]
+        # h[..., bins] would lay the bins outermost in memory
+        return h if bins is None else np.take(h, bins, axis=-1)
 
 
 def generate_channel(

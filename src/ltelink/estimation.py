@@ -121,11 +121,12 @@ def ls_interpolation_taps(pilot_positions: np.ndarray, n_used: int) -> LsTaps:
 
 def interpolate_ls(h_ls: np.ndarray, taps: LsTaps) -> np.ndarray:
     """Extend pilot LS estimates, along the last axis of h_ls, to all used
-    subcarriers: (1 - t) * h_lo + t * h_hi."""
+    subcarriers: (1 - t) * h_lo + t * h_hi, C-contiguous, subcarriers
+    innermost."""
     if h_ls.shape[-1] != taps.n_pilots:
         raise ValueError(f"h_ls has {h_ls.shape[-1]} pilots, the taps {taps.n_pilots}")
-    h = h_ls[..., taps.below] * (1.0 - taps.weight)
-    h += h_ls[..., taps.above] * taps.weight
+    h = np.take(h_ls, taps.below, axis=-1) * (1.0 - taps.weight)
+    h += np.take(h_ls, taps.above, axis=-1) * taps.weight
     return h
 
 

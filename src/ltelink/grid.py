@@ -3,9 +3,11 @@
 Builds the per-slot grid of (antenna port, OFDM symbol, subcarrier) cells,
 places cell-specific reference signals on the two pilot-bearing symbols of a
 short-CP slot, and fills a slot with data and pilot symbols.  Every stage,
-from the fill to zero-forcing, keeps that layout, subcarriers innermost.  All
-objects are immutable after construction and safe to share across concurrent
-trials.
+from the fill to zero-forcing, keeps that layout, subcarriers innermost, in
+memory too: its arrays are C-contiguous.  The used subcarriers sit in two
+contiguous runs of FFT bins (used_bin_runs), which the modem reads and writes
+as two slices.  All objects are immutable after construction and safe to
+share across concurrent trials.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ __all__ = [
     "PILOT_SYMBOLS",
     "PILOT_SPACING",
     "used_subcarrier_bins",
+    "used_bin_runs",
     "build_pilot_pattern",
     "random_pilot_sequence",
 ]
@@ -122,22 +125,25 @@ class SystemConfig:
         return span <= self.cp_len + 1
 
 
+def used_bin_runs(config: SystemConfig) -> tuple[slice, slice]:
+    """The used FFT bins as two contiguous runs, in used-subcarrier order: the
+    n_used // 2 negative frequencies [n_fft - n_used // 2, n_fft), which are
+    used subcarriers [0, n_used // 2), then the positive ones from bin 1 up,
+    past the nulled DC bin.  Slicing by them reads and writes the used bins
+    as views, subcarriers innermost."""
+    n_low = config.n_used // 2
+    return slice(config.n_fft - n_low, config.n_fft), slice(1, config.n_used - n_low + 1)
+
+
 @functools.lru_cache(maxsize=16)
 def used_subcarrier_bins(config: SystemConfig) -> np.ndarray:
     """FFT bin index of each used subcarrier, in ascending physical frequency.
 
     Index d in [0, n_used) maps to the d-th occupied bin counting up from the
-    lowest negative frequency, skipping the nulled DC bin.  Every slot's
-    (de)modulation reads it, so each config computes it once, read-only.
+    lowest negative frequency, skipping the nulled DC bin: the bins of
+    used_bin_runs, concatenated.  Each config computes it once, read-only.
     """
-    n_low = config.n_used // 2
-    n_high = config.n_used - n_low
-    bins = np.concatenate(
-        [
-            np.arange(config.n_fft - n_low, config.n_fft),
-            np.arange(1, n_high + 1),
-        ]
-    )
+    bins = np.concatenate([np.arange(run.start, run.stop) for run in used_bin_runs(config)])
     bins.setflags(write=False)
     return bins
 

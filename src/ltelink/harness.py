@@ -15,8 +15,11 @@ its noise, LMMSE filter and one row per estimator, for the sweep and the
 threshold calibration alike.  It runs _CHUNK trials at a time, stacked on a
 leading axis, so each chunk makes one call per stage and one per estimate.  A
 chunk keeps one slot layout, (trial, antenna, symbol, subcarrier), from the
-grid fill to zero-forcing and one frame layout, (trial, antenna, symbol,
-sample), from the modulator to the demodulator.  Its stages are ordered so
+grid fill to zero-forcing, and holds it in memory: the modem reads and writes
+the used bins as two contiguous runs, and the true channel, the received grid
+and every estimate are C-contiguous, subcarriers innermost.  It keeps one
+frame layout, (trial, antenna, symbol, sample), from the modulator to the
+demodulator.  Its stages are ordered so
 that no large array outlives its last reader: form H * X from the grid,
 modulate the grid and drop it, form the overrun heads from the frames and drop
 them, then add each trial's noise and the heads into one receive buffer per
@@ -272,7 +275,8 @@ def _receive(
     its whole slot from rngs[i], whatever symbols it reads.  Returns bits
     (c, n_tx, n_bits) as int8, rx_grid (c, n_rx, len(symbols), n_used) in the
     slot layout of the grid, the modem and zero-forcing, and h_true
-    (c, n_tx, n_rx, n_used) in the layout of the taps and zero-forcing."""
+    (c, n_tx, n_rx, n_used) in the layout of the taps and zero-forcing, both
+    C-contiguous."""
     cfg = ctx.config
     n, n_bits = len(rngs), ctx.layout.n_data_per_port * cfg.constellation.bits_per_symbol
     taps, bits = [], []
@@ -304,7 +308,7 @@ def _receive(
     rx[:, :, read, cfg.cp_len : cfg.cp_len + heads.shape[-1]] += heads
     del heads
     impairment = ofdm.demodulate_frame(rx[:, :, read], cfg)
-    del rx  # before the sum, whose buffered loop allocates
+    del rx
     rx_grid += impairment
     return bits, rx_grid, h_true
 

@@ -258,3 +258,23 @@ def lmmse_mse_closed_form(model, noise_variance: float) -> float:
     the diagonal of R_hh - W R_hh_p^H from the model's factors."""
     s2 = model.sigma**2
     return float(np.mean(1.0 - (np.abs(model.bv) ** 2) @ (s2 / (s2 + noise_variance))))
+
+
+def lmmse_zf_qpsk_ber_closed_form(model, noise_variance: float, n_tx: int, subcarriers) -> float:
+    """BER of Gray QPSK zero-forced with LMMSE estimates over the n_tx x n_tx
+    channel of i.i.d. CN(0, 1) entries whose profile is the model's prior
+    (the CP covers it), unit-modulus pilots, a filter regularized by the
+    noise variance (beta = 1) and unit-power symbols.
+
+    The estimate error e = h - h_hat of subcarrier k is Gaussian with variance
+    sigma_e^2(k) (lmmse_mse_closed_form) and independent of h_hat, whose
+    entries have variance 1 - sigma_e^2(k).  Zero-forcing with h_hat leaves
+    each stream noise of variance sigma^2 + n_tx sigma_e^2(k), so its post-ZF
+    SNR is exponential with mean (1 - sigma_e^2) / (sigma^2 + n_tx sigma_e^2)
+    (Wang, Au, Murch, Mow, Cheng and Lau, IEEE Trans. Wireless Commun. 6(3),
+    2007), and each axis errs on average 1/2 (1 - sqrt(snr / (2 + snr))).
+    The BER is the mean over subcarriers, the used-subcarrier index of each
+    data resource element."""
+    s2 = model.sigma**2
+    var_e = 1.0 - (np.abs(model.bv[subcarriers]) ** 2) @ (s2 / (s2 + noise_variance))
+    return float(np.mean(_rayleigh_q(1.0, (1.0 - var_e) / (noise_variance + n_tx * var_e))))

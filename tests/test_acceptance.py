@@ -14,6 +14,7 @@ from oracles import (
     lmmse_estimate_full,
     lmmse_estimate_simplified,
     lmmse_mse_closed_form,
+    lmmse_zf_qpsk_ber_closed_form,
     mrc_qpsk_ber_rayleigh,
     zf_qam16_ber_rayleigh,
     zf_qpsk_ber_rayleigh,
@@ -374,7 +375,52 @@ def test_perfect_csi_1x2_ber_matches_mrc_closed_form():
     _report("BER-theory-1x2", *_perfect_csi_ber_against_theory(system, snrs, mrc_qpsk_ber_rayleigh))
 
 
-def test_lmmse_mse_matches_closed_form_where_the_cp_covers():
+# CP-covered lengths of the LMMSE closed forms; at each, the receiver's prior
+# is the channel's profile
+CLOSED_FORM_LENGTHS = (6, 10, 16)
+
+
+@pytest.fixture(scope="module")
+def lmmse_batches():
+    """Twelve 10-frame QPSK 2x2 sweeps (seeds 0-11) of LMMSE and perfect CSI at
+    CLOSED_FORM_LENGTHS over SNR_GRID, the batches of the closed-form checks."""
+    return [
+        run_sweep(
+            SweepConfig(
+                channel_lengths=CLOSED_FORM_LENGTHS,
+                snr_grid_db=SNR_GRID,
+                n_frames=10,
+                seed=seed,
+                estimators=(Estimator.LMMSE, Estimator.PERFECT),
+            )
+        )
+        for seed in range(12)
+    ]
+
+
+def _batch_values(batches, estimator: Estimator, name: str) -> np.ndarray:
+    """(batches, cells) array of one field of one estimator's rows, cells in
+    record order: by length, then SNR."""
+    return np.array(
+        [[getattr(r, name) for r in records if r.estimator is estimator] for records in batches]
+    )
+
+
+def _closed_form_cells(theory) -> tuple[list[str], np.ndarray]:
+    """Labels and theory(model, snr_db) of each (length, SNR) cell of
+    lmmse_batches, with the default system's model of each length."""
+    config = SystemConfig()
+    comb = build_pilot_pattern(config).comb
+    cells, values = [], []
+    for length in CLOSED_FORM_LENGTHS:
+        model = build_correlation_model(PowerDelayProfile.uniform(length), comb, config)
+        for snr in SNR_GRID:
+            cells.append(f"L={length} {snr:g}dB")
+            values.append(theory(model, snr))
+    return cells, np.array(values)
+
+
+def test_lmmse_mse_matches_closed_form_where_the_cp_covers(lmmse_batches):
     """QPSK 2x2 LMMSE MSE at CP-covered lengths against its closed form.
 
     Where the CP covers the channel the receiver's prior is the channel's
@@ -385,42 +431,53 @@ def test_lmmse_mse_matches_closed_form_where_the_cp_covers():
     below 10% of it.  At these seeds the standard error is 1.1-4.2% of the
     closed form and the largest deviation 2.75 standard errors.
     """
-    config, lengths, snrs = SystemConfig(), (6, 10, 16), SNR_GRID
-    batches = np.array(
-        [
-            [
-                r.mse_all_subcarriers
-                for r in run_sweep(
-                    SweepConfig(
-                        system=config,
-                        channel_lengths=lengths,
-                        snr_grid_db=snrs,
-                        n_frames=10,
-                        seed=seed,
-                        estimators=(Estimator.LMMSE,),
-                    )
-                )
-            ]
-            for seed in range(12)
-        ]
-    )
+    batches = _batch_values(lmmse_batches, Estimator.LMMSE, "mse_all_subcarriers")
     mean = batches.mean(axis=0)
     stderr = batches.std(axis=0, ddof=1) / np.sqrt(len(batches))
-    comb = build_pilot_pattern(config).comb
-    theory = np.array(
-        [
-            lmmse_mse_closed_form(
-                build_correlation_model(PowerDelayProfile.uniform(length), comb, config),
-                10.0 ** (-snr / 10.0),
-            )
-            for length in lengths
-            for snr in snrs
-        ]
+    cells, theory = _closed_form_cells(
+        lambda model, snr: lmmse_mse_closed_form(model, 10.0 ** (-snr / 10.0))
     )
     ok = bool(np.all(np.abs(mean - theory) <= 4 * stderr) and np.all(stderr < 0.1 * theory))
-    cells = [f"L={length} {snr:g}dB" for length in lengths for snr in snrs]
     detail = "; ".join(
         f"{c}: {m:.4g} vs {t:.4g} ({(m - t) / e:+.1f} se, {e / t:.1%})"
         for c, m, t, e in zip(cells, mean, theory, stderr)
     )
     _report("LMMSE-MSE-theory", ok, detail)
+
+
+def test_lmmse_ber_matches_closed_form_where_the_cp_covers(lmmse_batches):
+    """QPSK 2x2 LMMSE BER at CP-covered lengths against its closed form, as the
+    paired ratio of LMMSE BER over perfect-CSI BER.
+
+    Zero-forcing with the LMMSE estimate sees each stream's SNR exponential
+    with mean (1 - sigma_e^2(k)) / (sigma^2 + n_tx sigma_e^2(k))
+    (oracles.lmmse_zf_qpsk_ber_closed_form), and perfect CSI the same with
+    sigma_e^2 = 0 (oracles.zf_qpsk_ber_rayleigh).  Both rows of a cell read
+    the same trials, so their ratio cancels most of the fading noise.  The
+    ratio of the mean batch BERs of the lmmse_batches must lie within 4
+    standard errors of the ratio of the closed forms, the standard error the
+    delta-method one of a ratio of batch means, and that standard error must
+    be below 10% of it.  At these seeds the standard error is 0.4-7.1% of
+    the closed form and the largest deviation 1.96 standard errors; a closed
+    form with one stream's error energy, sigma^2 + sigma_e^2, in place of
+    n_tx streams' reads up to 8.4.
+    """
+    lmmse = _batch_values(lmmse_batches, Estimator.LMMSE, "ber")
+    perfect = _batch_values(lmmse_batches, Estimator.PERFECT, "ber")
+    ratio = lmmse.mean(axis=0) / perfect.mean(axis=0)
+    residual = lmmse - ratio * perfect
+    stderr = residual.std(axis=0, ddof=1) / np.sqrt(len(lmmse)) / perfect.mean(axis=0)
+    config = SystemConfig()
+    data_subcarriers = GridLayout.build(config, build_pilot_pattern(config)).data_subcarriers
+
+    def paired_ratio(model, snr):
+        ber = lmmse_zf_qpsk_ber_closed_form(model, 10.0 ** (-snr / 10.0), config.n_tx, data_subcarriers)
+        return ber / zf_qpsk_ber_rayleigh(snr)
+
+    cells, theory = _closed_form_cells(paired_ratio)
+    ok = bool(np.all(np.abs(ratio - theory) <= 4 * stderr) and np.all(stderr < 0.1 * theory))
+    detail = "; ".join(
+        f"{c}: {m:.4g} vs {t:.4g} ({(m - t) / e:+.1f} se, {e / t:.1%})"
+        for c, m, t, e in zip(cells, ratio, theory, stderr)
+    )
+    _report("LMMSE-BER-theory", ok, detail)

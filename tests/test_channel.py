@@ -21,7 +21,14 @@ from ltelink.channel import (
     generate_channel,
     overrun,
 )
-from ltelink.grid import PILOT_SYMBOLS, Constellation, SystemConfig, used_subcarrier_bins
+from ltelink.estimation import interpolate_ls, ls_interpolation_taps
+from ltelink.grid import (
+    PILOT_SYMBOLS,
+    Constellation,
+    SystemConfig,
+    build_pilot_pattern,
+    used_subcarrier_bins,
+)
 from ltelink.harness import _make_context, _receive
 from ltelink.ofdm import demodulate_frame, modulate_frame
 
@@ -398,6 +405,43 @@ class TestReceivePath:
         assert np.abs(got_grid - want).max() <= 1e-12 * np.abs(want).max()
         for a, b in zip(whole, pilots):
             assert a.bit_generator.state == b.bit_generator.state
+
+
+class TestSlotLayoutInMemory:
+    """The slot layout holds in memory: the responses, the demodulated grid,
+    the LS estimates and a received chunk are C-contiguous, subcarriers
+    innermost, so their products, sums and energies read unit strides."""
+
+    CFG = SystemConfig()
+
+    def test_frequency_responses(self):
+        pdp = PowerDelayProfile.uniform(20)
+        taps = np.ones((4, 2, 2, pdp.n_taps), dtype=complex)
+        ch = ChannelRealization(taps, pdp)
+        h = ch.frequency_responses(self.CFG.n_fft, used_subcarrier_bins(self.CFG))
+        assert h.shape == (4, 2, 2, self.CFG.n_used) and h.flags.c_contiguous
+
+    @pytest.mark.parametrize("read", [slice(None), list(PILOT_SYMBOLS)], ids=["slot", "pilot-symbols"])
+    def test_demodulated_grid(self, read):
+        # from a whole chunk of frames and from a copy of some of its symbols
+        frames = np.ones((4, 2, 7, self.CFG.symbol_len), dtype=complex)[:, :, read]
+        grid = demodulate_frame(frames, self.CFG)
+        assert grid.shape == (*frames.shape[:-1], self.CFG.n_used) and grid.flags.c_contiguous
+
+    def test_ls_interpolation(self):
+        comb = build_pilot_pattern(self.CFG).comb
+        taps = ls_interpolation_taps(comb, self.CFG.n_used)
+        h = interpolate_ls(np.ones((16, comb.size), dtype=complex), taps)
+        assert h.shape == (16, self.CFG.n_used) and h.flags.c_contiguous
+
+    @pytest.mark.parametrize("symbols", [tuple(range(7)), PILOT_SYMBOLS], ids=["detect", "calibrate"])
+    def test_received_chunk(self, symbols):
+        ctx = _make_context(self.CFG, 19)
+        rngs = [np.random.default_rng(s) for s in range(4)]
+        pdp, noise = PowerDelayProfile.uniform(40), NoiseSpec(10.0)
+        _, rx_grid, h_true = _receive(ctx, pdp, noise, rngs, symbols)
+        assert rx_grid.shape == (4, 2, len(symbols), self.CFG.n_used) and rx_grid.flags.c_contiguous
+        assert h_true.shape == (4, 2, 2, self.CFG.n_used) and h_true.flags.c_contiguous
 
 
 class TestTrialAxis:

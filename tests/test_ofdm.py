@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from oracles import dft_coefficient, dft_matrix
 
 from ltelink.channel import ChannelRealization, PowerDelayProfile
-from ltelink.grid import SystemConfig, used_subcarrier_bins
+from ltelink.grid import LTE_PROFILES, SystemConfig, used_bin_runs, used_subcarrier_bins
 from ltelink.ofdm import demodulate_frame, modulate_frame
 
 CFG = SystemConfig()  # 5 MHz, 512-FFT, 300 used, CP 16
@@ -139,6 +139,69 @@ class TestDemodulate:
             [sum(taps[l] * np.exp(-2j * np.pi * k * l / CFG.n_fft) for l in range(L)) for k in bins]
         )
         assert_allclose(got, h_ref * col, atol=1e-10)
+
+
+# every profile at its default n_used, then odd, even, the largest and the
+# smallest (4) n_used overrides
+RUN_CONFIGS = [
+    *(pytest.param(SystemConfig(bandwidth_mhz=bw), id=f"{bw:g}MHz") for bw in LTE_PROFILES),
+    *(
+        pytest.param(SystemConfig(bandwidth_mhz=bw, n_used=n), id=f"{bw:g}MHz-n{n}")
+        for bw, n in [(1.25, 61), (1.25, 127), (1.25, 126), (5.0, 299), (5.0, 4), (20.0, 5), (20.0, 4)]
+    ),
+]
+
+
+class TestUsedBinRuns:
+    """The modem's two-run scatter and gather against indexing by
+    used_subcarrier_bins, bit for bit."""
+
+    @pytest.mark.parametrize("config", RUN_CONFIGS)
+    def test_runs_are_the_used_bins(self, config):
+        low, high = used_bin_runs(config)
+        n_low = config.n_used // 2
+        assert (low.start, low.stop) == (config.n_fft - n_low, config.n_fft)
+        assert (high.start, high.stop) == (1, config.n_used - n_low + 1)
+        bins = np.arange(config.n_fft)
+        assert np.array_equal(np.concatenate([bins[low], bins[high]]), used_subcarrier_bins(config))
+
+    @pytest.mark.parametrize("config", RUN_CONFIGS)
+    def test_modulate_scatters_into_the_used_bins_only(self, config, monkeypatch):
+        # the spectrum the inverse FFT reads holds the grid in the used bins
+        # and exact zeros in DC and the guard bins, and the frames equal those
+        # of a scatter by index
+        rng = np.random.default_rng(40)
+        shape = (2, 3, config.n_used)
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        spectra, ifft = [], np.fft.ifft
+
+        def spying_ifft(a, *args, **kwargs):
+            spectra.append(a.copy())
+            return ifft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", spying_ifft)
+        frames = modulate_frame(values, config)
+        monkeypatch.undo()
+        (spectrum,) = spectra
+        bins = used_subcarrier_bins(config)
+        unused = np.setdiff1d(np.arange(config.n_fft), bins)
+        assert 0 in unused and unused.size == config.n_fft - config.n_used
+        assert np.array_equal(spectrum[..., bins], values)
+        assert np.all(spectrum[..., unused] == 0)
+        want = np.zeros(spectrum.shape, dtype=complex)
+        want[..., bins] = values
+        want = np.fft.ifft(want, axis=-1, norm="ortho")
+        assert np.array_equal(frames[..., config.cp_len :], want)
+        assert np.array_equal(frames[..., : config.cp_len], want[..., config.n_fft - config.cp_len :])
+
+    @pytest.mark.parametrize("config", RUN_CONFIGS)
+    def test_demodulate_gathers_the_used_bins(self, config):
+        rng = np.random.default_rng(41)
+        shape = (2, 3, config.symbol_len)
+        frames = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        spectrum = np.fft.fft(frames[..., config.cp_len :], axis=-1, norm="ortho")
+        got = demodulate_frame(frames, config)
+        assert np.array_equal(got, spectrum[..., used_subcarrier_bins(config)])
 
 
 class TestFrameHelpers:
