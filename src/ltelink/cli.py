@@ -90,9 +90,11 @@ _SYSTEM_FIELDS = frozenset(f.name for f in fields(SystemConfig))
 
 
 def parse_config_file(path: str | Path) -> dict[str, Any]:
-    """{key: parsed value} of `key = value` lines; '#' starts a comment, blank lines ignored."""
+    """{key: parsed value} of `key = value` lines; '#' starts a comment, blank lines ignored.
+    A key may appear once."""
     text = Path(path).read_text()
     values: dict[str, Any] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -103,6 +105,8 @@ def parse_config_file(path: str | Path) -> dict[str, Any]:
         key = key.strip().lower()
         if key not in _CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if (first := first_line.setdefault(key, lineno)) != lineno:
+            raise ValueError(f"{path}:{lineno}: {key} is already set on line {first}")
         try:  # parsed here, where the file and line of a bad value are known
             values[key] = _CONFIG_KEYS[key](value.strip())
         except ValueError as exc:

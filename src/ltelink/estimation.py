@@ -15,17 +15,26 @@ factors (the low-rank form of Edfors et al., IEEE Trans. Commun. 46(7), 1998,
 exact rather than truncated).  The hybrid estimator picks LMMSE whenever
 the cyclic prefix covers the channel and otherwise switches between LMMSE
 (low SNR) and LS (high SNR) at a calibrated threshold.
+
+The receiver's LMMSE filter (lmmse_factors) assumes a prior: the channel
+profile truncated to the cyclic prefix.  Its correlation model depends only
+on the configuration, which fixes the pilot comb, and on that truncated
+profile, so it is built once per (config, truncated profile) and memoized:
+the antenna ports, the channel lengths that truncate alike and the threshold
+calibration share it, and with it its SVD.  Each cell's filter is then two
+thin factors, never multiplied out.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .channel import PowerDelayProfile
-from .grid import SystemConfig, as_int, used_subcarrier_bins
+from .grid import SystemConfig, as_int, build_pilot_pattern, used_subcarrier_bins
 
 __all__ = [
     "CorrelationModel",
@@ -35,6 +44,7 @@ __all__ = [
     "interpolate_ls",
     "build_correlation_model",
     "lmmse_filter",
+    "lmmse_factors",
     "calibrate_threshold",
 ]
 
@@ -175,6 +185,27 @@ def lmmse_filter(corr: CorrelationModel, regularizer: float) -> tuple[np.ndarray
         gain = np.zeros_like(sigma)
         gain[keep] = 1.0 / sigma[keep]
     return corr.bv, gain[:, None] * corr.q.conj().T
+
+
+def lmmse_factors(
+    config: SystemConfig, pdp: PowerDelayProfile, noise_variance: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The receiver's LMMSE filter factors (F, G), W = F @ G, for a channel of
+    profile pdp, regularized by beta / SNR = beta * noise_variance.
+
+    The receiver's prior keeps the taps at delays below cp_len: the
+    demodulator is designed for delay spreads the CP absorbs, and a longer
+    channel is precisely the unforeseen case the hybrid estimator exists for.
+    """
+    model = _memoized_model(config, pdp.truncated(config.cp_len))
+    return lmmse_filter(model, config.constellation.beta * noise_variance)
+
+
+@functools.lru_cache(maxsize=8)
+def _memoized_model(config: SystemConfig, prior: PowerDelayProfile) -> CorrelationModel:
+    """The model of one (config, truncated profile); the comb follows from the
+    config.  Models are read-only, so callers share them; the bound caps memory."""
+    return build_correlation_model(prior, build_pilot_pattern(config).comb, config)
 
 
 def _crossover(points: Iterable[tuple[float, float, float]]) -> float:

@@ -197,20 +197,29 @@ def build_pilot_pattern(config: SystemConfig) -> PilotPattern:
 
 @dataclass(frozen=True, eq=False)
 class GridLayout:
-    """Precomputed cell bookkeeping shared by every slot built from one pattern.
+    """The resource-element map of every slot built from one pattern.
 
-    The data resource elements are those no pilot entry occupies: a pilot
+    The payload resource elements are those no pilot entry occupies: a pilot
     element is nulled on all non-owning ports, so every port has the same
-    ones.  data_symbols/data_subcarriers enumerate them in the deterministic
-    fill order (symbols ascending, subcarriers ascending within a symbol),
-    which is the raveled order of a port's (n_symbols, n_used) slot.
+    ones.  payload_index enumerates them as positions in a port's raveled
+    (n_symbols, n_used) slot, ascending, which is the fill order (symbols
+    ascending, subcarriers ascending within a symbol) and the order of their
+    bits.  pilot_symbols holds the symbol of each port's pilot on each comb
+    subcarrier, in the comb order of pattern.entry_index.
     """
 
     pattern: PilotPattern
     shape: tuple[int, int, int]  # (n_ports, n_symbols, n_used) of one slot
-    data_subcarriers: np.ndarray
-    data_symbols: np.ndarray
-    n_data_per_port: int
+    payload_index: np.ndarray  # (n_data_per_port,)
+    pilot_symbols: np.ndarray  # (n_ports, n_pilots)
+
+    def __post_init__(self) -> None:
+        for a in (self.payload_index, self.pilot_symbols):
+            a.setflags(write=False)
+
+    @property
+    def n_data_per_port(self) -> int:
+        return len(self.payload_index)
 
     @classmethod
     def build(cls, config: SystemConfig, pattern: PilotPattern) -> "GridLayout":
@@ -223,13 +232,11 @@ class GridLayout:
             raise ValueError("pattern is not build_pilot_pattern(config): built for another config")
         occupied = np.zeros((config.n_symbols_per_slot, config.n_used), dtype=bool)
         occupied[pattern.entries[:, 1], pattern.entries[:, 0]] = True
-        sym_idx, sc_idx = np.nonzero(~occupied)
         return cls(
             pattern=pattern,
             shape=(config.n_tx, config.n_symbols_per_slot, config.n_used),
-            data_subcarriers=sc_idx,
-            data_symbols=sym_idx,
-            n_data_per_port=int(sc_idx.size),
+            payload_index=np.flatnonzero(~occupied),
+            pilot_symbols=pattern.entries[pattern.entry_index, 1],
         )
 
     def fill(
@@ -237,24 +244,28 @@ class GridLayout:
     ) -> np.ndarray:
         """The (..., n_ports, n_symbols, n_used) values of slots whose data_symbols
         are (..., n_ports, n_data_per_port); leading axes stack slots."""
-        data = np.asarray(data_symbols)
-        got = data.shape[-1]
+        data, pilots = np.asarray(data_symbols), np.asarray(pilot_seq)
+        got = data.shape[-1] if data.ndim else 0
         if got != self.n_data_per_port:
             short = self.n_data_per_port - got
             kind = "missing" if short > 0 else "extra"
             raise ValueError(
                 f"expected {self.n_data_per_port} data symbols, got {got} ({abs(short)} {kind})"
             )
+        if data.shape[-2:-1] != self.shape[:1]:
+            raise ValueError(f"data symbols must be (..., {self.shape[0]}, {got}), got {data.shape}")
+        if pilots.ndim != 1:
+            raise ValueError(f"pilot sequence must be 1-D, got shape {pilots.shape}")
         n_entries = self.pattern.n_entries
-        if len(pilot_seq) < n_entries:
+        if len(pilots) < n_entries:
             raise ValueError(
                 f"pilot sequence too short: need {n_entries}, "
-                f"got {len(pilot_seq)} ({n_entries - len(pilot_seq)} missing)"
+                f"got {len(pilots)} ({n_entries - len(pilots)} missing)"
             )
         values = np.zeros((*data.shape[:-2], *self.shape), dtype=np.complex128)
-        values[..., self.data_symbols, self.data_subcarriers] = data
+        values.reshape(*values.shape[:-2], -1)[..., self.payload_index] = data
         sc, sym, port = self.pattern.entries.T
-        values[..., port, sym, sc] = np.asarray(pilot_seq)[:n_entries]
+        values[..., port, sym, sc] = pilots[:n_entries]
         return values
 
 

@@ -1,39 +1,20 @@
 """Monte Carlo sweep driver: TX -> channel -> RX -> estimate -> detect -> score.
 
 One trial is one slot: draw a block-fading channel, fill the grid with random
-payload bits and the run's pilot sequence, and modulate the symbols the cell
-reads.  The received grid is H * X plus the demodulated sum of AWGN and the
-channel's overrun past the cyclic prefix (see ltelink.channel), which equals
-the demodulated linear convolution of the sent symbols; H is the exact
-frequency response that also scores the estimates.  A cell that detects reads
-all 7 symbols; a calibration cell, which scores MSE alone, reads pilot symbols
-0 and 4 with the same draws.  Every (tx, rx) response is then estimated from
-the pilots on the comb all ports share (every third subcarrier), each
-subcarrier's channel matrix is inverted once to zero-force its symbols, and
-MSE is scored against H and BER against the payload.  One routine owns a cell,
-its noise, LMMSE filter and one row per estimator, for the sweep and the
-threshold calibration alike.  It runs _CHUNK trials at a time, stacked on a
-leading axis, so each chunk makes one call per stage and one per estimate.  A
-chunk keeps one slot layout, (trial, antenna, symbol, subcarrier), from the
-grid fill to zero-forcing, and holds it in memory: the modem reads and writes
-the used bins as two contiguous runs, and the true channel, the received grid
-and every estimate are C-contiguous, subcarriers innermost.  It keeps one
-frame layout, (trial, antenna, symbol, sample), from the modulator to the
-demodulator.  Its stages are ordered so
-that no large array outlives its last reader: form H * X from the grid,
-modulate the grid and drop it, form the overrun heads from the frames and drop
-them, then add each trial's noise and the heads into one receive buffer per
-chunk, the frames of its whole slots, and demodulate its read windows in
-place.  Payload bits are drawn as int64 and kept as int8.
+payload bits and the run's pilot sequence, and receive it through the channel
+and the modem (_receive).  Every (tx, rx) response is then estimated from the
+pilots on the comb all ports share, each subcarrier's symbols are zero-forced
+with the estimate, and MSE is scored against the exact frequency response and
+BER against the payload.  A cell that detects reads all 7 symbols; a
+calibration cell, which scores MSE alone, reads pilot symbols 0 and 4 with the
+same draws.  One routine owns a cell, its noise, LMMSE filter and one row per
+estimator, for the sweep and the threshold calibration alike.  The hybrid
+estimator computes nothing of its own: its row is the row of the branch it
+chooses at its length's switching SNR (_hybrid_threshold).
 
-The LMMSE correlation model depends only on the configuration, which fixes the
-pilot comb, and on the channel profile truncated to the cyclic prefix.  It is
-built once per (config, truncated profile) and memoized, so the antenna ports,
-the channel lengths that truncate alike and the threshold calibration share
-it, and with it its SVD.  Each cell's LMMSE filter is then two thin factors,
-never multiplied out, and LS interpolation two taps per subcarrier, built once
-per context; each estimator has one application path, which serves every
-(tx, rx) pair of a chunk at once.
+A cell runs _CHUNK trials at a time, stacked on a leading axis, so each chunk
+makes one call per stage and one per estimate.  The chunk size only regroups
+the trials: it moves no draw and no decision.
 
 Reproducibility contract: every random draw comes from a stream derived from
 (seed, purpose tag, cell indices, trial index), so results are independent of
@@ -44,8 +25,7 @@ spawns one child of its stream per trial, SNR by SNR in ascending order, and
 stops at the first LS/LMMSE crossing: it draws from the stream only up to the
 crossing, and the cells past it are never run.  All estimators of a cell
 share the same trial streams (common random numbers), which makes estimator
-comparisons paired.  The hybrid estimator computes nothing of its own: its
-row is the row of the branch it chooses.
+comparisons paired.
 
 MSE aggregation across trials is energy weighted: |error|^2 and |h|^2 sums are
 accumulated separately and divided once, so the pilot-column MSE of the LS
@@ -54,7 +34,6 @@ estimator converges to 1/SNR exactly.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field, fields
@@ -74,7 +53,6 @@ from .channel import (
     overrun,
 )
 from .estimation import (
-    CorrelationModel,
     LsTaps,
     interpolate_ls,
     ls_estimate,
@@ -232,26 +210,19 @@ class _LinkContext:
     config: SystemConfig
     layout: GridLayout
     pilot_seq: np.ndarray
-    pilot_subcarriers: np.ndarray  # (n_pilots,) the comb every port shares
-    pilot_symbols: np.ndarray  # (n_tx, n_pilots) each port's symbol on the comb
     pilot_values: np.ndarray  # (n_tx, n_pilots) each port's pilots on the comb
     ls_taps: LsTaps  # LS interpolation from the comb to every used subcarrier
-    payload_index: np.ndarray  # (n_data_per_port,) payload positions in a raveled slot
 
 
 def _make_context(config: SystemConfig, seed: int) -> _LinkContext:
     pattern = build_pilot_pattern(config)
-    layout = GridLayout.build(config, pattern)
     pilot_seq = random_pilot_sequence(pattern.n_entries, _stream(seed, _TAG_PILOTS))
     return _LinkContext(
         config=config,
-        layout=layout,
+        layout=GridLayout.build(config, pattern),
         pilot_seq=pilot_seq,
-        pilot_subcarriers=pattern.comb,
-        pilot_symbols=pattern.entries[pattern.entry_index, 1],
         pilot_values=pilot_seq[pattern.entry_index],
         ls_taps=ls_interpolation_taps(pattern.comb, config.n_used),
-        payload_index=layout.data_symbols * config.n_used + layout.data_subcarriers,
     )
 
 
@@ -276,7 +247,14 @@ def _receive(
     (c, n_tx, n_bits) as int8, rx_grid (c, n_rx, len(symbols), n_used) in the
     slot layout of the grid, the modem and zero-forcing, and h_true
     (c, n_tx, n_rx, n_used) in the layout of the taps and zero-forcing, both
-    C-contiguous."""
+    C-contiguous.  The received grid is H * X plus the demodulated sum of the
+    noise and the channel's overrun past the cyclic prefix, which equals the
+    demodulated linear convolution of the sent symbols.  The stages are
+    ordered so that no large array outlives its last reader: H * X is formed
+    from the filled grid before it is modulated and dropped, the frames are
+    dropped once the overrun heads are formed, and the noise and the heads go
+    into one receive buffer per chunk, whose read windows are demodulated in
+    place."""
     cfg = ctx.config
     n, n_bits = len(rngs), ctx.layout.n_data_per_port * cfg.constellation.bits_per_symbol
     taps, bits = [], []
@@ -325,30 +303,9 @@ def _bit_errors(ctx: _LinkContext, rx_grid: np.ndarray, h_hat: np.ndarray, bits:
     """Payload bit errors of a chunk zero-forced with the estimate h_hat."""
     detected, _ = kernels.zf_detect_grid(rx_grid, h_hat)
     # (c, n_tx, n_data_per_port) payload symbols, in the order of their bits
-    symbols = np.take(detected.reshape(*detected.shape[:2], -1), ctx.payload_index, axis=-1)
+    symbols = np.take(detected.reshape(*detected.shape[:2], -1), ctx.layout.payload_index, axis=-1)
     rx_bits = linkproc.demap_symbols(symbols, ctx.config.constellation)
     return int(np.count_nonzero(rx_bits != bits.reshape(-1)))
-
-
-def _lmmse_factors(
-    config: SystemConfig, pdp: PowerDelayProfile, noise: NoiseSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """A cell's LMMSE filter factors (F, G), W = F @ G, regularized by
-    beta / SNR = beta * sigma^2.
-
-    The receiver's prior keeps the taps at delays below cp_len: the
-    demodulator is designed for delay spreads the CP absorbs, and a longer
-    channel is precisely the unforeseen case the hybrid estimator exists for.
-    """
-    model = _memoized_model(config, pdp.truncated(config.cp_len))
-    return estimation.lmmse_filter(model, config.constellation.beta * noise.noise_variance)
-
-
-@functools.lru_cache(maxsize=8)
-def _memoized_model(config: SystemConfig, prior: PowerDelayProfile) -> CorrelationModel:
-    """The model of one (config, truncated profile); the comb follows from the
-    config.  Models are read-only, so callers share them; the bound caps memory."""
-    return estimation.build_correlation_model(prior, build_pilot_pattern(config).comb, config)
 
 
 def _run_cell(
@@ -368,15 +325,16 @@ def _run_cell(
     Errors and energies are summed over the whole cell and divided once.
     """
     noise = NoiseSpec(snr_db)
-    lmmse = _lmmse_factors(ctx.config, pdp, noise) if Estimator.LMMSE in methods else None
-    pilots = ctx.pilot_subcarriers
+    if Estimator.LMMSE in methods:
+        f, g = estimation.lmmse_factors(ctx.config, pdp, noise.noise_variance)
+    pilots = ctx.layout.pattern.comb
     err2 = np.zeros((len(methods), 2))  # the _energy of each estimate's error
     ref2 = np.zeros(2)  # and of the true channel
     errors = np.zeros(len(methods), dtype=np.int64)
     n_bits = 0
     # detection reads the whole slot, the MSE alone only the pilot symbols
     symbols = _SLOT_SYMBOLS if detect else PILOT_SYMBOLS
-    pilot_rows = np.searchsorted(symbols, ctx.pilot_symbols)  # in rx_grid's symbol axis
+    pilot_rows = np.searchsorted(symbols, ctx.layout.pilot_symbols)  # in rx_grid's symbol axis
     streams = iter(streams)
     while rngs := list(itertools.islice(streams, _CHUNK)):
         bits, rx_grid, h_true = _receive(ctx, pdp, noise, rngs, symbols)
@@ -389,7 +347,6 @@ def _run_cell(
             if method is Estimator.LS:
                 h_hat = interpolate_ls(h_ls, ctx.ls_taps).reshape(h_true.shape)
             elif method is Estimator.LMMSE:
-                f, g = lmmse
                 # 2-D products over trials and pairs: BLAS beats a stacked matmul here
                 h_hat = ((h_ls @ g.T) @ f.T).reshape(h_true.shape)
             else:
@@ -425,29 +382,26 @@ def paired_mse_curves(
         yield float(snr_db), rows[Estimator.LS][0], rows[Estimator.LMMSE][0]
 
 
-def _resolve_thresholds(config: SweepConfig) -> dict[int, float]:
-    """Hybrid switching threshold of each channel length the CP does not cover.
+def _hybrid_threshold(config: SweepConfig, li: int, length: int) -> float:
+    """The hybrid's switching SNR for the li-th channel length: LS from it up,
+    LMMSE below it.
 
-    The lengths it covers have none: the hybrid keeps them on LMMSE.  The
-    others use the override when set, otherwise the calibrated LS/LMMSE
-    crossover for this configuration and profile.
+    +inf where the CP covers the channel, so the hybrid keeps it on LMMSE;
+    else the configured threshold_db when set; else the calibrated LS/LMMSE
+    crossover for this configuration and profile over the finite SNRs, drawn
+    from the length's own calibration stream.
     """
-    thresholds: dict[int, float] = {}
-    finite_snrs = np.array([s for s in config.snr_grid_db if math.isfinite(s)])
-    for li, length in enumerate(config.channel_lengths):
-        if config.system.cp_covers(length):
-            continue
-        if config.threshold_db is not None:
-            thresholds[length] = config.threshold_db
-        else:
-            thresholds[length] = estimation.calibrate_threshold(
-                config.system,
-                PowerDelayProfile.uniform(length),
-                finite_snrs,
-                config.n_frames,
-                _stream(config.seed, _TAG_CALIBRATION, li),
-            )
-    return thresholds
+    if config.system.cp_covers(length):
+        return math.inf
+    if config.threshold_db is not None:
+        return config.threshold_db
+    return estimation.calibrate_threshold(
+        config.system,
+        PowerDelayProfile.uniform(length),
+        np.array([s for s in config.snr_grid_db if math.isfinite(s)]),
+        config.n_frames,
+        _stream(config.seed, _TAG_CALIBRATION, li),
+    )
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
@@ -464,18 +418,15 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     requested = tuple(e for e in ESTIMATOR_ORDER if e in config.estimators)
     methods = tuple(e for e in requested if e is not Estimator.HYBRID)
     hybrid = Estimator.HYBRID in requested
-    thresholds = _resolve_thresholds(config) if hybrid else {}
     records: list[SweepRecord] = []
     for li, length in enumerate(config.channel_lengths):
         pdp = PowerDelayProfile.uniform(length)
+        threshold = _hybrid_threshold(config, li, length) if hybrid else math.inf
         for si, snr_db in enumerate(config.snr_grid_db):
-            if hybrid:
-                # LS from the threshold up, LMMSE below it; a length the CP
-                # covers has no threshold, and neither it nor a +inf threshold
-                # ever chooses LS, not even at SNR = +inf
-                threshold = thresholds.get(length, math.inf)
-                chooses_ls = threshold < math.inf and snr_db >= threshold
-                branch = Estimator.LS if chooses_ls else Estimator.LMMSE
+            # LS from the threshold up, LMMSE below it; a +inf threshold never
+            # chooses LS, not even at SNR = +inf
+            chooses_ls = threshold < math.inf and snr_db >= threshold
+            branch = Estimator.LS if chooses_ls else Estimator.LMMSE
             cell_methods = (*methods, branch) if hybrid and branch not in methods else methods
             streams = (_stream(config.seed, _TAG_TRIAL, li, si, t) for t in range(config.n_frames))
             try:

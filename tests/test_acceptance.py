@@ -21,11 +21,7 @@ from oracles import (
 )
 
 from ltelink.channel import PowerDelayProfile, generate_channel
-from ltelink.estimation import (
-    build_correlation_model,
-    calibrate_threshold,
-    lmmse_filter,
-)
+from ltelink.estimation import build_correlation_model, lmmse_filter
 from ltelink.grid import (
     Constellation,
     GridLayout,
@@ -34,14 +30,7 @@ from ltelink.grid import (
     random_pilot_sequence,
     used_subcarrier_bins,
 )
-from ltelink.harness import (
-    _TAG_CALIBRATION,
-    Estimator,
-    SweepConfig,
-    _stream,
-    emit_csv,
-    run_sweep,
-)
+from ltelink.harness import Estimator, SweepConfig, _hybrid_threshold, emit_csv, run_sweep
 from ltelink.ofdm import demodulate_frame, modulate_frame
 
 SNR_GRID = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
@@ -150,13 +139,7 @@ def test_ac4_crossover_when_channel_exceeds_cp(sweep_long):
         high_ls = getattr(cells[(40, 30.0, Estimator.LS)], col)
         checks.append(low_lm < low_ls)
         checks.append(high_ls < high_lm)
-    threshold = calibrate_threshold(
-        cfg.system,
-        PowerDelayProfile.uniform(40),
-        np.array(SNR_GRID),
-        cfg.n_frames,
-        _stream(SEED, _TAG_CALIBRATION, 0),
-    )
+    threshold = _hybrid_threshold(cfg, 0, 40)
     finite = bool(np.isfinite(threshold) and 0.0 < threshold < 30.0)
     ok = all(checks) and finite
     _report(
@@ -190,13 +173,7 @@ def test_ac5_hybrid_dominates_both_sweeps(sweep_short, sweep_long):
             worst = f"branch_fraction_ls != 0 at L={length} snr={snr}"
     # for L=40 the branch is the indicator of snr >= calibrated threshold
     cfg_long, cells_long = sweep_long
-    threshold = calibrate_threshold(
-        cfg_long.system,
-        PowerDelayProfile.uniform(40),
-        np.array(SNR_GRID),
-        cfg_long.n_frames,
-        _stream(SEED, _TAG_CALIBRATION, 0),
-    )
+    threshold = _hybrid_threshold(cfg_long, 0, 40)
     for snr in SNR_GRID:
         r = cells_long[(40, snr, Estimator.HYBRID)]
         expected = 1.0 if snr >= threshold else 0.0
@@ -468,7 +445,8 @@ def test_lmmse_ber_matches_closed_form_where_the_cp_covers(lmmse_batches):
     residual = lmmse - ratio * perfect
     stderr = residual.std(axis=0, ddof=1) / np.sqrt(len(lmmse)) / perfect.mean(axis=0)
     config = SystemConfig()
-    data_subcarriers = GridLayout.build(config, build_pilot_pattern(config)).data_subcarriers
+    payload_index = GridLayout.build(config, build_pilot_pattern(config)).payload_index
+    data_subcarriers = payload_index % config.n_used
 
     def paired_ratio(model, snr):
         ber = lmmse_zf_qpsk_ber_closed_form(model, 10.0 ** (-snr / 10.0), config.n_tx, data_subcarriers)

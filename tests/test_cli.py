@@ -293,6 +293,19 @@ class TestMain:
         assert f"ltelink: error: {cfgfile}:2: {key}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_key_is_a_usage_error(self, tmp_path, capsys):
+        # a second value would silently replace the first; the error names the
+        # file and both lines, whatever the spelling of the key
+        cfgfile = tmp_path / "repeated.cfg"
+        cfgfile.write_text("seed = 1\n# comment\nn_frames = 1\nSEED = 2\n")
+        out = tmp_path / "never.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfgfile), "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"ltelink: error: {cfgfile}:4: seed is already set on line 1" in err
+        assert not out.exists()
+
     def test_minus_inf_snr_is_a_usage_error(self, tmp_path, capsys):
         cfgfile = tmp_path / "minus_inf.cfg"
         cfgfile.write_text("snr_grid_db = -inf,0\nchannel_lengths = 6\n")

@@ -19,13 +19,10 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from ltelink.channel import PowerDelayProfile
-from ltelink.estimation import calibrate_threshold
 from ltelink.grid import Constellation, SystemConfig
-from ltelink.harness import _TAG_CALIBRATION, SweepConfig, _stream, emit_csv, run_sweep
+from ltelink.harness import SweepConfig, _hybrid_threshold, emit_csv, run_sweep
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -65,18 +62,10 @@ def _csv_text(cfg: SweepConfig) -> str:
 
 
 def _thresholds(cfg: SweepConfig) -> dict[str, float]:
-    """The calibrated threshold of every length the sweep calibrates."""
-    return {
-        str(length): calibrate_threshold(
-            cfg.system,
-            PowerDelayProfile.uniform(length),
-            np.array(cfg.snr_grid_db),
-            cfg.n_frames,
-            _stream(cfg.seed, _TAG_CALIBRATION, li),
-        )
-        for li, length in enumerate(cfg.channel_lengths)
-        if length > cfg.system.cp_len + 1
-    }
+    """The hybrid threshold of every length of the sweep; each length of the
+    golden thresholds exceeds the CP, so each is calibrated."""
+    lengths = enumerate(cfg.channel_lengths)
+    return {str(length): _hybrid_threshold(cfg, li, length) for li, length in lengths}
 
 
 def _close(a: float, b: float, rtol: float, atol: float) -> bool:

@@ -223,7 +223,7 @@ class TestMapToGrid:
                 # Data cells read back in fill order: subcarrier-fastest, then symbol
                 mask = labels[p] == DATA
                 assert_allclose(values[p][mask], data[p], atol=0)
-                got = values[p, layout.data_symbols, layout.data_subcarriers]
+                got = values[p].ravel()[layout.payload_index]
                 assert_allclose(got, data[p], atol=0)
 
     def test_non_pilot_symbol_columns_are_all_data(self):
@@ -252,6 +252,40 @@ class TestMapToGrid:
         data = [np.zeros(80, dtype=complex)]
         with pytest.raises(ValueError, match="pilot sequence too short"):
             fill_slot(cfg, pat, data, np.ones(2, dtype=complex))
+
+    def test_payload_without_a_port_axis_rejected(self):
+        # one port's payload would otherwise be copied onto every port
+        cfg = SystemConfig()  # 2 ports
+        layout = GridLayout.build(cfg, build_pilot_pattern(cfg))
+        pilots = random_pilot_sequence(layout.pattern.n_entries, np.random.default_rng(0))
+        assert layout.fill(np.ones((2, 1900)), pilots).shape == (2, 7, 300)
+        for data in (np.ones(1900), np.ones((1, 1900)), np.ones((3, 1900)), np.ones((2, 1, 1900))):
+            with pytest.raises(ValueError, match=r"data symbols must be \(\.\.\., 2, 1900\)"):
+                layout.fill(data, pilots)
+
+    def test_pilot_sequence_must_be_one_dimensional(self):
+        cfg = SystemConfig()
+        layout = GridLayout.build(cfg, build_pilot_pattern(cfg))
+        pilots = random_pilot_sequence(layout.pattern.n_entries, np.random.default_rng(0))
+        # one full sequence per port, which a length check alone reads as 2 pilots
+        with pytest.raises(ValueError, match=r"pilot sequence must be 1-D, got shape \(2, 200\)"):
+            layout.fill(np.ones((2, 1900)), np.stack([pilots, pilots]))
+
+    def test_layout_fields(self):
+        # payload positions in a port's raveled slot, ascending, and the pilot
+        # symbol of each port on each comb subcarrier; both read-only
+        cfg = small_config(n_tx=2)
+        pat = build_pilot_pattern(cfg)
+        layout = GridLayout.build(cfg, pat)
+        occupied = {(sym, sc) for sc, sym, _ in pat.entries}
+        cells = [(s, k) for s in range(7) for k in range(cfg.n_used)]
+        want = [s * cfg.n_used + k for s, k in cells if (s, k) not in occupied]
+        assert layout.payload_index.tolist() == want and layout.n_data_per_port == len(want)
+        # port 0 pilots {0, 6} in symbol 0 and {3, 9} in symbol 4, port 1 swaps
+        assert layout.pilot_symbols.tolist() == [[0, 4, 0, 4], [4, 0, 4, 0]]
+        for a in (layout.payload_index, layout.pilot_symbols):
+            with pytest.raises(ValueError):
+                a.flat[0] = 1
 
     def test_layout_rejects_a_pattern_of_another_config(self):
         # a one-port pattern would leave port 1's pilot REs in the data count

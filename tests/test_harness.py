@@ -68,7 +68,7 @@ _TINY = SystemConfig(n_used=24)
         lambda: estimation.ls_interpolation_taps(np.arange(0, 24, 3), 24),
         lambda: build_pilot_pattern(_TINY),
         lambda: GridLayout.build(_TINY, build_pilot_pattern(_TINY)),
-        lambda: harness._memoized_model(_TINY, PowerDelayProfile.uniform(4)),
+        lambda: estimation._memoized_model(_TINY, PowerDelayProfile.uniform(4)),
         lambda: _make_context(_TINY, 0),
     ],
     ids=[
@@ -173,8 +173,8 @@ def _oracle_trial(ctx, pdp, noise, rng, filters):
     per filter name of ls, lmmse and perfect."""
     cfg = ctx.config
     bits, rx_grid, h_true = time_domain_chain(ctx, pdp, noise, rng)
-    comb = ctx.pilot_subcarriers
-    y_p = rx_grid[:, ctx.pilot_symbols, comb].swapaxes(0, 1)  # (n_tx, n_rx, n_pilots)
+    comb = ctx.layout.pattern.comb
+    y_p = rx_grid[:, ctx.layout.pilot_symbols, comb].swapaxes(0, 1)  # (n_tx, n_rx, n_pilots)
     h_ls = y_p / ctx.pilot_values[:, None]
     snr = 10.0 ** (noise.snr_db / 10.0)
     rows = []
@@ -188,8 +188,8 @@ def _oracle_trial(ctx, pdp, noise, rng, filters):
             h_hat = h_true
         err2, ref2 = np.abs(h_hat - h_true) ** 2, np.abs(h_true) ** 2
         detected, _ = kernels.zf_detect_grid(rx_grid, h_hat)
-        sc, sym = ctx.layout.data_subcarriers, ctx.layout.data_symbols
-        rx_bits = [linkproc.demap_symbols(x, cfg.constellation) for x in detected[:, sym, sc]]
+        payload = detected.reshape(cfg.n_tx, -1)[:, ctx.layout.payload_index]
+        rx_bits = [linkproc.demap_symbols(x, cfg.constellation) for x in payload]
         errors = np.count_nonzero(np.array(rx_bits) != bits)
         energies = [err2.sum(), ref2.sum(), err2[..., comb].sum(), ref2[..., comb].sum()]
         rows.append([*energies, errors, bits.size])
@@ -341,10 +341,15 @@ class TestRunSweep:
         # chunk size only regroups the trials, so it moves no draw and no
         # decision, and MSE and thresholds only by the order of the sums
         cfg = SweepConfig(channel_lengths=(6, 20), snr_grid_db=(5.0, 25.0), n_frames=7, seed=9)
-        want, want_thresholds = run_sweep(cfg), harness._resolve_thresholds(cfg)
+
+        def each_threshold():
+            return {n: harness._hybrid_threshold(cfg, li, n) for li, n in enumerate(cfg.channel_lengths)}
+
+        want, want_thresholds = run_sweep(cfg), each_threshold()
         monkeypatch.setattr(harness, "_CHUNK", chunk)
-        got, thresholds = run_sweep(cfg), harness._resolve_thresholds(cfg)
-        assert thresholds.keys() == want_thresholds.keys() == {20}
+        got, thresholds = run_sweep(cfg), each_threshold()
+        # the CP covers L = 6, which has no threshold, and L = 20 calibrates one
+        assert thresholds[6] == want_thresholds[6] == math.inf
         assert math.isfinite(thresholds[20])
         assert thresholds[20] == pytest.approx(want_thresholds[20], rel=1e-12)
         assert [r.branch_fraction_ls for r in got] == [r.branch_fraction_ls for r in want]
@@ -364,8 +369,8 @@ class TestRunSweep:
         0.403 MB a trial in chunks of 3."""
         ctx, pdp = _make_context(SystemConfig(), 0), PowerDelayProfile.uniform(40)
         methods = (Estimator.LS, Estimator.LMMSE, Estimator.PERFECT)
-        lmmse = harness._lmmse_factors(ctx.config, pdp, NoiseSpec(10.0))
-        monkeypatch.setattr(harness, "_lmmse_factors", lambda *args: lmmse)
+        lmmse = estimation.lmmse_factors(ctx.config, pdp, NoiseSpec(10.0).noise_variance)
+        monkeypatch.setattr(estimation, "lmmse_factors", lambda *args: lmmse)
         n = harness._CHUNK
         _run_cell(ctx, pdp, 10.0, [_rng(s) for s in range(n)], methods, detect=True)  # warm caches
         tracemalloc.start()
@@ -471,7 +476,7 @@ class TestRunSweep:
         def refuse(*args, **kwargs):
             raise AssertionError("correlation model built for a sweep without LMMSE")
 
-        harness._memoized_model.cache_clear()  # a cached model would hide a build
+        estimation._memoized_model.cache_clear()  # a cached model would hide a build
         monkeypatch.setattr(estimation, "build_correlation_model", refuse)
         no_lmmse = SweepConfig(
             channel_lengths=(6, 40),
@@ -500,7 +505,7 @@ class TestRunSweep:
             return build(pdp, pilot_positions, config)
 
         build = estimation.build_correlation_model
-        harness._memoized_model.cache_clear()
+        estimation._memoized_model.cache_clear()
         monkeypatch.setattr(estimation, "build_correlation_model", counting)
         cfg = SweepConfig(
             channel_lengths=(20, 40),
@@ -521,7 +526,7 @@ class TestRunSweep:
             return build(pdp, pilot_positions, config)
 
         build = estimation.build_correlation_model
-        harness._memoized_model.cache_clear()
+        estimation._memoized_model.cache_clear()
         monkeypatch.setattr(estimation, "build_correlation_model", counting)
         pdp = PowerDelayProfile(np.array([0, 20, 40]), np.full(3, 1 / 3))
         list(paired_mse_curves(SystemConfig(), pdp, np.array([10.0]), 1, _rng(4)))
@@ -552,7 +557,7 @@ class TestRunSweep:
 
             return call
 
-        harness._memoized_model.cache_clear()
+        estimation._memoized_model.cache_clear()
         for name in ("svd", "eigh", "eig"):
             monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
         cfg = SweepConfig(
