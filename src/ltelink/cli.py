@@ -31,17 +31,15 @@ from .linkproc import Constellation
 __all__ = ["main", "build_parser", "parse_config_file", "sweep_config_from_sources"]
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v.strip())
+def _parse_list(text: str, parse: Callable[[str], Any]) -> tuple[Any, ...]:
+    return tuple(parse(v) for v in text.split(",") if v.strip())
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v.strip())
-
-
-def _parse_snr_range(text: str) -> tuple[float, ...]:
-    """a, a + step, ... up to b, which is included when it lies on the grid:
-    0:30:5 ends at 30, 0:13:5 at 10."""
+def _parse_snr_grid(text: str) -> tuple[float, ...]:
+    """A comma-separated list, sorted, or a:b:step: a, a + step, ... up to b,
+    which is included when it lies on the grid: 0:30:5 ends at 30, 0:13:5 at 10."""
+    if ":" not in text:
+        return tuple(sorted(_parse_list(text, float)))
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"expected a:b:step, got {text!r}")
@@ -51,10 +49,6 @@ def _parse_snr_range(text: str) -> tuple[float, ...]:
     grid = np.arange(start, stop + step / 2.0, step)
     # the half step keeps a b rounding puts past the last point, the filter drops one past b
     return tuple(float(v) for v in grid if v <= stop + 1e-9 * step)
-
-
-def _parse_estimators(text: str) -> tuple[Estimator, ...]:
-    return tuple(Estimator.parse(name) for name in text.split(",") if name.strip())
 
 
 def _flag(parse: Callable[[str], Any]) -> Callable[[str], Any]:
@@ -70,8 +64,9 @@ def _flag(parse: Callable[[str], Any]) -> Callable[[str], Any]:
     return parse_flag
 
 
-# Config-file key -> parser of its value.  Each key names a SystemConfig field,
-# which configures the link, or a SweepConfig field, and the dest of its flag.
+# Config-file key -> parser of its value, in the file and on its flag alike.
+# Each key names a SystemConfig field, which configures the link, or a
+# SweepConfig field, and the dest of its flag.
 _CONFIG_KEYS: dict[str, Callable[[str], Any]] = {
     "bandwidth_mhz": float,
     "n_used": int,
@@ -79,11 +74,11 @@ _CONFIG_KEYS: dict[str, Callable[[str], Any]] = {
     "n_tx": int,
     "n_rx": int,
     "constellation": lambda text: Constellation(text.lower()),
-    "channel_lengths": _parse_int_list,
-    "snr_grid_db": lambda text: tuple(sorted(_parse_float_list(text))),
+    "channel_lengths": lambda text: _parse_list(text, int),
+    "snr_grid_db": _parse_snr_grid,
     "n_frames": int,
     "seed": int,
-    "estimators": _parse_estimators,
+    "estimators": lambda text: _parse_list(text, Estimator.parse),
     "threshold_db": float,
 }
 _SYSTEM_FIELDS = frozenset(f.name for f in fields(SystemConfig))
@@ -157,10 +152,11 @@ _SIGNED_OPTIONS = ("--snr", "--threshold-db")  # their values may start with '-'
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads `--snr -5:30:5` and `--threshold-db -inf`, abbreviated or not, as
-    their '=' forms: argparse takes a token that starts with '-' and is not a
-    plain negative number for an option, so the token after either option is
-    joined to it, unless it starts with '--' and so is an option itself."""
+    """Reads `--snr -5:30:5`, `--snr -5,0` and `--threshold-db -inf`,
+    abbreviated or not, as their '=' forms: argparse takes a token that starts
+    with '-' and is not a plain negative number for an option, so the token
+    after either option is joined to it, unless it starts with '--' and so is
+    an option itself."""
 
     def parse_known_args(self, args=None, namespace=None):
         joined: list[str] = []
@@ -174,6 +170,17 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(joined, namespace)
 
 
+# (flag, config key, metavar, help) of each flag that sets a config key
+_VALUE_FLAGS = (
+    ("--snr", "snr_grid_db", "GRID", "SNRs in dB: a list or A:B:STEP (default 0:30:5)"),
+    ("--channel-lengths", "channel_lengths", "CSV", "channel tap counts, e.g. 6,10,20,40"),
+    ("--frames", "n_frames", "FRAMES", "trials per grid cell"),
+    ("--seed", "seed", "SEED", "master seed, a non-negative integer"),
+    ("--estimators", "estimators", "CSV", "subset of ls,lmmse,hybrid,perfect"),
+    ("--threshold-db", "threshold_db", "DB", "fixed hybrid switching SNR (skips calibration)"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ltelink",
@@ -183,39 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     sim = sub.add_parser("simulate", help="run a Monte Carlo sweep and write CSV")
     sim.add_argument("--config", type=Path, default=None, help="flat key=value config file")
-    sim.add_argument(
-        "--snr",
-        dest="snr_grid_db",
-        type=_flag(_parse_snr_range),
-        default=None,
-        metavar="A:B:STEP",
-        help="SNR grid in dB; B is included when it lies on the grid (default 0:30:5)",
-    )
-    sim.add_argument(
-        "--channel-lengths",
-        type=_flag(_parse_int_list),
-        default=None,
-        metavar="CSV",
-        help="channel tap counts, e.g. 6,10,20,40",
-    )
-    sim.add_argument(
-        "--frames", dest="n_frames", type=int, metavar="FRAMES", help="trials per grid cell"
-    )
-    sim.add_argument("--seed", type=int, default=None, help="master seed")
-    sim.add_argument(
-        "--estimators",
-        type=_flag(_parse_estimators),
-        default=None,
-        metavar="CSV",
-        help="subset of ls,lmmse,hybrid,perfect",
-    )
     group = sim.add_mutually_exclusive_group()
-    group.add_argument(
-        "--threshold-db",
-        type=float,
-        default=None,
-        help="fixed hybrid switching SNR (skips calibration)",
-    )
+    for flag, key, metavar, help_text in _VALUE_FLAGS:
+        (group if key == "threshold_db" else sim).add_argument(
+            flag, dest=key, type=_flag(_CONFIG_KEYS[key]), metavar=metavar, help=help_text
+        )
     group.add_argument(
         "--calibrate-threshold",
         action="store_true",

@@ -17,7 +17,8 @@ makes one call per stage and one per estimate.  The chunk size only regroups
 the trials: it moves no draw and no decision.
 
 Reproducibility contract: every random draw comes from a stream derived from
-(seed, purpose tag, cell indices, trial index), so results are independent of
+(seed, purpose tag, cell indices, trial index), and distinct non-negative
+seeds, however large, draw distinct streams.  Results are independent of
 scheduling and identical across runs at a fixed BLAS thread count, e.g.
 OPENBLAS_NUM_THREADS=1 (the SVD and the matrix products can round
 differently with another count).  The threshold calibration of a length
@@ -38,6 +39,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from numbers import Real
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -83,8 +85,6 @@ __all__ = [
 _TAG_TRIAL = 0
 _TAG_PILOTS = 1
 _TAG_CALIBRATION = 2
-
-_SEED_MASK = (1 << 64) - 1
 
 # Trials per chunk of a cell.  Larger chunks pay less numpy call overhead but
 # hold more arrays at once.  With one receive buffer per chunk and the modem
@@ -162,8 +162,11 @@ class SweepConfig:
         if self.system.cp_len < 1 and (Estimator.LMMSE in ests or Estimator.HYBRID in ests):
             # the receiver's LMMSE prior keeps the taps at delays below cp_len
             raise ValueError("the lmmse and hybrid estimators need cp_len >= 1")
-        if self.threshold_db is not None and math.isnan(self.threshold_db):
-            raise ValueError("threshold_db must not be NaN")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        threshold = self.threshold_db
+        if threshold is not None and (not isinstance(threshold, Real) or math.isnan(threshold)):
+            raise ValueError(f"threshold_db must be a real number, not NaN, got {threshold!r}")
         if (
             Estimator.HYBRID in ests
             and self.threshold_db is None
@@ -200,7 +203,7 @@ class SweepRecord:
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed & _SEED_MASK, *key]))
+    return np.random.default_rng(np.random.SeedSequence([seed, *key]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,10 +378,7 @@ def paired_mse_curves(
     ctx = _make_context(system, 0)
     methods = (Estimator.LS, Estimator.LMMSE)
     for snr_db in np.asarray(snrs_db, dtype=np.float64):
-        # spawned as the chunks take them: the children that spawning n_trials
-        # per SNR up front would give the SNRs run, in the same order
-        streams = (rng.spawn(1)[0] for _ in range(n_trials))
-        rows = _run_cell(ctx, pdp, snr_db, streams, methods, detect=False)
+        rows = _run_cell(ctx, pdp, snr_db, rng.spawn(n_trials), methods, detect=False)
         yield float(snr_db), rows[Estimator.LS][0], rows[Estimator.LMMSE][0]
 
 

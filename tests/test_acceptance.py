@@ -23,6 +23,7 @@ from oracles import (
 from ltelink.channel import PowerDelayProfile, generate_channel
 from ltelink.estimation import build_correlation_model, lmmse_filter
 from ltelink.grid import (
+    LTE_PROFILES,
     Constellation,
     GridLayout,
     SystemConfig,
@@ -147,6 +148,57 @@ def test_ac4_crossover_when_channel_exceeds_cp(sweep_long):
         ok,
         f"orderings {checks}, calibrated crossover {threshold:.2f} dB in (0, 30)",
     )
+
+
+BANDWIDTH_SNRS = (0.0, 5.0, 10.0, 20.0, 30.0)
+
+
+@pytest.fixture(scope="module", params=sorted(LTE_PROFILES), ids=lambda bw: f"{bw:g}MHz")
+def bandwidth_sweep(request):
+    """LS and LMMSE at one LTE bandwidth, its normal CP scaled from 144 of 2048
+    samples: L = cp // 2, which the CP covers, and L = 2 cp + 2, which it does
+    not; 10 trials per point."""
+    n_fft, _ = LTE_PROFILES[request.param]
+    cp = n_fft * 144 // 2048
+    cfg = SweepConfig(
+        system=SystemConfig(bandwidth_mhz=request.param, cp_len=cp),
+        channel_lengths=(cp // 2, 2 * cp + 2),
+        snr_grid_db=BANDWIDTH_SNRS,
+        n_frames=10,
+        seed=11,
+        estimators=(Estimator.LS, Estimator.LMMSE),
+    )
+    return cfg, _by_cell(run_sweep(cfg))
+
+
+def _mse_pairs(cells, length):
+    """(snr, column, LS MSE, LMMSE MSE) of every point of one length."""
+    for snr in BANDWIDTH_SNRS:
+        ls, lm = cells[(length, snr, Estimator.LS)], cells[(length, snr, Estimator.LMMSE)]
+        for col in ("mse_all_subcarriers", "mse_pilot_subcarriers"):
+            yield snr, col, getattr(ls, col), getattr(lm, col)
+
+
+def test_ac3_lmmse_beats_ls_when_cp_covers_at_every_bandwidth(bandwidth_sweep):
+    """L = cp // 2: LMMSE MSE below LS MSE at every SNR, both columns."""
+    cfg, cells = bandwidth_sweep
+    length = cfg.channel_lengths[0]
+    losses = [f"{snr:g} dB {col}" for snr, col, ls, lm in _mse_pairs(cells, length) if lm >= ls]
+    detail = ", ".join(losses) or "LMMSE < LS at every SNR, both MSE columns"
+    _report(f"AC-3 {cfg.system.bandwidth_mhz:g} MHz L={length}", not losses, detail)
+
+
+def test_ac4_crossover_past_the_cp_at_every_bandwidth(bandwidth_sweep):
+    """L = 2 cp + 2: LMMSE wins at 0 dB and LS from 5 dB up, both columns."""
+    cfg, cells = bandwidth_sweep
+    length = cfg.channel_lengths[1]
+    losses = [
+        f"{snr:g} dB {col}"
+        for snr, col, ls, lm in _mse_pairs(cells, length)
+        if (lm >= ls if snr == 0.0 else ls >= lm)
+    ]
+    detail = ", ".join(losses) or "LMMSE < LS at 0 dB, LS < LMMSE from 5 dB, both MSE columns"
+    _report(f"AC-4 {cfg.system.bandwidth_mhz:g} MHz L={length}", not losses, detail)
 
 
 def test_ac5_hybrid_dominates_both_sweeps(sweep_short, sweep_long):

@@ -57,6 +57,12 @@ class TestConfigFile:
         assert cfg.estimators == (Estimator.LS, Estimator.LMMSE)
         assert cfg.threshold_db == 12.5
 
+    def test_snr_range_in_the_file(self, tmp_path):
+        path = tmp_path / "range.cfg"
+        path.write_text("snr_grid_db = 0:30:5\n")
+        cfg = sweep_config_from_sources(parse_config_file(path), _args([]))
+        assert cfg.snr_grid_db == (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("frames = 3\n")
@@ -83,6 +89,27 @@ class TestFlagMerging:
         assert set(cli._CONFIG_KEYS) <= settings
         run_options = {"command", "config", "calibrate_threshold", "out", "summary"}
         assert set(vars(_args([]))) - run_options <= set(cli._CONFIG_KEYS)
+
+    def test_each_value_flag_parses_as_its_config_key(self):
+        samples = {
+            "snr_grid_db": ["-5:5:5", "10,0", "0:13:5", "inf"],
+            "channel_lengths": ["40,6"],
+            "n_frames": ["3"],
+            "seed": ["123"],
+            "estimators": ["perfect,LS"],
+            "threshold_db": ["-inf", "12.5"],
+        }
+        sim = build_parser()._subparsers._group_actions[0].choices["simulate"]
+        flags = {a.dest: a.option_strings[0] for a in sim._actions if a.dest in cli._CONFIG_KEYS}
+        assert set(flags) == set(samples)
+        for dest, flag in flags.items():
+            for text in samples[dest]:
+                assert getattr(_args([flag, text]), dest) == cli._CONFIG_KEYS[dest](text)
+
+    def test_snr_list_on_the_flag(self):
+        cfg = sweep_config_from_sources({}, _args(["--snr", "10,0"]))
+        assert cfg.snr_grid_db == (0.0, 10.0)
+        assert _args(["--snr", "-5,0"]).snr_grid_db == (-5.0, 0.0)
 
     def test_defaults_without_config(self):
         cfg = sweep_config_from_sources({}, _args([]))
@@ -148,8 +175,11 @@ class TestFlagMerging:
             ),
             ("--channel-lengths", "6,x", "invalid literal for int() with base 10: 'x'"),
             ("--snr", "a:b:c", "could not convert string to float: 'a'"),
+            ("--frames", "3x", "invalid literal for int() with base 10: '3x'"),
+            ("--seed", "1.5", "invalid literal for int() with base 10: '1.5'"),
+            ("--threshold-db", "high", "could not convert string to float: 'high'"),
         ],
-        ids=["estimators", "channel-lengths", "snr"],
+        ids=["estimators", "channel-lengths", "snr", "frames", "seed", "threshold-db"],
     )
     def test_bad_flag_value_reports_its_parser_message(self, capsys, flag, value, message):
         with pytest.raises(SystemExit) as exc:
@@ -327,6 +357,14 @@ class TestMain:
             main(["simulate", "--config", str(cfgfile), "--out", str(out)])
         assert exc.value.code == 2
         assert "strictly ascending" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--seed", "-1", "--frames", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "ltelink: error: seed must be non-negative, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_fewer_than_two_pilots_per_port_is_a_usage_error(self, tmp_path, capsys):

@@ -649,6 +649,23 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="strictly ascending"):
             SweepConfig(snr_grid_db=(0.0, np.inf, np.inf))
 
+    def test_distinct_seeds_draw_distinct_streams(self):
+        # the seed column records the seed as given, so no two seeds may share draws
+        def mse(seed):
+            return run_sweep(dataclasses.replace(SMALL, seed=seed))[0].mse_all_subcarriers
+
+        assert mse(0) != mse(2**64)
+        assert mse(2**64 - 1) != mse(2**65 - 1)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            SweepConfig(seed=-1)
+
+    @pytest.mark.parametrize("threshold_db", ["3", math.nan], ids=["str", "nan"])
+    def test_threshold_must_be_a_real_number(self, threshold_db):
+        with pytest.raises(ValueError, match="threshold_db must be a real number, not NaN"):
+            SweepConfig(threshold_db=threshold_db)
+
     def test_finite_snr_past_the_float_range_runs_as_noiseless(self):
         def rows(snr_db):
             cfg = SweepConfig(
