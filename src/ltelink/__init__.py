@@ -8,7 +8,7 @@ included; the stages of the link (ofdm, channel, estimation, kernels,
 linkproc) are imported from their modules.
 """
 
-from .channel import ChannelRealization, NoiseSpec, PowerDelayProfile
+from .channel import ChannelRealization, PowerDelayProfile
 from .estimation import CorrelationModel, calibrate_threshold
 from .grid import GridLayout, PilotPattern, SystemConfig
 from .harness import Estimator, SweepConfig, SweepRecord, emit_csv, run_sweep
@@ -22,7 +22,6 @@ __all__ = [
     "CorrelationModel",
     "Estimator",
     "GridLayout",
-    "NoiseSpec",
     "PilotPattern",
     "PowerDelayProfile",
     "SweepConfig",

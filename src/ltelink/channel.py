@@ -13,6 +13,7 @@ the heads are formed, the tail of an FFT convolution with the past-CP taps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,9 +23,9 @@ from .grid import SystemConfig
 __all__ = [
     "PowerDelayProfile",
     "ChannelRealization",
-    "NoiseSpec",
     "generate_channel",
     "overrun",
+    "noise_variance",
     "add_awgn",
 ]
 
@@ -173,41 +174,32 @@ def overrun(frames: np.ndarray, ch: ChannelRealization, config: SystemConfig) ->
     return coupled[..., n_over - 1 : 2 * n_over - 1]
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Receiver AWGN level: per-sample variance = 1 / SNR.
-
-    snr_db=+inf is the documented no-noise sentinel; NaN and -inf are invalid.
-    Every constellation has unit average symbol power, so the per-subcarrier
-    SNR after the unitary DFT equals the configured value.
-    """
-
-    snr_db: float
-
-    def __post_init__(self) -> None:
-        if np.isnan(self.snr_db) or self.snr_db == -np.inf:
-            raise ValueError(f"invalid snr_db: {self.snr_db}")
-
-    @property
-    def noise_variance(self) -> float:
-        """Complex per-sample variance sigma_w^2 (0 for the no-noise sentinel)."""
-        try:
-            return 1.0 / 10.0 ** (float(self.snr_db) / 10.0)
-        except OverflowError:  # 10 ** (snr / 10) overflows: no noise, as at +inf
-            return 0.0
+def noise_variance(snr_db: float) -> float:
+    """Complex per-sample AWGN variance sigma_w^2 = 1 / SNR, the per-subcarrier
+    SNR after the unitary DFT, as every constellation has unit average symbol
+    power.  +inf, the no-noise sentinel, and an SNR whose power overflows give
+    0; NaN and -inf are invalid."""
+    snr_db = float(snr_db)
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"invalid snr_db: {snr_db}")
+    try:
+        return 1.0 / 10.0 ** (snr_db / 10.0)
+    except OverflowError:  # 10 ** (snr / 10) overflows: no noise, as at +inf
+        return 0.0
 
 
-def add_awgn(signal: np.ndarray, noise: NoiseSpec, rng: np.random.Generator) -> None:
-    """Add i.i.d. complex Gaussian samples of variance noise.noise_variance to
-    the complex128 array signal, in place; one (2, *signal.shape) draw gives
-    their real parts, then their imaginary parts.  At SNR = +inf nothing is
-    drawn and signal is left as it is."""
+def add_awgn(signal: np.ndarray, noise_variance: float, rng: np.random.Generator) -> None:
+    """Add i.i.d. complex Gaussian samples of variance noise_variance to the
+    complex128 array signal, in place; one (2, *signal.shape) draw gives their
+    real parts, then their imaginary parts.  At variance 0 nothing is drawn
+    and signal is left as it is."""
     if signal.dtype != np.complex128:
         raise ValueError(f"signal must be complex128, got {signal.dtype}")
-    var = noise.noise_variance
-    if var == 0.0:
+    if not (math.isfinite(noise_variance) and noise_variance >= 0.0):
+        raise ValueError(f"noise_variance must be finite and non-negative, got {noise_variance!r}")
+    if noise_variance == 0.0:
         return
     w = rng.standard_normal((2, *signal.shape))
-    w *= np.sqrt(var / 2.0)
+    w *= np.sqrt(noise_variance / 2.0)
     signal.real += w[0]
     signal.imag += w[1]

@@ -13,6 +13,7 @@ import argparse
 import ctypes
 import sys
 from dataclasses import fields
+from enum import Enum
 from pathlib import Path
 from typing import Any, Callable
 
@@ -33,6 +34,15 @@ __all__ = ["main", "build_parser", "parse_config_file", "sweep_config_from_sourc
 
 def _parse_list(text: str, parse: Callable[[str], Any]) -> tuple[Any, ...]:
     return tuple(parse(v) for v in text.split(",") if v.strip())
+
+
+def _parse_enum(cls: type[Enum], text: str) -> Enum:
+    """The member of cls whose value is text, in any case; an unknown name lists the values."""
+    try:
+        return cls(text.strip().lower())
+    except ValueError:
+        choices = ", ".join(m.value for m in cls)
+        raise ValueError(f"unknown {cls.__name__.lower()} {text!r}; choose from {choices}") from None
 
 
 def _parse_snr_grid(text: str) -> tuple[float, ...]:
@@ -73,12 +83,12 @@ _CONFIG_KEYS: dict[str, Callable[[str], Any]] = {
     "cp_len": int,
     "n_tx": int,
     "n_rx": int,
-    "constellation": lambda text: Constellation(text.lower()),
+    "constellation": lambda text: _parse_enum(Constellation, text),
     "channel_lengths": lambda text: _parse_list(text, int),
     "snr_grid_db": _parse_snr_grid,
     "n_frames": int,
     "seed": int,
-    "estimators": lambda text: _parse_list(text, Estimator.parse),
+    "estimators": lambda text: _parse_list(text, lambda name: _parse_enum(Estimator, name)),
     "threshold_db": float,
 }
 _SYSTEM_FIELDS = frozenset(f.name for f in fields(SystemConfig))

@@ -13,7 +13,7 @@ share across concurrent trials.
 from __future__ import annotations
 
 import functools
-import operator
+import numbers
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
@@ -52,11 +52,17 @@ _SECOND_SYMBOL_SHIFT = 3  # frequency shift of the fifth-symbol comb
 _PORT_SHIFT = 3  # frequency shift between antenna ports
 
 def as_int(name: str, value: object) -> int:
-    """value as an int, numpy integers included; else a ValueError that names the field."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be integral, got {value!r}") from None
+    """value as an int, numpy integers included, a bool not; else a ValueError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be integral, got {value!r}")
+    return int(value)
+
+
+def as_real(name: str, value: object) -> float:
+    """value as a float, numpy reals included, a bool or a string not; else a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -80,6 +86,7 @@ class SystemConfig:
     constellation: Constellation = Constellation.QPSK
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "bandwidth_mhz", as_real("bandwidth_mhz", self.bandwidth_mhz))
         if self.bandwidth_mhz not in LTE_PROFILES:
             raise ValueError(
                 f"unknown bandwidth {self.bandwidth_mhz} MHz; "
@@ -205,7 +212,8 @@ class GridLayout:
     (n_symbols, n_used) slot, ascending, which is the fill order (symbols
     ascending, subcarriers ascending within a symbol) and the order of their
     bits.  pilot_symbols holds the symbol of each port's pilot on each comb
-    subcarrier, in the comb order of pattern.entry_index.
+    subcarrier, in the comb order of pattern.entry_index: fill writes the
+    pilots by that map, and the receiver reads them by it.
     """
 
     pattern: PilotPattern
@@ -240,11 +248,14 @@ class GridLayout:
         )
 
     def fill(
-        self, data_symbols: np.ndarray | Sequence[np.ndarray], pilot_seq: np.ndarray
+        self, data_symbols: np.ndarray | Sequence[np.ndarray], pilot_values: np.ndarray
     ) -> np.ndarray:
         """The (..., n_ports, n_symbols, n_used) values of slots whose data_symbols
-        are (..., n_ports, n_data_per_port); leading axes stack slots."""
-        data, pilots = np.asarray(data_symbols), np.asarray(pilot_seq)
+        are (..., n_ports, n_data_per_port), leading axes stacking slots, and
+        whose pilots are pilot_values, (n_ports, n_pilots) in comb order: port
+        p's value on comb subcarrier j goes to symbol pilot_symbols[p, j], the
+        resource element the receiver reads it from."""
+        data, pilots = np.asarray(data_symbols), np.asarray(pilot_values)
         got = data.shape[-1] if data.ndim else 0
         if got != self.n_data_per_port:
             short = self.n_data_per_port - got
@@ -254,18 +265,12 @@ class GridLayout:
             )
         if data.shape[-2:-1] != self.shape[:1]:
             raise ValueError(f"data symbols must be (..., {self.shape[0]}, {got}), got {data.shape}")
-        if pilots.ndim != 1:
-            raise ValueError(f"pilot sequence must be 1-D, got shape {pilots.shape}")
-        n_entries = self.pattern.n_entries
-        if len(pilots) < n_entries:
-            raise ValueError(
-                f"pilot sequence too short: need {n_entries}, "
-                f"got {len(pilots)} ({n_entries - len(pilots)} missing)"
-            )
+        if pilots.shape != (want := self.pilot_symbols.shape):
+            raise ValueError(f"pilot values must be (n_ports, n_pilots) = {want}, got {pilots.shape}")
         values = np.zeros((*data.shape[:-2], *self.shape), dtype=np.complex128)
         values.reshape(*values.shape[:-2], -1)[..., self.payload_index] = data
-        sc, sym, port = self.pattern.entries.T
-        values[..., port, sym, sc] = pilots[:n_entries]
+        ports = np.arange(self.shape[0])[:, None]
+        values[..., ports, self.pilot_symbols, self.pattern.comb] = pilots
         return values
 
 

@@ -1,7 +1,7 @@
 """Monte Carlo sweep driver: TX -> channel -> RX -> estimate -> detect -> score.
 
 One trial is one slot: draw a block-fading channel, fill the grid with random
-payload bits and the run's pilot sequence, and receive it through the channel
+payload bits and the run's pilots, and receive it through the channel
 and the modem (_receive).  Every (tx, rx) response is then estimated from the
 pilots on the comb all ports share, each subcarrier's symbols are zero-forced
 with the estimate, and MSE is scored against the exact frequency response and
@@ -39,7 +39,6 @@ import itertools
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from numbers import Real
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -48,10 +47,10 @@ import numpy as np
 from . import estimation, kernels, linkproc, ofdm
 from .channel import (
     ChannelRealization,
-    NoiseSpec,
     PowerDelayProfile,
     add_awgn,
     generate_channel,
+    noise_variance,
     overrun,
 )
 from .estimation import (
@@ -65,6 +64,7 @@ from .grid import (
     GridLayout,
     SystemConfig,
     as_int,
+    as_real,
     build_pilot_pattern,
     random_pilot_sequence,
     used_subcarrier_bins,
@@ -105,16 +105,6 @@ class Estimator(Enum):
     HYBRID = "hybrid"
     PERFECT = "perfect"
 
-    @classmethod
-    def parse(cls, name: str) -> "Estimator":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            raise ValueError(
-                f"unknown estimator {name!r}; choose from "
-                f"{', '.join(e.value for e in cls)}"
-            ) from None
-
 
 ESTIMATOR_ORDER: tuple[Estimator, ...] = tuple(Estimator)
 
@@ -135,7 +125,7 @@ class SweepConfig:
         # channel lengths are canonicalized (sorted, deduplicated) so cell
         # indices, and with them the rng streams, do not depend on input order
         lengths = tuple(sorted({as_int("channel_lengths", v) for v in self.channel_lengths}))
-        snrs = tuple(float(v) for v in self.snr_grid_db)
+        snrs = tuple(as_real("snr_grid_db", v) for v in self.snr_grid_db)
         ests = tuple(self.estimators)
         object.__setattr__(self, "channel_lengths", lengths)
         object.__setattr__(self, "n_frames", as_int("n_frames", self.n_frames))
@@ -164,9 +154,11 @@ class SweepConfig:
             raise ValueError("the lmmse and hybrid estimators need cp_len >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        threshold = self.threshold_db
-        if threshold is not None and (not isinstance(threshold, Real) or math.isnan(threshold)):
-            raise ValueError(f"threshold_db must be a real number, not NaN, got {threshold!r}")
+        if self.threshold_db is not None:
+            threshold = as_real("threshold_db", self.threshold_db)
+            if math.isnan(threshold):
+                raise ValueError(f"threshold_db must be a real number, not NaN, got {threshold!r}")
+            object.__setattr__(self, "threshold_db", threshold)
         if (
             Estimator.HYBRID in ests
             and self.threshold_db is None
@@ -212,18 +204,17 @@ class _LinkContext:
 
     config: SystemConfig
     layout: GridLayout
-    pilot_seq: np.ndarray
     pilot_values: np.ndarray  # (n_tx, n_pilots) each port's pilots on the comb
     ls_taps: LsTaps  # LS interpolation from the comb to every used subcarrier
 
 
 def _make_context(config: SystemConfig, seed: int) -> _LinkContext:
     pattern = build_pilot_pattern(config)
+    # one draw per pilot entry, in entries order, kept in comb order
     pilot_seq = random_pilot_sequence(pattern.n_entries, _stream(seed, _TAG_PILOTS))
     return _LinkContext(
         config=config,
         layout=GridLayout.build(config, pattern),
-        pilot_seq=pilot_seq,
         pilot_values=pilot_seq[pattern.entry_index],
         ls_taps=ls_interpolation_taps(pattern.comb, config.n_used),
     )
@@ -238,7 +229,7 @@ def _rows(rows: Sequence[int]) -> slice | list[int]:
 def _receive(
     ctx: _LinkContext,
     pdp: PowerDelayProfile,
-    noise: NoiseSpec,
+    noise_var: float,
     rngs: Sequence[np.random.Generator],
     symbols: tuple[int, ...] = _SLOT_SYMBOLS,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -246,18 +237,18 @@ def _receive(
     the OFDM symbols listed in symbols (ascending) only.
 
     Trial i draws its channel taps, then its payload bits, then the noise of
-    its whole slot from rngs[i], whatever symbols it reads.  Returns bits
-    (c, n_tx, n_bits) as int8, rx_grid (c, n_rx, len(symbols), n_used) in the
-    slot layout of the grid, the modem and zero-forcing, and h_true
-    (c, n_tx, n_rx, n_used) in the layout of the taps and zero-forcing, both
-    C-contiguous.  The received grid is H * X plus the demodulated sum of the
-    noise and the channel's overrun past the cyclic prefix, which equals the
-    demodulated linear convolution of the sent symbols.  The stages are
-    ordered so that no large array outlives its last reader: H * X is formed
-    from the filled grid before it is modulated and dropped, the frames are
-    dropped once the overrun heads are formed, and the noise and the heads go
-    into one receive buffer per chunk, whose read windows are demodulated in
-    place."""
+    its whole slot, of variance noise_var, from rngs[i], whatever symbols it
+    reads.  Returns bits (c, n_tx, n_bits) as int8, rx_grid
+    (c, n_rx, len(symbols), n_used) in the slot layout of the grid, the modem
+    and zero-forcing, and h_true (c, n_tx, n_rx, n_used) in the layout of the
+    taps and zero-forcing, both C-contiguous.  The received grid is H * X plus
+    the demodulated sum of the noise and the channel's overrun past the cyclic
+    prefix, which equals the demodulated linear convolution of the sent
+    symbols.  The stages are ordered so that no large array outlives its last
+    reader: H * X is formed from the filled grid before it is modulated and
+    dropped, the frames are dropped once the overrun heads are formed, and the
+    noise and the heads go into one receive buffer per chunk, whose read
+    windows are demodulated in place."""
     cfg = ctx.config
     n, n_bits = len(rngs), ctx.layout.n_data_per_port * cfg.constellation.bits_per_symbol
     taps, bits = [], []
@@ -269,7 +260,7 @@ def _receive(
     bits = np.stack(bits)
     values = ctx.layout.fill(  # (c, n_tx, n_symbols, n_used)
         linkproc.map_bits(bits, cfg.constellation).reshape(n, cfg.n_tx, -1),
-        ctx.pilot_seq,
+        ctx.pilot_values,
     )
     # each read symbol is sent with the one before it, which its overrun reads
     sent, read = sorted({*symbols, *(s - 1 for s in symbols if s > 0)}), _rows(symbols)
@@ -285,7 +276,7 @@ def _receive(
     # the receive buffer: each trial's noise over its whole slot, then the heads
     rx = np.zeros((n, cfg.n_rx, cfg.n_symbols_per_slot, cfg.symbol_len), dtype=np.complex128)
     for i, rng in enumerate(rngs):
-        add_awgn(rx[i], noise, rng)
+        add_awgn(rx[i], noise_var, rng)
     rx[:, :, read, cfg.cp_len : cfg.cp_len + heads.shape[-1]] += heads
     del heads
     impairment = ofdm.demodulate_frame(rx[:, :, read], cfg)
@@ -327,9 +318,9 @@ def _run_cell(
     subcarriers and over the pilot comb, and the BER, 0 without detection.
     Errors and energies are summed over the whole cell and divided once.
     """
-    noise = NoiseSpec(snr_db)
+    noise_var = noise_variance(snr_db)
     if Estimator.LMMSE in methods:
-        f, g = estimation.lmmse_factors(ctx.config, pdp, noise.noise_variance)
+        f, g = estimation.lmmse_factors(ctx.config, pdp, noise_var)
     pilots = ctx.layout.pattern.comb
     err2 = np.zeros((len(methods), 2))  # the _energy of each estimate's error
     ref2 = np.zeros(2)  # and of the true channel
@@ -340,7 +331,7 @@ def _run_cell(
     pilot_rows = np.searchsorted(symbols, ctx.layout.pilot_symbols)  # in rx_grid's symbol axis
     streams = iter(streams)
     while rngs := list(itertools.islice(streams, _CHUNK)):
-        bits, rx_grid, h_true = _receive(ctx, pdp, noise, rngs, symbols)
+        bits, rx_grid, h_true = _receive(ctx, pdp, noise_var, rngs, symbols)
         # (c, n_rx, n_tx, n_pilots) -> (c, n_tx, n_rx, n_pilots)
         y_p = rx_grid[:, :, pilot_rows, pilots].swapaxes(1, 2)
         h_ls = ls_estimate(y_p, ctx.pilot_values[:, None]).reshape(-1, len(pilots))

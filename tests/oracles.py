@@ -99,19 +99,19 @@ def window_overrun(tx: np.ndarray, ch, cfg) -> np.ndarray:
     return linear - np.fft.ifft(np.einsum("trk,tmk->rmk", h, body), axis=-1)
 
 
-def time_domain_chain(ctx, pdp, noise, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def time_domain_chain(ctx, pdp, noise_var, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One slot of the sweep's trial chain with the channel applied by linear
     convolution: (bits, rx_grid (n_rx, n_symbols, n_used), h_true), drawing
-    taps, bits and noise from rng in the sweep's order.  ctx is a harness link
-    context."""
+    taps, bits and noise of variance noise_var from rng in the sweep's order.
+    ctx is a harness link context."""
     cfg = ctx.config
     ch = generate_channel(pdp, cfg.n_tx, cfg.n_rx, rng)
     bits_per_sym = cfg.constellation.bits_per_symbol
     bits = rng.integers(0, 2, size=(cfg.n_tx, ctx.layout.n_data_per_port * bits_per_sym))
     data = [linkproc.map_bits(bits[p], cfg.constellation) for p in range(cfg.n_tx)]
-    values = ctx.layout.fill(data, ctx.pilot_seq)
+    values = ctx.layout.fill(data, ctx.pilot_values)
     rx = apply_channel(ofdm.modulate_frame(values, cfg), ch)
-    add_awgn(rx, noise, rng)
+    add_awgn(rx, noise_var, rng)
     rx_grid = ofdm.demodulate_frame(rx, cfg)
     return bits, rx_grid, ch.frequency_responses(cfg.n_fft, used_subcarrier_bins(cfg))
 

@@ -80,7 +80,7 @@ def test_ac1_cp_covered_frame_diagonalizes():
     n_data = cfg.n_used * cfg.n_symbols_per_slot - len(pattern.entries)
     corners = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2)
     data = [corners[rng.integers(0, 4, n_data)] for _ in range(cfg.n_tx)]
-    values = GridLayout.build(cfg, pattern).fill(data, pilots)
+    values = GridLayout.build(cfg, pattern).fill(data, pilots[pattern.entry_index])
     ch = generate_channel(PowerDelayProfile.uniform(10), cfg.n_tx, cfg.n_rx, rng)
     rx = apply_channel(modulate_frame(values, cfg), ch)
     got = demodulate_frame(rx, cfg)
@@ -155,9 +155,9 @@ BANDWIDTH_SNRS = (0.0, 5.0, 10.0, 20.0, 30.0)
 
 @pytest.fixture(scope="module", params=sorted(LTE_PROFILES), ids=lambda bw: f"{bw:g}MHz")
 def bandwidth_sweep(request):
-    """LS and LMMSE at one LTE bandwidth, its normal CP scaled from 144 of 2048
-    samples: L = cp // 2, which the CP covers, and L = 2 cp + 2, which it does
-    not; 10 trials per point."""
+    """All four estimators at one LTE bandwidth, its normal CP scaled from 144
+    of 2048 samples: L = cp // 2, which the CP covers, and L = 2 cp + 2, which
+    it does not; 10 trials per point."""
     n_fft, _ = LTE_PROFILES[request.param]
     cp = n_fft * 144 // 2048
     cfg = SweepConfig(
@@ -166,7 +166,6 @@ def bandwidth_sweep(request):
         snr_grid_db=BANDWIDTH_SNRS,
         n_frames=10,
         seed=11,
-        estimators=(Estimator.LS, Estimator.LMMSE),
     )
     return cfg, _by_cell(run_sweep(cfg))
 
@@ -201,42 +200,47 @@ def test_ac4_crossover_past_the_cp_at_every_bandwidth(bandwidth_sweep):
     _report(f"AC-4 {cfg.system.bandwidth_mhz:g} MHz L={length}", not losses, detail)
 
 
+def _ac5_misses(cfg, cells) -> tuple[list[str], float]:
+    """The cells of a sweep where the hybrid breaks AC-5, and the switching
+    SNR of its longest length.  A cell breaks it when the hybrid's MSE is
+    above 1.05x the better of LS and LMMSE in either column, or its branch is
+    not the indicator of snr >= its length's switching SNR, which never
+    chooses LS where the CP covers the channel."""
+    misses = []
+    for li, length in enumerate(cfg.channel_lengths):
+        threshold = _hybrid_threshold(cfg, li, length)
+        covered = cfg.system.cp_covers(length)
+        for snr in cfg.snr_grid_db:
+            hy, ls, lm = (
+                cells[(length, snr, e)] for e in (Estimator.HYBRID, Estimator.LS, Estimator.LMMSE)
+            )
+            for col in ("mse_all_subcarriers", "mse_pilot_subcarriers"):
+                if not getattr(hy, col) <= 1.05 * min(getattr(ls, col), getattr(lm, col)):
+                    misses.append(f"L={length} snr={snr} {col}")
+            if covered and hy.branch_fraction_ls != 0.0:
+                misses.append(f"branch_fraction_ls != 0 at L={length} snr={snr}")
+            expected = 1.0 if snr >= threshold else 0.0
+            if hy.branch_fraction_ls != expected:
+                misses.append(f"L={length} snr={snr} branch {hy.branch_fraction_ls} != {expected}")
+    return misses, threshold
+
+
 def test_ac5_hybrid_dominates_both_sweeps(sweep_short, sweep_long):
     """Hybrid MSE within 1.05x of the better estimator; branch matches the policy."""
-    ok = True
-    worst = ""
-    for _, cells in (sweep_short, sweep_long):
-        lengths = {k[0] for k in cells}
-        for length in lengths:
-            for snr in SNR_GRID:
-                hy = cells[(length, snr, Estimator.HYBRID)]
-                ls = cells[(length, snr, Estimator.LS)]
-                lm = cells[(length, snr, Estimator.LMMSE)]
-                for col in ("mse_all_subcarriers", "mse_pilot_subcarriers"):
-                    bound = 1.05 * min(getattr(ls, col), getattr(lm, col))
-                    if not getattr(hy, col) <= bound:
-                        ok = False
-                        worst = f"L={length} snr={snr} {col}"
-    # branch bookkeeping: never LS under a covering CP
-    _, cells_short = sweep_short
-    for (length, snr, est), r in cells_short.items():
-        if est is Estimator.HYBRID and r.branch_fraction_ls != 0.0:
-            ok = False
-            worst = f"branch_fraction_ls != 0 at L={length} snr={snr}"
-    # for L=40 the branch is the indicator of snr >= calibrated threshold
-    cfg_long, cells_long = sweep_long
-    threshold = _hybrid_threshold(cfg_long, 0, 40)
-    for snr in SNR_GRID:
-        r = cells_long[(40, snr, Estimator.HYBRID)]
-        expected = 1.0 if snr >= threshold else 0.0
-        if r.branch_fraction_ls != expected:
-            ok = False
-            worst = f"L=40 snr={snr} branch {r.branch_fraction_ls} != {expected}"
-    _report(
-        "AC-5",
-        ok,
-        worst or f"hybrid within 1.05x of best everywhere; L=40 switch at {threshold:.2f} dB",
-    )
+    misses, _ = _ac5_misses(*sweep_short)
+    long_misses, threshold = _ac5_misses(*sweep_long)
+    misses += long_misses
+    detail = f"hybrid within 1.05x of best everywhere; L=40 switch at {threshold:.2f} dB"
+    _report("AC-5", not misses, ", ".join(misses) or detail)
+
+
+def test_ac5_hybrid_dominates_at_every_bandwidth(bandwidth_sweep):
+    """AC-5 at L = cp // 2 and L = 2 cp + 2 of every LTE bandwidth."""
+    cfg, cells = bandwidth_sweep
+    misses, threshold = _ac5_misses(cfg, cells)
+    length = cfg.channel_lengths[-1]
+    detail = f"hybrid within 1.05x of best everywhere; L={length} switch at {threshold:.2f} dB"
+    _report(f"AC-5 {cfg.system.bandwidth_mhz:g} MHz", not misses, ", ".join(misses) or detail)
 
 
 def test_ac6_full_and_simplified_lmmse_coincide():
@@ -322,17 +326,24 @@ def test_ac9_default_sweep_is_byte_deterministic(tmp_path):
     _report("AC-9", b1 == b2, f"{len(b1)} CSV bytes identical across runs")
 
 
+def _ber_undercuts(cells) -> list[str]:
+    """Cells where an estimated-CSI BER is below the perfect-CSI BER."""
+    violations = []
+    for (length, snr, est), r in cells.items():
+        if est is not Estimator.PERFECT and r.ber < cells[(length, snr, Estimator.PERFECT)].ber:
+            violations.append(f"L={length} snr={snr} {est.value}")
+    return violations
+
+
 def test_invariant_perfect_csi_lower_bounds_ber(sweep_short, sweep_long):
     """Estimated-CSI BER never undercuts perfect-CSI BER (1 grid point of slack)."""
-    violations = []
-    for _, cells in (sweep_short, sweep_long):
-        lengths = {k[0] for k in cells}
-        for length in lengths:
-            for snr in SNR_GRID:
-                perfect = cells[(length, snr, Estimator.PERFECT)].ber
-                for est in (Estimator.LS, Estimator.LMMSE, Estimator.HYBRID):
-                    if cells[(length, snr, est)].ber < perfect:
-                        violations.append(f"L={length} snr={snr} {est.value}")
+    violations = [v for _, cells in (sweep_short, sweep_long) for v in _ber_undercuts(cells)]
+    assert len(violations) <= 1, violations
+
+
+def test_invariant_perfect_csi_lower_bounds_ber_at_every_bandwidth(bandwidth_sweep):
+    """The same bound, with the same slack, at every LTE bandwidth."""
+    violations = _ber_undercuts(bandwidth_sweep[1])
     assert len(violations) <= 1, violations
 
 

@@ -15,10 +15,10 @@ from oracles import apply_channel, time_domain_chain, window_overrun
 
 from ltelink.channel import (
     ChannelRealization,
-    NoiseSpec,
     PowerDelayProfile,
     add_awgn,
     generate_channel,
+    noise_variance,
     overrun,
 )
 from ltelink.estimation import interpolate_ls, ls_interpolation_taps
@@ -362,7 +362,7 @@ class TestReceivePath:
     def test_matches_time_domain_chain(self, bw, cp, length, snr_db):
         # a chunk of two trials against the oracle trial by trial
         ctx = _make_context(SystemConfig(bandwidth_mhz=bw, cp_len=cp), 19)
-        pdp, noise = PowerDelayProfile.uniform(length), NoiseSpec(snr_db)
+        pdp, noise = PowerDelayProfile.uniform(length), noise_variance(snr_db)
         seeds = (20, 21)
         rngs = [np.random.default_rng(s) for s in seeds]
         bits, rx_grid, h_true = _receive(ctx, pdp, noise, rngs)
@@ -394,7 +394,7 @@ class TestReceivePath:
         # receiving only the pilot symbols, as the calibration does, draws the
         # same taps, bits and whole-slot noise, and gives the same windows
         ctx = _make_context(config, 19)
-        pdp, noise = PowerDelayProfile.uniform(length), NoiseSpec(snr_db)
+        pdp, noise = PowerDelayProfile.uniform(length), noise_variance(snr_db)
         seeds = (20, 21)
         whole, pilots = ([np.random.default_rng(s) for s in seeds] for _ in range(2))
         bits, rx_grid, h_true = _receive(ctx, pdp, noise, whole)
@@ -438,7 +438,7 @@ class TestSlotLayoutInMemory:
     def test_received_chunk(self, symbols):
         ctx = _make_context(self.CFG, 19)
         rngs = [np.random.default_rng(s) for s in range(4)]
-        pdp, noise = PowerDelayProfile.uniform(40), NoiseSpec(10.0)
+        pdp, noise = PowerDelayProfile.uniform(40), noise_variance(10.0)
         _, rx_grid, h_true = _receive(ctx, pdp, noise, rngs, symbols)
         assert rx_grid.shape == (4, 2, len(symbols), self.CFG.n_used) and rx_grid.flags.c_contiguous
         assert h_true.shape == (4, 2, 2, self.CFG.n_used) and h_true.flags.c_contiguous
@@ -494,19 +494,19 @@ class TestAwgn:
         sig = np.ones((2, 8), dtype=complex)
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        assert add_awgn(sig, NoiseSpec(np.inf), rng) is None
+        assert add_awgn(sig, noise_variance(np.inf), rng) is None
         assert np.array_equal(sig, np.ones((2, 8))) and rng.bit_generator.state == state
 
     def test_zero_db_variance(self):
         rng = np.random.default_rng(9)
         sig = np.zeros(100_000, dtype=complex)
-        add_awgn(sig, NoiseSpec(0.0), rng)
+        add_awgn(sig, noise_variance(0.0), rng)
         assert 0.98 < np.mean(np.abs(sig) ** 2) < 1.02
 
     def test_snr_scaling(self):
         rng = np.random.default_rng(10)
         sig = np.zeros(100_000, dtype=complex)
-        add_awgn(sig, NoiseSpec(10.0), rng)
+        add_awgn(sig, noise_variance(10.0), rng)
         assert np.mean(np.abs(sig) ** 2) == pytest.approx(0.1, rel=0.03)
 
     def test_one_draw_equals_the_two_draw_sum(self):
@@ -517,8 +517,8 @@ class TestAwgn:
         rng = np.random.default_rng(11)
         buffer = rng.standard_normal((3, 2, 3, 50)) + 1j * rng.standard_normal((3, 2, 3, 50))
         before = buffer.copy()
-        noise = NoiseSpec(7.0)
-        scale = np.sqrt(noise.noise_variance / 2.0)
+        noise = noise_variance(7.0)
+        scale = np.sqrt(noise / 2.0)
         draws = np.random.default_rng(12)
         a, b = draws.standard_normal((2, 3, 50)), draws.standard_normal((2, 3, 50))
         add_awgn(buffer[1], noise, np.random.default_rng(12))
@@ -530,27 +530,35 @@ class TestAwgn:
         rng = np.random.default_rng(13)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="complex128"):
-            add_awgn(np.zeros(8, dtype=dtype), NoiseSpec(5.0), rng)
+            add_awgn(np.zeros(8, dtype=dtype), noise_variance(5.0), rng)
         assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("var", [-0.5, np.nan, np.inf], ids=["negative", "nan", "inf"])
+    def test_rejects_a_variance_that_is_negative_or_not_finite(self, var):
+        sig, rng = np.ones(8, dtype=complex), np.random.default_rng(14)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="noise_variance must be finite and non-negative"):
+            add_awgn(sig, var, rng)
+        assert np.array_equal(sig, np.ones(8)) and rng.bit_generator.state == state
 
     def test_reproducible(self):
         a, b = np.ones(64, dtype=complex), np.ones(64, dtype=complex)
-        add_awgn(a, NoiseSpec(5.0), np.random.default_rng(1))
-        add_awgn(b, NoiseSpec(5.0), np.random.default_rng(1))
+        add_awgn(a, noise_variance(5.0), np.random.default_rng(1))
+        add_awgn(b, noise_variance(5.0), np.random.default_rng(1))
         assert np.array_equal(a, b) and not np.array_equal(a, np.ones(64))
 
     def test_spec_rejects_nan_and_minus_inf(self):
         with pytest.raises(ValueError, match="snr_db"):
-            NoiseSpec(np.nan)
+            noise_variance(np.nan)
         with pytest.raises(ValueError, match="snr_db"):
-            NoiseSpec(-np.inf)
+            noise_variance(-np.inf)
 
     def test_noise_variance_values(self):
-        assert NoiseSpec(0.0).noise_variance == pytest.approx(1.0)
-        assert NoiseSpec(20.0).noise_variance == pytest.approx(0.01)
-        assert NoiseSpec(np.inf).noise_variance == 0.0
+        assert noise_variance(0.0) == pytest.approx(1.0)
+        assert noise_variance(20.0) == pytest.approx(0.01)
+        assert noise_variance(np.inf) == 0.0
 
     @pytest.mark.parametrize("snr_db", [4000.0, np.float64(4000.0)], ids=["float", "numpy"])
     def test_noise_variance_past_the_float_range_is_zero(self, snr_db):
         # 10 ** 400 overflows a float; the variance it divides is no noise
-        assert NoiseSpec(snr_db).noise_variance == 0.0
+        assert noise_variance(snr_db) == 0.0

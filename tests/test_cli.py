@@ -63,6 +63,14 @@ class TestConfigFile:
         cfg = sweep_config_from_sources(parse_config_file(path), _args([]))
         assert cfg.snr_grid_db == (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
 
+    def test_enum_values_are_case_insensitive(self, tmp_path):
+        # the constellation and the estimators share one parser
+        path = tmp_path / "upper.cfg"
+        path.write_text("constellation = QAM16\nestimators = LS, Perfect\n")
+        cfg = sweep_config_from_sources(parse_config_file(path), _args([]))
+        assert cfg.system.constellation is Constellation.QAM16
+        assert cfg.estimators == (Estimator.LS, Estimator.PERFECT)
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("frames = 3\n")
@@ -308,7 +316,7 @@ class TestMain:
             ("n_used = 300.0", "invalid literal for int() with base 10: '300.0'"),
             ("n_frames = 3x", "invalid literal for int() with base 10: '3x'"),
             ("snr_grid_db = 0,abc", "could not convert string to float: 'abc'"),
-            ("constellation = qam64", "'qam64' is not a valid Constellation"),
+            ("constellation = qam64", "unknown constellation 'qam64'; choose from qpsk, qam16"),
         ],
         ids=["n_used", "n_frames", "snr_grid_db", "constellation"],
     )

@@ -700,13 +700,14 @@ class TestCrossover:
         [
             (SystemConfig(cp_len=0), 20, 2, "the lmmse and hybrid estimators need cp_len >= 1"),
             (SystemConfig(), 20, 2.5, "trials must be integral, got 2.5"),
+            (SystemConfig(), 20, True, "trials must be integral, got True"),
             (SystemConfig(), 600, 2, "channel length 600 exceeds the FFT size 512"),
         ],
-        ids=["cp0", "fractional-trials", "longer-than-fft"],
+        ids=["cp0", "fractional-trials", "bool-trials", "longer-than-fft"],
     )
     def test_calibrate_validates_before_any_draw(self, system, length, trials, message):
         # without a CP the LMMSE prior keeps no tap; a fractional trial count
-        # is no count; taps past the FFT size would alias: all are refused
+        # and a bool are no count; taps past the FFT size would alias: all are refused
         # before the first cell draws
         rng = np.random.default_rng(2)
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -715,7 +716,7 @@ class TestCrossover:
             )
         assert rng.bit_generator.seed_seq.n_children_spawned == 0
 
-    @pytest.mark.parametrize("trials", [np.int64(2), True], ids=["numpy-int", "true"])
+    @pytest.mark.parametrize("trials", [np.int64(2)], ids=["numpy-int"])
     def test_calibrate_accepts_integral_counts(self, trials):
         pdp, snrs = PowerDelayProfile.uniform(40), np.array([0.0, 30.0])
         got = calibrate_threshold(SystemConfig(), pdp, snrs, trials, np.random.default_rng(3))

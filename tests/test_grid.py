@@ -1,5 +1,7 @@
 """Tests for the resource grid: pilot pattern, slot fill, pilot extraction."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -23,9 +25,10 @@ def small_config(n_used=12, n_tx=1, **kw):
 
 
 def fill_slot(cfg, pattern, data, pilots):
-    """(values, layout) of one slot filled the way the trial chain fills it."""
+    """(values, layout) of one slot filled the way the trial chain fills it:
+    the pilot sequence pilots, drawn in entries order, read on the comb."""
     layout = GridLayout.build(cfg, pattern)
-    return layout.fill(data, pilots), layout
+    return layout.fill(data, pilots[pattern.entry_index]), layout
 
 
 def extract_pilots(rx_grid, pattern, port):
@@ -246,30 +249,67 @@ class TestMapToGrid:
         with pytest.raises(ValueError, match=r"expected 80 data symbols, got 3 \(77 missing\)"):
             fill_slot(cfg, pat, [np.zeros(3, dtype=complex)], pilots)
 
-    def test_short_pilot_sequence_rejected(self):
-        cfg = small_config()
-        pat = build_pilot_pattern(cfg)
-        data = [np.zeros(80, dtype=complex)]
-        with pytest.raises(ValueError, match="pilot sequence too short"):
-            fill_slot(cfg, pat, data, np.ones(2, dtype=complex))
-
     def test_payload_without_a_port_axis_rejected(self):
         # one port's payload would otherwise be copied onto every port
         cfg = SystemConfig()  # 2 ports
         layout = GridLayout.build(cfg, build_pilot_pattern(cfg))
-        pilots = random_pilot_sequence(layout.pattern.n_entries, np.random.default_rng(0))
+        pilots = np.ones((2, 100), dtype=complex)
         assert layout.fill(np.ones((2, 1900)), pilots).shape == (2, 7, 300)
         for data in (np.ones(1900), np.ones((1, 1900)), np.ones((3, 1900)), np.ones((2, 1, 1900))):
             with pytest.raises(ValueError, match=r"data symbols must be \(\.\.\., 2, 1900\)"):
                 layout.fill(data, pilots)
 
+    def test_short_pilot_sequence_rejected(self):
+        # too few pilots, in the row or in the ports, would otherwise be
+        # broadcast over the comb
+        cfg = small_config()
+        pat = build_pilot_pattern(cfg)
+        layout = GridLayout.build(cfg, pat)
+        data = np.zeros((1, 80), dtype=complex)
+        values = np.ones(pat.entry_index.shape, dtype=complex)
+        assert layout.fill(data, values).shape == (1, 7, 12)
+        want = re.escape(f"pilot values must be (n_ports, n_pilots) = {values.shape}")
+        for bad in (values[:, :-1], values[:, :1], values[:0]):
+            with pytest.raises(ValueError, match=want):
+                layout.fill(data, bad)
+
     def test_pilot_sequence_must_be_one_dimensional(self):
+        # one sequence covers every port; a full sequence per port, stacked,
+        # is not read as comb rows
         cfg = SystemConfig()
         layout = GridLayout.build(cfg, build_pilot_pattern(cfg))
         pilots = random_pilot_sequence(layout.pattern.n_entries, np.random.default_rng(0))
-        # one full sequence per port, which a length check alone reads as 2 pilots
-        with pytest.raises(ValueError, match=r"pilot sequence must be 1-D, got shape \(2, 200\)"):
-            layout.fill(np.ones((2, 1900)), np.stack([pilots, pilots]))
+        values = pilots[layout.pattern.entry_index]
+        for bad in (np.stack([pilots, pilots]), values[None]):
+            with pytest.raises(ValueError, match=r"pilot values must be \(n_ports, n_pilots\) = \(2, 100\)"):
+                layout.fill(np.ones((2, 1900)), bad)
+
+    def test_pilot_values_must_be_one_comb_row_per_port(self):
+        # a flat sequence, a missing port or a long row would otherwise be
+        # broadcast or cut to the comb
+        cfg = SystemConfig()
+        layout = GridLayout.build(cfg, build_pilot_pattern(cfg))
+        pilots = random_pilot_sequence(layout.pattern.n_entries, np.random.default_rng(0))
+        values = pilots[layout.pattern.entry_index]
+        assert values.shape == (2, 100)
+        assert layout.fill(np.ones((2, 1900)), values).shape == (2, 7, 300)
+        for bad in (pilots, values[:1], np.ones((2, 101))):
+            with pytest.raises(ValueError, match=r"pilot values must be \(n_ports, n_pilots\) = \(2, 100\)"):
+                layout.fill(np.ones((2, 1900)), bad)
+
+    def test_pilot_values_land_on_their_entries(self):
+        # comb-order values reach the same resource elements an entries-order
+        # scatter of the sequence writes: no pilot moves
+        for n_tx in (1, 2):
+            cfg = small_config(n_used=36, n_tx=n_tx)
+            pat = build_pilot_pattern(cfg)
+            pilots = random_pilot_sequence(pat.n_entries, np.random.default_rng(4))
+            data = np.zeros((n_tx, cfg.n_used * 7 - pat.n_entries))
+            values, layout = fill_slot(cfg, pat, data, pilots)
+            sc, sym, port = pat.entries.T
+            assert np.array_equal(values[port, sym, sc], pilots)
+            ports = np.arange(n_tx)[:, None]
+            assert np.array_equal(values[ports, layout.pilot_symbols, pat.comb], pilots[pat.entry_index])
 
     def test_layout_fields(self):
         # payload positions in a port's raveled slot, ascending, and the pilot

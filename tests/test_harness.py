@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import math
+import re
 import tracemalloc
 import weakref
 
@@ -11,7 +12,7 @@ import pytest
 from oracles import correlation_matrices, interpolate_ls, lmmse_filter_solve, time_domain_chain
 
 from ltelink import estimation, harness, kernels, linkproc, ofdm
-from ltelink.channel import ChannelRealization, NoiseSpec, PowerDelayProfile
+from ltelink.channel import ChannelRealization, PowerDelayProfile, noise_variance
 from ltelink.grid import Constellation, GridLayout, SystemConfig, build_pilot_pattern
 from ltelink.harness import (
     CSV_HEADER,
@@ -166,17 +167,17 @@ class TestComputeBer:
         assert self._ber(monkeypatch, lambda i: i % 2 == 1) == 0.5
 
 
-def _oracle_trial(ctx, pdp, noise, rng, filters):
+def _oracle_trial(ctx, pdp, snr_db, rng, filters):
     """One trial rebuilt without the cell routine: the time-domain chain, LS
     by interpolate_ls, LMMSE by the dense solve, and per-slot ZF.  Returns
     one (|err|^2 all, |h|^2 all, |err|^2 comb, |h|^2 comb, errors, bits) row
     per filter name of ls, lmmse and perfect."""
     cfg = ctx.config
-    bits, rx_grid, h_true = time_domain_chain(ctx, pdp, noise, rng)
+    bits, rx_grid, h_true = time_domain_chain(ctx, pdp, noise_variance(snr_db), rng)
     comb = ctx.layout.pattern.comb
     y_p = rx_grid[:, ctx.layout.pilot_symbols, comb].swapaxes(0, 1)  # (n_tx, n_rx, n_pilots)
     h_ls = y_p / ctx.pilot_values[:, None]
-    snr = 10.0 ** (noise.snr_db / 10.0)
+    snr = 10.0 ** (snr_db / 10.0)
     rows = []
     for name in filters:
         if name == "ls":
@@ -237,7 +238,7 @@ class TestRunSweep:
         names = ("ls", "lmmse", "perfect")
         for si, snr in enumerate(cfg.snr_grid_db):
             sums = sum(
-                _oracle_trial(ctx, pdp, NoiseSpec(snr), _stream(cfg.seed, 0, 0, si, trial), names)
+                _oracle_trial(ctx, pdp, snr, _stream(cfg.seed, 0, 0, si, trial), names)
                 for trial in range(cfg.n_frames)
             )
             for name, (n_all, d_all, n_pil, d_pil, errors, bits) in zip(names, sums):
@@ -257,7 +258,7 @@ class TestRunSweep:
         streams = _rng(3).spawn(len(snrs) * n)
         for i, (snr, ls, lmmse) in enumerate(points):
             sums = sum(
-                _oracle_trial(ctx, pdp, NoiseSpec(snr), streams[i * n + j], ("ls", "lmmse"))
+                _oracle_trial(ctx, pdp, snr, streams[i * n + j], ("ls", "lmmse"))
                 for j in range(n)
             )
             assert ls == pytest.approx(sums[0, 0] / sums[0, 1], rel=1e-9)
@@ -369,7 +370,7 @@ class TestRunSweep:
         0.403 MB a trial in chunks of 3."""
         ctx, pdp = _make_context(SystemConfig(), 0), PowerDelayProfile.uniform(40)
         methods = (Estimator.LS, Estimator.LMMSE, Estimator.PERFECT)
-        lmmse = estimation.lmmse_factors(ctx.config, pdp, NoiseSpec(10.0).noise_variance)
+        lmmse = estimation.lmmse_factors(ctx.config, pdp, noise_variance(10.0))
         monkeypatch.setattr(estimation, "lmmse_factors", lambda *args: lmmse)
         n = harness._CHUNK
         _run_cell(ctx, pdp, 10.0, [_rng(s) for s in range(n)], methods, detect=True)  # warm caches
@@ -633,6 +634,32 @@ class TestRunSweep:
         with pytest.raises(ValueError, match=f"{field} must be integral"):
             make()
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: SweepConfig(snr_grid_db=("3",)), "snr_grid_db must be a real number, got '3'"),
+            (lambda: SweepConfig(snr_grid_db=(True,)), "snr_grid_db must be a real number, got True"),
+            (lambda: SweepConfig(n_frames=True), "n_frames must be integral, got True"),
+            (lambda: SystemConfig(cp_len=True), "cp_len must be integral, got True"),
+            (lambda: SystemConfig(bandwidth_mhz="5"), "bandwidth_mhz must be a real number, got '5'"),
+        ],
+        ids=["snr-str", "snr-bool", "n_frames-bool", "cp_len-bool", "bandwidth-str"],
+    )
+    def test_bools_and_text_are_not_numbers(self, make, message):
+        # float() would read "3" as 3.0 and True as 1.0, and a bool is an int
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
+
+    def test_numpy_reals_accepted_as_floats(self):
+        cfg = SweepConfig(
+            system=SystemConfig(bandwidth_mhz=np.int64(5)),
+            snr_grid_db=(np.float32(2.5), np.int64(5)),
+            threshold_db=np.int8(3),
+        )
+        assert cfg.system == SystemConfig() and type(cfg.system.bandwidth_mhz) is float
+        assert cfg.snr_grid_db == (2.5, 5.0) and all(type(v) is float for v in cfg.snr_grid_db)
+        assert cfg.threshold_db == 3.0 and type(cfg.threshold_db) is float
+
     def test_numpy_integer_counts_accepted(self):
         system = SystemConfig(n_used=np.int64(300), cp_len=np.int32(16), n_tx=np.uint8(2))
         cfg = SweepConfig(
@@ -661,9 +688,18 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
             SweepConfig(seed=-1)
 
-    @pytest.mark.parametrize("threshold_db", ["3", math.nan], ids=["str", "nan"])
-    def test_threshold_must_be_a_real_number(self, threshold_db):
-        with pytest.raises(ValueError, match="threshold_db must be a real number, not NaN"):
+    @pytest.mark.parametrize(
+        "threshold_db, message",
+        [
+            ("3", "threshold_db must be a real number, got '3'"),
+            (math.nan, "threshold_db must be a real number, not NaN"),
+            (True, "threshold_db must be a real number, got True"),
+        ],
+        ids=["str", "nan", "bool"],
+    )
+    def test_threshold_must_be_a_real_number(self, threshold_db, message):
+        # True would otherwise switch the hybrid at 1 dB
+        with pytest.raises(ValueError, match=re.escape(message)):
             SweepConfig(threshold_db=threshold_db)
 
     def test_finite_snr_past_the_float_range_runs_as_noiseless(self):
