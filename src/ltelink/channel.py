@@ -178,14 +178,16 @@ def noise_variance(snr_db: float) -> float:
     """Complex per-sample AWGN variance sigma_w^2 = 1 / SNR, the per-subcarrier
     SNR after the unitary DFT, as every constellation has unit average symbol
     power.  +inf, the no-noise sentinel, and an SNR whose power overflows give
-    0; NaN and -inf are invalid."""
-    snr_db = float(snr_db)
-    if math.isnan(snr_db) or snr_db == -math.inf:
-        raise ValueError(f"invalid snr_db: {snr_db}")
+    0; NaN, -inf and an SNR below about -3082.5 dB (no finite variance) are invalid."""
     try:
-        return 1.0 / 10.0 ** (snr_db / 10.0)
+        variance = 1.0 / 10.0 ** (float(snr_db) / 10.0)
     except OverflowError:  # 10 ** (snr / 10) overflows: no noise, as at +inf
         return 0.0
+    except ZeroDivisionError:  # 10 ** (snr / 10) underflows to 0, as at -inf
+        variance = math.inf
+    if not math.isfinite(variance):
+        raise ValueError(f"invalid snr_db: {snr_db}")
+    return variance
 
 
 def add_awgn(signal: np.ndarray, noise_variance: float, rng: np.random.Generator) -> None:

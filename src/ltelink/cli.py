@@ -54,9 +54,12 @@ def _parse_snr_grid(text: str) -> tuple[float, ...]:
     if len(parts) != 3:
         raise ValueError(f"expected a:b:step, got {text!r}")
     start, stop, step = (float(p) for p in parts)
-    if step <= 0:
-        raise ValueError("step must be positive")
-    grid = np.arange(start, stop + step / 2.0, step)
+    if not (np.isfinite((start, stop, step)).all() and step > 0):
+        raise ValueError(f"a:b:step needs finite a and b and a finite step > 0, got {text!r}")
+    try:
+        grid = np.arange(start, stop + step / 2.0, step)
+    except (ValueError, MemoryError):  # more points than numpy can allocate
+        raise ValueError(f"the range {text!r} has too many points to build") from None
     # the half step keeps a b rounding puts past the last point, the filter drops one past b
     return tuple(float(v) for v in grid if v <= stop + 1e-9 * step)
 

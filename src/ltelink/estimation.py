@@ -34,7 +34,7 @@ from typing import Iterable
 import numpy as np
 
 from .channel import PowerDelayProfile
-from .grid import SystemConfig, as_int, build_pilot_pattern, used_subcarrier_bins
+from .grid import SystemConfig, build_pilot_pattern, used_subcarrier_bins
 
 __all__ = [
     "CorrelationModel",
@@ -239,36 +239,30 @@ def calibrate_threshold(
     config: SystemConfig,
     pdp_long: PowerDelayProfile,
     sweep_snrs_db: np.ndarray,
-    trials: int,
+    n_frames: int,
     rng: np.random.Generator,
 ) -> float:
     """Locate the LS/LMMSE switching SNR for a CP-exceeding channel.
 
-    Runs a paired Monte Carlo MSE sweep of both estimators through the full
-    transmit/channel/receive chain, one SNR at a time in ascending order, and
-    returns the SNR where the two curves first cross, linearly interpolated
-    between grid points.  The sweep stops at that crossing: the SNRs past it
-    are never run, and rng is drawn from only up to it.  Sentinels: +inf when
-    LMMSE never loses (always LMMSE), -inf when LS never loses (always LS);
-    either runs the whole grid.
+    Runs paired LS/LMMSE MSE cells of n_frames trials through the full chain,
+    one SNR at a time in ascending order, and returns the SNR where the curves
+    first cross, interpolated linearly; the SNRs past it are never run, and rng
+    is drawn from only up to it.  Only the trials draw from rng: the pilots are
+    always seed 0's (harness.paired_mse_curves).  Sentinels: +inf when LMMSE
+    never loses, -inf when LS never loses; either runs the whole grid.  Before
+    any draw, the inputs are checked by its own rules, a finite 1-D grid and a
+    span past the CP, and by those of the sweep of these cells (SweepConfig).
     """
-    from . import harness  # local import; the harness owns the cell routine
+    from . import harness  # local import; the harness owns the cells and the sweep's rules
 
-    trials = as_int("trials", trials)
-    if config.cp_len < 1:  # the LMMSE prior keeps the taps at delays below cp_len
-        raise ValueError("the lmmse and hybrid estimators need cp_len >= 1")
     snrs = np.asarray(sweep_snrs_db, dtype=np.float64)
-    if snrs.ndim != 1 or snrs.size == 0:
-        raise ValueError("the SNR grid must be a non-empty 1-D array")
-    if not (np.all(np.isfinite(snrs)) and np.all(snrs[1:] > snrs[:-1])):
-        raise ValueError("the SNR grid must be finite and strictly ascending")
+    if snrs.ndim != 1 or np.any(snrs == np.inf):  # the sweep's rules refuse NaN and -inf
+        raise ValueError("the SNR grid must be a finite 1-D array")
     if config.cp_covers(pdp_long.span):
         raise ValueError(
             f"calibration needs a channel exceeding the CP; got span "
             f"{pdp_long.span} with cp_len {config.cp_len}"
         )
-    if pdp_long.span > config.n_fft:  # later taps would alias in the frequency response
-        raise ValueError(f"channel length {pdp_long.span} exceeds the FFT size {config.n_fft}")
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    return _crossover(harness.paired_mse_curves(config, pdp_long, snrs, trials, rng))
+    ls_lmmse = (harness.Estimator.LS, harness.Estimator.LMMSE)
+    sweep = harness.SweepConfig(config, (pdp_long.span,), snrs, n_frames, estimators=ls_lmmse)
+    return _crossover(harness.paired_mse_curves(config, pdp_long, snrs, sweep.n_frames, rng))

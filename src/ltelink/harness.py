@@ -18,15 +18,15 @@ the trials: it moves no draw and no decision.
 
 Reproducibility contract: every random draw comes from a stream derived from
 (seed, purpose tag, cell indices, trial index), and distinct non-negative
-seeds, however large, draw distinct streams.  Results are independent of
+seeds, however large, draw distinct streams, except that the calibration's
+pilots are always seed 0's (paired_mse_curves).  Results are independent of
 scheduling and identical across runs at a fixed BLAS thread count, e.g.
-OPENBLAS_NUM_THREADS=1 (the SVD and the matrix products can round
-differently with another count).  The threshold calibration of a length
-spawns one child of its stream per trial, SNR by SNR in ascending order, and
-stops at the first LS/LMMSE crossing: it draws from the stream only up to the
-crossing, and the cells past it are never run.  All estimators of a cell
-share the same trial streams (common random numbers), which makes estimator
-comparisons paired.
+OPENBLAS_NUM_THREADS=1 (the SVD and the matrix products can round differently
+with another count).  The threshold calibration of a length spawns one child of
+its stream per trial, SNR by SNR in ascending order, and stops at the first
+LS/LMMSE crossing: it draws from the stream only up to the crossing, and the
+cells past it are never run.  All estimators of a cell share the same trial
+streams (common random numbers), which makes estimator comparisons paired.
 
 MSE aggregation across trials is energy weighted: |error|^2 and |h|^2 sums are
 accumulated separately and divided once, so the pilot-column MSE of the LS
@@ -141,8 +141,8 @@ class SweepConfig:
             raise ValueError("snr grid must be non-empty")
         if any(a >= b for a, b in zip(snrs, snrs[1:])):
             raise ValueError("snr grid must be strictly ascending (sorted, no repeats)")
-        if any(math.isnan(v) or v == -math.inf for v in snrs):
-            raise ValueError("snr grid must not contain NaN or -inf")
+        for v in snrs:  # an SNR is valid when it sets a noise level
+            noise_variance(v)
         if self.n_frames < 1:
             raise ValueError("n_frames must be at least 1")
         if not ests or any(not isinstance(e, Estimator) for e in ests):

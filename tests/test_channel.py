@@ -6,6 +6,7 @@ tests/oracles.py; the sweep's frequency-domain receive path is checked
 against it.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -553,10 +554,22 @@ class TestAwgn:
         with pytest.raises(ValueError, match="snr_db"):
             noise_variance(-np.inf)
 
+    @pytest.mark.parametrize(
+        "snr_db",
+        [-3082.6, -3100.0, -4000.0, np.float64(-4000.0)],
+        ids=["inf-3082.6", "inf-3100", "zero-power-4000", "zero-power-4000-numpy"],
+    )
+    def test_an_snr_without_a_finite_variance_is_invalid(self, snr_db):
+        # 1 / 10 ** (snr / 10) is inf below about -3082.5 dB, and 10 ** (snr / 10)
+        # underflows to 0 far enough below
+        with pytest.raises(ValueError, match=re.escape(f"invalid snr_db: {float(snr_db)}")):
+            noise_variance(snr_db)
+
     def test_noise_variance_values(self):
         assert noise_variance(0.0) == pytest.approx(1.0)
         assert noise_variance(20.0) == pytest.approx(0.01)
         assert noise_variance(np.inf) == 0.0
+        assert 1e308 < noise_variance(-3082.5) < np.inf  # the lowest valid SNR, to 0.1 dB
 
     @pytest.mark.parametrize("snr_db", [4000.0, np.float64(4000.0)], ids=["float", "numpy"])
     def test_noise_variance_past_the_float_range_is_zero(self, snr_db):

@@ -6,12 +6,16 @@ import subprocess
 import sys
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from ltelink import cli
 from ltelink.cli import build_parser, main, parse_config_file, sweep_config_from_sources
 from ltelink.grid import Constellation, SystemConfig
 from ltelink.harness import CSV_HEADER, Estimator, SweepConfig
+
+# the range parser's message for a non-finite a, b or step, or a step that is not positive
+FINITE_RANGE = "a:b:step needs finite a and b and a finite step > 0"
 
 
 def _args(extra):
@@ -186,14 +190,42 @@ class TestFlagMerging:
             ("--frames", "3x", "invalid literal for int() with base 10: '3x'"),
             ("--seed", "1.5", "invalid literal for int() with base 10: '1.5'"),
             ("--threshold-db", "high", "could not convert string to float: 'high'"),
+            ("--snr", "0:inf:5", f"{FINITE_RANGE}, got '0:inf:5'"),
+            ("--snr", "nan:30:5", f"{FINITE_RANGE}, got 'nan:30:5'"),
+            ("--snr", "0:30:-5", f"{FINITE_RANGE}, got '0:30:-5'"),
+            ("--snr", "0:1e300:1", "the range '0:1e300:1' has too many points to build"),
         ],
-        ids=["estimators", "channel-lengths", "snr", "frames", "seed", "threshold-db"],
+        ids=[
+            "estimators",
+            "channel-lengths",
+            "snr",
+            "frames",
+            "seed",
+            "threshold-db",
+            "snr-infinite-end",
+            "snr-nan-start",
+            "snr-negative-step",
+            "snr-too-many-points",
+        ],
     )
     def test_bad_flag_value_reports_its_parser_message(self, capsys, flag, value, message):
         with pytest.raises(SystemExit) as exc:
             _args([flag, value])
         assert exc.value.code == 2
         assert f"argument {flag}: {message}" in capsys.readouterr().err
+
+    def test_snr_range_numpy_cannot_allocate_is_a_usage_error(self, monkeypatch, capsys):
+        # a range such as 0:1e12:1 asks numpy for terabytes; stand in for that
+        # MemoryError rather than ask for them
+        def arange(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(np, "arange", arange)
+        with pytest.raises(SystemExit) as exc:
+            _args(["--snr", "0:1e12:1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --snr: the range '0:1e12:1' has too many points to build" in err
 
     def test_calibrate_flag_clears_file_threshold(self):
         cfg = sweep_config_from_sources(
@@ -317,8 +349,17 @@ class TestMain:
             ("n_frames = 3x", "invalid literal for int() with base 10: '3x'"),
             ("snr_grid_db = 0,abc", "could not convert string to float: 'abc'"),
             ("constellation = qam64", "unknown constellation 'qam64'; choose from qpsk, qam16"),
+            ("snr_grid_db = 0:30:inf", f"{FINITE_RANGE}, got '0:30:inf'"),
+            ("snr_grid_db = 0:1e300:1", "the range '0:1e300:1' has too many points to build"),
         ],
-        ids=["n_used", "n_frames", "snr_grid_db", "constellation"],
+        ids=[
+            "n_used",
+            "n_frames",
+            "snr_grid_db",
+            "constellation",
+            "snr_grid_db-infinite-step",
+            "snr_grid_db-too-many-points",
+        ],
     )
     def test_bad_config_value_names_its_key_and_file(self, tmp_path, capsys, line, message):
         cfgfile = tmp_path / "bad_value.cfg"
@@ -352,6 +393,18 @@ class TestMain:
             main(["simulate", "--config", str(cfgfile), "--frames", "1", "--out", str(out)])
         assert exc.value.code == 2
         assert "-inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("snr", ["-4000", "-3100"])
+    def test_snr_without_a_finite_noise_level_is_a_usage_error(self, tmp_path, capsys, snr):
+        # past the float range the noise variance is inf or a division by zero;
+        # the sweep would fail in its first cell
+        out = tmp_path / "never.csv"
+        argv = ["simulate", f"--snr={snr}", "--frames", "1", "--channel-lengths", "6"]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--estimators", "ls", "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"ltelink: error: invalid snr_db: {float(snr)}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_repeated_snr_is_a_usage_error(self, tmp_path, capsys):

@@ -683,14 +683,22 @@ class TestCrossover:
             )
 
     @pytest.mark.parametrize(
-        "snrs",
-        [np.arange(30.0, -1.0, -5.0), np.array([0.0, np.nan, 10.0]), np.array([0.0, 0.0])],
-        ids=["descending", "nan", "repeat"],
+        "snrs, message",
+        [
+            (np.arange(30.0, -1.0, -5.0), "snr grid must be strictly ascending (sorted, no repeats)"),
+            (np.array([0.0, np.nan, 10.0]), "invalid snr_db: nan"),
+            (np.array([0.0, 0.0]), "snr grid must be strictly ascending (sorted, no repeats)"),
+            (np.array([0.0, np.inf]), "the SNR grid must be a finite 1-D array"),
+            (np.array([[0.0, 10.0]]), "the SNR grid must be a finite 1-D array"),
+            (np.array(10.0), "the SNR grid must be a finite 1-D array"),
+        ],
+        ids=["descending", "nan", "repeat", "plus-inf", "2-d", "0-d"],
     )
-    def test_calibrate_rejects_a_grid_it_cannot_search(self, snrs):
+    def test_calibrate_rejects_a_grid_it_cannot_search(self, snrs, message):
         # descending, a grid read as "always LS" (-inf); with a NaN, an error
-        # deep in the filter build; with a repeat, a zero-width interpolation
-        with pytest.raises(ValueError, match="finite and strictly ascending"):
+        # deep in the filter build; with a repeat, a zero-width interpolation;
+        # a sweep takes +inf, its no-noise point, but the crossing search does not
+        with pytest.raises(ValueError, match=re.escape(message)):
             calibrate_threshold(
                 SystemConfig(), PowerDelayProfile.uniform(40), snrs, 5, np.random.default_rng(1)
             )
@@ -699,8 +707,8 @@ class TestCrossover:
         "system, length, trials, message",
         [
             (SystemConfig(cp_len=0), 20, 2, "the lmmse and hybrid estimators need cp_len >= 1"),
-            (SystemConfig(), 20, 2.5, "trials must be integral, got 2.5"),
-            (SystemConfig(), 20, True, "trials must be integral, got True"),
+            (SystemConfig(), 20, 2.5, "n_frames must be integral, got 2.5"),
+            (SystemConfig(), 20, True, "n_frames must be integral, got True"),
             (SystemConfig(), 600, 2, "channel length 600 exceeds the FFT size 512"),
         ],
         ids=["cp0", "fractional-trials", "bool-trials", "longer-than-fft"],
@@ -714,6 +722,53 @@ class TestCrossover:
             calibrate_threshold(
                 system, PowerDelayProfile.uniform(length), np.array([0.0, 10.0]), trials, rng
             )
+        assert rng.bit_generator.seed_seq.n_children_spawned == 0
+
+    @pytest.mark.parametrize(
+        "system, span, snrs, n_frames, message",
+        [
+            (SystemConfig(cp_len=0), 20, (0.0, 10.0), 2, "need cp_len >= 1"),
+            (SystemConfig(), 600, (0.0, 10.0), 2, "channel length 600 exceeds the FFT size 512"),
+            (SystemConfig(), 20, (0.0, 10.0), 0, "n_frames must be at least 1"),
+            (SystemConfig(), 20, (0.0, 10.0), 2.5, "n_frames must be integral, got 2.5"),
+            (SystemConfig(), 20, (0.0, 10.0), True, "n_frames must be integral, got True"),
+            (SystemConfig(), 20, (10.0, 0.0), 2, "strictly ascending (sorted, no repeats)"),
+            (SystemConfig(), 20, (5.0, 5.0), 2, "strictly ascending (sorted, no repeats)"),
+            (SystemConfig(), 20, (0.0, np.nan), 2, "invalid snr_db: nan"),
+            (SystemConfig(), 20, (-np.inf, 0.0), 2, "invalid snr_db: -inf"),
+            (SystemConfig(), 20, (-4000.0, 0.0), 2, "invalid snr_db: -4000.0"),
+        ],
+        ids=[
+            "cp0",
+            "span-600",
+            "zero-frames",
+            "fractional-frames",
+            "bool-frames",
+            "descending",
+            "repeat",
+            "nan",
+            "minus-inf",
+            "minus-4000-db",
+        ],
+    )
+    def test_a_shared_rule_reads_alike_in_a_sweep_and_a_calibration(
+        self, system, span, snrs, n_frames, message
+    ):
+        # the calibration checks what it shares with a sweep as the sweep of its
+        # cells, LS and LMMSE at its one span: the same rule, the same message
+        with pytest.raises(ValueError) as sweep_error:
+            SweepConfig(
+                system=system,
+                channel_lengths=(span,),
+                snr_grid_db=snrs,
+                n_frames=n_frames,
+                estimators=(Estimator.LS, Estimator.LMMSE),
+            )
+        rng = np.random.default_rng(4)
+        with pytest.raises(ValueError) as calibration_error:
+            calibrate_threshold(system, PowerDelayProfile.uniform(span), np.array(snrs), n_frames, rng)
+        assert message in str(sweep_error.value)
+        assert str(calibration_error.value) == str(sweep_error.value)
         assert rng.bit_generator.seed_seq.n_children_spawned == 0
 
     @pytest.mark.parametrize("trials", [np.int64(2)], ids=["numpy-int"])
