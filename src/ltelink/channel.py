@@ -25,6 +25,7 @@ __all__ = [
     "ChannelRealization",
     "generate_channel",
     "overrun",
+    "MIN_SNR_DB",
     "noise_variance",
     "add_awgn",
 ]
@@ -174,20 +175,25 @@ def overrun(frames: np.ndarray, ch: ChannelRealization, config: SystemConfig) ->
     return coupled[..., n_over - 1 : 2 * n_over - 1]
 
 
+# The lowest valid SNR.  Its noise variance, 1e100, keeps every sum of a cell
+# finite with room to spare: the first overflow, in zero-forcing's squared
+# Frobenius norm of an LS estimate of that noise, shows between -1520 and
+# -1540 dB.
+MIN_SNR_DB = -1000.0
+
+
 def noise_variance(snr_db: float) -> float:
     """Complex per-sample AWGN variance sigma_w^2 = 1 / SNR, the per-subcarrier
     SNR after the unitary DFT, as every constellation has unit average symbol
     power.  +inf, the no-noise sentinel, and an SNR whose power overflows give
-    0; NaN, -inf and an SNR below about -3082.5 dB (no finite variance) are invalid."""
+    0; NaN, -inf and any SNR below MIN_SNR_DB are invalid."""
+    snr_db = float(snr_db)
+    if not snr_db >= MIN_SNR_DB:
+        raise ValueError(f"invalid snr_db: {snr_db} (the lowest valid SNR is {MIN_SNR_DB:g} dB)")
     try:
-        variance = 1.0 / 10.0 ** (float(snr_db) / 10.0)
+        return 1.0 / 10.0 ** (snr_db / 10.0)
     except OverflowError:  # 10 ** (snr / 10) overflows: no noise, as at +inf
         return 0.0
-    except ZeroDivisionError:  # 10 ** (snr / 10) underflows to 0, as at -inf
-        variance = math.inf
-    if not math.isfinite(variance):
-        raise ValueError(f"invalid snr_db: {snr_db}")
-    return variance
 
 
 def add_awgn(signal: np.ndarray, noise_variance: float, rng: np.random.Generator) -> None:

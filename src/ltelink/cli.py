@@ -185,12 +185,12 @@ class _Parser(argparse.ArgumentParser):
 
 # (flag, config key, metavar, help) of each flag that sets a config key
 _VALUE_FLAGS = (
-    ("--snr", "snr_grid_db", "GRID", "SNRs in dB: a list or A:B:STEP (default 0:30:5)"),
+    ("--snr", "snr_grid_db", "GRID", "SNRs in dB (>= -1000): a list or A:B:STEP (default 0:30:5)"),
     ("--channel-lengths", "channel_lengths", "CSV", "channel tap counts, e.g. 6,10,20,40"),
     ("--frames", "n_frames", "FRAMES", "trials per grid cell"),
     ("--seed", "seed", "SEED", "master seed, a non-negative integer"),
     ("--estimators", "estimators", "CSV", "subset of ls,lmmse,hybrid,perfect"),
-    ("--threshold-db", "threshold_db", "DB", "fixed hybrid switching SNR (skips calibration)"),
+    ("--threshold-db", "threshold_db", "DB", "fixed hybrid switching SNR (default: calibrated)"),
 )
 
 
@@ -211,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument(
         "--calibrate-threshold",
         action="store_true",
-        help="force threshold calibration, ignoring any configured value",
+        help="ignore any configured threshold: take it where the sweep's own LS and LMMSE "
+        "rows cross",
     )
     sim.add_argument(
         "--out", type=Path, default=Path("results.csv"), help="output CSV path"

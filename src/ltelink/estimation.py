@@ -14,15 +14,19 @@ n_taps, so a model keeps one thin SVD, and the filter of every SNR is two thin
 factors (the low-rank form of Edfors et al., IEEE Trans. Commun. 46(7), 1998,
 exact rather than truncated).  The hybrid estimator picks LMMSE whenever
 the cyclic prefix covers the channel and otherwise switches between LMMSE
-(low SNR) and LS (high SNR) at a calibrated threshold.
+(low SNR) and LS (high SNR) at a threshold: where the LS and LMMSE MSE curves
+first cross (_crossover).  A sweep reads that crossing off its own rows
+(harness._hybrid_threshold); calibrate_threshold measures it on an
+independent replicate of those rows, drawn from a stream of its caller's,
+and the sweep does not call it.
 
 The receiver's LMMSE filter (lmmse_factors) assumes a prior: the channel
 profile truncated to the cyclic prefix.  Its correlation model depends only
 on the configuration, which fixes the pilot comb, and on that truncated
 profile, so it is built once per (config, truncated profile) and memoized:
-the antenna ports, the channel lengths that truncate alike and the threshold
-calibration share it, and with it its SVD.  Each cell's filter is then two
-thin factors, never multiplied out.
+the antenna ports, the channel lengths that truncate alike and
+calibrate_threshold share it, and with it its SVD.  Each cell's filter is
+then two thin factors, never multiplied out.
 """
 
 from __future__ import annotations
@@ -242,12 +246,15 @@ def calibrate_threshold(
     n_frames: int,
     rng: np.random.Generator,
 ) -> float:
-    """Locate the LS/LMMSE switching SNR for a CP-exceeding channel.
+    """Locate the LS/LMMSE switching SNR for a CP-exceeding channel on an
+    independent replicate of a sweep's LS and LMMSE rows.
 
-    Runs paired LS/LMMSE MSE cells of n_frames trials through the full chain,
-    one SNR at a time in ascending order, and returns the SNR where the curves
-    first cross, interpolated linearly; the SNRs past it are never run, and rng
-    is drawn from only up to it.  Only the trials draw from rng: the pilots are
+    A sweep takes its threshold from its own rows and does not call this; it
+    is the out-of-sample check of that threshold.  Runs paired LS/LMMSE MSE
+    cells of n_frames trials through the full chain, one SNR at a time in
+    ascending order, and returns the SNR where the curves first cross,
+    interpolated linearly; the SNRs past it are never run, and rng is drawn
+    from only up to it.  Only the trials draw from rng: the pilots are
     always seed 0's (harness.paired_mse_curves).  Sentinels: +inf when LMMSE
     never loses, -inf when LS never loses; either runs the whole grid.  Before
     any draw, the inputs are checked by its own rules, a finite 1-D grid and a

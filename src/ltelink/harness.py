@@ -5,28 +5,36 @@ payload bits and the run's pilots, and receive it through the channel
 and the modem (_receive).  Every (tx, rx) response is then estimated from the
 pilots on the comb all ports share, each subcarrier's symbols are zero-forced
 with the estimate, and MSE is scored against the exact frequency response and
-BER against the payload.  A cell that detects reads all 7 symbols; a
-calibration cell, which scores MSE alone, reads pilot symbols 0 and 4 with the
-same draws.  One routine owns a cell, its noise, LMMSE filter and one row per
-estimator, for the sweep and the threshold calibration alike.  The hybrid
-estimator computes nothing of its own: its row is the row of the branch it
-chooses at its length's switching SNR (_hybrid_threshold).
+BER against the payload.  A cell that detects reads all 7 symbols; a cell of
+paired_mse_curves, which scores MSE alone, reads pilot symbols 0 and 4 with
+the same draws.  One routine owns a cell, its noise, LMMSE filter and one row
+per estimator, for the sweep and paired_mse_curves alike.
+
+The hybrid estimator computes nothing of its own: its row is the row of the
+branch it chooses at its length's switching SNR (_hybrid_threshold).  Unless
+the configuration fixes that SNR, it is where the length's own LS and LMMSE
+rows first cross, taken once every cell of the length has run: the sweep runs
+no second Monte Carlo.  Choosing the branch from the rows it reports is
+in-sample, optimistic by at most the LS-LMMSE gap at the cells next to the
+crossing.  estimation.calibrate_threshold, an independent replicate on a
+stream of its caller's, gives the out-of-sample threshold; the sweep does not
+call it.
 
 A cell runs _CHUNK trials at a time, stacked on a leading axis, so each chunk
 makes one call per stage and one per estimate.  The chunk size only regroups
 the trials: it moves no draw and no decision.
 
-Reproducibility contract: every random draw comes from a stream derived from
-(seed, purpose tag, cell indices, trial index), and distinct non-negative
-seeds, however large, draw distinct streams, except that the calibration's
-pilots are always seed 0's (paired_mse_curves).  Results are independent of
-scheduling and identical across runs at a fixed BLAS thread count, e.g.
+Reproducibility contract: every random draw of a sweep, its trials' and its
+pilots', comes from a stream derived from (seed, purpose tag, cell indices,
+trial index), and distinct non-negative seeds, however large, draw distinct
+streams.  A sweep has no calibration stream.  Results are independent of scheduling and
+identical across runs at a fixed BLAS thread count, e.g.
 OPENBLAS_NUM_THREADS=1 (the SVD and the matrix products can round differently
-with another count).  The threshold calibration of a length spawns one child of
-its stream per trial, SNR by SNR in ascending order, and stops at the first
-LS/LMMSE crossing: it draws from the stream only up to the crossing, and the
-cells past it are never run.  All estimators of a cell share the same trial
-streams (common random numbers), which makes estimator comparisons paired.
+with another count).  All estimators of a cell share the same trial streams
+(common random numbers), which makes estimator comparisons paired.
+paired_mse_curves draws from its caller's generator instead: one child per
+trial, SNR by SNR in ascending order, and only for the SNRs it is asked for;
+its pilots are always seed 0's.
 
 MSE aggregation across trials is energy weighted: |error|^2 and |h|^2 sums are
 accumulated separately and divided once, so the pilot-column MSE of the LS
@@ -37,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
@@ -81,10 +89,9 @@ __all__ = [
     "CSV_HEADER",
 ]
 
-# Stream purpose tags: keep trial, pilot-sequence and calibration draws disjoint.
+# Stream purpose tags: keep trial and pilot-sequence draws disjoint.
 _TAG_TRIAL = 0
 _TAG_PILOTS = 1
-_TAG_CALIBRATION = 2
 
 # Trials per chunk of a cell.  Larger chunks pay less numpy call overhead but
 # hold more arrays at once.  With one receive buffer per chunk and the modem
@@ -188,8 +195,9 @@ class SweepRecord:
     def __post_init__(self) -> None:
         if not 0.0 <= self.ber <= 1.0:
             raise ValueError(f"ber out of [0, 1]: {self.ber}")
-        if not (self.mse_all_subcarriers >= 0 and self.mse_pilot_subcarriers >= 0):
-            raise ValueError("mse must be non-negative, not NaN")
+        mse = (self.mse_all_subcarriers, self.mse_pilot_subcarriers)
+        if not all(0.0 <= v < math.inf for v in mse):
+            raise ValueError(f"mse must be finite and non-negative, got {mse}")
         if self.branch_fraction_ls is not None and not 0.0 <= self.branch_fraction_ls <= 1.0:
             raise ValueError(f"branch_fraction_ls out of [0, 1]: {self.branch_fraction_ls}")
 
@@ -363,8 +371,8 @@ def paired_mse_curves(
 
     Yields (snr_db, mse_ls, mse_lmmse) one SNR at a time, in grid order, and
     runs a cell only when it is asked for, so a caller that stops early runs
-    and draws no more.  Used by the hybrid threshold calibration; aggregation
-    matches run_sweep.
+    and draws no more.  Used by estimation.calibrate_threshold, which
+    run_sweep does not call; aggregation matches run_sweep.
     """
     ctx = _make_context(system, 0)
     methods = (Estimator.LS, Estimator.LMMSE)
@@ -373,26 +381,39 @@ def paired_mse_curves(
         yield float(snr_db), rows[Estimator.LS][0], rows[Estimator.LMMSE][0]
 
 
-def _hybrid_threshold(config: SweepConfig, li: int, length: int) -> float:
-    """The hybrid's switching SNR for the li-th channel length: LS from it up,
-    LMMSE below it.
-
-    +inf where the CP covers the channel, so the hybrid keeps it on LMMSE;
-    else the configured threshold_db when set; else the calibrated LS/LMMSE
-    crossover for this configuration and profile over the finite SNRs, drawn
-    from the length's own calibration stream.
-    """
+def _fixed_threshold(config: SweepConfig, length: int) -> float | None:
+    """The hybrid's switching SNR for one channel length where the config
+    fixes it: +inf where the CP covers the channel, so the hybrid keeps it on
+    LMMSE, else the configured threshold_db; None when it is taken from the
+    sweep's rows."""
     if config.system.cp_covers(length):
         return math.inf
-    if config.threshold_db is not None:
-        return config.threshold_db
-    return estimation.calibrate_threshold(
-        config.system,
-        PowerDelayProfile.uniform(length),
-        np.array([s for s in config.snr_grid_db if math.isfinite(s)]),
-        config.n_frames,
-        _stream(config.seed, _TAG_CALIBRATION, li),
-    )
+    return config.threshold_db
+
+
+def _hybrid_threshold(config: SweepConfig, length: int, records: Iterable[SweepRecord]) -> float:
+    """The hybrid's switching SNR for one channel length: LS from it up, LMMSE
+    below it.
+
+    The _fixed_threshold when there is one; else the SNR where this length's
+    own LS and LMMSE mse_all_subcarriers rows among records first cross over
+    the finite SNRs of the grid (estimation._crossover).
+    """
+    fixed = _fixed_threshold(config, length)
+    if fixed is not None:
+        return fixed
+    mse = {
+        (r.snr_db, r.estimator): r.mse_all_subcarriers for r in records if r.channel_len == length
+    }
+    finite = (s for s in config.snr_grid_db if math.isfinite(s))
+    points = ((s, mse[s, Estimator.LS], mse[s, Estimator.LMMSE]) for s in finite)
+    return estimation._crossover(points)
+
+
+def _branch(threshold: float, snr_db: float) -> Estimator:
+    """The estimate the hybrid copies: LS from the threshold up, LMMSE below
+    it; a +inf threshold never chooses LS, not even at SNR = +inf."""
+    return Estimator.LS if threshold < math.inf and snr_db >= threshold else Estimator.LMMSE
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
@@ -402,34 +423,47 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     are processed in ascending order regardless of the configured order.  Each
     trial stream derives from (seed, purpose, length index, snr index, trial),
     shared by every estimator of the cell.  A cell computes each distinct
-    estimate once: the hybrid row copies the row of the LS or LMMSE estimate
-    it chooses for the cell, computed even when not requested itself.
+    estimate once.  The hybrid row copies the row of the LS or LMMSE estimate
+    its length's threshold chooses for the cell (_hybrid_threshold), computed
+    even when not requested itself.  A length whose threshold is taken from
+    its rows runs all its cells, each with both estimates, before any of its
+    hybrid rows is chosen.
     """
     ctx = _make_context(config.system, config.seed)
     requested = tuple(e for e in ESTIMATOR_ORDER if e in config.estimators)
-    methods = tuple(e for e in requested if e is not Estimator.HYBRID)
     hybrid = Estimator.HYBRID in requested
     records: list[SweepRecord] = []
     for li, length in enumerate(config.channel_lengths):
         pdp = PowerDelayProfile.uniform(length)
-        threshold = _hybrid_threshold(config, li, length) if hybrid else math.inf
+        fixed = _fixed_threshold(config, length)
+        rows: list[SweepRecord] = []
         for si, snr_db in enumerate(config.snr_grid_db):
-            # LS from the threshold up, LMMSE below it; a +inf threshold never
-            # chooses LS, not even at SNR = +inf
-            chooses_ls = threshold < math.inf and snr_db >= threshold
-            branch = Estimator.LS if chooses_ls else Estimator.LMMSE
-            cell_methods = (*methods, branch) if hybrid and branch not in methods else methods
+            # the estimates the hybrid may copy in this cell
+            if fixed is None:
+                branches = (Estimator.LS, Estimator.LMMSE)
+            else:
+                branches = (_branch(fixed, snr_db),)
+            methods = tuple(
+                e
+                for e in ESTIMATOR_ORDER
+                if e is not Estimator.HYBRID and (e in requested or hybrid and e in branches)
+            )
             streams = (_stream(config.seed, _TAG_TRIAL, li, si, t) for t in range(config.n_frames))
             try:
-                rows = _run_cell(ctx, pdp, snr_db, streams, cell_methods, detect=True)
+                cell = _run_cell(ctx, pdp, snr_db, streams, methods, detect=True)
             except Exception as exc:
                 raise RuntimeError(f"cell failed (channel_len={length}, snr_db={snr_db})") from exc
-            if hybrid:
-                rows[Estimator.HYBRID] = rows[branch]
-            for est in requested:
-                branch_ls = float(chooses_ls) if est is Estimator.HYBRID else None
-                row = (*rows[est], config.n_frames, branch_ls, config.seed)
-                records.append(SweepRecord(snr_db, length, est, *row))
+            rows += (
+                SweepRecord(snr_db, length, m, *v, config.n_frames, None, config.seed)
+                for m, v in cell.items()
+            )
+        if hybrid:
+            threshold = _hybrid_threshold(config, length, rows)
+            for r in list(rows):
+                if r.estimator is _branch(threshold, r.snr_db):
+                    branch_ls = float(r.estimator is Estimator.LS)
+                    rows.append(replace(r, estimator=Estimator.HYBRID, branch_fraction_ls=branch_ls))
+        records += sorted((r for r in rows if r.estimator in requested), key=_row_order)
     return records
 
 

@@ -21,7 +21,7 @@ from oracles import (
 )
 
 from ltelink.channel import PowerDelayProfile, generate_channel
-from ltelink.estimation import build_correlation_model, lmmse_filter
+from ltelink.estimation import build_correlation_model, calibrate_threshold, lmmse_filter
 from ltelink.grid import (
     LTE_PROFILES,
     Constellation,
@@ -140,7 +140,7 @@ def test_ac4_crossover_when_channel_exceeds_cp(sweep_long):
         high_ls = getattr(cells[(40, 30.0, Estimator.LS)], col)
         checks.append(low_lm < low_ls)
         checks.append(high_ls < high_lm)
-    threshold = _hybrid_threshold(cfg, 0, 40)
+    threshold = _hybrid_threshold(cfg, 40, cells.values())
     finite = bool(np.isfinite(threshold) and 0.0 < threshold < 30.0)
     ok = all(checks) and finite
     _report(
@@ -200,46 +200,70 @@ def test_ac4_crossover_past_the_cp_at_every_bandwidth(bandwidth_sweep):
     _report(f"AC-4 {cfg.system.bandwidth_mhz:g} MHz L={length}", not losses, detail)
 
 
-def _ac5_misses(cfg, cells) -> tuple[list[str], float]:
-    """The cells of a sweep where the hybrid breaks AC-5, and the switching
-    SNR of its longest length.  A cell breaks it when the hybrid's MSE is
-    above 1.05x the better of LS and LMMSE in either column, or its branch is
-    not the indicator of snr >= its length's switching SNR, which never
-    chooses LS where the CP covers the channel."""
+def _replicate_threshold(cfg, li, length) -> float:
+    """The LS/LMMSE crossing of an independent replicate of one length's
+    cells, drawn from the stream (seed, 2, length index), which no draw of the
+    sweep uses: its trials draw from tag 0 and its pilots from tag 1."""
+    finite = np.array([s for s in cfg.snr_grid_db if np.isfinite(s)])
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2, li]))
+    pdp = PowerDelayProfile.uniform(length)
+    return calibrate_threshold(cfg.system, pdp, finite, cfg.n_frames, rng)
+
+
+def _ac5_misses(cfg, cells) -> tuple[list[str], float, float]:
+    """The cells of a sweep where the hybrid breaks AC-5, and the in-sample
+    and out-of-sample switching SNRs of its longest length.  A cell breaks it
+    when the hybrid's MSE is above 1.05x the better of LS and LMMSE in either
+    column, or its branch is not the indicator of snr >= its length's
+    switching SNR, which never chooses LS where the CP covers the channel.
+    The sweep takes that SNR from the same rows, so past the CP the check is
+    repeated out of sample: the branch an independent replicate's crossing
+    picks must also be within 1.05x of the better estimator."""
     misses = []
     for li, length in enumerate(cfg.channel_lengths):
-        threshold = _hybrid_threshold(cfg, li, length)
+        threshold = _hybrid_threshold(cfg, length, cells.values())
         covered = cfg.system.cp_covers(length)
+        replicate = threshold if covered else _replicate_threshold(cfg, li, length)
         for snr in cfg.snr_grid_db:
             hy, ls, lm = (
                 cells[(length, snr, e)] for e in (Estimator.HYBRID, Estimator.LS, Estimator.LMMSE)
             )
+            out_of_sample = ls if replicate < np.inf and snr >= replicate else lm
             for col in ("mse_all_subcarriers", "mse_pilot_subcarriers"):
-                if not getattr(hy, col) <= 1.05 * min(getattr(ls, col), getattr(lm, col)):
+                best = min(getattr(ls, col), getattr(lm, col))
+                if not getattr(hy, col) <= 1.05 * best:
                     misses.append(f"L={length} snr={snr} {col}")
+                if not getattr(out_of_sample, col) <= 1.05 * best:
+                    misses.append(f"L={length} snr={snr} {col} at {replicate:.2f} dB out of sample")
             if covered and hy.branch_fraction_ls != 0.0:
                 misses.append(f"branch_fraction_ls != 0 at L={length} snr={snr}")
             expected = 1.0 if snr >= threshold else 0.0
             if hy.branch_fraction_ls != expected:
                 misses.append(f"L={length} snr={snr} branch {hy.branch_fraction_ls} != {expected}")
-    return misses, threshold
+    return misses, threshold, replicate
 
 
 def test_ac5_hybrid_dominates_both_sweeps(sweep_short, sweep_long):
     """Hybrid MSE within 1.05x of the better estimator; branch matches the policy."""
-    misses, _ = _ac5_misses(*sweep_short)
-    long_misses, threshold = _ac5_misses(*sweep_long)
+    misses, _, _ = _ac5_misses(*sweep_short)
+    long_misses, threshold, replicate = _ac5_misses(*sweep_long)
     misses += long_misses
-    detail = f"hybrid within 1.05x of best everywhere; L=40 switch at {threshold:.2f} dB"
+    detail = (
+        f"hybrid within 1.05x of best everywhere; L=40 switch at {threshold:.2f} dB, "
+        f"{replicate:.2f} dB out of sample"
+    )
     _report("AC-5", not misses, ", ".join(misses) or detail)
 
 
 def test_ac5_hybrid_dominates_at_every_bandwidth(bandwidth_sweep):
     """AC-5 at L = cp // 2 and L = 2 cp + 2 of every LTE bandwidth."""
     cfg, cells = bandwidth_sweep
-    misses, threshold = _ac5_misses(cfg, cells)
+    misses, threshold, replicate = _ac5_misses(cfg, cells)
     length = cfg.channel_lengths[-1]
-    detail = f"hybrid within 1.05x of best everywhere; L={length} switch at {threshold:.2f} dB"
+    detail = (
+        f"hybrid within 1.05x of best everywhere; L={length} switch at {threshold:.2f} dB, "
+        f"{replicate:.2f} dB out of sample"
+    )
     _report(f"AC-5 {cfg.system.bandwidth_mhz:g} MHz", not misses, ", ".join(misses) or detail)
 
 

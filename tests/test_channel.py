@@ -15,6 +15,7 @@ from numpy.testing import assert_allclose
 from oracles import apply_channel, time_domain_chain, window_overrun
 
 from ltelink.channel import (
+    MIN_SNR_DB,
     ChannelRealization,
     PowerDelayProfile,
     add_awgn,
@@ -556,12 +557,23 @@ class TestAwgn:
 
     @pytest.mark.parametrize(
         "snr_db",
-        [-3082.6, -3100.0, -4000.0, np.float64(-4000.0)],
-        ids=["inf-3082.6", "inf-3100", "zero-power-4000", "zero-power-4000-numpy"],
+        [
+            *(-3082.6, -3100.0, -4000.0, np.float64(-4000.0), -3080.0),
+            np.nextafter(MIN_SNR_DB, -np.inf),
+        ],
+        ids=[
+            "inf-3082.6",
+            "inf-3100",
+            "zero-power-4000",
+            "zero-power-4000-numpy",
+            "overflowing-3080",
+            "below-the-floor",
+        ],
     )
     def test_an_snr_without_a_finite_variance_is_invalid(self, snr_db):
         # 1 / 10 ** (snr / 10) is inf below about -3082.5 dB, and 10 ** (snr / 10)
-        # underflows to 0 far enough below
+        # underflows to 0 far enough below; nearer, below MIN_SNR_DB, the
+        # variance is finite but overflows the receiver's sums
         with pytest.raises(ValueError, match=re.escape(f"invalid snr_db: {float(snr_db)}")):
             noise_variance(snr_db)
 
@@ -569,7 +581,9 @@ class TestAwgn:
         assert noise_variance(0.0) == pytest.approx(1.0)
         assert noise_variance(20.0) == pytest.approx(0.01)
         assert noise_variance(np.inf) == 0.0
-        assert 1e308 < noise_variance(-3082.5) < np.inf  # the lowest valid SNR, to 0.1 dB
+        # the lowest valid SNR and its variance, 1e100
+        assert MIN_SNR_DB == -1000.0
+        assert noise_variance(MIN_SNR_DB) == pytest.approx(1e100, rel=1e-12)
 
     @pytest.mark.parametrize("snr_db", [4000.0, np.float64(4000.0)], ids=["float", "numpy"])
     def test_noise_variance_past_the_float_range_is_zero(self, snr_db):

@@ -1,5 +1,6 @@
 """Tests for the simulate CLI and the flat config-file format."""
 
+import csv
 import ctypes
 import math
 import subprocess
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from ltelink import cli
+from ltelink.channel import MIN_SNR_DB
 from ltelink.cli import build_parser, main, parse_config_file, sweep_config_from_sources
 from ltelink.grid import Constellation, SystemConfig
 from ltelink.harness import CSV_HEADER, Estimator, SweepConfig
@@ -395,10 +397,11 @@ class TestMain:
         assert "-inf" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("snr", ["-4000", "-3100"])
+    @pytest.mark.parametrize("snr", ["-4000", "-3100", "-3080", "-1000.001"])
     def test_snr_without_a_finite_noise_level_is_a_usage_error(self, tmp_path, capsys, snr):
         # past the float range the noise variance is inf or a division by zero;
-        # the sweep would fail in its first cell
+        # the sweep would fail in its first cell.  Nearer, below MIN_SNR_DB,
+        # the noise overflows the receiver's sums: at -3080 dB an LS MSE was inf
         out = tmp_path / "never.csv"
         argv = ["simulate", f"--snr={snr}", "--frames", "1", "--channel-lengths", "6"]
         with pytest.raises(SystemExit) as exc:
@@ -406,6 +409,23 @@ class TestMain:
         assert exc.value.code == 2
         assert f"ltelink: error: invalid snr_db: {float(snr)}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_sweep_at_the_lowest_snr_writes_finite_mses(self, tmp_path):
+        # MIN_SNR_DB's noise variance, 1e100, overflows nothing in a cell past
+        # the CP or within it: under -W error an overflow warning ends the run
+        out = tmp_path / "floor.csv"
+        argv = ["simulate", f"--snr={MIN_SNR_DB:g}", "--channel-lengths", "6,40", "--frames", "1"]
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "ltelink", *argv, "--out", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert len(rows) == 2 * 4
+        mse = [float(r[c]) for r in rows for c in ("mse_all_subcarriers", "mse_pilot_subcarriers")]
+        assert all(math.isfinite(v) for v in mse), mse
 
     def test_repeated_snr_is_a_usage_error(self, tmp_path, capsys):
         # the parser sorts the grid; a repeat would write two rows per cell

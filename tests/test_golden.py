@@ -62,10 +62,10 @@ def _csv_text(cfg: SweepConfig) -> str:
 
 
 def _thresholds(cfg: SweepConfig) -> dict[str, float]:
-    """The hybrid threshold of every length of the sweep; each length of the
-    golden thresholds exceeds the CP, so each is calibrated."""
-    lengths = enumerate(cfg.channel_lengths)
-    return {str(length): _hybrid_threshold(cfg, li, length) for li, length in lengths}
+    """The hybrid threshold of every length of the sweep, from its rows; each
+    length of the golden thresholds exceeds the CP, so each is calibrated."""
+    records = run_sweep(cfg)
+    return {str(n): _hybrid_threshold(cfg, n, records) for n in cfg.channel_lengths}
 
 
 def _close(a: float, b: float, rtol: float, atol: float) -> bool:

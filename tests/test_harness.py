@@ -265,8 +265,8 @@ class TestRunSweep:
             assert lmmse == pytest.approx(sums[1, 0] / sums[1, 1], rel=1e-9)
 
     def test_one_modulation_and_demodulation_per_chunk(self, monkeypatch):
-        # the sweep and the calibration modulate and demodulate each chunk
-        # once, the CP-covered length included
+        # the sweep modulates and demodulates each chunk once, the CP-covered
+        # length included
         calls = {"modulate": 0, "demodulate": 0}
 
         def counting(name, fn):
@@ -280,8 +280,9 @@ class TestRunSweep:
         monkeypatch.setattr(ofdm, "demodulate_frame", counting("demodulate", ofdm.demodulate_frame))
         cfg = SweepConfig(channel_lengths=(6, 20), snr_grid_db=(0.0, 30.0), n_frames=7, seed=6)
         run_sweep(cfg)
-        # 2 lengths x 2 SNRs of sweep cells and 2 SNRs of calibrating L=20
-        chunks = (2 * 2 + 2) * math.ceil(cfg.n_frames / harness._CHUNK)
+        # 2 lengths x 2 SNRs of sweep cells; L=20's threshold comes from its
+        # own rows, with no cells of its own
+        chunks = 2 * 2 * math.ceil(cfg.n_frames / harness._CHUNK)
         assert calls == {"modulate": chunks, "demodulate": chunks}
 
     @pytest.mark.parametrize("detect, sent, read", [(True, 7, 7), (False, 3, 2)])
@@ -343,12 +344,13 @@ class TestRunSweep:
         # decision, and MSE and thresholds only by the order of the sums
         cfg = SweepConfig(channel_lengths=(6, 20), snr_grid_db=(5.0, 25.0), n_frames=7, seed=9)
 
-        def each_threshold():
-            return {n: harness._hybrid_threshold(cfg, li, n) for li, n in enumerate(cfg.channel_lengths)}
+        def each_threshold(records):
+            return {n: harness._hybrid_threshold(cfg, n, records) for n in cfg.channel_lengths}
 
-        want, want_thresholds = run_sweep(cfg), each_threshold()
+        want = run_sweep(cfg)
         monkeypatch.setattr(harness, "_CHUNK", chunk)
-        got, thresholds = run_sweep(cfg), each_threshold()
+        got = run_sweep(cfg)
+        thresholds, want_thresholds = each_threshold(got), each_threshold(want)
         # the CP covers L = 6, which has no threshold, and L = 20 calibrates one
         assert thresholds[6] == want_thresholds[6] == math.inf
         assert math.isfinite(thresholds[20])
@@ -431,6 +433,67 @@ class TestRunSweep:
             expected = rows[r.snr_db, chosen[r.snr_db]]
             assert r.branch_fraction_ls == float(chosen[r.snr_db] is Estimator.LS)
             assert dataclasses.replace(r, estimator=expected.estimator, branch_fraction_ls=None) == expected
+
+    def test_sweep_runs_no_second_monte_carlo(self, monkeypatch):
+        # a calibrated threshold comes from the sweep's own rows: no
+        # calibration cells run besides them
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep ran a separate calibration")
+
+        monkeypatch.setattr(estimation, "calibrate_threshold", refuse)
+        monkeypatch.setattr(harness, "paired_mse_curves", refuse)
+        cfg = SweepConfig(channel_lengths=(6, 20, 40), snr_grid_db=(0.0, 20.0), n_frames=1, seed=3)
+        assert len(run_sweep(cfg)) == 3 * 2 * 4
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_threshold_is_the_crossover_of_the_lengths_own_rows(self, seed):
+        # the finite SNRs of each CP-exceeding length's LS and LMMSE rows; the
+        # rows at SNR = +inf take no part, and the hybrid follows the threshold
+        cfg = SweepConfig(
+            channel_lengths=(6, 20, 40),
+            snr_grid_db=(0.0, 5.0, 10.0, 20.0, np.inf),
+            n_frames=3,
+            seed=seed,
+        )
+        records = run_sweep(cfg)
+        rows = {(r.channel_len, r.snr_db, r.estimator): r for r in records}
+        finite = [s for s in cfg.snr_grid_db if math.isfinite(s)]
+        thresholds = {}
+        for length in (20, 40):
+            mse = {
+                s: [rows[length, s, e].mse_all_subcarriers for e in (Estimator.LS, Estimator.LMMSE)]
+                for s in finite
+            }
+            points = [(s, *mse[s]) for s in finite]
+            thresholds[length] = estimation._crossover(points)
+            assert harness._hybrid_threshold(cfg, length, records) == thresholds[length]
+            for s in cfg.snr_grid_db:
+                chooses_ls = thresholds[length] < math.inf and s >= thresholds[length]
+                assert rows[length, s, Estimator.HYBRID].branch_fraction_ls == float(chooses_ls)
+        assert math.isfinite(thresholds[20])
+        assert harness._hybrid_threshold(cfg, 6, records) == math.inf
+
+    def test_hybrid_alone_calibrates_as_the_full_sweep(self, monkeypatch):
+        # past the CP a hybrid-only sweep computes both branches, so it takes
+        # the four-estimator sweep's thresholds and gives its hybrid rows
+        base = SweepConfig(
+            channel_lengths=(20, 40), snr_grid_db=(0.0, 5.0, 10.0, 20.0), n_frames=3, seed=2
+        )
+        taken = {}
+        threshold = harness._hybrid_threshold
+
+        def spying(config, length, records):
+            taken[config.estimators, length] = threshold(config, length, records)
+            return taken[config.estimators, length]
+
+        monkeypatch.setattr(harness, "_hybrid_threshold", spying)
+        full = run_sweep(base)
+        alone = run_sweep(dataclasses.replace(base, estimators=(Estimator.HYBRID,)))
+        assert alone == [r for r in full if r.estimator is Estimator.HYBRID]
+        for length in base.channel_lengths:
+            want = threshold(base, length, full)
+            assert taken[(Estimator.HYBRID,), length] == taken[base.estimators, length] == want
+        assert math.isfinite(taken[base.estimators, 20])
 
     @pytest.mark.parametrize("threshold_db", [None, 12.0])
     def test_no_isi_length_just_past_cp_stays_on_lmmse(self, threshold_db):
@@ -822,6 +885,10 @@ class TestRecordsAndCsv:
             SweepRecord(0.0, 6, Estimator.LS, float("nan"), 0.0, 0.5, 1, None, 0)
         with pytest.raises(ValueError, match="mse"):
             SweepRecord(0.0, 6, Estimator.LS, 0.0, float("nan"), 0.5, 1, None, 0)
+        with pytest.raises(ValueError, match="mse must be finite"):
+            SweepRecord(0.0, 6, Estimator.LS, math.inf, 0.0, 0.5, 1, None, 0)
+        with pytest.raises(ValueError, match="mse must be finite"):
+            SweepRecord(0.0, 6, Estimator.LS, 0.0, math.inf, 0.5, 1, None, 0)
 
     def test_summary_mentions_branch_only_for_hybrid(self):
         text = format_summary(self._records())
