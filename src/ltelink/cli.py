@@ -190,7 +190,8 @@ _VALUE_FLAGS = (
     ("--frames", "n_frames", "FRAMES", "trials per grid cell"),
     ("--seed", "seed", "SEED", "master seed, a non-negative integer"),
     ("--estimators", "estimators", "CSV", "subset of ls,lmmse,hybrid,perfect"),
-    ("--threshold-db", "threshold_db", "DB", "fixed hybrid switching SNR (default: calibrated)"),
+    ("--threshold-db", "threshold_db", "DB", "fixed hybrid switching SNR "
+     "(default: where the sweep's own LS and LMMSE rows cross)"),
 )
 
 

@@ -18,7 +18,8 @@ the cyclic prefix covers the channel and otherwise switches between LMMSE
 first cross (_crossover).  A sweep reads that crossing off its own rows
 (harness._hybrid_threshold); calibrate_threshold measures it on an
 independent replicate of those rows, drawn from a stream of its caller's,
-and the sweep does not call it.
+for the benchmark's calibrate_5mhz workload and ac5 alone, until that
+workload is restated as a sweep.
 
 The receiver's LMMSE filter (lmmse_factors) assumes a prior: the channel
 profile truncated to the cyclic prefix.  Its correlation model depends only

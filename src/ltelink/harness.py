@@ -11,14 +11,15 @@ the same draws.  One routine owns a cell, its noise, LMMSE filter and one row
 per estimator, for the sweep and paired_mse_curves alike.
 
 The hybrid estimator computes nothing of its own: its row is the row of the
-branch it chooses at its length's switching SNR (_hybrid_threshold).  Unless
-the configuration fixes that SNR, it is where the length's own LS and LMMSE
-rows first cross, taken once every cell of the length has run: the sweep runs
-no second Monte Carlo.  Choosing the branch from the rows it reports is
-in-sample, optimistic by at most the LS-LMMSE gap at the cells next to the
-crossing.  estimation.calibrate_threshold, an independent replicate on a
-stream of its caller's, gives the out-of-sample threshold; the sweep does not
-call it.
+branch it chooses at its length's switching SNR (_hybrid_threshold), so every
+cell of a sweep that requests it computes LS and LMMSE.  Unless the CP covers
+the channel or the configuration fixes that SNR, it is where the length's own
+LS and LMMSE rows first cross, taken once every cell of the length has run:
+the sweep runs no second Monte Carlo.  Choosing the branch from the rows it
+reports is in-sample, optimistic by at most the LS-LMMSE gap at the cells
+next to the crossing.  estimation.calibrate_threshold gives the out-of-sample
+threshold; it and paired_mse_curves serve only the benchmark's calibrate_5mhz
+workload and ac5 until that workload is restated as a sweep.
 
 A cell runs _CHUNK trials at a time, stacked on a leading axis, so each chunk
 makes one call per stage and one per estimate.  The chunk size only regroups
@@ -173,8 +174,8 @@ class SweepConfig:
             and not any(math.isfinite(v) for v in snrs)
         ):
             raise ValueError(
-                "cannot calibrate a hybrid threshold without finite SNRs: add a "
-                "finite SNR or set a threshold"
+                "no LS/LMMSE crossing to take a hybrid threshold from without finite "
+                "SNRs: add a finite SNR or set a threshold"
             )
 
 
@@ -381,27 +382,19 @@ def paired_mse_curves(
         yield float(snr_db), rows[Estimator.LS][0], rows[Estimator.LMMSE][0]
 
 
-def _fixed_threshold(config: SweepConfig, length: int) -> float | None:
-    """The hybrid's switching SNR for one channel length where the config
-    fixes it: +inf where the CP covers the channel, so the hybrid keeps it on
-    LMMSE, else the configured threshold_db; None when it is taken from the
-    sweep's rows."""
-    if config.system.cp_covers(length):
-        return math.inf
-    return config.threshold_db
-
-
 def _hybrid_threshold(config: SweepConfig, length: int, records: Iterable[SweepRecord]) -> float:
     """The hybrid's switching SNR for one channel length: LS from it up, LMMSE
     below it.
 
-    The _fixed_threshold when there is one; else the SNR where this length's
-    own LS and LMMSE mse_all_subcarriers rows among records first cross over
-    the finite SNRs of the grid (estimation._crossover).
+    +inf where the CP covers the channel, so the hybrid keeps it on LMMSE;
+    else the configured threshold_db; else the SNR where this length's own LS
+    and LMMSE mse_all_subcarriers rows among records first cross over the
+    finite SNRs of the grid (estimation._crossover).
     """
-    fixed = _fixed_threshold(config, length)
-    if fixed is not None:
-        return fixed
+    if config.system.cp_covers(length):
+        return math.inf
+    if config.threshold_db is not None:
+        return config.threshold_db
     mse = {
         (r.snr_db, r.estimator): r.mse_all_subcarriers for r in records if r.channel_len == length
     }
@@ -422,32 +415,23 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     Records are ordered by (channel length, SNR, estimator); channel lengths
     are processed in ascending order regardless of the configured order.  Each
     trial stream derives from (seed, purpose, length index, snr index, trial),
-    shared by every estimator of the cell.  A cell computes each distinct
-    estimate once.  The hybrid row copies the row of the LS or LMMSE estimate
-    its length's threshold chooses for the cell (_hybrid_threshold), computed
-    even when not requested itself.  A length whose threshold is taken from
-    its rows runs all its cells, each with both estimates, before any of its
-    hybrid rows is chosen.
+    shared by every estimator of the cell.  Every cell computes each requested
+    estimate once, and LS and LMMSE whenever the hybrid is requested: a hybrid
+    row copies the row of the branch its length's threshold chooses
+    (_hybrid_threshold), once every cell of the length has run.
     """
     ctx = _make_context(config.system, config.seed)
     requested = tuple(e for e in ESTIMATOR_ORDER if e in config.estimators)
     hybrid = Estimator.HYBRID in requested
+    branches = (Estimator.LS, Estimator.LMMSE) if hybrid else ()
+    methods = tuple(
+        e for e in ESTIMATOR_ORDER if e is not Estimator.HYBRID and (e in requested or e in branches)
+    )
     records: list[SweepRecord] = []
     for li, length in enumerate(config.channel_lengths):
         pdp = PowerDelayProfile.uniform(length)
-        fixed = _fixed_threshold(config, length)
         rows: list[SweepRecord] = []
         for si, snr_db in enumerate(config.snr_grid_db):
-            # the estimates the hybrid may copy in this cell
-            if fixed is None:
-                branches = (Estimator.LS, Estimator.LMMSE)
-            else:
-                branches = (_branch(fixed, snr_db),)
-            methods = tuple(
-                e
-                for e in ESTIMATOR_ORDER
-                if e is not Estimator.HYBRID and (e in requested or hybrid and e in branches)
-            )
             streams = (_stream(config.seed, _TAG_TRIAL, li, si, t) for t in range(config.n_frames))
             try:
                 cell = _run_cell(ctx, pdp, snr_db, streams, methods, detect=True)

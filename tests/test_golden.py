@@ -11,13 +11,19 @@ of these frame counts, 1e-3 relative or more.
 Regenerate the files under tests/data/ with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which rewrites only the files whose values moved beyond these tolerances, so
+a file that only reordered sums keeps its bytes, and prints each file it
+skipped.
 """
 
 import csv
 import io
 import json
 import math
+import shutil
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -100,13 +106,31 @@ def test_sweep_matches_golden(name):
     assert _mismatches(_csv_text(cfg), ref_text, bits_per_slot) == []
 
 
+def _threshold_mismatches(got: dict[str, float], ref: dict[str, float]) -> list[str]:
+    bad = [f"missing or extra length {k}" for k in set(got) ^ set(ref)]
+    for length in sorted(set(got) & set(ref)):
+        if not _close(got[length], ref[length], 0.0, THRESHOLD_TOL_DB):
+            bad.append(f"L={length} threshold: {got[length]} != {ref[length]}")
+    return bad
+
+
 def test_calibrated_thresholds_match_golden():
     ref = json.loads((DATA / "golden_thresholds.json").read_text())
-    got = _thresholds(GOLDEN["long"][0])
-    assert set(got) == set(ref)
     assert any(math.isinf(v) for v in ref.values())
-    for length, value in got.items():
-        assert _close(value, ref[length], 0.0, THRESHOLD_TOL_DB), (length, value, ref[length])
+    assert _threshold_mismatches(_thresholds(GOLDEN["long"][0]), ref) == []
+
+
+def _add_bit_error(row: dict[str, str], bits_per_slot: int) -> None:
+    bits = int(row["n_trials"]) * bits_per_slot
+    row["ber"] = repr((round(float(row["ber"]) * bits) + 1) / bits)
+
+
+def _rows_text(rows: list[dict[str, str]]) -> str:
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def test_comparator_rejects_one_error_and_small_mse_shift():
@@ -115,19 +139,64 @@ def test_comparator_rejects_one_error_and_small_mse_shift():
     rows = list(csv.DictReader(io.StringIO(text)))
     lmmse = next(r for r in rows if r["estimator"] == "lmmse")
     lmmse["mse_all_subcarriers"] = repr(float(lmmse["mse_all_subcarriers"]) * (1 + 10 * MSE_RTOL))
-    ls = next(r for r in rows if r["estimator"] == "ls")
-    bits = int(ls["n_trials"]) * bits_per_slot
-    ls["ber"] = repr((round(float(ls["ber"]) * bits) + 1) / bits)
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    assert len(_mismatches(text, buf.getvalue(), bits_per_slot)) == 2
+    _add_bit_error(next(r for r in rows if r["estimator"] == "ls"), bits_per_slot)
+    assert len(_mismatches(text, _rows_text(rows), bits_per_slot)) == 2
+
+
+def _write_if_moved(path: Path, text: str, mismatches: Callable[[str], list[str]]) -> bool:
+    """Write text to path unless path holds values within the tolerances."""
+    if path.exists() and not mismatches(path.read_text()):
+        print(f"skipped {path}: within tolerance")
+        return False
+    path.write_text(text)
+    print(f"wrote {path}")
+    return True
+
+
+def regenerate(data: Path) -> list[Path]:
+    """Rewrite each golden file under data that is missing or whose values
+    moved beyond the tolerances of the tests above; returns the files written."""
+    data.mkdir(exist_ok=True)
+    written = []
+    for name, (cfg, bits_per_slot) in GOLDEN.items():
+        path, text = data / f"golden_{name}.csv", _csv_text(cfg)
+        if _write_if_moved(path, text, lambda ref: _mismatches(text, ref, bits_per_slot)):
+            written.append(path)
+    thresholds = _thresholds(GOLDEN["long"][0])
+    path, text = data / "golden_thresholds.json", json.dumps(thresholds, indent=1) + "\n"
+    if _write_if_moved(path, text, lambda ref: _threshold_mismatches(thresholds, json.loads(ref))):
+        written.append(path)
+    return written
+
+
+def _copy_of_data(tmp_path: Path) -> dict[str, bytes]:
+    for path in DATA.iterdir():
+        shutil.copy(path, tmp_path)
+    return {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+
+def test_generator_writes_nothing_within_tolerance(tmp_path, capsys):
+    before = _copy_of_data(tmp_path)
+    assert regenerate(tmp_path) == []
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert capsys.readouterr().out.count("skipped") == len(before) == 4
+
+
+def test_generator_writes_only_the_moved_file(tmp_path):
+    # one bit error more in one row moves golden_short.csv alone, and the
+    # file written in its place matches the committed one
+    before = _copy_of_data(tmp_path)
+    _, bits_per_slot = GOLDEN["short"]
+    short = tmp_path / "golden_short.csv"
+    rows = list(csv.DictReader(io.StringIO(short.read_text())))
+    _add_bit_error(rows[0], bits_per_slot)
+    short.write_text(_rows_text(rows))
+    assert regenerate(tmp_path) == [short]
+    for path in tmp_path.iterdir():
+        if path != short:
+            assert path.read_bytes() == before[path.name], path
+    assert _mismatches(short.read_text(), before[short.name].decode(), bits_per_slot) == []
 
 
 if __name__ == "__main__":
-    DATA.mkdir(exist_ok=True)
-    for name, (cfg, _) in GOLDEN.items():
-        (DATA / f"golden_{name}.csv").write_text(_csv_text(cfg))
-    thresholds = _thresholds(GOLDEN["long"][0])
-    (DATA / "golden_thresholds.json").write_text(json.dumps(thresholds, indent=1) + "\n")
+    regenerate(DATA)

@@ -473,27 +473,51 @@ class TestRunSweep:
         assert math.isfinite(thresholds[20])
         assert harness._hybrid_threshold(cfg, 6, records) == math.inf
 
-    def test_hybrid_alone_calibrates_as_the_full_sweep(self, monkeypatch):
-        # past the CP a hybrid-only sweep computes both branches, so it takes
-        # the four-estimator sweep's thresholds and gives its hybrid rows
+    @pytest.mark.parametrize(
+        "threshold_db", [None, 12.0, -np.inf, np.inf], ids=["rows", "12dB", "-inf", "+inf"]
+    )
+    def test_hybrid_alone_calibrates_as_the_full_sweep(self, monkeypatch, threshold_db):
+        # every cell of a hybrid sweep computes both branches, so a hybrid-only
+        # sweep takes the four-estimator sweep's thresholds and gives its
+        # hybrid rows, whether the threshold comes from the rows or the config
         base = SweepConfig(
-            channel_lengths=(20, 40), snr_grid_db=(0.0, 5.0, 10.0, 20.0), n_frames=3, seed=2
+            channel_lengths=(6, 20, 40),
+            snr_grid_db=(0.0, 5.0, 10.0, 20.0),
+            n_frames=3,
+            seed=2,
+            threshold_db=threshold_db,
         )
-        taken = {}
-        threshold = harness._hybrid_threshold
+        taken, cells = {}, []
+        threshold, run_cell = harness._hybrid_threshold, harness._run_cell
 
         def spying(config, length, records):
             taken[config.estimators, length] = threshold(config, length, records)
             return taken[config.estimators, length]
 
+        def spying_cell(ctx, pdp, snr_db, streams, methods, detect):
+            cells.append(methods)
+            return run_cell(ctx, pdp, snr_db, streams, methods, detect)
+
         monkeypatch.setattr(harness, "_hybrid_threshold", spying)
+        monkeypatch.setattr(harness, "_run_cell", spying_cell)
         full = run_sweep(base)
+        cells.clear()
         alone = run_sweep(dataclasses.replace(base, estimators=(Estimator.HYBRID,)))
-        assert alone == [r for r in full if r.estimator is Estimator.HYBRID]
+        assert cells == [(Estimator.LS, Estimator.LMMSE)] * 3 * 4
+        hybrid_rows = [r for r in full if r.estimator is Estimator.HYBRID]
+        assert alone == hybrid_rows
+        texts = io.StringIO(), io.StringIO()
+        emit_csv(alone, texts[0])
+        emit_csv(hybrid_rows, texts[1])
+        assert texts[0].getvalue() == texts[1].getvalue()
         for length in base.channel_lengths:
             want = threshold(base, length, full)
             assert taken[(Estimator.HYBRID,), length] == taken[base.estimators, length] == want
-        assert math.isfinite(taken[base.estimators, 20])
+        assert taken[base.estimators, 6] == math.inf
+        if threshold_db is None:
+            assert math.isfinite(taken[base.estimators, 20])
+        else:
+            assert taken[base.estimators, 20] == taken[base.estimators, 40] == threshold_db
 
     @pytest.mark.parametrize("threshold_db", [None, 12.0])
     def test_no_isi_length_just_past_cp_stays_on_lmmse(self, threshold_db):
@@ -550,14 +574,6 @@ class TestRunSweep:
             estimators=(Estimator.LS, Estimator.PERFECT),
         )
         assert len(run_sweep(no_lmmse)) == 8
-        # a threshold at the lowest SNR sends every cell of L=40 to LS
-        always_ls = dataclasses.replace(
-            no_lmmse,
-            channel_lengths=(40,),
-            estimators=(Estimator.HYBRID,),
-            threshold_db=0.0,
-        )
-        assert [r.branch_fraction_ls for r in run_sweep(always_ls)] == [1.0, 1.0]
 
     def test_one_correlation_model_per_truncated_profile(self, monkeypatch):
         # at cp 16, L=20 and L=40 both truncate to 16 taps: the ports, both
