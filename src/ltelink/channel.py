@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import SystemConfig
+from .grid import SystemConfig, as_int
 
 __all__ = [
     "PowerDelayProfile",
@@ -60,6 +60,7 @@ class PowerDelayProfile:
     @classmethod
     def uniform(cls, n_taps: int) -> "PowerDelayProfile":
         """n_taps consecutive-sample taps of equal average power."""
+        n_taps = as_int("n_taps", n_taps)
         if n_taps < 1:
             raise ValueError("need at least one tap")
         return cls(np.arange(n_taps), np.full(n_taps, 1.0 / n_taps))

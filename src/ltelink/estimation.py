@@ -17,9 +17,7 @@ the cyclic prefix covers the channel and otherwise switches between LMMSE
 (low SNR) and LS (high SNR) at a threshold: where the LS and LMMSE MSE curves
 first cross (_crossover).  A sweep reads that crossing off its own rows
 (harness._hybrid_threshold); calibrate_threshold measures it on an
-independent replicate of those rows, drawn from a stream of its caller's,
-for the benchmark's calibrate_5mhz workload and ac5 alone, until that
-workload is restated as a sweep.
+independent replicate for the benchmark's calibrate_5mhz workload alone.
 
 The receiver's LMMSE filter (lmmse_factors) assumes a prior: the channel
 profile truncated to the cyclic prefix.  Its correlation model depends only
@@ -250,15 +248,16 @@ def calibrate_threshold(
     """Locate the LS/LMMSE switching SNR for a CP-exceeding channel on an
     independent replicate of a sweep's LS and LMMSE rows.
 
-    A sweep takes its threshold from its own rows and does not call this; it
-    is the out-of-sample check of that threshold.  Runs paired LS/LMMSE MSE
-    cells of n_frames trials through the full chain, one SNR at a time in
-    ascending order, and returns the SNR where the curves first cross,
-    interpolated linearly; the SNRs past it are never run, and rng is drawn
-    from only up to it.  Only the trials draw from rng: the pilots are
-    always seed 0's (harness.paired_mse_curves).  Sentinels: +inf when LMMSE
-    never loses, -inf when LS never loses; either runs the whole grid.  Before
-    any draw, the inputs are checked by its own rules, a finite 1-D grid and a
+    The replicate is the fixture of the benchmark's calibrate_5mhz workload:
+    a sweep takes its threshold from its own rows and does not call this.
+    Runs paired LS/LMMSE MSE cells of n_frames trials through the full chain
+    (harness._run_cell, reading only the pilot symbols), one SNR at a time in
+    ascending order, and returns the SNR where the all-subcarrier MSE curves
+    first cross, interpolated linearly; the SNRs past it are never run.  Each
+    cell's trials draw from n_frames children of rng, spawned as the cell
+    runs; the pilots are always seed 0's.  Sentinels: +inf when LMMSE never
+    loses, -inf when LS never loses; either runs the whole grid.  Before any
+    draw, the inputs are checked by its own rules, a finite 1-D grid and a
     span past the CP, and by those of the sweep of these cells (SweepConfig).
     """
     from . import harness  # local import; the harness owns the cells and the sweep's rules
@@ -271,6 +270,12 @@ def calibrate_threshold(
             f"calibration needs a channel exceeding the CP; got span "
             f"{pdp_long.span} with cp_len {config.cp_len}"
         )
-    ls_lmmse = (harness.Estimator.LS, harness.Estimator.LMMSE)
-    sweep = harness.SweepConfig(config, (pdp_long.span,), snrs, n_frames, estimators=ls_lmmse)
-    return _crossover(harness.paired_mse_curves(config, pdp_long, snrs, sweep.n_frames, rng))
+    ls, lmmse = methods = (harness.Estimator.LS, harness.Estimator.LMMSE)
+    sweep = harness.SweepConfig(config, (pdp_long.span,), snrs, n_frames, estimators=methods)
+    ctx = harness._make_context(config, 0)
+    # a generator: _crossover reads no point past the crossing, so no cell past it runs or draws
+    cells = (
+        harness._run_cell(ctx, pdp_long, s, rng.spawn(sweep.n_frames), methods, detect=False)
+        for s in sweep.snr_grid_db
+    )
+    return _crossover((s, c[ls][0], c[lmmse][0]) for s, c in zip(sweep.snr_grid_db, cells))

@@ -5,10 +5,10 @@ payload bits and the run's pilots, and receive it through the channel
 and the modem (_receive).  Every (tx, rx) response is then estimated from the
 pilots on the comb all ports share, each subcarrier's symbols are zero-forced
 with the estimate, and MSE is scored against the exact frequency response and
-BER against the payload.  A cell that detects reads all 7 symbols; a cell of
-paired_mse_curves, which scores MSE alone, reads pilot symbols 0 and 4 with
-the same draws.  One routine owns a cell, its noise, LMMSE filter and one row
-per estimator, for the sweep and paired_mse_curves alike.
+BER against the payload.  A cell that detects reads all 7 symbols; a
+calibration cell (estimation), which scores MSE alone, reads pilot symbols 0
+and 4 with the same draws.  One routine owns a cell, its noise, LMMSE filter
+and one row per estimator, for the sweep and the calibration alike.
 
 The hybrid estimator computes nothing of its own: its row is the row of the
 branch it chooses at its length's switching SNR (_hybrid_threshold), so every
@@ -17,9 +17,7 @@ the channel or the configuration fixes that SNR, it is where the length's own
 LS and LMMSE rows first cross, taken once every cell of the length has run:
 the sweep runs no second Monte Carlo.  Choosing the branch from the rows it
 reports is in-sample, optimistic by at most the LS-LMMSE gap at the cells
-next to the crossing.  estimation.calibrate_threshold gives the out-of-sample
-threshold; it and paired_mse_curves serve only the benchmark's calibrate_5mhz
-workload and ac5 until that workload is restated as a sweep.
+next to the crossing.
 
 A cell runs _CHUNK trials at a time, stacked on a leading axis, so each chunk
 makes one call per stage and one per estimate.  The chunk size only regroups
@@ -33,9 +31,6 @@ identical across runs at a fixed BLAS thread count, e.g.
 OPENBLAS_NUM_THREADS=1 (the SVD and the matrix products can round differently
 with another count).  All estimators of a cell share the same trial streams
 (common random numbers), which makes estimator comparisons paired.
-paired_mse_curves draws from its caller's generator instead: one child per
-trial, SNR by SNR in ascending order, and only for the SNRs it is asked for;
-its pilots are always seed 0's.
 
 MSE aggregation across trials is energy weighted: |error|^2 and |h|^2 sums are
 accumulated separately and divided once, so the pilot-column MSE of the LS
@@ -49,7 +44,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -84,7 +79,6 @@ __all__ = [
     "SweepConfig",
     "SweepRecord",
     "run_sweep",
-    "paired_mse_curves",
     "emit_csv",
     "format_summary",
     "CSV_HEADER",
@@ -103,7 +97,9 @@ _TAG_PILOTS = 1
 # 2 vCPU, BLAS at 1 thread): 4 is the largest within +1.5% of that peak RSS.
 _CHUNK = 4
 
-# The symbols a detecting cell reads; a calibration cell reads PILOT_SYMBOLS.
+# The symbols a detecting cell reads.  A calibration cell reads PILOT_SYMBOLS: the
+# whole slot kept every threshold but cost calibrate_5mhz +14% wall and +2.1% peak
+# RSS (4 alternating sweepbench/run.py --seconds 8 pairs, 2 vCPU, BLAS at 1 thread).
 _SLOT_SYMBOLS = tuple(range(SystemConfig.n_symbols_per_slot))
 
 
@@ -133,7 +129,7 @@ class SweepConfig:
         # channel lengths are canonicalized (sorted, deduplicated) so cell
         # indices, and with them the rng streams, do not depend on input order
         lengths = tuple(sorted({as_int("channel_lengths", v) for v in self.channel_lengths}))
-        snrs = tuple(as_real("snr_grid_db", v) for v in self.snr_grid_db)
+        snrs = tuple(as_real("snr_grid_db", v) + 0.0 for v in self.snr_grid_db)  # -0.0 as 0.0
         ests = tuple(self.estimators)
         object.__setattr__(self, "channel_lengths", lengths)
         object.__setattr__(self, "n_frames", as_int("n_frames", self.n_frames))
@@ -335,7 +331,6 @@ def _run_cell(
     ref2 = np.zeros(2)  # and of the true channel
     errors = np.zeros(len(methods), dtype=np.int64)
     n_bits = 0
-    # detection reads the whole slot, the MSE alone only the pilot symbols
     symbols = _SLOT_SYMBOLS if detect else PILOT_SYMBOLS
     pilot_rows = np.searchsorted(symbols, ctx.layout.pilot_symbols)  # in rx_grid's symbol axis
     streams = iter(streams)
@@ -359,27 +354,6 @@ def _run_cell(
                 errors[k] += _bit_errors(ctx, rx_grid, h_hat, bits)
     mse, ber = err2 / ref2, errors / n_bits
     return {m: (float(mse[k, 0]), float(mse[k, 1]), float(ber[k])) for k, m in enumerate(methods)}
-
-
-def paired_mse_curves(
-    system: SystemConfig,
-    pdp: PowerDelayProfile,
-    snrs_db: np.ndarray,
-    n_trials: int,
-    rng: np.random.Generator,
-) -> Iterator[tuple[float, float, float]]:
-    """All-subcarrier MSE of LS and LMMSE over an SNR grid, common random numbers.
-
-    Yields (snr_db, mse_ls, mse_lmmse) one SNR at a time, in grid order, and
-    runs a cell only when it is asked for, so a caller that stops early runs
-    and draws no more.  Used by estimation.calibrate_threshold, which
-    run_sweep does not call; aggregation matches run_sweep.
-    """
-    ctx = _make_context(system, 0)
-    methods = (Estimator.LS, Estimator.LMMSE)
-    for snr_db in np.asarray(snrs_db, dtype=np.float64):
-        rows = _run_cell(ctx, pdp, snr_db, rng.spawn(n_trials), methods, detect=False)
-        yield float(snr_db), rows[Estimator.LS][0], rows[Estimator.LMMSE][0]
 
 
 def _hybrid_threshold(config: SweepConfig, length: int, records: Iterable[SweepRecord]) -> float:

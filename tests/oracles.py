@@ -1,12 +1,14 @@
 """Reference implementations the tests check the simulator against.
 
 They are slow, per-element or O(n^2) restatements of definitions; nothing in
-the package calls them.
+the package calls them.  calibration_curves is the exception: it collects the
+calibration's own points over the whole grid, for the tests to check.
 """
 
 import numpy as np
+import pytest
 
-from ltelink import linkproc, ofdm
+from ltelink import estimation, linkproc, ofdm
 from ltelink.channel import add_awgn, generate_channel
 from ltelink.grid import used_subcarrier_bins
 
@@ -278,3 +280,20 @@ def lmmse_zf_qpsk_ber_closed_form(model, noise_variance: float, n_tx: int, subca
     s2 = model.sigma**2
     var_e = 1.0 - (np.abs(model.bv[subcarriers]) ** 2) @ (s2 / (s2 + noise_variance))
     return float(np.mean(_rayleigh_q(1.0, (1.0 - var_e) / (noise_variance + n_tx * var_e))))
+
+
+def calibration_curves(system, pdp, snrs, n_trials, rng) -> list[tuple[float, float, float]]:
+    """Every (snr_db, mse_ls, mse_lmmse) point of estimation.calibrate_threshold
+    on these inputs, in the order it computes them: its crossing search is made
+    to read the whole grid, so no point is left unrun."""
+    points = []
+    search = estimation._crossover
+
+    def reading_every_point(curve):
+        points.extend(curve)
+        return search(points)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimation, "_crossover", reading_every_point)
+        estimation.calibrate_threshold(system, pdp, snrs, n_trials, rng)
+    return points

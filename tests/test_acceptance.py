@@ -6,6 +6,8 @@ module-scoped fixtures; every estimator of a cell sees identical channels,
 payloads and noise, so the orderings checked here are paired comparisons.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from oracles import (
@@ -21,7 +23,7 @@ from oracles import (
 )
 
 from ltelink.channel import PowerDelayProfile, generate_channel
-from ltelink.estimation import build_correlation_model, calibrate_threshold, lmmse_filter
+from ltelink.estimation import build_correlation_model, lmmse_filter
 from ltelink.grid import (
     LTE_PROFILES,
     Constellation,
@@ -200,16 +202,6 @@ def test_ac4_crossover_past_the_cp_at_every_bandwidth(bandwidth_sweep):
     _report(f"AC-4 {cfg.system.bandwidth_mhz:g} MHz L={length}", not losses, detail)
 
 
-def _replicate_threshold(cfg, li, length) -> float:
-    """The LS/LMMSE crossing of an independent replicate of one length's
-    cells, drawn from the stream (seed, 2, length index), which no draw of the
-    sweep uses: its trials draw from tag 0 and its pilots from tag 1."""
-    finite = np.array([s for s in cfg.snr_grid_db if np.isfinite(s)])
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2, li]))
-    pdp = PowerDelayProfile.uniform(length)
-    return calibrate_threshold(cfg.system, pdp, finite, cfg.n_frames, rng)
-
-
 def _ac5_misses(cfg, cells) -> tuple[list[str], float, float]:
     """The cells of a sweep where the hybrid breaks AC-5, and the in-sample
     and out-of-sample switching SNRs of its longest length.  A cell breaks it
@@ -217,13 +209,24 @@ def _ac5_misses(cfg, cells) -> tuple[list[str], float, float]:
     column, or its branch is not the indicator of snr >= its length's
     switching SNR, which never chooses LS where the CP covers the channel.
     The sweep takes that SNR from the same rows, so past the CP the check is
-    repeated out of sample: the branch an independent replicate's crossing
-    picks must also be within 1.05x of the better estimator."""
+    repeated out of sample: the branch that the switching SNR of a second
+    sweep picks must also be within 1.05x of the better estimator.  That
+    sweep runs the length alone, LS and LMMSE only, at seed + 1, which draws
+    none of the first sweep's trials or pilots."""
     misses = []
-    for li, length in enumerate(cfg.channel_lengths):
+    for length in cfg.channel_lengths:
         threshold = _hybrid_threshold(cfg, length, cells.values())
         covered = cfg.system.cp_covers(length)
-        replicate = threshold if covered else _replicate_threshold(cfg, li, length)
+        if covered:
+            replicate = threshold
+        else:
+            second = replace(
+                cfg,
+                channel_lengths=(length,),
+                seed=cfg.seed + 1,
+                estimators=(Estimator.LS, Estimator.LMMSE),
+            )
+            replicate = _hybrid_threshold(second, length, run_sweep(second))
         for snr in cfg.snr_grid_db:
             hy, ls, lm = (
                 cells[(length, snr, e)] for e in (Estimator.HYBRID, Estimator.LS, Estimator.LMMSE)

@@ -41,6 +41,30 @@ class TestPowerDelayProfile:
         assert pdp.n_taps == 4
         assert pdp.span == 4
         assert_allclose(pdp.tap_powers, 0.25)
+        assert PowerDelayProfile.uniform(np.int64(3)) == PowerDelayProfile.uniform(3)
+
+    @pytest.mark.parametrize(
+        "n_taps, message",
+        [
+            (0, "need at least one tap"),
+            (True, "n_taps must be integral, got True"),
+            (3.0, "n_taps must be integral, got 3.0"),
+            ("3", "n_taps must be integral, got '3'"),
+        ],
+        ids=["zero", "bool", "float", "str"],
+    )
+    def test_uniform_rejects_a_bad_count(self, n_taps, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PowerDelayProfile.uniform(n_taps)
+
+    @pytest.mark.parametrize(
+        "delays, powers",
+        [([0, 1], [1.0]), ([], []), ([[0, 1]], [[0.5, 0.5]])],
+        ids=["unequal", "empty", "2-d"],
+    )
+    def test_rejects_tap_arrays_that_are_not_equal_length_1d(self, delays, powers):
+        with pytest.raises(ValueError, match="equal-length 1-D arrays"):
+            PowerDelayProfile(np.array(delays), np.array(powers))
 
     def test_rejects_bad_power_sum(self):
         with pytest.raises(ValueError, match="sum to 1"):

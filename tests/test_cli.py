@@ -196,6 +196,7 @@ class TestFlagMerging:
             ("--snr", "nan:30:5", f"{FINITE_RANGE}, got 'nan:30:5'"),
             ("--snr", "0:30:-5", f"{FINITE_RANGE}, got '0:30:-5'"),
             ("--snr", "0:1e300:1", "the range '0:1e300:1' has too many points to build"),
+            ("--snr", "0:30", "expected a:b:step, got '0:30'"),
         ],
         ids=[
             "estimators",
@@ -208,6 +209,7 @@ class TestFlagMerging:
             "snr-nan-start",
             "snr-negative-step",
             "snr-too-many-points",
+            "snr-range-without-step",
         ],
     )
     def test_bad_flag_value_reports_its_parser_message(self, capsys, flag, value, message):
@@ -409,6 +411,14 @@ class TestMain:
         assert exc.value.code == 2
         assert f"ltelink: error: invalid snr_db: {float(snr)}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("snr", ["-0,10", "-0:10:5"], ids=["list", "range"])
+    def test_minus_zero_snr_is_written_as_zero(self, tmp_path, snr):
+        # -0.0 would print as -0, a second spelling of 0 dB
+        out = tmp_path / "zero.csv"
+        argv = ["simulate", f"--snr={snr}", "--frames", "1", "--channel-lengths", "6"]
+        assert main([*argv, "--estimators", "ls", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].split(",")[0] == "0"
 
     def test_sweep_at_the_lowest_snr_writes_finite_mses(self, tmp_path):
         # MIN_SNR_DB's noise variance, 1e100, overflows nothing in a cell past

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from oracles import (
+    calibration_curves,
     correlation_matrices,
     interpolate_ls,
     lmmse_estimate_full,
@@ -33,7 +34,7 @@ from ltelink.grid import (
     used_subcarrier_bins,
 )
 from ltelink import harness
-from ltelink.harness import Estimator, SweepConfig, paired_mse_curves, run_sweep
+from ltelink.harness import Estimator, SweepConfig, run_sweep
 
 
 def steering(cfg: SystemConfig, pdp: PowerDelayProfile, positions=None) -> np.ndarray:
@@ -177,6 +178,12 @@ class TestCorrelationModel:
         cfg = SystemConfig(n_used=16, n_tx=1, n_rx=1)
         with pytest.raises(ValueError, match="position"):
             build_correlation_model(PowerDelayProfile.uniform(2), np.array([16]), cfg)
+
+    @pytest.mark.parametrize("positions", [[], [[0, 3]]], ids=["empty", "2-d"])
+    def test_rejects_positions_that_are_not_a_non_empty_1d_array(self, positions):
+        cfg = SystemConfig(n_used=16, n_tx=1, n_rx=1)
+        with pytest.raises(ValueError, match="non-empty 1-D index array"):
+            build_correlation_model(PowerDelayProfile.uniform(2), np.array(positions), cfg)
 
     @pytest.mark.parametrize("bandwidth_mhz, cp_len", [(5.0, 16), (10.0, 72)])
     def test_lag_table_equals_phase_tensor(self, bandwidth_mhz, cp_len):
@@ -812,7 +819,7 @@ class TestLazyCalibration:
         self, monkeypatch, length, seed, trials, snrs, crossing
     ):
         system, pdp, snrs = SystemConfig(), PowerDelayProfile.uniform(length), np.array(snrs)
-        points = list(paired_mse_curves(system, pdp, snrs, trials, np.random.default_rng(seed)))
+        points = calibration_curves(system, pdp, snrs, trials, np.random.default_rng(seed))
         d = [np.log(ls) - np.log(lmmse) for _, ls, lmmse in points]
         downward = [i for i in range(len(d) - 1) if d[i] > 0 >= d[i + 1]]
         if np.isinf(crossing):
@@ -838,7 +845,7 @@ class TestLazyCalibration:
     @pytest.mark.parametrize("length, seed, trials, snrs, crossing", LAZY_CASES)
     def test_matches_the_search_of_the_full_curves(self, length, seed, trials, snrs, crossing):
         system, pdp, snrs = SystemConfig(), PowerDelayProfile.uniform(length), np.array(snrs)
-        full = list(paired_mse_curves(system, pdp, snrs, trials, np.random.default_rng(seed)))
+        full = calibration_curves(system, pdp, snrs, trials, np.random.default_rng(seed))
         assert [p[0] for p in full] == list(snrs)
         got = calibrate_threshold(system, pdp, snrs, trials, np.random.default_rng(seed))
         assert got == _crossover(full) == first_crossing(full)

@@ -79,6 +79,11 @@ class TestSystemConfig:
             SystemConfig(n_used=n_used)
         assert len(build_pilot_pattern(SystemConfig(n_used=4)).comb) == 2
 
+    @pytest.mark.parametrize("cp_len", [-1, 512])
+    def test_rejects_cp_outside_the_fft(self, cp_len):
+        with pytest.raises(ValueError, match=re.escape(f"cp_len must be in [0, n_fft); got {cp_len}")):
+            SystemConfig(cp_len=cp_len)
+
     def test_rejects_bad_antenna_counts(self):
         with pytest.raises(ValueError, match="n_tx"):
             SystemConfig(n_tx=3)

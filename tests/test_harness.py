@@ -9,7 +9,13 @@ import weakref
 
 import numpy as np
 import pytest
-from oracles import correlation_matrices, interpolate_ls, lmmse_filter_solve, time_domain_chain
+from oracles import (
+    calibration_curves,
+    correlation_matrices,
+    interpolate_ls,
+    lmmse_filter_solve,
+    time_domain_chain,
+)
 
 from ltelink import estimation, harness, kernels, linkproc, ofdm
 from ltelink.channel import ChannelRealization, PowerDelayProfile, noise_variance
@@ -25,7 +31,6 @@ from ltelink.harness import (
     _stream,
     emit_csv,
     format_summary,
-    paired_mse_curves,
     run_sweep,
 )
 
@@ -252,7 +257,7 @@ class TestRunSweep:
         # by chunk: the same children as spawning every trial's stream up front
         system, pdp, snrs = SystemConfig(), PowerDelayProfile.uniform(40), np.array([5.0, 25.0])
         n = 2 * harness._CHUNK + 1
-        points = list(paired_mse_curves(system, pdp, snrs, n, _rng(3)))
+        points = calibration_curves(system, pdp, snrs, n, _rng(3))
         assert [p[0] for p in points] == list(snrs)
         ctx = _make_context(system, 0)
         streams = _rng(3).spawn(len(snrs) * n)
@@ -436,12 +441,19 @@ class TestRunSweep:
 
     def test_sweep_runs_no_second_monte_carlo(self, monkeypatch):
         # a calibrated threshold comes from the sweep's own rows: no
-        # calibration cells run besides them
+        # calibration cells, which do not detect, run besides them
         def refuse(*args, **kwargs):
             raise AssertionError("the sweep ran a separate calibration")
 
+        run_cell = harness._run_cell
+
+        def detecting_only(*args, detect):
+            if not detect:
+                refuse()
+            return run_cell(*args, detect=detect)
+
         monkeypatch.setattr(estimation, "calibrate_threshold", refuse)
-        monkeypatch.setattr(harness, "paired_mse_curves", refuse)
+        monkeypatch.setattr(harness, "_run_cell", detecting_only)
         cfg = SweepConfig(channel_lengths=(6, 20, 40), snr_grid_db=(0.0, 20.0), n_frames=1, seed=3)
         assert len(run_sweep(cfg)) == 3 * 2 * 4
 
@@ -609,7 +621,7 @@ class TestRunSweep:
         estimation._memoized_model.cache_clear()
         monkeypatch.setattr(estimation, "build_correlation_model", counting)
         pdp = PowerDelayProfile(np.array([0, 20, 40]), np.full(3, 1 / 3))
-        list(paired_mse_curves(SystemConfig(), pdp, np.array([10.0]), 1, _rng(4)))
+        estimation.calibrate_threshold(SystemConfig(), pdp, np.array([10.0]), 1, _rng(4))
         assert built == [([0], [1.0])]
 
     def test_failing_cell_names_its_cell(self, monkeypatch):
@@ -626,8 +638,8 @@ class TestRunSweep:
 
     def test_one_eigendecomposition_serves_every_snr(self, monkeypatch):
         # the model carries the SVD of its (n_pilots, n_taps) tap-phase rows,
-        # so the calibration of both lengths and every cell of the sweep
-        # reuse one factorisation, and nothing decomposes an n_p x n_p matrix
+        # so every cell of both lengths, whose priors truncate alike, reuses
+        # one factorisation, and nothing decomposes an n_p x n_p matrix
         calls = []
 
         def counting(name, fn):
@@ -694,6 +706,10 @@ class TestRunSweep:
             SweepConfig(estimators=("ls",))
         with pytest.raises(ValueError, match="-inf"):
             SweepConfig(snr_grid_db=(-np.inf, 0.0))
+        with pytest.raises(ValueError, match="snr grid must be non-empty"):
+            SweepConfig(snr_grid_db=())
+        with pytest.raises(ValueError, match="duplicate estimator"):
+            SweepConfig(estimators=(Estimator.LS, Estimator.LS))
 
     @pytest.mark.parametrize(
         "make, field",
