@@ -155,15 +155,28 @@ def test_ac4_crossover_when_channel_exceeds_cp(sweep_long):
 BANDWIDTH_SNRS = (0.0, 5.0, 10.0, 20.0, 30.0)
 
 
-@pytest.fixture(scope="module", params=sorted(LTE_PROFILES), ids=lambda bw: f"{bw:g}MHz")
+# the normal CP of each LTE bandwidth, scaled from 144 of 2048 samples
+BANDWIDTH_SYSTEMS = [
+    SystemConfig(bandwidth_mhz=bw, cp_len=LTE_PROFILES[bw][0] * 144 // 2048, constellation=c)
+    for c in (Constellation.QPSK, Constellation.QAM16)
+    for bw in sorted(LTE_PROFILES)
+]
+
+
+def _system_id(system) -> str:
+    """Its bandwidth, and its constellation unless QPSK: 5MHz, 5MHz-qam16."""
+    qam = "" if system.constellation is Constellation.QPSK else f"-{system.constellation.value}"
+    return f"{system.bandwidth_mhz:g}MHz{qam}"
+
+
+@pytest.fixture(scope="module", params=BANDWIDTH_SYSTEMS, ids=_system_id)
 def bandwidth_sweep(request):
-    """All four estimators at one LTE bandwidth, its normal CP scaled from 144
-    of 2048 samples: L = cp // 2, which the CP covers, and L = 2 cp + 2, which
-    it does not; 10 trials per point."""
-    n_fft, _ = LTE_PROFILES[request.param]
-    cp = n_fft * 144 // 2048
+    """All four estimators at one LTE bandwidth and constellation: L = cp // 2,
+    which the CP covers, and L = 2 cp + 2, which it does not; 10 trials per
+    point."""
+    cp = request.param.cp_len
     cfg = SweepConfig(
-        system=SystemConfig(bandwidth_mhz=request.param, cp_len=cp),
+        system=request.param,
         channel_lengths=(cp // 2, 2 * cp + 2),
         snr_grid_db=BANDWIDTH_SNRS,
         n_frames=10,
@@ -186,7 +199,7 @@ def test_ac3_lmmse_beats_ls_when_cp_covers_at_every_bandwidth(bandwidth_sweep):
     length = cfg.channel_lengths[0]
     losses = [f"{snr:g} dB {col}" for snr, col, ls, lm in _mse_pairs(cells, length) if lm >= ls]
     detail = ", ".join(losses) or "LMMSE < LS at every SNR, both MSE columns"
-    _report(f"AC-3 {cfg.system.bandwidth_mhz:g} MHz L={length}", not losses, detail)
+    _report(f"AC-3 {_system_id(cfg.system)} L={length}", not losses, detail)
 
 
 def test_ac4_crossover_past_the_cp_at_every_bandwidth(bandwidth_sweep):
@@ -199,7 +212,7 @@ def test_ac4_crossover_past_the_cp_at_every_bandwidth(bandwidth_sweep):
         if (lm >= ls if snr == 0.0 else ls >= lm)
     ]
     detail = ", ".join(losses) or "LMMSE < LS at 0 dB, LS < LMMSE from 5 dB, both MSE columns"
-    _report(f"AC-4 {cfg.system.bandwidth_mhz:g} MHz L={length}", not losses, detail)
+    _report(f"AC-4 {_system_id(cfg.system)} L={length}", not losses, detail)
 
 
 def _ac5_misses(cfg, cells) -> tuple[list[str], float, float]:
@@ -259,7 +272,7 @@ def test_ac5_hybrid_dominates_both_sweeps(sweep_short, sweep_long):
 
 
 def test_ac5_hybrid_dominates_at_every_bandwidth(bandwidth_sweep):
-    """AC-5 at L = cp // 2 and L = 2 cp + 2 of every LTE bandwidth."""
+    """AC-5 at L = cp // 2 and L = 2 cp + 2 of every LTE bandwidth, QPSK and 16-QAM."""
     cfg, cells = bandwidth_sweep
     misses, threshold, replicate = _ac5_misses(cfg, cells)
     length = cfg.channel_lengths[-1]
@@ -267,7 +280,7 @@ def test_ac5_hybrid_dominates_at_every_bandwidth(bandwidth_sweep):
         f"hybrid within 1.05x of best everywhere; L={length} switch at {threshold:.2f} dB, "
         f"{replicate:.2f} dB out of sample"
     )
-    _report(f"AC-5 {cfg.system.bandwidth_mhz:g} MHz", not misses, ", ".join(misses) or detail)
+    _report(f"AC-5 {_system_id(cfg.system)}", not misses, ", ".join(misses) or detail)
 
 
 def test_ac6_full_and_simplified_lmmse_coincide():
@@ -369,7 +382,7 @@ def test_invariant_perfect_csi_lower_bounds_ber(sweep_short, sweep_long):
 
 
 def test_invariant_perfect_csi_lower_bounds_ber_at_every_bandwidth(bandwidth_sweep):
-    """The same bound, with the same slack, at every LTE bandwidth."""
+    """The same bound, with the same slack, at every LTE bandwidth, QPSK and 16-QAM."""
     violations = _ber_undercuts(bandwidth_sweep[1])
     assert len(violations) <= 1, violations
 

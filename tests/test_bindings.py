@@ -3,15 +3,18 @@
 sweepbench/tracing.py wraps every public function of a layer whose __module__
 is that layer, plus the methods in its PATCHED_METHODS, and its per-layer
 metrics read spans by those names.  sweepbench/worker.py and
-sweepbench/make_reference.py call a few more names directly.  A name that
-moves to another module, turns private or changes its parameters leaves a
-metric at zero or breaks a run; these tests catch that without running the
-benchmark.
+sweepbench/make_reference.py call a few more names directly, and
+tests/test_golden.py checks its goldens through sweepbench/workloads.py.  A
+name that moves to another module, turns private or changes its parameters
+leaves a metric at zero, breaks a run or stops the golden tests; these tests
+catch that without running the benchmark.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,7 +22,7 @@ import pytest
 import ltelink
 from ltelink.grid import GridLayout, SystemConfig, build_pilot_pattern
 
-TRACING = Path(__file__).resolve().parent.parent / "sweepbench" / "tracing.py"
+SWEEPBENCH = Path(__file__).resolve().parent.parent / "sweepbench"
 
 # (layer, function, parameters the tracer's payloads read by name)
 TRACED_FUNCTIONS = [
@@ -35,12 +38,17 @@ TRACED_FUNCTIONS = [
 ]
 
 
-@pytest.fixture(scope="module")
-def tracing():
-    spec = importlib.util.spec_from_file_location("sweepbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"sweepbench_{name}", SWEEPBENCH / f"{name}.py")
+    # registered first: the dataclasses of workloads.py look their module up
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return _load("tracing")
 
 
 @pytest.mark.parametrize(
@@ -96,3 +104,18 @@ def test_reference_bits_per_slot_resolve():
     config = SystemConfig()
     n_data = GridLayout.build(config, build_pilot_pattern(config)).n_data_per_port
     assert isinstance(n_data, int) and n_data == 1900
+
+
+def test_golden_comparator_resolves():
+    # test_golden.py builds a Workload by keyword, selecting the comparator by
+    # its kind, and calls count_failures and perturb_reference positionally;
+    # the tolerances are the ones README.md states
+    workloads = _load("workloads")
+    fields = [f.name for f in dataclasses.fields(workloads.Workload)]
+    assert fields == ["name", "kind", "bandwidth_mhz", "cp_len", "channel_lengths", "n_frames"]
+    params = inspect.signature(workloads.count_failures).parameters
+    assert list(params) == ["workload", "output_text", "reference_text", "bits_per_cell"]
+    params = inspect.signature(workloads.perturb_reference).parameters
+    assert list(params) == ["workload", "reference_text", "bits_per_cell"]
+    tolerances = (workloads.MSE_RTOL, workloads.MSE_ATOL, workloads.THRESHOLD_TOL_DB)
+    assert tolerances == (1e-6, 1e-12, 1e-6)
