@@ -33,7 +33,7 @@ from ltelink.grid import (
     random_pilot_sequence,
     used_subcarrier_bins,
 )
-from ltelink.harness import Estimator, SweepConfig, _hybrid_threshold, emit_csv, run_sweep
+from ltelink.harness import Estimator, SweepConfig, _branch, _hybrid_threshold, emit_csv, run_sweep
 from ltelink.ofdm import demodulate_frame, modulate_frame
 
 SNR_GRID = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
@@ -219,13 +219,13 @@ def _ac5_misses(cfg, cells) -> tuple[list[str], float, float]:
     """The cells of a sweep where the hybrid breaks AC-5, and the in-sample
     and out-of-sample switching SNRs of its longest length.  A cell breaks it
     when the hybrid's MSE is above 1.05x the better of LS and LMMSE in either
-    column, or its branch is not the indicator of snr >= its length's
-    switching SNR, which never chooses LS where the CP covers the channel.
-    The sweep takes that SNR from the same rows, so past the CP the check is
-    repeated out of sample: the branch that the switching SNR of a second
-    sweep picks must also be within 1.05x of the better estimator.  That
-    sweep runs the length alone, LS and LMMSE only, at seed + 1, which draws
-    none of the first sweep's trials or pilots."""
+    column, or its branch is not the one harness._branch picks at its
+    length's switching SNR, which never chooses LS where the CP covers the
+    channel.  The sweep takes that SNR from the same rows, so past the CP the
+    check is repeated out of sample: the branch that _branch picks at the
+    switching SNR of a second sweep must also be within 1.05x of the better
+    estimator.  That sweep runs the length alone, LS and LMMSE only, at
+    seed + 1, which draws none of the first sweep's trials or pilots."""
     misses = []
     for length in cfg.channel_lengths:
         threshold = _hybrid_threshold(cfg, length, cells.values())
@@ -244,7 +244,7 @@ def _ac5_misses(cfg, cells) -> tuple[list[str], float, float]:
             hy, ls, lm = (
                 cells[(length, snr, e)] for e in (Estimator.HYBRID, Estimator.LS, Estimator.LMMSE)
             )
-            out_of_sample = ls if replicate < np.inf and snr >= replicate else lm
+            out_of_sample = cells[(length, snr, _branch(replicate, snr))]
             for col in ("mse_all_subcarriers", "mse_pilot_subcarriers"):
                 best = min(getattr(ls, col), getattr(lm, col))
                 if not getattr(hy, col) <= 1.05 * best:
@@ -253,7 +253,7 @@ def _ac5_misses(cfg, cells) -> tuple[list[str], float, float]:
                     misses.append(f"L={length} snr={snr} {col} at {replicate:.2f} dB out of sample")
             if covered and hy.branch_fraction_ls != 0.0:
                 misses.append(f"branch_fraction_ls != 0 at L={length} snr={snr}")
-            expected = 1.0 if snr >= threshold else 0.0
+            expected = float(_branch(threshold, snr) is Estimator.LS)
             if hy.branch_fraction_ls != expected:
                 misses.append(f"L={length} snr={snr} branch {hy.branch_fraction_ls} != {expected}")
     return misses, threshold, replicate
@@ -281,6 +281,14 @@ def test_ac5_hybrid_dominates_at_every_bandwidth(bandwidth_sweep):
         f"{replicate:.2f} dB out of sample"
     )
     _report(f"AC-5 {_system_id(cfg.system)}", not misses, ", ".join(misses) or detail)
+
+
+def test_ac5_expects_the_harness_branch_at_infinite_snr():
+    """A covered length's threshold is +inf, which keeps the hybrid on LMMSE
+    at SNR = +inf too: AC-5 reports no branch miss there."""
+    cfg = SweepConfig(channel_lengths=(6,), snr_grid_db=(10.0, np.inf), n_frames=1, seed=3)
+    misses, _, _ = _ac5_misses(cfg, _by_cell(run_sweep(cfg)))
+    assert not [m for m in misses if "branch" in m], misses
 
 
 def test_ac6_full_and_simplified_lmmse_coincide():

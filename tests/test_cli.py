@@ -170,53 +170,10 @@ class TestFlagMerging:
         spaced, joined = _args(["--threshold-db", "-inf"]), _args(["--threshold-db=-inf"])
         assert spaced == joined == _args(["--threshold", "-inf"])
         assert sweep_config_from_sources({}, spaced).threshold_db == -math.inf
-        with pytest.raises(SystemExit):  # an option after it is not its value
-            _args(["--threshold-db", "--calibrate-threshold"])
 
     def test_estimator_parsing(self):
         cfg = sweep_config_from_sources({}, _args(["--estimators", "perfect,ls"]))
         assert set(cfg.estimators) == {Estimator.LS, Estimator.PERFECT}
-        with pytest.raises(SystemExit):  # argparse reports the unknown name
-            _args(["--estimators", "mmse"])
-
-    @pytest.mark.parametrize(
-        "flag, value, message",
-        [
-            (
-                "--estimators",
-                "foo",
-                "unknown estimator 'foo'; choose from ls, lmmse, hybrid, perfect",
-            ),
-            ("--channel-lengths", "6,x", "invalid literal for int() with base 10: 'x'"),
-            ("--snr", "a:b:c", "could not convert string to float: 'a'"),
-            ("--frames", "3x", "invalid literal for int() with base 10: '3x'"),
-            ("--seed", "1.5", "invalid literal for int() with base 10: '1.5'"),
-            ("--threshold-db", "high", "could not convert string to float: 'high'"),
-            ("--snr", "0:inf:5", f"{FINITE_RANGE}, got '0:inf:5'"),
-            ("--snr", "nan:30:5", f"{FINITE_RANGE}, got 'nan:30:5'"),
-            ("--snr", "0:30:-5", f"{FINITE_RANGE}, got '0:30:-5'"),
-            ("--snr", "0:1e300:1", "the range '0:1e300:1' has too many points to build"),
-            ("--snr", "0:30", "expected a:b:step, got '0:30'"),
-        ],
-        ids=[
-            "estimators",
-            "channel-lengths",
-            "snr",
-            "frames",
-            "seed",
-            "threshold-db",
-            "snr-infinite-end",
-            "snr-nan-start",
-            "snr-negative-step",
-            "snr-too-many-points",
-            "snr-range-without-step",
-        ],
-    )
-    def test_bad_flag_value_reports_its_parser_message(self, capsys, flag, value, message):
-        with pytest.raises(SystemExit) as exc:
-            _args([flag, value])
-        assert exc.value.code == 2
-        assert f"argument {flag}: {message}" in capsys.readouterr().err
 
     def test_snr_range_numpy_cannot_allocate_is_a_usage_error(self, monkeypatch, capsys):
         # a range such as 0:1e12:1 asks numpy for terabytes; stand in for that
@@ -236,10 +193,6 @@ class TestFlagMerging:
             {"threshold_db": 9.0}, _args(["--calibrate-threshold"])
         )
         assert cfg.threshold_db is None
-
-    def test_threshold_flag_and_calibrate_are_exclusive(self):
-        with pytest.raises(SystemExit):
-            _args(["--threshold-db", "5", "--calibrate-threshold"])
 
 
 class TestMain:
@@ -309,109 +262,6 @@ class TestMain:
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
 
-    def test_bad_config_path_errors_cleanly(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["simulate", "--config", str(tmp_path / "missing.cfg")])
-
-    def test_more_transmit_than_receive_antennas_is_a_usage_error(self, tmp_path, capsys):
-        cfgfile = tmp_path / "2x1.cfg"
-        cfgfile.write_text("n_tx = 2\nn_rx = 1\n")
-        out = tmp_path / "never.csv"
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--config", str(cfgfile), "--frames", "1", "--out", str(out)])
-        assert exc.value.code == 2
-        assert "n_tx=2 exceeds n_rx=1" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_hybrid_without_finite_snr_is_a_usage_error(self, tmp_path, capsys):
-        cfgfile = tmp_path / "inf.cfg"
-        cfgfile.write_text("snr_grid_db = inf\n")
-        out = tmp_path / "never.csv"
-        argv = ["simulate", "--config", str(cfgfile), "--channel-lengths", "40", "--out", str(out)]
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert "without finite SNRs" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("line", ["n_fft = 1024", "n_symbols_per_slot = 6"])
-    def test_derived_settings_are_unknown_keys(self, tmp_path, capsys, line):
-        # the FFT size follows from the bandwidth and the slot has 7 symbols
-        cfgfile = tmp_path / "derived.cfg"
-        cfgfile.write_text(f"bandwidth_mhz = 10\n{line}\n")
-        out = tmp_path / "never.csv"
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--config", str(cfgfile), "--frames", "1", "--out", str(out)])
-        assert exc.value.code == 2
-        assert "unknown config key" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "line, message",
-        [
-            ("n_used = 300.0", "invalid literal for int() with base 10: '300.0'"),
-            ("n_frames = 3x", "invalid literal for int() with base 10: '3x'"),
-            ("snr_grid_db = 0,abc", "could not convert string to float: 'abc'"),
-            ("constellation = qam64", "unknown constellation 'qam64'; choose from qpsk, qam16"),
-            ("snr_grid_db = 0:30:inf", f"{FINITE_RANGE}, got '0:30:inf'"),
-            ("snr_grid_db = 0:1e300:1", "the range '0:1e300:1' has too many points to build"),
-        ],
-        ids=[
-            "n_used",
-            "n_frames",
-            "snr_grid_db",
-            "constellation",
-            "snr_grid_db-infinite-step",
-            "snr_grid_db-too-many-points",
-        ],
-    )
-    def test_bad_config_value_names_its_key_and_file(self, tmp_path, capsys, line, message):
-        cfgfile = tmp_path / "bad_value.cfg"
-        cfgfile.write_text(f"seed = 3\n{line}\n")
-        out = tmp_path / "never.csv"
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--config", str(cfgfile), "--frames", "1", "--out", str(out)])
-        assert exc.value.code == 2
-        key = line.split(" = ")[0]
-        assert f"ltelink: error: {cfgfile}:2: {key}: {message}" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_repeated_key_is_a_usage_error(self, tmp_path, capsys):
-        # a second value would silently replace the first; the error names the
-        # file and both lines, whatever the spelling of the key
-        cfgfile = tmp_path / "repeated.cfg"
-        cfgfile.write_text("seed = 1\n# comment\nn_frames = 1\nSEED = 2\n")
-        out = tmp_path / "never.csv"
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--config", str(cfgfile), "--out", str(out)])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert f"ltelink: error: {cfgfile}:4: seed is already set on line 1" in err
-        assert not out.exists()
-
-    def test_minus_inf_snr_is_a_usage_error(self, tmp_path, capsys):
-        cfgfile = tmp_path / "minus_inf.cfg"
-        cfgfile.write_text("snr_grid_db = -inf,0\nchannel_lengths = 6\n")
-        out = tmp_path / "never.csv"
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--config", str(cfgfile), "--frames", "1", "--out", str(out)])
-        assert exc.value.code == 2
-        assert "-inf" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("snr", ["-4000", "-3100", "-3080", "-1000.001"])
-    def test_snr_without_a_finite_noise_level_is_a_usage_error(self, tmp_path, capsys, snr):
-        # past the float range the noise variance is inf or a division by zero;
-        # the sweep would fail in its first cell.  Nearer, below MIN_SNR_DB,
-        # the noise overflows the receiver's sums: at -3080 dB an LS MSE was inf
-        out = tmp_path / "never.csv"
-        argv = ["simulate", f"--snr={snr}", "--frames", "1", "--channel-lengths", "6"]
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, "--estimators", "ls", "--out", str(out)])
-        assert exc.value.code == 2
-        assert f"ltelink: error: invalid snr_db: {float(snr)}" in capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.parametrize("snr", ["-0,10", "-0:10:5"], ids=["list", "range"])
     def test_minus_zero_snr_is_written_as_zero(self, tmp_path, snr):
         # -0.0 would print as -0, a second spelling of 0 dB
@@ -437,81 +287,6 @@ class TestMain:
         mse = [float(r[c]) for r in rows for c in ("mse_all_subcarriers", "mse_pilot_subcarriers")]
         assert all(math.isfinite(v) for v in mse), mse
 
-    def test_repeated_snr_is_a_usage_error(self, tmp_path, capsys):
-        # the parser sorts the grid; a repeat would write two rows per cell
-        cfgfile = tmp_path / "repeat.cfg"
-        cfgfile.write_text(
-            "snr_grid_db = 10, 10\nn_frames = 1\nchannel_lengths = 6\nestimators = ls\n"
-        )
-        out = tmp_path / "never.csv"
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--config", str(cfgfile), "--out", str(out)])
-        assert exc.value.code == 2
-        assert "strictly ascending" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
-        out = tmp_path / "never.csv"
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--seed", "-1", "--frames", "1", "--out", str(out)])
-        assert exc.value.code == 2
-        assert "ltelink: error: seed must be non-negative, got -1" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_fewer_than_two_pilots_per_port_is_a_usage_error(self, tmp_path, capsys):
-        # n_used = 3 leaves one subcarrier on the every-third pilot comb
-        cfgfile = tmp_path / "narrow.cfg"
-        cfgfile.write_text("n_used = 3\n")
-        out = tmp_path / "never.csv"
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--config", str(cfgfile), "--frames", "1", "--out", str(out)])
-        assert exc.value.code == 2
-        assert "two pilot subcarriers" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_zero_cyclic_prefix_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
-        # the LMMSE prior keeps the first cp_len taps, so a CP of 0 leaves it
-        # none; the default estimators include lmmse and the hybrid
-        def refuse(config):
-            raise AssertionError("the sweep started with cp_len = 0")
-
-        monkeypatch.setattr(cli, "run_sweep", refuse)
-        cfgfile = tmp_path / "no_cp.cfg"
-        cfgfile.write_text("cp_len = 0\n")
-        out = tmp_path / "never.csv"
-        argv = ["simulate", "--config", str(cfgfile), "--frames", "1"]
-        argv += ["--channel-lengths", "1,4", "--snr", "0:10:10", "--out", str(out)]
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert "need cp_len >= 1" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_channel_longer_than_the_fft_is_a_usage_error(self, tmp_path, capsys):
-        # 5 MHz has a 512-point FFT; taps at delay >= 512 would alias
-        out = tmp_path / "never.csv"
-        argv = ["simulate", "--channel-lengths", "6,520", "--frames", "1", "--out", str(out)]
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert "exceeds the FFT size 512" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("out", ["missing_dir/x.csv", "."], ids=["missing-dir", "a-directory"])
-    def test_unwritable_output_path_is_a_usage_error_before_the_sweep(
-        self, tmp_path, capsys, monkeypatch, out
-    ):
-        def refuse(config):
-            raise AssertionError("the sweep started although its output cannot be written")
-
-        monkeypatch.setattr(cli, "run_sweep", refuse)
-        out = tmp_path / out
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--frames", "1", "--out", str(out)])
-        assert exc.value.code == 2
-        assert f"--out {out} is not a file path" in capsys.readouterr().err
-        assert not (tmp_path / "missing_dir").exists()
-
     def test_write_failure_is_one_error_line(self, tmp_path, capsys, monkeypatch):
         # the output directory disappears while the sweep runs
         out_dir = tmp_path / "gone"
@@ -521,6 +296,126 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith(f"ltelink: error: failed to write CSV to {out_dir / 'x.csv'}")
         assert err.count("\n") == 1
+
+
+# (id, config-file text or None, flags, stderr text) of each input `ltelink
+# simulate` refuses; {cfg} in the text is the config file, {tmp} the test's
+# directory
+REFUSALS = [
+    # a flag's parser fails: argparse names the flag and prints the parser's message
+    ("estimators", None, ["--estimators", "foo"],
+     "argument --estimators: unknown estimator 'foo'; choose from ls, lmmse, hybrid, perfect"),
+    ("estimators-mmse", None, ["--estimators", "mmse"],
+     "argument --estimators: unknown estimator 'mmse'; choose from ls, lmmse, hybrid, perfect"),
+    ("channel-lengths", None, ["--channel-lengths", "6,x"],
+     "argument --channel-lengths: invalid literal for int() with base 10: 'x'"),
+    ("snr", None, ["--snr", "a:b:c"], "argument --snr: could not convert string to float: 'a'"),
+    ("frames", None, ["--frames", "3x"],
+     "argument --frames: invalid literal for int() with base 10: '3x'"),
+    ("seed", None, ["--seed", "1.5"],
+     "argument --seed: invalid literal for int() with base 10: '1.5'"),
+    ("threshold-db", None, ["--threshold-db", "high"],
+     "argument --threshold-db: could not convert string to float: 'high'"),
+    ("snr-infinite-end", None, ["--snr", "0:inf:5"],
+     f"argument --snr: {FINITE_RANGE}, got '0:inf:5'"),
+    ("snr-nan-start", None, ["--snr", "nan:30:5"],
+     f"argument --snr: {FINITE_RANGE}, got 'nan:30:5'"),
+    ("snr-negative-step", None, ["--snr", "0:30:-5"],
+     f"argument --snr: {FINITE_RANGE}, got '0:30:-5'"),
+    ("snr-too-many-points", None, ["--snr", "0:1e300:1"],
+     "argument --snr: the range '0:1e300:1' has too many points to build"),
+    ("snr-range-without-step", None, ["--snr", "0:30"],
+     "argument --snr: expected a:b:step, got '0:30'"),
+    # an option after --threshold-db is not its value
+    ("threshold-db-then-an-option", None, ["--threshold-db", "--calibrate-threshold"],
+     "argument --threshold-db: expected one argument"),
+    ("threshold_flag_and_calibrate_are_exclusive", None,
+     ["--threshold-db", "5", "--calibrate-threshold"],
+     "argument --calibrate-threshold: not allowed with argument --threshold-db"),
+    ("bad_config_path_errors_cleanly", None, ["--config", "{tmp}/missing.cfg"],
+     "ltelink: error: [Errno 2] No such file or directory: '{tmp}/missing.cfg'"),
+    # the FFT size follows from the bandwidth and the slot has 7 symbols
+    ("n_fft = 1024", "bandwidth_mhz = 10\nn_fft = 1024\n", [],
+     "ltelink: error: {cfg}:2: unknown config key 'n_fft'"),
+    ("n_symbols_per_slot = 6", "bandwidth_mhz = 10\nn_symbols_per_slot = 6\n", [],
+     "ltelink: error: {cfg}:2: unknown config key 'n_symbols_per_slot'"),
+    # a bad value in the file names its file, line and key
+    ("n_used", "seed = 3\nn_used = 300.0\n", [],
+     "ltelink: error: {cfg}:2: n_used: invalid literal for int() with base 10: '300.0'"),
+    ("n_frames", "seed = 3\nn_frames = 3x\n", [],
+     "ltelink: error: {cfg}:2: n_frames: invalid literal for int() with base 10: '3x'"),
+    ("snr_grid_db", "seed = 3\nsnr_grid_db = 0,abc\n", [],
+     "ltelink: error: {cfg}:2: snr_grid_db: could not convert string to float: 'abc'"),
+    ("constellation", "seed = 3\nconstellation = qam64\n", [],
+     "ltelink: error: {cfg}:2: constellation: unknown constellation 'qam64'; "
+     "choose from qpsk, qam16"),
+    ("snr_grid_db-infinite-step", "seed = 3\nsnr_grid_db = 0:30:inf\n", [],
+     f"ltelink: error: {{cfg}}:2: snr_grid_db: {FINITE_RANGE}, got '0:30:inf'"),
+    ("snr_grid_db-too-many-points", "seed = 3\nsnr_grid_db = 0:1e300:1\n", [],
+     "ltelink: error: {cfg}:2: snr_grid_db: the range '0:1e300:1' has too many points to build"),
+    # a second value would silently replace the first, whatever the key's spelling
+    ("repeated_key_is_a_usage_error", "seed = 1\n# comment\nn_frames = 1\nSEED = 2\n", [],
+     "ltelink: error: {cfg}:4: seed is already set on line 1"),
+    # the parser sorts the grid; a repeat would write two rows per cell
+    ("repeated_snr_is_a_usage_error",
+     "snr_grid_db = 10, 10\nn_frames = 1\nchannel_lengths = 6\nestimators = ls\n", [],
+     "ltelink: error: snr grid must be strictly ascending"),
+    ("minus_inf_snr_is_a_usage_error", "snr_grid_db = -inf,0\nchannel_lengths = 6\n", [],
+     "ltelink: error: invalid snr_db: -inf"),
+    # past the float range the noise variance is inf or a division by zero;
+    # nearer, below MIN_SNR_DB, the noise overflows the receiver's sums: at
+    # -3080 dB an LS MSE was inf
+    *(
+        (snr, None, [f"--snr={snr}", "--channel-lengths", "6", "--estimators", "ls"],
+         f"ltelink: error: invalid snr_db: {float(snr)}")
+        for snr in ("-4000", "-3100", "-3080", "-1000.001")
+    ),
+    ("negative_seed_is_a_usage_error", None, ["--seed", "-1"],
+     "ltelink: error: seed must be non-negative, got -1"),
+    ("more_transmit_than_receive_antennas_is_a_usage_error", "n_tx = 2\nn_rx = 1\n", [],
+     "ltelink: error: n_tx=2 exceeds n_rx=1"),
+    # n_used = 3 leaves one subcarrier on the every-third pilot comb
+    ("fewer_than_two_pilots_per_port_is_a_usage_error", "n_used = 3\n", [],
+     "ltelink: error: n_used must be in [4, n_fft) so every antenna port has two pilot "
+     "subcarriers; got 3"),
+    # the LMMSE prior keeps the first cp_len taps, so a CP of 0 leaves it none;
+    # the default estimators include lmmse and the hybrid
+    ("zero_cyclic_prefix_is_a_usage_error", "cp_len = 0\n",
+     ["--channel-lengths", "1,4", "--snr", "0:10:10"],
+     "ltelink: error: the lmmse and hybrid estimators need cp_len >= 1"),
+    # 5 MHz has a 512-point FFT; taps at delay >= 512 would alias
+    ("channel_longer_than_the_fft_is_a_usage_error", None, ["--channel-lengths", "6,520"],
+     "ltelink: error: channel length 520 exceeds the FFT size 512"),
+    ("hybrid_without_finite_snr_is_a_usage_error", "snr_grid_db = inf\n",
+     ["--channel-lengths", "40"],
+     "ltelink: error: no LS/LMMSE crossing to take a hybrid threshold from without finite SNRs"),
+    # an output that cannot be written is refused before the sweep, not after it
+    ("missing-dir", None, ["--out", "{tmp}/missing_dir/x.csv"],
+     "ltelink: error: --out {tmp}/missing_dir/x.csv is not a file path"),
+    ("a-directory", None, ["--out", "{tmp}"], "ltelink: error: --out {tmp} is not a file path"),
+]
+
+
+@pytest.mark.parametrize(
+    "config, flags, message", [row[1:] for row in REFUSALS], ids=[row[0] for row in REFUSALS]
+)
+def test_refusal_is_a_usage_error_before_the_sweep(
+    tmp_path, capsys, monkeypatch, config, flags, message
+):
+    def refuse(config):
+        raise AssertionError("the sweep started on an input it refuses")
+
+    monkeypatch.setattr(cli, "run_sweep", refuse)
+    cfgfile = tmp_path / "sweep.cfg"
+    argv = ["simulate", "--out", str(tmp_path / "never.csv")]  # a row's own --out wins
+    if config is not None:
+        cfgfile.write_text(config)
+        argv += ["--config", str(cfgfile)]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *(flag.format(tmp=tmp_path) for flag in flags)])
+    assert exc.value.code == 2
+    assert message.format(cfg=cfgfile, tmp=tmp_path) in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == ([cfgfile] if config is not None else [])
 
 
 class TestHeapPolicy:

@@ -99,7 +99,7 @@ def test_sweep_matches_golden(name):
     assert _failures(name, "sweep", _output(name, "sweep"), ref_text) == 0
 
 
-def test_calibrated_thresholds_match_golden():
+def test_sweep_thresholds_match_golden():
     ref_text = (DATA / "golden_thresholds.json").read_text()
     assert any(math.isinf(v) for v in json.loads(ref_text).values())
     assert _failures(THRESHOLDS, "calibrate", _output(THRESHOLDS, "calibrate"), ref_text) == 0

@@ -65,6 +65,7 @@ def compute_mse(h_hat, h_true, positions=None):
 
 
 _TINY = SystemConfig(n_used=24)
+_NO_CP = SystemConfig(cp_len=0)
 
 
 @pytest.mark.parametrize(
@@ -488,7 +489,7 @@ class TestRunSweep:
     @pytest.mark.parametrize(
         "threshold_db", [None, 12.0, -np.inf, np.inf], ids=["rows", "12dB", "-inf", "+inf"]
     )
-    def test_hybrid_alone_calibrates_as_the_full_sweep(self, monkeypatch, threshold_db):
+    def test_hybrid_alone_takes_the_full_sweeps_thresholds(self, monkeypatch, threshold_db):
         # every cell of a hybrid sweep computes both branches, so a hybrid-only
         # sweep takes the four-estimator sweep's thresholds and gives its
         # hybrid rows, whether the threshold comes from the rows or the config
@@ -695,56 +696,6 @@ class TestRunSweep:
         rec = run_sweep(cfg)[0]
         assert rec.ber == 0.0
 
-    def test_validation_errors(self):
-        with pytest.raises(ValueError, match="sorted"):
-            SweepConfig(snr_grid_db=(10.0, 0.0))
-        with pytest.raises(ValueError, match="n_frames"):
-            SweepConfig(n_frames=0)
-        with pytest.raises(ValueError, match="non-empty"):
-            SweepConfig(channel_lengths=())
-        with pytest.raises(ValueError, match="Estimator"):
-            SweepConfig(estimators=("ls",))
-        with pytest.raises(ValueError, match="-inf"):
-            SweepConfig(snr_grid_db=(-np.inf, 0.0))
-        with pytest.raises(ValueError, match="snr grid must be non-empty"):
-            SweepConfig(snr_grid_db=())
-        with pytest.raises(ValueError, match="duplicate estimator"):
-            SweepConfig(estimators=(Estimator.LS, Estimator.LS))
-
-    @pytest.mark.parametrize(
-        "make, field",
-        [
-            (lambda: SweepConfig(channel_lengths=(6, 6.7)), "channel_lengths"),
-            (lambda: SweepConfig(n_frames=1.5), "n_frames"),
-            (lambda: SweepConfig(seed=1.5), "seed"),
-            (lambda: SystemConfig(cp_len=16.0), "cp_len"),
-            (lambda: SystemConfig(n_tx=2.0), "n_tx"),
-            (lambda: SystemConfig(n_rx=np.float64(2.0)), "n_rx"),
-            (lambda: SystemConfig(n_used=300.0), "n_used"),
-        ],
-        ids=["channel_lengths", "n_frames", "seed", "cp_len", "n_tx", "n_rx", "n_used"],
-    )
-    def test_non_integral_counts_rejected(self, make, field):
-        # int() would truncate 6.7 to 6, and a float count fails deep in a cell
-        with pytest.raises(ValueError, match=f"{field} must be integral"):
-            make()
-
-    @pytest.mark.parametrize(
-        "make, message",
-        [
-            (lambda: SweepConfig(snr_grid_db=("3",)), "snr_grid_db must be a real number, got '3'"),
-            (lambda: SweepConfig(snr_grid_db=(True,)), "snr_grid_db must be a real number, got True"),
-            (lambda: SweepConfig(n_frames=True), "n_frames must be integral, got True"),
-            (lambda: SystemConfig(cp_len=True), "cp_len must be integral, got True"),
-            (lambda: SystemConfig(bandwidth_mhz="5"), "bandwidth_mhz must be a real number, got '5'"),
-        ],
-        ids=["snr-str", "snr-bool", "n_frames-bool", "cp_len-bool", "bandwidth-str"],
-    )
-    def test_bools_and_text_are_not_numbers(self, make, message):
-        # float() would read "3" as 3.0 and True as 1.0, and a bool is an int
-        with pytest.raises(ValueError, match=re.escape(message)):
-            make()
-
     def test_numpy_reals_accepted_as_floats(self):
         cfg = SweepConfig(
             system=SystemConfig(bandwidth_mhz=np.int64(5)),
@@ -764,13 +715,6 @@ class TestRunSweep:
         assert (cfg.channel_lengths, cfg.n_frames, cfg.seed) == ((6,), 3, 7)
         assert system == SystemConfig() and type(cfg.seed) is int
 
-    def test_repeated_snr_rejected(self):
-        # a repeated SNR would run its cell twice and write two rows for it
-        with pytest.raises(ValueError, match="strictly ascending"):
-            SweepConfig(snr_grid_db=(10.0, 10.0))
-        with pytest.raises(ValueError, match="strictly ascending"):
-            SweepConfig(snr_grid_db=(0.0, np.inf, np.inf))
-
     def test_distinct_seeds_draw_distinct_streams(self):
         # the seed column records the seed as given, so no two seeds may share draws
         def mse(seed):
@@ -778,24 +722,6 @@ class TestRunSweep:
 
         assert mse(0) != mse(2**64)
         assert mse(2**64 - 1) != mse(2**65 - 1)
-
-    def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
-            SweepConfig(seed=-1)
-
-    @pytest.mark.parametrize(
-        "threshold_db, message",
-        [
-            ("3", "threshold_db must be a real number, got '3'"),
-            (math.nan, "threshold_db must be a real number, not NaN"),
-            (True, "threshold_db must be a real number, got True"),
-        ],
-        ids=["str", "nan", "bool"],
-    )
-    def test_threshold_must_be_a_real_number(self, threshold_db, message):
-        # True would otherwise switch the hybrid at 1 dB
-        with pytest.raises(ValueError, match=re.escape(message)):
-            SweepConfig(threshold_db=threshold_db)
 
     def test_finite_snr_past_the_float_range_runs_as_noiseless(self):
         def rows(snr_db):
@@ -810,28 +736,88 @@ class TestRunSweep:
         # the response is sampled at n_fft bins, so a longer channel would
         # alias its late taps onto the early ones
         assert SweepConfig(channel_lengths=(6, 512)).channel_lengths == (6, 512)
-        with pytest.raises(ValueError, match="exceeds the FFT size 512"):
-            SweepConfig(channel_lengths=(6, 513))
         wide = SystemConfig(bandwidth_mhz=10.0, cp_len=72)
         assert SweepConfig(system=wide, channel_lengths=(1024,)).channel_lengths == (1024,)
-        with pytest.raises(ValueError, match="exceeds the FFT size 1024"):
-            SweepConfig(system=wide, channel_lengths=(1025,))
 
     def test_lmmse_and_hybrid_need_a_cyclic_prefix(self):
-        no_cp = SystemConfig(cp_len=0)
-        for est in (Estimator.LMMSE, Estimator.HYBRID):
-            with pytest.raises(ValueError, match="need cp_len >= 1"):
-                SweepConfig(system=no_cp, estimators=(Estimator.LS, est))
         # LS and perfect CSI use no prior
-        SweepConfig(system=no_cp, estimators=(Estimator.LS, Estimator.PERFECT))
+        SweepConfig(system=_NO_CP, estimators=(Estimator.LS, Estimator.PERFECT))
 
-    def test_hybrid_calibration_needs_a_finite_snr(self):
-        with pytest.raises(ValueError, match="without finite SNRs"):
-            SweepConfig(channel_lengths=(40,), snr_grid_db=(np.inf,))
-        # nothing to calibrate: a set threshold, no hybrid, or a covering CP
+    def test_infinite_snr_alone_runs_where_no_crossing_is_read(self):
+        # no crossing to read: a set threshold, no hybrid, or a covering CP
         SweepConfig(channel_lengths=(40,), snr_grid_db=(np.inf,), threshold_db=12.0)
         SweepConfig(channel_lengths=(40,), snr_grid_db=(np.inf,), estimators=(Estimator.LS,))
         SweepConfig(channel_lengths=(6, 17), snr_grid_db=(np.inf,))
+
+
+# (id, make, message): each configuration SweepConfig or SystemConfig refuses
+INVALID_CONFIGS = [
+    ("snr-descending", lambda: SweepConfig(snr_grid_db=(10.0, 0.0)),
+     "snr grid must be strictly ascending (sorted, no repeats)"),
+    # a repeated SNR would run its cell twice and write two rows for it
+    ("snr-repeated", lambda: SweepConfig(snr_grid_db=(10.0, 10.0)),
+     "snr grid must be strictly ascending"),
+    ("snr-repeated-inf", lambda: SweepConfig(snr_grid_db=(0.0, np.inf, np.inf)),
+     "snr grid must be strictly ascending"),
+    ("snr-minus-inf", lambda: SweepConfig(snr_grid_db=(-np.inf, 0.0)), "invalid snr_db: -inf"),
+    ("no-snrs", lambda: SweepConfig(snr_grid_db=()), "snr grid must be non-empty"),
+    ("no-lengths", lambda: SweepConfig(channel_lengths=()),
+     "channel_lengths must be a non-empty list of positive ints"),
+    ("no-frames", lambda: SweepConfig(n_frames=0), "n_frames must be at least 1"),
+    ("estimator-text", lambda: SweepConfig(estimators=("ls",)),
+     "estimators must be a non-empty list of Estimator members"),
+    ("duplicate-estimator", lambda: SweepConfig(estimators=(Estimator.LS, Estimator.LS)),
+     "duplicate estimator requested"),
+    ("negative-seed", lambda: SweepConfig(seed=-1), "seed must be non-negative, got -1"),
+    # int() would truncate 6.7 to 6, and a float count fails deep in a cell
+    ("channel_lengths", lambda: SweepConfig(channel_lengths=(6, 6.7)),
+     "channel_lengths must be integral, got 6.7"),
+    ("n_frames", lambda: SweepConfig(n_frames=1.5), "n_frames must be integral, got 1.5"),
+    ("seed", lambda: SweepConfig(seed=1.5), "seed must be integral, got 1.5"),
+    ("cp_len", lambda: SystemConfig(cp_len=16.0), "cp_len must be integral, got 16.0"),
+    ("n_tx", lambda: SystemConfig(n_tx=2.0), "n_tx must be integral, got 2.0"),
+    ("n_rx", lambda: SystemConfig(n_rx=np.float64(2.0)), "n_rx must be integral"),
+    ("n_used", lambda: SystemConfig(n_used=300.0), "n_used must be integral, got 300.0"),
+    # float() would read "3" as 3.0 and True as 1.0, and a bool is an int
+    ("snr-str", lambda: SweepConfig(snr_grid_db=("3",)),
+     "snr_grid_db must be a real number, got '3'"),
+    ("snr-bool", lambda: SweepConfig(snr_grid_db=(True,)),
+     "snr_grid_db must be a real number, got True"),
+    ("n_frames-bool", lambda: SweepConfig(n_frames=True), "n_frames must be integral, got True"),
+    ("cp_len-bool", lambda: SystemConfig(cp_len=True), "cp_len must be integral, got True"),
+    ("bandwidth-str", lambda: SystemConfig(bandwidth_mhz="5"),
+     "bandwidth_mhz must be a real number, got '5'"),
+    # True would otherwise switch the hybrid at 1 dB
+    ("threshold-str", lambda: SweepConfig(threshold_db="3"),
+     "threshold_db must be a real number, got '3'"),
+    ("threshold-nan", lambda: SweepConfig(threshold_db=math.nan),
+     "threshold_db must be a real number, not NaN"),
+    ("threshold-bool", lambda: SweepConfig(threshold_db=True),
+     "threshold_db must be a real number, got True"),
+    ("length-past-the-fft", lambda: SweepConfig(channel_lengths=(6, 513)),
+     "channel length 513 exceeds the FFT size 512"),
+    ("length-past-the-fft-10mhz",
+     lambda: SweepConfig(
+         system=SystemConfig(bandwidth_mhz=10.0, cp_len=72), channel_lengths=(1025,)
+     ),
+     "channel length 1025 exceeds the FFT size 1024"),
+    # the LMMSE prior keeps the taps below cp_len: none at cp 0
+    ("cp0-lmmse", lambda: SweepConfig(system=_NO_CP, estimators=(Estimator.LS, Estimator.LMMSE)),
+     "the lmmse and hybrid estimators need cp_len >= 1"),
+    ("cp0-hybrid", lambda: SweepConfig(system=_NO_CP, estimators=(Estimator.LS, Estimator.HYBRID)),
+     "the lmmse and hybrid estimators need cp_len >= 1"),
+    ("hybrid-without-finite-snr",
+     lambda: SweepConfig(channel_lengths=(40,), snr_grid_db=(np.inf,)),
+     "no LS/LMMSE crossing to take a hybrid threshold from without finite SNRs"),
+]
+
+
+@pytest.mark.parametrize(
+    "make, message", [row[1:] for row in INVALID_CONFIGS], ids=[row[0] for row in INVALID_CONFIGS]
+)
+def test_invalid_config_is_refused(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
 
 
 class TestRecordsAndCsv:
